@@ -342,15 +342,6 @@ class CFExpansion:
         """Largest digit index currently available."""
         return len(self.digits) - 1
 
-    @property
-    def exhausted(self) -> bool:
-        """True when no further digit can ever be produced."""
-        if isinstance(self.spec, Rational):
-            return len(self.digits) == len(self._rational_digits)
-        if isinstance(self.spec, ExplicitCF) and not self.spec.period:
-            return len(self.digits) == len(self.spec.preperiod)
-        return False
-
     def digit(self, j: int) -> int:
         if j < 0:
             raise OutOfRangeError("digit index must be >= 0")
@@ -436,21 +427,9 @@ class CFExpansion:
         U = -((-hi_num) // iv.hi.denominator) - A
         return (A, max(U, 1))
 
-    def alpha0_enclosure(self, bits: int) -> Interval:
-        """Certified enclosure of alpha mod 1 with width <= 2**-bits."""
-        A, U = self.alpha0_scaled(bits)
-        unit = Fraction(1, 1 << bits)
-        if U > 1:
-            raise PrecisionUnresolvedError(
-                f"alpha known only to width {U}*2**-{bits} from the digit prefix "
-                f"through a_{self.depth}; requested width 2**-{bits}"
-            )
-        return Interval(A * unit, (A + U) * unit)
-
     def alpha0_best_enclosure(self, bits: int) -> Interval:
-        """Valid enclosure of alpha mod 1 at scale 2**-bits; unlike
-        alpha0_enclosure the width may exceed 2**-bits when only a digit
-        prefix constrains the value."""
+        """Valid enclosure of alpha mod 1 at scale 2**-bits; the width may
+        exceed 2**-bits when only a digit prefix constrains the value."""
         A, U = self.alpha0_scaled(bits)
         unit = Fraction(1, 1 << bits)
         return Interval(A * unit, (A + U) * unit)

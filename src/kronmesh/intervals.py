@@ -9,7 +9,8 @@ precision and retry".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from typing import Union
 
@@ -40,16 +41,6 @@ class Interval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains(self, x: Rat) -> bool:
-        return self.lo <= x <= self.hi
-
-    def strictly_positive(self) -> bool:
-        return self.lo > 0
-
-    def strictly_below(self, other: "Interval") -> bool:
-        """True only when every point of self is below every point of other."""
-        return self.hi < other.lo
-
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
@@ -74,19 +65,15 @@ class Interval:
         return Interval(1 / self.hi, 1 / self.lo)
 
     def __truediv__(self, other: "Interval") -> "Interval":
-        return intersection_free_mul(self, other.reciprocal())
+        r = other.reciprocal()
+        cands = (self.lo * r.lo, self.lo * r.hi, self.hi * r.lo, self.hi * r.hi)
+        return Interval(min(cands), max(cands))
 
     def min_with(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), min(self.hi, other.hi))
 
     def max_with(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
-
-
-def intersection_free_mul(a: Interval, b: Interval) -> Interval:
-    """General interval product (used only through __truediv__)."""
-    cands = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    return Interval(min(cands), max(cands))
 
 
 _ROUNDING = {
@@ -96,17 +83,24 @@ _ROUNDING = {
 }
 
 
+def decimal_context(digits: int, mode: str = "nearest"):
+    """A local decimal context in which a division rounds to `digits`
+    significant digits in the requested direction.  Decimal(a) / Decimal(b)
+    then renders a / b the same whether or not the ratio is reduced."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    dctx = getcontext().copy()
+    dctx.prec = digits
+    dctx.rounding = _ROUNDING[mode]
+    return localcontext(dctx)
+
+
 def fraction_to_decimal(x: Rat, digits: int, mode: str = "nearest") -> str:
     """Render an exact rational as a decimal string with `digits` significant
     digits, rounded in the requested direction."""
     x = Fraction(x)
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    with localcontext() as dctx:
-        dctx.prec = digits
-        dctx.rounding = _ROUNDING[mode]
-        d = Decimal(x.numerator) / Decimal(x.denominator)
-    return str(d)
+    with decimal_context(digits, mode):
+        return str(Decimal(x.numerator) / Decimal(x.denominator))
 
 
 def interval_to_decimal(iv: Interval, digits: int) -> tuple:

@@ -23,8 +23,9 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
@@ -36,19 +37,9 @@ from .contfrac import (
     alpha_tail_best,
     digit_supremum,
 )
-from .errors import PrecisionUnresolvedError, UnsupportedAlphaError
+from .errors import KronmeshError, PrecisionUnresolvedError, UnsupportedAlphaError
 from .intervals import Interval, fraction_to_decimal, interval_to_decimal
-from .sequences import (
-    GeneratorSpec,
-    GreedyGen,
-    KroneckerGen,
-    PointSet,
-    VdcGen,
-    greedy_packing,
-    kronecker,
-    van_der_corput,
-    working_scale_bits,
-)
+from .sequences import GeneratorSpec, KroneckerGen, PointSet, generate, kronecker
 from .threegap import decompose, form_interval, gap_structure
 
 INF = math.inf
@@ -104,30 +95,98 @@ class SortedGaps:
     source: PointSet
 
 
-def sorted_gaps(ps: PointSet) -> SortedGaps:
-    """Sort the prefix and return interior gaps plus boundary distances.
+class _LatticeMesh:
+    """Sorted lattice points in [0, modulus] and the multiset of their
+    interior gaps: the one metrics kernel.  It is built in bulk from a
+    prefix (one sort, one count, a heapify over the distinct gaps) and then
+    grown a point at a time; lazy min/max heaps answer the extreme gaps.
+    """
 
-    For approximate (Kronecker) points the ordering is certified: precision
-    escalates until every interior gap exceeds twice the per-point error, so
-    the sorted order of the stored values is the true order.
+    def __init__(self, xs, modulus: int):
+        self.modulus = modulus
+        self.pts = sorted(xs)
+        self.gapcount = Counter(map(operator.sub, self.pts[1:], self.pts))
+        self._maxheap = [-g for g in self.gapcount]
+        self._minheap = list(self.gapcount)
+        heapq.heapify(self._maxheap)
+        heapq.heapify(self._minheap)
+
+    def insert(self, x: int) -> None:
+        pts = self.pts
+        i = bisect.bisect_left(pts, x)
+        if 0 < i < len(pts):
+            self._count(pts[i] - pts[i - 1], -1)
+        if i > 0:
+            self._count(x - pts[i - 1], 1)
+        if i < len(pts):
+            self._count(pts[i] - x, 1)
+        pts.insert(i, x)
+
+    def _count(self, g: int, step: int) -> None:
+        c = self.gapcount.pop(g, 0) + step
+        if c:
+            self.gapcount[g] = c
+        if c == step == 1:  # a new distinct gap
+            heapq.heappush(self._maxheap, -g)
+            heapq.heappush(self._minheap, g)
+
+    def max_gap(self) -> int:
+        """Largest interior gap, 0 for a single point."""
+        h = self._maxheap
+        while h and not self.gapcount.get(-h[0]):
+            heapq.heappop(h)
+        return -h[0] if h else 0
+
+    def min_gap(self) -> Optional[int]:
+        """Smallest interior gap, None for a single point."""
+        h = self._minheap
+        while h and not self.gapcount.get(h[0]):
+            heapq.heappop(h)
+        return h[0] if h else None
+
+    def fill_units(self) -> int:
+        """Twice the fill distance in lattice units: boundary distances
+        enter unhalved, interior gaps halved."""
+        return max(2 * self.pts[0], 2 * (self.modulus - self.pts[-1]), self.max_gap())
+
+    def metrics(self, err: Fraction) -> QUMetrics:
+        fill, ming, scale = self.fill_units(), self.min_gap(), 2 * self.modulus
+        rho = INF if ming == 0 else Fraction(fill, ming)
+        return QUMetrics(len(self.pts), Fraction(fill, scale), Fraction(ming, scale),
+                         rho, "oracle-exact", err)
+
+
+def _certified(ps: PointSet, build):
+    """build(point set) at doubling scales until its order is certified.
+
+    build returns a result and the smallest interior gap of the whole set in
+    lattice units (None for one point).  For approximate (Kronecker) points
+    the scale doubles, up to the context's max_bits, until that gap exceeds
+    twice the per-point error, so the sorted order of the stored values is
+    the true order; gaps only shrink as points arrive, so the order of every
+    prefix is certified too.  Returns the result and the set it came from.
     """
     if ps.n < 1:
         raise ValueError("empty point set")
     cur = ps
     while True:
-        pts = sorted(cur.points)
-        gaps = tuple(b - a for a, b in zip(pts, pts[1:]))
-        e = cur.error_bound
-        if e == 0 or all(g > 2 * e for g in gaps):
-            return SortedGaps(tuple(pts), gaps, pts[0], 1 - pts[-1], e, cur)
+        result, ming = build(cur)
+        if cur.error_units == 0 or ming is None or ming > 2 * cur.error_units:
+            return result, cur
         cfg = cur.config
         if cfg is None:
             raise PrecisionUnresolvedError(
                 "point order ambiguous within the stored error bound and the "
                 "set carries no generator to regenerate from"
             )
-        nxt = cur.regenerate(2 * cfg.scale_bits)
-        if nxt.error_bound >= cur.error_bound:
+        if cfg.scale_bits >= cfg.ctx.max_bits:
+            raise PrecisionUnresolvedError(
+                f"point order ambiguous at n={cur.n} at the ceiling scale "
+                f"2**{cfg.scale_bits}"
+            )
+        nxt = cur.regenerate(min(2 * cfg.scale_bits, cfg.ctx.max_bits))
+        # a digit prefix bounds alpha only to its bracket: the error stalls
+        if 2 * nxt.error_bound > cur.error_bound:
             raise PrecisionUnresolvedError(
                 f"point order ambiguous at error {float(cur.error_bound):.3e} "
                 "and regeneration cannot reduce it (digit prefix exhausted?)"
@@ -135,34 +194,58 @@ def sorted_gaps(ps: PointSet) -> SortedGaps:
         cur = nxt
 
 
+def _certified_mesh(ps: PointSet) -> Tuple[_LatticeMesh, PointSet]:
+    def build(cur):
+        mesh = _LatticeMesh(cur.xs, cur.modulus)
+        return mesh, mesh.min_gap()
+
+    return _certified(ps, build)
+
+
+def _sweep_rows(ps: PointSet, n_lo: int) -> List[QUMetrics]:
+    """Metrics of the first n points of ps for n = n_lo..ps.n: the points
+    before n_lo enter the mesh in bulk, then one insert per row.  Kronecker
+    error grows linearly with the index, so row n carries (n - 1) / (N - 1)
+    of the error bound of all N points (exact sets carry 0)."""
+    def build(cur):
+        mesh = _LatticeMesh(cur.xs[:n_lo - 1], cur.modulus)
+        err_den = (cur.n - 1) * cur.modulus
+        rows = []
+        for n in range(n_lo, cur.n + 1):
+            mesh.insert(cur.xs[n - 1])
+            rows.append(mesh.metrics(Fraction((n - 1) * cur.error_units, err_den)))
+        return rows, mesh.min_gap()
+
+    return _certified(ps, build)[0]
+
+
+def sorted_gaps(ps: PointSet) -> SortedGaps:
+    """The certified sorted prefix as Fractions: interior gaps plus boundary
+    distances (a view of the lattice kernel; the metrics do not build it)."""
+    mesh, cur = _certified_mesh(ps)
+    M = cur.modulus
+    pts = tuple(Fraction(x, M) for x in mesh.pts)
+    gaps = tuple(b - a for a, b in zip(pts, pts[1:]))
+    return SortedGaps(pts, gaps, pts[0], 1 - pts[-1], cur.error_bound, cur)
+
+
 def fill_distance(ps: PointSet) -> Fraction:
-    sg = sorted_gaps(ps)
-    return _fill_of(sg)
-
-
-def _fill_of(sg: SortedGaps) -> Fraction:
-    worst = max(sg.left, sg.right)
-    if sg.gaps:
-        worst = max(worst, max(sg.gaps) / 2)
-    return worst
+    mesh, cur = _certified_mesh(ps)
+    return Fraction(mesh.fill_units(), 2 * cur.modulus)
 
 
 def separation_radius(ps: PointSet) -> Fraction:
     if ps.n < 2:
         raise ValueError("separation radius needs n >= 2")
-    sg = sorted_gaps(ps)
-    return min(sg.gaps) / 2
+    return mesh_ratio(ps).separation
 
 
 def mesh_ratio(ps: PointSet) -> QUMetrics:
     """rho_n = h_n / q_n from the actual points (provenance oracle-exact)."""
     if ps.n < 2:
         raise ValueError("mesh ratio needs n >= 2")
-    sg = sorted_gaps(ps)
-    fill = _fill_of(sg)
-    sep = min(sg.gaps) / 2
-    rho = INF if sep == 0 else fill / sep
-    return QUMetrics(ps.n, fill, sep, rho, "oracle-exact", sg.error_bound)
+    mesh, cur = _certified_mesh(ps)
+    return mesh.metrics(cur.error_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +299,9 @@ def kronecker_bounds(
     digit_form = None
     if d.m >= 3 and d.h == 0 and d.k == 0:
         lower = am.reciprocal()
-        digit_form = Fraction(exp.digit(d.m + 1)) + Fraction(1, exp.digit(d.m + 2) + 1)
+        # a prefix may end before a_{m+2}; lower_at_nm does not need it
+        if exp.ensure(d.m + 2):
+            digit_form = Fraction(exp.digit(d.m + 1)) + Fraction(1, exp.digit(d.m + 2) + 1)
 
     sup, certainty = digit_supremum(exp)
     global_upper = 2 + 2 * sup if certainty == "exact" else None
@@ -250,13 +335,16 @@ def mesh_ratio_structural(
     else:
         last_idx = 1 if d.k == 0 else 2
     last_form, last_count = entries[last_idx]
-    assert last_count > 0, (n, d)
     interior = [
         (form, count - (i == last_idx))
         for i, (form, count) in enumerate(entries)
     ]
     present = [form for form, count in interior if count > 0]
-    assert present, (n, d)
+    if last_count <= 0 or not present:
+        raise KronmeshError(
+            f"gap structure lacks the gap touching 1 or an interior gap at "
+            f"n={n}, (m, h, k) = ({d.m}, {d.h}, {d.k})"
+        )
 
     order = _order_forms(exp, present, ctx)
     maxint = _pick_extreme(present, order, largest=True)
@@ -311,71 +399,6 @@ class SweepRow:
     bounds: Optional[BoundReport]
 
 
-class _IncrementalMesh:
-    """Sorted point list plus a gap multiset with lazy min/max heaps.
-
-    Works over any exactly ordered value type (ints at a fixed scale,
-    Fractions); insertion keeps both neighbors' gap bookkeeping exact, so
-    the sweep is equivalent to recomputing from scratch at every n.
-    """
-
-    def __init__(self, total):
-        self.total = total
-        self.pts: list = []
-        self.gapcount: Counter = Counter()
-        self._maxheap: list = []
-        self._minheap: list = []
-
-    def insert(self, x) -> None:
-        i = bisect.bisect_left(self.pts, x)
-        left = self.pts[i - 1] if i > 0 else None
-        right = self.pts[i] if i < len(self.pts) else None
-        if left is not None and right is not None:
-            g = right - left
-            c = self.gapcount[g] - 1
-            if c:
-                self.gapcount[g] = c
-            else:
-                del self.gapcount[g]
-        if left is not None:
-            self._add_gap(x - left)
-        if right is not None:
-            self._add_gap(right - x)
-        self.pts.insert(i, x)
-
-    def _add_gap(self, g) -> None:
-        self.gapcount[g] += 1
-        heapq.heappush(self._maxheap, -g)
-        heapq.heappush(self._minheap, g)
-
-    def max_gap(self):
-        h = self._maxheap
-        while h and not self.gapcount.get(-h[0]):
-            heapq.heappop(h)
-        return -h[0] if h else None
-
-    def min_gap(self):
-        h = self._minheap
-        while h and not self.gapcount.get(h[0]):
-            heapq.heappop(h)
-        return h[0] if h else None
-
-    def boundaries(self):
-        return self.pts[0], self.total - self.pts[-1]
-
-
-def _metrics_from_mesh(mesh: _IncrementalMesh, n: int, scale, err: Fraction,
-                       provenance: str) -> QUMetrics:
-    left, right = mesh.boundaries()
-    maxg = mesh.max_gap()
-    ming = mesh.min_gap()
-    fill_num = max(2 * left, 2 * right, maxg)
-    fill = Fraction(fill_num, 2 * scale)
-    sep = Fraction(ming, 2 * scale)
-    rho = INF if ming == 0 else Fraction(fill_num, ming)
-    return QUMetrics(n, fill, sep, rho, provenance, err)
-
-
 def sweep(
     gen: GeneratorSpec,
     n_lo: int,
@@ -392,71 +415,22 @@ def sweep(
         raise ValueError("sweep needs n_lo >= 2 (mesh ratio undefined at n = 1)")
     if n_hi < n_lo:
         raise ValueError("empty sweep range")
-    if isinstance(gen, KroneckerGen):
-        exp = _as_expansion(gen.alpha)
-        if not exp.is_rational:
-            return _sweep_kronecker(exp, n_lo, n_hi, ctx, with_bounds)
-        # rational rotation: exact points, no closed-form bounds
-        pts = iter(kronecker(gen.alpha, n_hi, ctx).points)
-    elif isinstance(gen, VdcGen):
-        pts = iter(van_der_corput(gen.base, n_hi).points)
-    elif isinstance(gen, GreedyGen):
-        pts = iter(greedy_packing(n_hi, gen.tie_break).points)
-    else:
-        raise ValueError(f"unknown generator spec {gen!r}")
-    mesh = _IncrementalMesh(Fraction(1))
-    rows = []
-    for i, x in enumerate(pts):
-        mesh.insert(x)
-        n = i + 1
-        if n >= n_lo:
-            rows.append(
-                SweepRow(_metrics_from_mesh(mesh, n, 1, Fraction(0), "oracle-exact"), None)
-            )
-    return rows
+    exp = _as_expansion(gen.alpha) if isinstance(gen, KroneckerGen) else None
+    ps = generate(gen, n_hi, ctx) if exp is None else kronecker(exp, n_hi, ctx)
+    rows = _sweep_rows(ps, n_lo)
+    if exp is None or exp.is_rational or not with_bounds:
+        return [SweepRow(qm, None) for qm in rows]
+    memo = {}
 
+    def bounds(n: int) -> BoundReport:
+        # the report depends on n only through (m, h) and whether k == 0
+        d = decompose(exp, n)
+        key = (d.m, d.h, d.k == 0)
+        if key not in memo:
+            memo[key] = kronecker_bounds(exp, n, ctx)
+        return replace(memo[key], n=n, k=d.k)
 
-def _sweep_kronecker(exp, n_lo, n_hi, ctx, with_bounds) -> List[SweepRow]:
-    bits = working_scale_bits(ctx, n_hi)
-    while True:
-        try:
-            return _sweep_kronecker_at(exp, n_lo, n_hi, ctx, bits, with_bounds)
-        except PrecisionUnresolvedError:
-            if bits >= ctx.max_bits:
-                raise
-            bits = min(2 * bits, ctx.max_bits)
-
-
-def _sweep_kronecker_at(exp, n_lo, n_hi, ctx, scale_bits, with_bounds):
-    A, U = exp.alpha0_scaled(scale_bits)
-    M = 1 << scale_bits
-    mesh = _IncrementalMesh(M)
-    mesh.insert(0)
-    rows = []
-    x = 0
-    for i in range(1, n_hi):
-        x += A
-        if x >= M:
-            x -= M
-        if x + i * U >= M:
-            raise PrecisionUnresolvedError(
-                f"point {i} straddles an integer at scale 2**{scale_bits}"
-            )
-        mesh.insert(x)
-        n = i + 1
-        if n < n_lo:
-            continue
-        drift = i * U
-        ming = mesh.min_gap()
-        if ming <= 2 * drift:
-            raise PrecisionUnresolvedError(
-                f"gap of {ming} at scale 2**{scale_bits} is inside the drift "
-                f"margin {2 * drift} at n={n}"
-            )
-        qm = _metrics_from_mesh(mesh, n, M, Fraction(drift, M), "oracle-exact")
-        br = kronecker_bounds(exp, n, ctx) if with_bounds else None
-        rows.append(SweepRow(qm, br))
-    return rows
+    return [SweepRow(qm, bounds(qm.n)) for qm in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +500,11 @@ def bound_report_to_json(br: BoundReport, digits: int = 40) -> dict:
     if br.lower_at_nm is not None:
         lo = interval_to_decimal(br.lower_at_nm, digits)
         out["lower_at_nm"] = [lo[0], lo[1]]
-        out["lower_digit_form"] = fraction_to_decimal(br.lower_digit_form, digits)
     else:
         out["lower_at_nm"] = None
+    if br.lower_digit_form is not None:
+        out["lower_digit_form"] = fraction_to_decimal(br.lower_digit_form, digits)
+    else:
         out["lower_digit_form"] = None
     out["global_upper"] = br.global_upper
     return out

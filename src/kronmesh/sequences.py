@@ -1,17 +1,22 @@
 """Point-prefix generators: Kronecker, van der Corput, greedy packing.
 
-Points are exact Fractions.  Kronecker points of an irrational alpha are
-dyadic approximations carrying a certificate: each stored value differs
-from the true point by less than 2**-precision_bits, and the resolution is
-escalated until no i*alpha straddles an integer at the working scale.  Van
-der Corput and greedy points are exact rationals (precision_bits = None).
+Every generator lives on an integer lattice, and a PointSet stores its
+points as integers xs over one modulus M: Kronecker of an irrational alpha
+on 2**B, a rational p/q on q, van der Corput on b**k and greedy on 2**k.
+Kronecker points of an irrational alpha are dyadic approximations carrying
+a certificate: each stored value differs from the true point by at most
+error_units / M < 2**-precision_bits, and the resolution is escalated until
+no i*alpha straddles an integer at the working scale.  The other points are
+exact rationals (precision_bits = None, error_units = 0).
 """
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple, Union
 
 from .contfrac import (
     AlphaSpec,
@@ -21,8 +26,8 @@ from .contfrac import (
     Rational,
     alpha_to_string,
 )
-from .errors import PrecisionUnresolvedError
-from .intervals import fraction_to_decimal
+from .errors import KronmeshError, PrecisionUnresolvedError
+from .intervals import decimal_context
 
 
 @dataclass(frozen=True)
@@ -57,30 +62,62 @@ class GreedyGen:
         return f"greedy tie_break={self.tie_break}"
 
 
-GeneratorSpec = object  # KroneckerGen | VdcGen | GreedyGen
+GeneratorSpec = Union[KroneckerGen, VdcGen, GreedyGen]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PointSet:
-    """An index-ordered prefix of a sequence in [0, 1].
+    """An index-ordered prefix of a sequence in [0, 1], stored on a lattice.
 
-    error_bound is a certified per-point absolute error (0 for exact
-    rationals); precision_bits is None when points are exact.
+    Point i is xs[i] / modulus, within error_units / modulus of the true
+    point (0 for exact rationals); precision_bits is None when points are
+    exact.  PointSet(points, n, ...) puts Fractions on the lattice of their
+    common denominator; the generators build with PointSet.lattice.
     """
 
-    points: Tuple[Fraction, ...]
+    xs: Tuple[int, ...]
+    modulus: int
+    error_units: int
     n: int
     precision_bits: Optional[int]
     generator_tag: str
-    error_bound: Fraction = Fraction(0)
     config: Optional[object] = field(default=None, compare=False)
+
+    def __init__(self, points: Iterable, n: int, precision_bits: Optional[int],
+                 generator_tag: str, error_bound=Fraction(0), config=None):
+        pts = [Fraction(x) for x in points] + [Fraction(error_bound)]
+        M = math.lcm(*(x.denominator for x in pts))
+        *xs, err = (x.numerator * (M // x.denominator) for x in pts)
+        self._set(tuple(xs), M, err, n, precision_bits, generator_tag, config)
+
+    @classmethod
+    def lattice(cls, xs: Tuple[int, ...], modulus: int, error_units: int,
+                precision_bits: Optional[int], generator_tag: str, config=None):
+        ps = cls.__new__(cls)
+        ps._set(xs, modulus, error_units, len(xs), precision_bits, generator_tag, config)
+        return ps
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__dataclass_fields__, values):
+            object.__setattr__(self, name, value)
+
+    @property
+    def points(self) -> Tuple[Fraction, ...]:
+        """The points as Fractions, built on each access."""
+        M = self.modulus
+        return tuple(Fraction(x, M) for x in self.xs)
+
+    @property
+    def error_bound(self) -> Fraction:
+        """Certified per-point absolute error."""
+        return Fraction(self.error_units, self.modulus)
 
     def prefix(self, k: int) -> "PointSet":
         if not 1 <= k <= self.n:
             raise ValueError(f"prefix length {k} outside [1, {self.n}]")
-        return PointSet(
-            self.points[:k], k, self.precision_bits, self.generator_tag,
-            self.error_bound, self.config,
+        return PointSet.lattice(
+            self.xs[:k], self.modulus, self.error_units, self.precision_bits,
+            self.generator_tag, self.config,
         )
 
     def regenerate(self, bits: int) -> "PointSet":
@@ -141,8 +178,8 @@ def kronecker(
     if isinstance(spec, Rational):
         fr = spec.as_fraction()
         p, q = fr.numerator, fr.denominator
-        pts = tuple(Fraction((i * p) % q, q) for i in range(n))
-        return PointSet(pts, n, None, "kronecker", Fraction(0), None)
+        return PointSet.lattice(tuple((i * p) % q for i in range(n)), q, 0,
+                                None, "kronecker")
     exp = alpha if isinstance(alpha, CFExpansion) else CFExpansion(alpha)
     bits = scale_bits if scale_bits is not None else working_scale_bits(ctx, n)
     return _kronecker_at_scale(exp, n, ctx, bits)
@@ -160,25 +197,16 @@ def _kronecker_at_scale(
             if bits >= ctx.max_bits:
                 raise
             bits = min(2 * bits, ctx.max_bits)
-    pts = tuple(Fraction(x, M) for x in xs)
-    err = Fraction(max(n - 1, 1) * U, M)
+    err_units = max(n - 1, 1) * U
+    err = Fraction(err_units, M)
     if err <= Fraction(1, 1 << ctx.bits):
         prec = ctx.bits
     else:
         # widest honest tag: 2**-prec still bounds err from above
         prec = max(1, (err.denominator // err.numerator).bit_length() - 1)
-    return PointSet(
-        pts, n, prec, "kronecker", err, _KroneckerRun(exp, ctx, bits)
+    return PointSet.lattice(
+        tuple(xs), M, err_units, prec, "kronecker", _KroneckerRun(exp, ctx, bits)
     )
-
-
-def _radical_inverse(i: int, base: int) -> Fraction:
-    num, den = 0, 1
-    while i:
-        i, d = divmod(i, base)
-        num = num * base + d
-        den *= base
-    return Fraction(num, den)
 
 
 def van_der_corput(base: int, n: int) -> PointSet:
@@ -186,8 +214,17 @@ def van_der_corput(base: int, n: int) -> PointSet:
     VdcGen(base)  # validates
     if n < 1:
         raise ValueError("n must be >= 1")
-    pts = tuple(_radical_inverse(i, base) for i in range(n))
-    return PointSet(pts, n, None, "vdc", Fraction(0), None)
+    # on the lattice base**k, k the digit count of n - 1, reversing the
+    # digits of i = q*base + d puts d at the top place and shifts q's down
+    M = 1
+    while M < n:
+        M *= base
+    top = M // base
+    xs = [0] * n
+    for i in range(1, n):
+        q, d = divmod(i, base)
+        xs[i] = d * top + xs[q] // base
+    return PointSet.lattice(tuple(xs), M, 0, None, "vdc")
 
 
 def greedy_packing(n: int, tie_break: str = "leftmost") -> PointSet:
@@ -202,25 +239,25 @@ def greedy_packing(n: int, tie_break: str = "leftmost") -> PointSet:
     GreedyGen(tie_break)  # validates
     if n < 1:
         raise ValueError("n must be >= 1")
-    chosen = [Fraction(1, 2)]
-    placed = [Fraction(1, 2)]  # kept sorted
-    leftmost = tie_break == "leftmost"
+    # after 1/2, 0 and 1 each point halves a longest interval, so the first
+    # n points lie on the lattice 2**-k once 2**k + 1 >= n
+    M = 1 << n.bit_length()
+    chosen = [M // 2]
+    placed = [M // 2]  # kept sorted
+    # candidates are (2 * distance, sign * 2 * position): max() then breaks
+    # ties at the leftmost (sign -1) or rightmost (sign +1) position
+    sign = -1 if tie_break == "leftmost" else 1
     for _ in range(1, n):
-        best_dist = None
-        best_pos = None
-        cands = [(placed[0], Fraction(0)), (1 - placed[-1], Fraction(1))]
-        for a, b in zip(placed, placed[1:]):
-            cands.append(((b - a) / 2, (a + b) / 2))
-        for dist, pos in cands:
-            if (
-                best_dist is None
-                or dist > best_dist
-                or (dist == best_dist and (pos < best_pos if leftmost else pos > best_pos))
-            ):
-                best_dist, best_pos = dist, pos
-        chosen.append(best_pos)
-        bisect.insort(placed, best_pos)
-    return PointSet(tuple(chosen), n, None, "greedy", Fraction(0), None)
+        cands = [(2 * placed[0], 0), (2 * (M - placed[-1]), sign * 2 * M)]
+        cands += [(b - a, sign * (a + b)) for a, b in zip(placed, placed[1:])]
+        pos2 = sign * max(cands)[1]
+        if pos2 % 2:
+            raise KronmeshError(
+                f"greedy point {len(chosen)} falls off the lattice 1/{M}"
+            )
+        chosen.append(pos2 // 2)
+        bisect.insort(placed, pos2 // 2)
+    return PointSet.lattice(tuple(chosen), M, 0, None, "greedy")
 
 
 def generate(gen: GeneratorSpec, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> PointSet:
@@ -235,15 +272,19 @@ def generate(gen: GeneratorSpec, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT
 
 def points_to_csv(ps: PointSet, digits: int = 40) -> str:
     lines = ["index,value"]
-    for i, x in enumerate(ps.points):
-        lines.append(f"{i},{fraction_to_decimal(x, digits)}")
+    with decimal_context(digits):
+        M = Decimal(ps.modulus)
+        lines.extend(f"{i},{Decimal(x) / M!s}" for i, x in enumerate(ps.xs))
     return "\n".join(lines) + "\n"
 
 
 def points_to_json(ps: PointSet, digits: int = 40) -> dict:
+    with decimal_context(digits):
+        M = Decimal(ps.modulus)
+        points = [str(Decimal(x) / M) for x in ps.xs]
     return {
         "generator": ps.generator_tag,
         "n": ps.n,
         "precision_bits": ps.precision_bits,
-        "points": [fraction_to_decimal(x, digits) for x in ps.points],
+        "points": points,
     }

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .contfrac import CFExpansion, DEFAULT_CONTEXT, PrecisionContext
-from .errors import OutOfRangeError, PrecisionUnresolvedError, UnsupportedAlphaError
+from .errors import KronmeshError, OutOfRangeError
+from .errors import PrecisionUnresolvedError, UnsupportedAlphaError
 from .intervals import Interval, interval_to_decimal
 
 
@@ -135,8 +136,11 @@ def decompose(exp: CFExpansion, n: int) -> Decomposition:
     while exp.n[m] > n:
         m -= 1
     h, k = divmod(n - exp.n[m], exp.s[m])
-    a_next = exp.digit(m + 1)
-    assert 0 <= h <= a_next - 1, (n, m, h, k)
+    if not 0 <= h < exp.digit(m + 1):
+        raise KronmeshError(
+            f"decomposition out of range at n={n}: (m, h, k) = ({m}, {h}, {k}) "
+            f"with a_{m + 1} = {exp.digit(m + 1)}"
+        )
     return Decomposition(m, h, k)
 
 

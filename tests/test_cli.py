@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -73,6 +74,18 @@ def test_analyze_golden_n5(capsys):
     assert payload["bounds"]["lower_digit_form"] is not None
 
 
+def test_analyze_at_nm_where_prefix_ends(capsys):
+    # n = 53 = n_4 needs a_5 for lower_at_nm; the digit form would need the
+    # unknown a_6, so it is null instead of failing the whole report
+    code, payload, _ = run_json(capsys, "analyze", "--alpha", "cf:0;1,2,3,4,5",
+                                "--n", "53")
+    assert code == 0
+    bounds = payload["bounds"]
+    assert (bounds["m"], bounds["h"], bounds["k"]) == (4, 0, 0)
+    assert [float(x) for x in bounds["lower_at_nm"]] == [5, 6]
+    assert bounds["lower_digit_form"] is None
+
+
 def test_analyze_vdc_n4(capsys):
     code, payload, _ = run_json(capsys, "analyze", "--gen", "vdc", "--base", "2",
                                 "--n", "4")
@@ -130,6 +143,31 @@ def test_sweep_json_rows(capsys):
     assert code == 0
     assert [row["n"] for row in payload["rows"]] == [2, 3, 4, 5, 6]
     assert all("bounds" in row for row in payload["rows"])
+
+
+def test_sweep_rows_to_the_end_of_a_prefix(capsys):
+    code, out, _ = run(capsys, "sweep", "--alpha", "cf:0;1,2,3,4,5", "--n", "50..53")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["50", "51", "52", "53"]
+    assert [float(x) for x in rows[-1][6:8]] == [5, 6]
+    assert rows[0][6:8] == ["", ""]
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--alpha", "cf:0;1,2,3", "--n", "2..100"),
+    ("analyze", "--alpha", "cf:0;1,2,3,4,5,6", "--n", "1000"),
+    ("sweep", "--alpha", "cf:0;1,2,3,4,5,6", "--n", "900..1000"),
+])
+def test_prefix_order_unresolved_exit3(capsys, argv):
+    # a digit prefix bounds alpha only to a bracket, so a finer scale cannot
+    # certify the point order: the run must end with exit 3 (the sweep's
+    # message once overflowed int-to-str and exited 1; the one-shot analysis
+    # kept doubling its scale without end)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "cannot reduce" in err or "straddles" in err
 
 
 def test_sweep_no_bounds(capsys):
@@ -270,3 +308,14 @@ def test_console_script_entry_point_declared():
     assert scripts == {"kronmesh": "kronmesh.cli:main"}
     module, _, attr = scripts["kronmesh"].partition(":")
     assert getattr(importlib.import_module(module), attr) is main
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert, so every invariant must be an explicit raise
+    package = Path(kronmesh.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []

@@ -16,6 +16,7 @@ from kronmesh import (
     VdcGen,
 )
 from kronmesh.metrics import SWEEP_COLUMNS
+from kronmesh.sequences import kronecker_scaled, working_scale_bits
 from conftest import ALPHA_SPECS, assert_rho_close
 import oracles
 
@@ -242,3 +243,105 @@ def test_metrics_json_roundtrip(golden):
     inf_payload = km.metrics_to_json(km.mesh_ratio(km.kronecker(Rational(1, 3), 4)), None)
     assert inf_payload["mesh_ratio"] == "inf"
     assert "bounds" not in inf_payload
+
+
+# -- the integer-lattice kernel against the oracles ---------------------------
+
+KERNEL_SPECS = ("golden", "sqrt:2", "cf:0;(1,2)", "cf:0;2,1(3,1,4)")
+
+
+def _scaled_oracle_row(xs, M, U, n):
+    fill, sep, rho = oracles.scaled_prefix_metrics(xs[:n], M, U)
+    return fill, sep, rho, Fraction((n - 1) * U, M)
+
+
+def _as_tuple(qm):
+    return qm.fill, qm.separation, qm.mesh_ratio, qm.error_bound
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
+def test_kronecker_kernel_matches_scaled_oracle(spec):
+    # every sweep row, and a one-shot mesh_ratio on the same lattice, equal
+    # the independent sort-and-scan oracle exactly, error bound included
+    exp = km.CFExpansion(km.parse_alpha(spec))
+    ctx = PrecisionContext(96)
+    n_hi = 400
+    bits = working_scale_bits(ctx, n_hi)
+    xs, M, U = kronecker_scaled(exp, n_hi, bits)
+    rows = km.sweep(KroneckerGen(exp), 2, n_hi, ctx)
+    assert [row.metrics.n for row in rows] == list(range(2, n_hi + 1))
+    for row in rows:
+        n = row.metrics.n
+        want = _scaled_oracle_row(xs, M, U, n)
+        assert _as_tuple(row.metrics) == want, (spec, n)
+        oneshot = km.mesh_ratio(km.kronecker(exp, n, ctx, scale_bits=bits))
+        assert oneshot == row.metrics, (spec, n)
+    # the one-shot default scale gives the oracle on its own lattice too
+    ps = km.kronecker(exp, n_hi, ctx)
+    unit = ps.error_units // (n_hi - 1)
+    assert _as_tuple(km.mesh_ratio(ps)) == _scaled_oracle_row(
+        list(ps.xs), ps.modulus, unit, n_hi)
+
+
+@pytest.mark.parametrize("spec", ("golden", "sqrt:2"))
+def test_sweep_edges_match_full_sweep(spec):
+    exp = km.CFExpansion(km.parse_alpha(spec))
+    gen = KroneckerGen(exp)
+    n_hi = 300
+    full = {row.metrics.n: row for row in km.sweep(gen, 2, n_hi)}
+    nm = next(exp.n_at(m) for m in range(1, 40) if exp.n_at(m) > 20)
+    for n_lo in (2, nm, nm + 1, n_hi):
+        rows = km.sweep(gen, n_lo, n_hi)
+        assert [row.metrics.n for row in rows] == list(range(n_lo, n_hi + 1))
+        for row in rows:
+            assert row == full[row.metrics.n], (spec, n_lo, row.metrics.n)
+    # a one-row sweep works at the scale a one-shot analysis of n_m uses
+    one = km.sweep(gen, nm, nm)
+    assert len(one) == 1
+    assert one[0].metrics == km.mesh_ratio(km.kronecker(exp, nm))
+    assert one[0].bounds == km.kronecker_bounds(exp, nm)
+    assert one[0].bounds.lower_at_nm is not None
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
+def test_memoized_bounds_equal_fresh_reports(spec):
+    exp = km.CFExpansion(km.parse_alpha(spec))
+    rows = km.sweep(KroneckerGen(exp), 2, 250)
+    for row in rows:
+        assert row.bounds == km.kronecker_bounds(exp, row.metrics.n), (spec, row.metrics.n)
+
+
+def _exact_cases():
+    yield "rat:5/13", lambda n: [Fraction(i * 5 % 13, 13) for i in range(n)], \
+        KroneckerGen(Rational(5, 13))
+    for base in (2, 10):
+        yield f"vdc{base}", \
+            lambda n, b=base: [oracles.radical_inverse_reference(i, b) for i in range(n)], \
+            VdcGen(base)
+
+
+@pytest.mark.parametrize("name,points,gen", list(_exact_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_exact_kernel_matches_brute(name, points, gen):
+    n_hi = 140
+    rows = km.sweep(gen, 2, n_hi)
+    for row in rows:
+        n = row.metrics.n
+        fill, sep, rho = oracles.brute_metrics(points(n))
+        assert (row.metrics.fill, row.metrics.separation, row.metrics.mesh_ratio) \
+            == (fill, sep, rho), (name, n)
+        assert row.metrics.error_bound == 0
+        assert km.mesh_ratio(km.generate(gen, n)) == row.metrics, (name, n)
+    if name.startswith("rat"):
+        # past q the rotation repeats a point: rho is infinite (CLI exit 4)
+        assert rows[-1].metrics.is_infinite and rho == math.inf
+        assert not km.mesh_ratio(km.generate(gen, 13)).is_infinite
+
+
+def test_pointset_fraction_and_lattice_forms_agree():
+    ps = km.van_der_corput(3, 20)
+    assert ps.modulus == 27 and ps.error_units == 0
+    again = km.PointSet(ps.points, ps.n, None, "vdc")
+    assert again.points == ps.points
+    assert km.mesh_ratio(again) == km.mesh_ratio(ps)
+    assert km.greedy_packing(9).modulus == 16
