@@ -18,7 +18,7 @@ import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Tuple, Union
 
 from .errors import (
@@ -200,6 +200,17 @@ def _convergent_pair(digits: Tuple[int, ...]) -> Tuple[int, int, int, int]:
     return p, p_prev, q, q_prev
 
 
+def _tail_bracket(window: Tuple[int, ...]) -> Interval:
+    """Enclosure of [0; d_1, ..., d_W + x] over x in [0, 1] for the window
+    (d_1, ..., d_W): the value (p + x p') / (q + x q') runs from the
+    convergent p/q to the mediant (p + p') / (q + q'), width 1/(q (q + q')),
+    exactly the ends the backward recurrence x -> 1/(d_j + x) gives from
+    the seeds 0 and 1."""
+    p, p_prev, q, q_prev = _convergent_pair((0, *window))
+    end, mediant = Fraction(p, q), Fraction(p + p_prev, q + q_prev)
+    return Interval(end, mediant) if end < mediant else Interval(mediant, end)
+
+
 @lru_cache(maxsize=None)
 def _periodic_tail_surd(preperiod_tail: Tuple[int, ...], period: Tuple[int, ...]) -> QuadraticSurd:
     """Exact value of [0; b_1, ..., b_k, (c_1, ..., c_L) repeating] as a surd.
@@ -261,7 +272,6 @@ class CFExpansion:
         self.n: list = []
         self.finite = False
         self.periodic: Optional[Tuple[int, int]] = None
-        self._tail_cache: dict = {}
 
         if isinstance(spec, Rational):
             self._rational_digits = _euclid_digits(spec.as_fraction())
@@ -392,21 +402,18 @@ class CFExpansion:
             return _periodic_tail_surd(spec.preperiod[1:], spec.period)
         return None
 
+    @cached_property
     def _prefix_bracket(self) -> Interval:
         """Enclosure of alpha mod 1 for a digit prefix with unknown
-        continuation: between the last convergent and the next mediant."""
+        continuation: the tail bracket of a_1..a_M, between the convergent
+        and the mediant (computed once; the prefix is fixed)."""
         self.ensure(len(self.spec.preperiod) - 1)
         M = self.depth
         if M < 1:
             raise PrecisionUnresolvedError(
                 "no digits beyond a_0; alpha mod 1 is unconstrained in [0, 1]"
             )
-        a0 = self.digits[0]
-        pM, qM = self.convergents[M]
-        pP, qP = self.convergents[M - 1]
-        end = Fraction(pM - a0 * qM, qM)
-        mediant = Fraction((pM + pP) - a0 * (qM + qP), qM + qP)
-        return Interval(min(end, mediant), max(end, mediant))
+        return _tail_bracket(self.digits[1:M + 1])
 
     def alpha0_scaled(self, bits: int) -> Tuple[int, int]:
         """(A, U) with (alpha mod 1) * 2**bits in [A, A + U]; U = 1 whenever
@@ -421,7 +428,7 @@ class CFExpansion:
         surd = self._alpha0_surd()
         if surd is not None:
             return (surd.floor_scaled(bits), 1)
-        iv = self._prefix_bracket()
+        iv = self._prefix_bracket
         A = (iv.lo.numerator << bits) // iv.lo.denominator
         hi_num = iv.hi.numerator << bits
         U = -((-hi_num) // iv.hi.denominator) - A
@@ -452,17 +459,14 @@ def s_and_n(exp: CFExpansion, m: int) -> Tuple[int, int]:
 def alpha_tail(exp: CFExpansion, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Interval:
     """Certified enclosure of alpha_m = [0; a_{m+1}, a_{m+2}, ...].
 
-    Evaluated by the backward recurrence x -> 1/(a_j + x) over a digit
-    window, seeding the unknown remainder with [0, 1] and growing the window
-    until the width target 2**(guard - bits) is met.  Terminating tails come
-    out exact.
+    The enclosure is the bracket of the digit window a_{m+1}..a_{m+w}
+    between its convergent and its mediant (the unknown remainder ranges
+    over [0, 1]).  The window starts at w = max(16, 3 (bits - guard) / 4)
+    digits and doubles until the width target 2**(guard - bits) is met.
+    Terminating tails come out exact.
     """
     if m < 0:
         raise OutOfRangeError("alpha_m defined for m >= 0")
-    key = (m, ctx.bits, ctx.guard)
-    cached = exp._tail_cache.get(key)
-    if cached is not None:
-        return cached
     target = Fraction(1, 1 << (ctx.bits - ctx.guard))
 
     if exp.finite:
@@ -472,19 +476,8 @@ def alpha_tail(exp: CFExpansion, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT
             raise UnsupportedAlphaError(
                 f"alpha_{m} needs digits beyond a_{M}, but the expansion terminates"
             )
-        x = Fraction(0)
-        for j in range(M, m, -1):
-            x = 1 / (exp.digits[j] + x)
-        iv = Interval.point(x)
-        exp._tail_cache[key] = iv
-        return iv
-
-    def backward(window_end: int, seed: Interval) -> Interval:
-        x = seed
-        for j in range(window_end, m, -1):
-            a = exp.digits[j]
-            x = Interval(1 / (a + x.hi), 1 / (a + x.lo))
-        return x
+        p, _, q, _ = _convergent_pair((0, *exp.digits[m + 1:]))
+        return Interval.point(Fraction(p, q))
 
     w = max(16, (3 * (ctx.bits - ctx.guard)) // 4)
     while True:
@@ -494,39 +487,33 @@ def alpha_tail(exp: CFExpansion, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT
                 raise PrecisionUnresolvedError(
                     f"alpha_{m} needs digits beyond a_{M}; the known prefix is too short"
                 )
-            iv = backward(M, Interval(Fraction(0), Fraction(1)))
+            iv = _tail_bracket(exp.digits[m + 1:])
             if iv.width <= target:
-                break
+                return iv
             raise PrecisionUnresolvedError(
                 f"alpha_{m} certified only to width {float(iv.width):.3e} from digits "
                 f"through a_{M}; need roughly depth {m + w} for width 2**-{ctx.bits - ctx.guard}"
             )
-        iv = backward(m + w, Interval(Fraction(0), Fraction(1)))
+        iv = _tail_bracket(exp.digits[m + 1:m + w + 1])
         if iv.width <= target:
-            break
+            return iv
         w *= 2
-    exp._tail_cache[key] = iv
-    return iv
 
 
 def alpha_tail_best(exp: CFExpansion, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Interval:
     """alpha_tail without the width guarantee.
 
     When only a digit prefix constrains the tail, returns the tightest
-    enclosure that prefix supports instead of raising.  Still raises when no
-    digit beyond a_m is known (the enclosure would be all of [0, 1]).
+    enclosure that prefix supports (the bracket of a_{m+1}..a_M) instead of
+    raising.  Still raises when no digit beyond a_m is known (the enclosure
+    would be all of [0, 1]).
     """
     try:
         return alpha_tail(exp, m, ctx)
     except PrecisionUnresolvedError:
-        M = exp.depth
-        if M <= m:
+        if exp.depth <= m:
             raise
-        x = Interval(Fraction(0), Fraction(1))
-        for j in range(M, m, -1):
-            a = exp.digits[j]
-            x = Interval(1 / (a + x.hi), 1 / (a + x.lo))
-        return x
+        return _tail_bracket(exp.digits[m + 1:])
 
 
 def digit_supremum(exp: CFExpansion, probe_depth: int = 64) -> Tuple[int, str]:

@@ -193,10 +193,16 @@ def _kronecker_at_scale(
         try:
             xs, M, U = kronecker_scaled(exp, n, bits)
             break
-        except PrecisionUnresolvedError:
+        except PrecisionUnresolvedError as exc:
             if bits >= ctx.max_bits:
                 raise
-            bits = min(2 * bits, ctx.max_bits)
+            nxt = min(2 * bits, ctx.max_bits)
+            # a digit prefix bounds alpha only to its bracket: stop once the
+            # per-point error U / 2**bits no longer halves
+            if exp.alpha0_scaled(nxt)[1] << (bits + 1) > exp.alpha0_scaled(bits)[1] << nxt:
+                raise PrecisionUnresolvedError(f"{exc}; regeneration cannot reduce "
+                                               "the error (digit prefix exhausted?)")
+            bits = nxt
     err_units = max(n - 1, 1) * U
     err = Fraction(err_units, M)
     if err <= Fraction(1, 1 << ctx.bits):

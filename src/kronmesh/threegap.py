@@ -57,7 +57,12 @@ ZERO = LinearForm(0, 0)
 
 
 def eta(exp: CFExpansion, m: int) -> LinearForm:
-    """eta_m as an exact linear form; m >= -1."""
+    """eta_m as an exact linear form; m >= -1.
+
+    Read in O(1) from the convergent p_m/q_m of alpha (stored with a_0):
+    eta_m = (-1)^m (q_m alpha0 - p'_m) with p'_m = p_m - a_0 q_m, the
+    numerator of the convergent of alpha0 = [0; a_1, a_2, ...].
+    """
     if m < -1:
         raise OutOfRangeError("eta_m defined for m >= -1")
     if m == -1:
@@ -66,10 +71,9 @@ def eta(exp: CFExpansion, m: int) -> LinearForm:
         raise OutOfRangeError(
             f"eta_{m} needs digit a_{m}; expansion ends at a_{exp.depth}"
         )
-    prev, cur = LinearForm(0, 1), LinearForm(1, 0)
-    for j in range(1, m + 1):
-        prev, cur = cur, prev - cur.scale(exp.digits[j])
-    return cur
+    p, q = exp.convergents[m]
+    u, v = q, exp.digits[0] * q - p
+    return LinearForm(-u, -v) if m % 2 else LinearForm(u, v)
 
 
 def eta_interval(

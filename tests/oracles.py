@@ -3,8 +3,9 @@
 Everything here is deliberately written from scratch against the
 definitions, not by calling back into the code under test: brute-force
 sorted-prefix gap multisets, O(n^2) pairwise metrics, grid fill oracles,
-digit-reversal radical inverses, an exact sign test for a + b*sqrt(D), and
-big-float continued-fraction machinery via mpmath.
+digit-reversal radical inverses, an exact sign test for a + b*sqrt(D), the
+defining recurrence of the three-gap lengths eta_m, backward-recurrence
+tail enclosures, and big-float continued-fraction machinery via mpmath.
 """
 import bisect
 import math
@@ -102,6 +103,21 @@ def tail_interval_from_digits(digits, m: int):
         a = digits[j]
         lo, hi = 1 / (a + hi), 1 / (a + lo)
     return lo, hi
+
+
+def eta_recurrence(exp, m: int):
+    """eta_m by the defining recurrence eta_{j+1} = eta_{j-1} - a_{j+1} eta_j
+    from eta_{-1} = 1 and eta_0 = alpha0, in O(m) integer steps over
+    exp.digits; returned as a kronmesh LinearForm (u, v) = u*alpha0 + v."""
+    from kronmesh.threegap import LinearForm
+
+    prev, cur = (0, 1), (1, 0)
+    if m == -1:
+        return LinearForm(*prev)
+    exp.ensure(m)
+    for a in exp.digits[1:m + 1]:
+        prev, cur = cur, (prev[0] - a * cur[0], prev[1] - a * cur[1])
+    return LinearForm(*cur)
 
 
 def eta_product_interval(digits, m: int):

@@ -170,6 +170,25 @@ def test_prefix_order_unresolved_exit3(capsys, argv):
     assert "cannot reduce" in err or "straddles" in err
 
 
+def test_prefix_straddle_stops_when_the_error_stalls(capsys, monkeypatch):
+    # a finer scale cannot shrink the bracket of a digit prefix, so the
+    # point straddle must not be retried at 2**430, 2**860, ... 2**65536
+    seq = importlib.import_module("kronmesh.sequences")
+    scales = []
+    original = seq.kronecker_scaled
+
+    def counting(exp, n, scale_bits):
+        scales.append(scale_bits)
+        return original(exp, n, scale_bits)
+
+    monkeypatch.setattr(seq, "kronecker_scaled", counting)
+    code, out, err = run(capsys, "analyze", "--alpha", "cf:0;1,2,3", "--n", "100")
+    assert code == 3
+    assert out == ""
+    assert "cannot reduce" in err
+    assert len(scales) <= 2, scales
+
+
 def test_sweep_no_bounds(capsys):
     code, out, _ = run(capsys, "sweep", "--alpha", "golden", "--n", "2..5",
                        "--no-bounds")

@@ -16,6 +16,7 @@ from kronmesh import (
     Rational,
     UnsupportedAlphaError,
 )
+from kronmesh.contfrac import _tail_bracket
 from conftest import ALPHA_SPECS, PREFIX_SPEC, mpf_to_fraction
 import oracles
 
@@ -194,6 +195,51 @@ def test_alpha_tail_sandwich():
             hi = Fraction(1) / (a1 + Fraction(1, a2 + 1))
             assert lo < iv.lo and iv.hi < hi, (spec, m)
             assert Fraction(1, a1 + 1) < iv.lo and iv.hi < Fraction(1, a1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tail_bracket_equals_backward_recurrence(data):
+    # the forward convergent/mediant bracket of a digit window is exactly
+    # what the backward recurrence gives from the seeds 0 and 1
+    digits = data.draw(st.lists(st.integers(min_value=1, max_value=50),
+                                min_size=1, max_size=60))
+    digits = [data.draw(st.integers(min_value=0, max_value=3))] + digits
+    m = data.draw(st.integers(min_value=0, max_value=len(digits) - 2))
+    lo, hi = oracles.tail_interval_from_digits(digits, m)
+    iv = _tail_bracket(digits[m + 1:])
+    assert (iv.lo, iv.hi) == (lo, hi)
+    # the tail of the rational with these digits is exact: one of the ends
+    exp = CFExpansion(Rational(*oracles.convergents_from_digits(digits)[-1]))
+    exp.ensure(10 ** 6)
+    if exp.digits == digits:  # the Euclidean digits end in a_M >= 2
+        point = km.alpha_tail(exp, m)
+        assert point.width == 0 and point.lo in (lo, hi)
+
+
+@pytest.mark.parametrize("spec", [PREFIX_SPEC, "cf:1;3,1,4,1,5,9,2,6,5,3,5,8,9,7,9,3,2,3,8,4,6,2,6,4"])
+def test_alpha_tail_best_prefix_equals_oracle(spec):
+    exp = CFExpansion(km.parse_alpha(spec))
+    exp.ensure(10 ** 6)
+    ctx = PrecisionContext(192)
+    fallbacks = 0
+    for m in range(exp.depth):
+        try:
+            km.alpha_tail(exp, m, ctx)
+        except PrecisionUnresolvedError:
+            fallbacks += 1
+        iv = km.alpha_tail_best(exp, m, ctx)
+        assert (iv.lo, iv.hi) == oracles.tail_interval_from_digits(exp.digits, m), (spec, m)
+    assert fallbacks > 0
+    with pytest.raises(PrecisionUnresolvedError):
+        km.alpha_tail_best(exp, exp.depth, ctx)
+
+
+@pytest.mark.parametrize("spec", [PREFIX_SPEC, "cf:2;7", "cf:0;1,1,1,1,1,1,1,1,1,1,1,1,1"])
+def test_prefix_bracket_equals_oracle(spec):
+    exp = CFExpansion(km.parse_alpha(spec))
+    iv = exp._prefix_bracket
+    assert (iv.lo, iv.hi) == oracles.tail_interval_from_digits(exp.digits, 0)
 
 
 def test_digit_supremum_examples():

@@ -45,6 +45,23 @@ def test_eta_out_of_range():
         km.eta(exp, -2)
 
 
+@pytest.mark.parametrize("spec,hi", [
+    ("golden", 500),
+    ("sqrt:2", 500),
+    ("cf:0;2,1(3,1,2)", 500),
+    (PREFIX_SPEC, 30),
+])
+def test_eta_equals_recurrence_oracle(spec, hi):
+    exp = CFExpansion(km.parse_alpha(spec))
+    exp.ensure(hi)
+    assert exp.depth >= hi
+    for m in range(-1, hi + 1):
+        assert km.eta(exp, m) == oracles.eta_recurrence(exp, m), (spec, m)
+    if spec == PREFIX_SPEC:
+        with pytest.raises(OutOfRangeError):
+            km.eta(exp, hi + 1)
+
+
 def test_eta_matches_convergents(expansions):
     # eta_m = (-1)^m (s_m * alpha0 - (p_m - a_0 s_m)) as a linear form
     for spec, exp in expansions.items():
