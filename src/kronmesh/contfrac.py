@@ -18,8 +18,8 @@ import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Optional, Tuple, Union
+from functools import cached_property
+from typing import Callable, Optional, Tuple, Union
 
 from .errors import (
     AlphaSpecError,
@@ -53,6 +53,34 @@ class PrecisionContext:
             raise ValueError("PrecisionContext.max_bits must be >= bits")
         if self.guard < 0:
             raise ValueError("PrecisionContext.guard must be >= 0")
+
+    def escalate(self, attempt: Callable[[int], tuple], start_bits: int, what: str):
+        """The precision ladder shared by every certified comparison.
+
+        Calls attempt(bits) at start_bits, then at doubled bits up to
+        max_bits, until it returns (result, error) with a result that is not
+        None; an undecided attempt returns (None, error), where error
+        measures what kept it from deciding (an enclosure width, a per-point
+        error).  Raises PrecisionUnresolvedError at the ceiling (a start
+        above max_bits still gets its one attempt), or as soon as a doubling
+        fails to halve the error: a digit prefix, not the precision, then
+        limits the enclosure, and more bits cannot decide the comparison.
+        """
+        bits, last = start_bits, None
+        while True:
+            result, error = attempt(bits)
+            if result is not None:
+                return result
+            if last is not None and 2 * error > last:
+                raise PrecisionUnresolvedError(
+                    f"{what} unresolved at {bits} bits; doubling the precision "
+                    "cannot reduce the error (digit prefix exhausted?)"
+                )
+            if bits >= self.max_bits:
+                raise PrecisionUnresolvedError(
+                    f"{what} unresolved at the ceiling of {bits} bits"
+                )
+            bits, last = min(2 * bits, self.max_bits), error
 
 
 DEFAULT_CONTEXT = PrecisionContext()
@@ -211,7 +239,6 @@ def _tail_bracket(window: Tuple[int, ...]) -> Interval:
     return Interval(end, mediant) if end < mediant else Interval(mediant, end)
 
 
-@lru_cache(maxsize=None)
 def _periodic_tail_surd(preperiod_tail: Tuple[int, ...], period: Tuple[int, ...]) -> QuadraticSurd:
     """Exact value of [0; b_1, ..., b_k, (c_1, ..., c_L) repeating] as a surd.
 
@@ -390,8 +417,10 @@ class CFExpansion:
 
     # -- certified value enclosures -----------------------------------------
 
+    @cached_property
     def _alpha0_surd(self) -> Optional[QuadraticSurd]:
-        """Exact surd equal to alpha mod 1, when one exists."""
+        """Exact surd equal to alpha mod 1, when one exists (computed once
+        per expansion)."""
         spec = self.spec
         if isinstance(spec, QuadraticSurd):
             a0 = self.digit(0)
@@ -425,7 +454,7 @@ class CFExpansion:
             num = x.numerator << bits
             A, rem = divmod(num, x.denominator)
             return (A, 1 if rem else 0)
-        surd = self._alpha0_surd()
+        surd = self._alpha0_surd
         if surd is not None:
             return (surd.floor_scaled(bits), 1)
         iv = self._prefix_bracket

@@ -33,7 +33,6 @@ from .contfrac import (
     CFExpansion,
     DEFAULT_CONTEXT,
     PrecisionContext,
-    alpha_tail,
     alpha_tail_best,
     digit_supremum,
 )
@@ -157,41 +156,37 @@ class _LatticeMesh:
 
 
 def _certified(ps: PointSet, build):
-    """build(point set) at doubling scales until its order is certified.
+    """build(point set) up the precision ladder until its order is certified.
 
     build returns a result and the smallest interior gap of the whole set in
     lattice units (None for one point).  For approximate (Kronecker) points
-    the scale doubles, up to the context's max_bits, until that gap exceeds
+    the scale climbs the context's precision ladder until that gap exceeds
     twice the per-point error, so the sorted order of the stored values is
     the true order; gaps only shrink as points arrive, so the order of every
     prefix is certified too.  Returns the result and the set it came from.
     """
     if ps.n < 1:
         raise ValueError("empty point set")
-    cur = ps
-    while True:
+
+    def attempt(cur):
         result, ming = build(cur)
         if cur.error_units == 0 or ming is None or ming > 2 * cur.error_units:
-            return result, cur
-        cfg = cur.config
-        if cfg is None:
+            return (result, cur), None
+        return None, cur.error_bound
+
+    cfg = ps.config
+    if cfg is None:
+        done, _ = attempt(ps)
+        if done is None:
             raise PrecisionUnresolvedError(
                 "point order ambiguous within the stored error bound and the "
                 "set carries no generator to regenerate from"
             )
-        if cfg.scale_bits >= cfg.ctx.max_bits:
-            raise PrecisionUnresolvedError(
-                f"point order ambiguous at n={cur.n} at the ceiling scale "
-                f"2**{cfg.scale_bits}"
-            )
-        nxt = cur.regenerate(min(2 * cfg.scale_bits, cfg.ctx.max_bits))
-        # a digit prefix bounds alpha only to its bracket: the error stalls
-        if 2 * nxt.error_bound > cur.error_bound:
-            raise PrecisionUnresolvedError(
-                f"point order ambiguous at error {float(cur.error_bound):.3e} "
-                "and regeneration cannot reduce it (digit prefix exhausted?)"
-            )
-        cur = nxt
+        return done
+    return cfg.ctx.escalate(
+        lambda bits: attempt(ps if bits == cfg.scale_bits else ps.regenerate(bits)),
+        cfg.scale_bits, f"point order at n={ps.n}",
+    )
 
 
 def _certified_mesh(ps: PointSet) -> Tuple[_LatticeMesh, PointSet]:
@@ -258,21 +253,6 @@ def _as_expansion(alpha) -> CFExpansion:
     return CFExpansion(alpha)
 
 
-def _tail_best(exp, m: int, bits: int, ctx: PrecisionContext):
-    """alpha_m at the requested bits, or the widest enclosure the digit
-    prefix supports.  Returns (interval, bits actually achieved); achieved
-    < requested signals that escalation cannot help."""
-    try:
-        return alpha_tail(exp, m, PrecisionContext(bits, ctx.max_bits, ctx.guard)), bits
-    except PrecisionUnresolvedError:
-        iv = alpha_tail_best(exp, m, PrecisionContext(64, ctx.max_bits, ctx.guard))
-        if iv.width == 0:
-            return iv, bits
-        w = iv.width
-        achieved = max(1, (w.denominator // w.numerator).bit_length() - 1)
-        return iv, min(achieved, bits - 1)
-
-
 def kronecker_bounds(
     exp, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> BoundReport:
@@ -281,17 +261,15 @@ def kronecker_bounds(
     if exp.is_rational:
         raise UnsupportedAlphaError("mesh-ratio bounds need irrational alpha")
     d = decompose(exp, n)
-    bits = ctx.bits
-    while True:
-        am, got = _tail_best(exp, d.m, bits, ctx)
+
+    def attempt(bits):
+        # a digit prefix too short for the width target still yields the
+        # bracket of every known digit
+        am = alpha_tail_best(exp, d.m, replace(ctx, bits=bits))
         den = am.min_with(am.scale(-(d.h + 1)).shift(1))
-        if den.lo > 0:
-            break
-        if got < bits or bits >= ctx.max_bits:
-            raise PrecisionUnresolvedError(
-                f"bound denominator sign unresolved at {got} bits (n={n})"
-            )
-        bits = min(2 * bits, ctx.max_bits)
+        return ((am, den), None) if den.lo > 0 else (None, am.width)
+
+    am, den = ctx.escalate(attempt, ctx.bits, f"bound denominator sign (n={n})")
     num = am.scale(-d.h).shift(1).scale(2)
     upper = num / den
 
@@ -365,23 +343,16 @@ def mesh_ratio_structural(
 def _order_forms(exp, forms, ctx) -> dict:
     """Map each distinct (u, v) to its rank among the forms' true values,
     escalating precision until distinct forms separate."""
-    uniq = {}
-    for f in forms:
-        uniq[(f.u, f.v)] = f
-    keys = list(uniq)
-    bits = ctx.bits
-    while True:
-        ivs = {key: uniq[key].enclosure(exp, bits) for key in keys}
-        ordered = sorted(keys, key=lambda key: ivs[key].lo)
-        ok = all(
-            ivs[a].hi < ivs[b].lo
-            for a, b in zip(ordered, ordered[1:])
-        )
-        if ok:
-            return {key: rank for rank, key in enumerate(ordered)}
-        if bits >= ctx.max_bits:
-            raise PrecisionUnresolvedError("gap-length ordering unresolved")
-        bits = min(2 * bits, ctx.max_bits)
+    uniq = {(f.u, f.v): f for f in forms}
+
+    def attempt(bits):
+        ivs = {key: form.enclosure(exp, bits) for key, form in uniq.items()}
+        ordered = sorted(ivs, key=lambda key: ivs[key].lo)
+        if all(ivs[a].hi < ivs[b].lo for a, b in zip(ordered, ordered[1:])):
+            return {key: rank for rank, key in enumerate(ordered)}, None
+        return None, max(iv.width for iv in ivs.values())
+
+    return ctx.escalate(attempt, ctx.bits, "gap-length ordering")
 
 
 def _pick_extreme(forms, order, largest: bool):

@@ -11,7 +11,6 @@ exact rationals (precision_bits = None, error_units = 0).
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -26,7 +25,7 @@ from .contfrac import (
     Rational,
     alpha_to_string,
 )
-from .errors import KronmeshError, PrecisionUnresolvedError
+from .errors import PrecisionUnresolvedError
 from .intervals import decimal_context
 
 
@@ -188,21 +187,16 @@ def kronecker(
 def _kronecker_at_scale(
     exp: CFExpansion, n: int, ctx: PrecisionContext, scale_bits: int
 ) -> PointSet:
-    bits = scale_bits
-    while True:
+    def attempt(bits):
         try:
-            xs, M, U = kronecker_scaled(exp, n, bits)
-            break
-        except PrecisionUnresolvedError as exc:
-            if bits >= ctx.max_bits:
-                raise
-            nxt = min(2 * bits, ctx.max_bits)
-            # a digit prefix bounds alpha only to its bracket: stop once the
-            # per-point error U / 2**bits no longer halves
-            if exp.alpha0_scaled(nxt)[1] << (bits + 1) > exp.alpha0_scaled(bits)[1] << nxt:
-                raise PrecisionUnresolvedError(f"{exc}; regeneration cannot reduce "
-                                               "the error (digit prefix exhausted?)")
-            bits = nxt
+            return kronecker_scaled(exp, n, bits), None
+        except PrecisionUnresolvedError:
+            # the per-point error U / 2**bits: a digit prefix bounds alpha
+            # only to its bracket, so there it stops halving
+            return None, Fraction(exp.alpha0_scaled(bits)[1], 1 << bits)
+
+    xs, M, U = ctx.escalate(attempt, scale_bits, f"integer straddles of the first {n} points")
+    bits = M.bit_length() - 1
     err_units = max(n - 1, 1) * U
     err = Fraction(err_units, M)
     if err <= Fraction(1, 1 << ctx.bits):
@@ -240,30 +234,24 @@ def greedy_packing(n: int, tie_break: str = "leftmost") -> PointSet:
     the whole closed interval; candidates are the endpoints 0 and 1 (at
     their full distance to the nearest point) and midpoints of empty
     intervals (at half the interval length).  Ties go to the leftmost or
-    rightmost candidate position.
+    rightmost candidate position.  The search has a closed form: after
+    1/2, 0 and 1 (1 and 0 for rightmost) every point halves one of the
+    equal longest intervals, so level k places the odd multiples of 2**-k,
+    in increasing order for leftmost and decreasing for rightmost.
     """
     GreedyGen(tie_break)  # validates
     if n < 1:
         raise ValueError("n must be >= 1")
-    # after 1/2, 0 and 1 each point halves a longest interval, so the first
-    # n points lie on the lattice 2**-k once 2**k + 1 >= n
+    # the first 2**k + 1 points fill levels 1..k, so 2**k > n holds them all
     M = 1 << n.bit_length()
-    chosen = [M // 2]
-    placed = [M // 2]  # kept sorted
-    # candidates are (2 * distance, sign * 2 * position): max() then breaks
-    # ties at the leftmost (sign -1) or rightmost (sign +1) position
-    sign = -1 if tie_break == "leftmost" else 1
-    for _ in range(1, n):
-        cands = [(2 * placed[0], 0), (2 * (M - placed[-1]), sign * 2 * M)]
-        cands += [(b - a, sign * (a + b)) for a, b in zip(placed, placed[1:])]
-        pos2 = sign * max(cands)[1]
-        if pos2 % 2:
-            raise KronmeshError(
-                f"greedy point {len(chosen)} falls off the lattice 1/{M}"
-            )
-        chosen.append(pos2 // 2)
-        bisect.insort(placed, pos2 // 2)
-    return PointSet.lattice(tuple(chosen), M, 0, None, "greedy")
+    leftmost = tie_break == "leftmost"
+    xs = [M // 2, 0, M] if leftmost else [M // 2, M, 0]
+    step = M // 2
+    while len(xs) < n:
+        level = range(step // 2, M, step)
+        xs.extend(level if leftmost else reversed(level))
+        step //= 2
+    return PointSet.lattice(tuple(xs[:n]), M, 0, None, "greedy")
 
 
 def generate(gen: GeneratorSpec, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> PointSet:

@@ -92,18 +92,14 @@ def form_interval(
 ) -> Interval:
     """Evaluate a linear form, escalating precision until the enclosure is
     strictly signed when asked to."""
-    bits = ctx.bits
-    while True:
+    if not require_positive or form == ZERO:
+        return form.enclosure(exp, ctx.bits)
+
+    def attempt(bits):
         iv = form.enclosure(exp, bits)
-        if not require_positive or iv.lo > 0 or iv.hi < 0:
-            return iv
-        if form.u == 0 and form.v == 0:
-            return iv
-        if bits >= ctx.max_bits:
-            raise PrecisionUnresolvedError(
-                f"sign of {form.u}*alpha+{form.v} unresolved at {bits} bits"
-            )
-        bits = min(2 * bits, ctx.max_bits)
+        return (iv, None) if iv.lo > 0 or iv.hi < 0 else (None, iv.width)
+
+    return ctx.escalate(attempt, ctx.bits, f"sign of {form.u}*alpha+{form.v}")
 
 
 @dataclass(frozen=True)

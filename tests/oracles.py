@@ -221,6 +221,27 @@ def greedy_reference(n: int, tie_break: str = "leftmost"):
     return pts
 
 
+def greedy_lattice_reference(n: int, tie_break: str = "leftmost"):
+    """greedy_reference on the integers of the lattice M = 2**bit_length(n):
+    the same rescan of every candidate per step, quadratic but fast enough
+    for n in the thousands.  Returns (xs, M)."""
+    M = 1 << n.bit_length()
+    xs = [M // 2]
+    placed = [M // 2]  # kept sorted
+    # candidates are (2 * distance, sign * 2 * position): max() then breaks
+    # ties at the leftmost (sign -1) or rightmost (sign +1) position
+    sign = -1 if tie_break == "leftmost" else 1
+    for _ in range(1, n):
+        cands = [(2 * placed[0], 0), (2 * (M - placed[-1]), sign * 2 * M)]
+        cands += [(b - a, sign * (a + b)) for a, b in zip(placed, placed[1:])]
+        pos2 = sign * max(cands)[1]
+        if pos2 % 2:
+            raise ValueError(f"greedy point {len(xs)} falls off the lattice 1/{M}")
+        xs.append(pos2 // 2)
+        bisect.insort(placed, pos2 // 2)
+    return xs, M
+
+
 # -- scaled-integer Kronecker metrics for large n ----------------------------
 
 def scaled_prefix_metrics(xs: list, modulus: int, unit_error: int):

@@ -338,3 +338,70 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _names_bits(node) -> bool:
+    name = getattr(node, "id", None) or getattr(node, "attr", None) or ""
+    return "bits" in name
+
+
+def _doubles_bits(node) -> bool:
+    def is_const(expr, value):
+        return isinstance(expr, ast.Constant) and expr.value == value
+
+    if isinstance(node, ast.BinOp):
+        if isinstance(node.op, ast.Mult):
+            return ((is_const(node.left, 2) and _names_bits(node.right))
+                    or (is_const(node.right, 2) and _names_bits(node.left)))
+        if isinstance(node.op, ast.LShift):
+            return is_const(node.right, 1) and _names_bits(node.left)
+    if isinstance(node, ast.AugAssign) and _names_bits(node.target):
+        return ((isinstance(node.op, ast.Mult) and is_const(node.value, 2))
+                or (isinstance(node.op, ast.LShift) and is_const(node.value, 1)))
+    return False
+
+
+def test_only_the_ladder_escalates_precision():
+    # every certified comparison climbs PrecisionContext.escalate: no module
+    # but contfrac reads the ceiling or doubles a bits value (the CLI only
+    # passes --max-bits on)
+    package = Path(kronmesh.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "contfrac.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "max_bits"
+                    and not (path.name == "cli.py" and isinstance(node.value, ast.Name)
+                             and node.value.id == "args")):
+                found.append(f"{path.name}:{node.lineno} reads .max_bits")
+            if _doubles_bits(node):
+                found.append(f"{path.name}:{node.lineno} doubles bits")
+    assert found == []
+
+
+@pytest.mark.parametrize("argv, site, start_bits", [
+    (("gaps", "--alpha", "cf:0;1,2,3,4,5", "--n", "226"), "sign of", 192),
+    (("sweep", "--alpha", "cf:0;1,1,1,1,1,1", "--n-at", "nm", "--m", "5..5"),
+     "gap-length ordering", 192),
+    (("analyze", "--alpha", "cf:0;1,2,3,4,5", "--n", "114"), "point order",
+     192 + (113).bit_length() + 16),
+])
+def test_prefix_ladder_stops_after_two_rungs(capsys, monkeypatch, argv, site, start_bits):
+    # a digit prefix bounds alpha only to its bracket, so once a doubling
+    # leaves the error unhalved the run ends (the sign and the order of gap
+    # lengths used to climb to 2**65536)
+    contfrac = importlib.import_module("kronmesh.contfrac")
+    scales = []
+    original = contfrac.CFExpansion.alpha0_scaled
+
+    def recording(self, bits):
+        scales.append(bits)
+        return original(self, bits)
+
+    monkeypatch.setattr(contfrac.CFExpansion, "alpha0_scaled", recording)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert site in err and "cannot reduce" in err
+    assert max(scales) <= 2 * start_bits, sorted(set(scales))

@@ -180,6 +180,37 @@ def test_alpha_tail_prefix_exhaustion_raises():
         km.alpha_tail(exp, 0, PrecisionContext(192))
 
 
+def test_escalate_doubles_to_the_ceiling_and_stops_on_a_stall():
+    ctx = PrecisionContext(192, 1000)
+
+    def ladder(start, decide_at, error):
+        tried = []
+
+        def attempt(bits):
+            tried.append(bits)
+            return ("done" if bits >= decide_at else None), error(bits)
+
+        try:
+            return ctx.escalate(attempt, start, "test"), tried
+        except PrecisionUnresolvedError as exc:
+            return str(exc), tried
+
+    def halving(bits):
+        return Fraction(1, 1 << bits)
+
+    assert ladder(192, 768, halving) == ("done", [192, 384, 768])
+    assert ladder(192, 4000, halving) == (
+        "test unresolved at the ceiling of 1000 bits", [192, 384, 768, 1000])
+    # a start above the ceiling still gets its one attempt
+    assert ladder(2000, 4000, halving) == (
+        "test unresolved at the ceiling of 2000 bits", [2000])
+    # an error that does not halve stops the ladder at its second rung,
+    # even where a later rung would have decided
+    msg, tried = ladder(192, 768, lambda bits: Fraction(1, 3))
+    assert tried == [192, 384]
+    assert "384 bits; doubling the precision cannot reduce the error" in msg
+
+
 def test_alpha_tail_sandwich():
     # alpha_m = 1/(a_{m+1} + alpha_{m+1}) pinches between the digit bounds:
     #   1/(a_{m+1} + 1/a_{m+2})  <  alpha_m  <  1/(a_{m+1} + 1/(a_{m+2}+1))

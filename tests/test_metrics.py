@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -346,3 +347,36 @@ def test_pointset_fraction_and_lattice_forms_agree():
     assert again.points == ps.points
     assert km.mesh_ratio(again) == km.mesh_ratio(ps)
     assert km.greedy_packing(9).modulus == 16
+
+
+FOUND_PREFIX = ("cf:0;4,9,3,6,8,2,1,8,5,9,4,4,8,9,9,8,7,3,4,3,9,7,1,2,3,1,5,1,5,8,"
+                "7,7,7,8,3,6,2,1,3,8,4,5,7,5,7,9,7,6,9,7,4,6,1,5,3,6,9,2,4,5")
+
+
+def test_prefix_bounds_use_every_known_digit():
+    # the tails of a 60-digit prefix are too short for 576 bits, so the
+    # bounds take the bracket of every known digit (a 42-digit window once
+    # gave widths of 2**-181 at n_2 and 2**-190 at n_10)
+    exp = km.CFExpansion(km.parse_alpha(FOUND_PREFIX))
+    ctx = PrecisionContext(576)
+    assert km.kronecker_bounds(exp, exp.n_at(2), ctx).upper.width <= Fraction(1, 2 ** 250)
+    br = km.kronecker_bounds(exp, exp.n_at(10), ctx)
+    assert br.upper.width <= Fraction(1, 2 ** 215)
+    lo, hi = oracles.tail_interval_from_digits(exp.digits, 10)
+    assert (br.lower_at_nm.lo, br.lower_at_nm.hi) == (1 / hi, 1 / lo)
+
+
+def test_prefix_bound_denominator_stops_after_two_rungs(monkeypatch):
+    metrics = importlib.import_module("kronmesh.metrics")
+    tried = []
+    original = metrics.alpha_tail_best
+
+    def recording(exp, m, ctx):
+        tried.append(ctx.bits)
+        return original(exp, m, ctx)
+
+    monkeypatch.setattr(metrics, "alpha_tail_best", recording)
+    exp = km.CFExpansion(km.parse_alpha("cf:0;1,2,3,4,5"))
+    with pytest.raises(PrecisionUnresolvedError, match="bound denominator sign.*cannot reduce"):
+        km.kronecker_bounds(exp, 225)
+    assert tried == [192, 384]

@@ -119,6 +119,21 @@ def test_greedy_matches_reference_both_tiebreaks():
         assert list(ps.points) == want, tb
 
 
+@pytest.mark.parametrize("tie_break", ["leftmost", "rightmost"])
+def test_greedy_closed_form_matches_the_search(tie_break):
+    # the search is one sequence; greedy_packing(n) must be its first n
+    # points on the lattice 2**bit_length(n), past the full levels at 1025
+    # and 2049 points
+    small, _ = oracles.greedy_lattice_reference(200, tie_break)
+    assert [Fraction(x, 256) for x in small] == oracles.greedy_reference(200, tie_break)
+    xs, M = oracles.greedy_lattice_reference(2100, tie_break)
+    for n in range(1, 2101):
+        ps = km.greedy_packing(n, tie_break)
+        assert ps.modulus == 1 << n.bit_length() and ps.error_units == 0
+        scale = M // ps.modulus
+        assert [x * scale for x in ps.xs] == xs[:n], n
+
+
 def test_greedy_tiebreak_mirror():
     left = km.greedy_packing(40, tie_break="leftmost").points
     right = km.greedy_packing(40, tie_break="rightmost").points
