@@ -349,15 +349,15 @@ def test_pointset_fraction_and_lattice_forms_agree():
     assert km.greedy_packing(9).modulus == 16
 
 
-FOUND_PREFIX = ("cf:0;4,9,3,6,8,2,1,8,5,9,4,4,8,9,9,8,7,3,4,3,9,7,1,2,3,1,5,1,5,8,"
-                "7,7,7,8,3,6,2,1,3,8,4,5,7,5,7,9,7,6,9,7,4,6,1,5,3,6,9,2,4,5")
+PREFIX_60_DIGITS = ("cf:0;4,9,3,6,8,2,1,8,5,9,4,4,8,9,9,8,7,3,4,3,9,7,1,2,3,1,5,1,5,8,"
+                    "7,7,7,8,3,6,2,1,3,8,4,5,7,5,7,9,7,6,9,7,4,6,1,5,3,6,9,2,4,5")
 
 
 def test_prefix_bounds_use_every_known_digit():
     # the tails of a 60-digit prefix are too short for 576 bits, so the
     # bounds take the bracket of every known digit (a 42-digit window once
     # gave widths of 2**-181 at n_2 and 2**-190 at n_10)
-    exp = km.CFExpansion(km.parse_alpha(FOUND_PREFIX))
+    exp = km.CFExpansion(km.parse_alpha(PREFIX_60_DIGITS))
     ctx = PrecisionContext(576)
     assert km.kronecker_bounds(exp, exp.n_at(2), ctx).upper.width <= Fraction(1, 2 ** 250)
     br = km.kronecker_bounds(exp, exp.n_at(10), ctx)
