@@ -40,7 +40,6 @@ from .metrics import (
     mesh_ratio_structural,
     metrics_to_json,
     separation_radius,
-    sorted_gaps,
     sweep,
     sweep_to_csv,
 )

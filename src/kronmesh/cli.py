@@ -34,8 +34,8 @@ from .errors import (
 )
 from .metrics import (
     SweepRow,
+    _sweep_json,
     kronecker_bounds,
-    mesh_ratio,
     mesh_ratio_structural,
     metrics_to_json,
     sweep,
@@ -202,17 +202,11 @@ def _cmd_analyze(args) -> Tuple[str, int]:
     n = _parse_int(args.n, "--n")
     gen = _generator(args)
     try:
-        ps = generate(gen, n, ctx)
-        qm = mesh_ratio(ps)
+        (row,) = sweep(gen, n, n, ctx)
     except ValueError as e:
         raise _UsageError(str(e))
-    br = None
-    if isinstance(gen, KroneckerGen):
-        exp = CFExpansion(gen.alpha)
-        if not exp.is_rational:
-            br = kronecker_bounds(exp, n, ctx)
-    payload = metrics_to_json(qm, br, args.digits)
-    return _dumps(payload), EXIT_INFINITE if qm.is_infinite else EXIT_OK
+    payload = metrics_to_json(row.metrics, row.bounds, args.digits)
+    return _dumps(payload), EXIT_INFINITE if row.metrics.is_infinite else EXIT_OK
 
 
 def _sweep_rows(args, ctx) -> List[SweepRow]:
@@ -255,9 +249,7 @@ def _cmd_sweep(args) -> Tuple[str, int]:
     rows = _sweep_rows(args, ctx)
     if args.format == "csv":
         return sweep_to_csv(rows, args.digits), EXIT_OK
-    payload = {"rows": [metrics_to_json(r.metrics, r.bounds, args.digits)
-                        for r in rows]}
-    return _dumps(payload), EXIT_OK
+    return _dumps(_sweep_json(rows, args.digits)), EXIT_OK
 
 
 def _cmd_classify(args) -> Tuple[str, int]:

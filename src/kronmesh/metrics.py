@@ -7,16 +7,18 @@ For a prefix x_0..x_{n-1} in [0, 1] sorted ascending,
     rho_n = h_n / q_n                   (+inf marker when q_n = 0)
 
 h_n here is the sup over the whole closed domain of the distance to the
-nearest point, so boundary distances enter unhalved.  For Kronecker
-prefixes the module also evaluates the closed-form mesh-ratio bounds
+nearest point, so boundary distances enter unhalved.  A Kronecker prefix of
+an irrational alpha builds no points: its gaps are the three-gap forms
+u*alpha0 + v evaluated at alpha0 ~ A / 2**B, exactly the gaps of the sorted
+lattice points i*A mod 2**B.  Other point sets are sorted on their lattice.
+For Kronecker prefixes the module also evaluates the closed-form bounds
 
     upper:  2 (1 - h alpha_m) / min(alpha_m, 1 - (h+1) alpha_m)
     lower:  1 / alpha_m   at n = n_m, m >= 3
             a_{m+1} + 1/(a_{m+2} + 1) <= 1 / alpha_m   (digit form)
 
-as certified intervals, and can compute rho_n for astronomically large
-n = n_m straight from the three-gap structure (provenance
-"structure-exact") instead of from points.
+as certified intervals, and rho_n at huge n = n_m from enclosures of the
+forms (provenance "structure-exact").
 """
 from __future__ import annotations
 
@@ -37,9 +39,16 @@ from .contfrac import (
     digit_supremum,
 )
 from .errors import KronmeshError, PrecisionUnresolvedError, UnsupportedAlphaError
-from .intervals import Interval, fraction_to_decimal, interval_to_decimal
-from .sequences import GeneratorSpec, KroneckerGen, PointSet, generate, kronecker
-from .threegap import decompose, form_interval, gap_structure
+from .intervals import Interval, fraction_to_decimal
+from .sequences import (
+    GeneratorSpec,
+    KroneckerGen,
+    PointSet,
+    _KroneckerRun,
+    generate,
+    working_scale_bits,
+)
+from .threegap import LinearForm, decompose, form_interval, gap_structure
 
 INF = math.inf
 
@@ -84,21 +93,12 @@ class BoundReport:
     global_upper: Optional[int]
 
 
-@dataclass(frozen=True)
-class SortedGaps:
-    points: Tuple[Fraction, ...]
-    gaps: Tuple[Fraction, ...]
-    left: Fraction
-    right: Fraction
-    error_bound: Fraction
-    source: PointSet
-
-
 class _LatticeMesh:
     """Sorted lattice points in [0, modulus] and the multiset of their
-    interior gaps: the one metrics kernel.  It is built in bulk from a
-    prefix (one sort, one count, a heapify over the distinct gaps) and then
-    grown a point at a time; lazy min/max heaps answer the extreme gaps.
+    interior gaps: the kernel of every point set but an irrational Kronecker
+    prefix.  It is built in bulk from a prefix (one sort, one count, a
+    heapify over the distinct gaps) and then grown a point at a time; lazy
+    min/max heaps answer the extreme gaps.
     """
 
     def __init__(self, xs, modulus: int):
@@ -149,84 +149,102 @@ class _LatticeMesh:
         return max(2 * self.pts[0], 2 * (self.modulus - self.pts[-1]), self.max_gap())
 
     def metrics(self, err: Fraction) -> QUMetrics:
-        fill, ming, scale = self.fill_units(), self.min_gap(), 2 * self.modulus
-        rho = INF if ming == 0 else Fraction(fill, ming)
-        return QUMetrics(len(self.pts), Fraction(fill, scale), Fraction(ming, scale),
-                         rho, "oracle-exact", err)
+        return _lattice_metrics(len(self.pts), self.fill_units(), self.min_gap(),
+                                self.modulus, err)
 
 
-def _certified(ps: PointSet, build):
-    """build(point set) up the precision ladder until its order is certified.
+def _lattice_metrics(n: int, fill: int, ming: int, modulus: int, err: Fraction) -> QUMetrics:
+    """QUMetrics from twice the fill and the smallest interior gap, both in
+    units of 1 / modulus."""
+    scale = 2 * modulus
+    rho = INF if ming == 0 else Fraction(fill, ming)
+    return QUMetrics(n, Fraction(fill, scale), Fraction(ming, scale), rho,
+                     "oracle-exact", err)
 
-    build returns a result and the smallest interior gap of the whole set in
-    lattice units (None for one point).  For approximate (Kronecker) points
-    the scale climbs the context's precision ladder until that gap exceeds
-    twice the per-point error, so the sorted order of the stored values is
-    the true order; gaps only shrink as points arrive, so the order of every
-    prefix is certified too.  Returns the result and the set it came from.
-    """
+
+def _stored_mesh(ps: PointSet) -> _LatticeMesh:
+    """The kernel over the stored points, whose sorted order the stored
+    error bound must certify: the smallest gap exceeds twice the error."""
     if ps.n < 1:
         raise ValueError("empty point set")
-
-    def attempt(cur):
-        result, ming = build(cur)
-        if cur.error_units == 0 or ming is None or ming > 2 * cur.error_units:
-            return (result, cur), None
-        return None, cur.error_bound
-
-    cfg = ps.config
-    if cfg is None:
-        done, _ = attempt(ps)
-        if done is None:
-            raise PrecisionUnresolvedError(
-                "point order ambiguous within the stored error bound and the "
-                "set carries no generator to regenerate from"
-            )
-        return done
-    return cfg.ctx.escalate(
-        lambda bits: attempt(ps if bits == cfg.scale_bits else ps.regenerate(bits)),
-        cfg.scale_bits, f"point order at n={ps.n}",
-    )
+    mesh = _LatticeMesh(ps.xs, ps.modulus)
+    ming = mesh.min_gap()
+    if ps.error_units and ming is not None and ming <= 2 * ps.error_units:
+        raise PrecisionUnresolvedError(
+            "point order ambiguous within the stored error bound"
+        )
+    return mesh
 
 
-def _certified_mesh(ps: PointSet) -> Tuple[_LatticeMesh, PointSet]:
-    def build(cur):
-        mesh = _LatticeMesh(cur.xs, cur.modulus)
-        return mesh, mesh.min_gap()
-
-    return _certified(ps, build)
+# ---------------------------------------------------------------------------
+# Kronecker prefixes of an irrational alpha: the three-gap forms on a lattice
 
 
-def _sweep_rows(ps: PointSet, n_lo: int) -> List[QUMetrics]:
-    """Metrics of the first n points of ps for n = n_lo..ps.n: the points
-    before n_lo enter the mesh in bulk, then one insert per row.  Kronecker
-    error grows linearly with the index, so row n carries (n - 1) / (N - 1)
-    of the error bound of all N points (exact sets carry 0)."""
-    def build(cur):
-        mesh = _LatticeMesh(cur.xs[:n_lo - 1], cur.modulus)
-        err_den = (cur.n - 1) * cur.modulus
-        rows = []
-        for n in range(n_lo, cur.n + 1):
-            mesh.insert(cur.xs[n - 1])
-            rows.append(mesh.metrics(Fraction((n - 1) * cur.error_units, err_den)))
-        return rows, mesh.min_gap()
+def _gap_roles(exp: CFExpansion, n: int) -> Tuple[LinearForm, List[LinearForm]]:
+    """The gap touching 1 and the interior gap lengths present among the
+    first n points, as linear forms.  The gap touching 1 follows from the
+    parity of m: for odd m it is eta_m; for even m it is eta_{m-1} - j*eta_m
+    with j = h when k = 0 and j = h + 1 otherwise.
+    """
+    gs = gap_structure(exp, n)
+    d = gs.decomposition
+    last_idx = 0 if d.m % 2 else (1 if d.k == 0 else 2)
+    last_form, last_count = gs.entries[last_idx]
+    present = [form for i, (form, count) in enumerate(gs.entries)
+               if count > (i == last_idx)]
+    if last_count <= 0 or not present:
+        raise KronmeshError(
+            f"gap structure lacks the gap touching 1 or an interior gap at "
+            f"n={n}, (m, h, k) = ({d.m}, {d.h}, {d.k})"
+        )
+    return last_form, present
 
-    return _certified(ps, build)[0]
+
+def _lattice_gaps(exp: CFExpansion, n: int, A: int, M: int) -> Tuple[int, int, int, int]:
+    """The gap forms of the first n points evaluated at alpha0 = A / M, in
+    units of 1 / M: (largest interior, smallest interior, gap touching 1,
+    index of the point nearest 1)."""
+    last, present = _gap_roles(exp, n)
+    units = [f.u * A + f.v * M for f in present]
+    return max(units), min(units), last.u * A + last.v * M, -last.u
 
 
-def sorted_gaps(ps: PointSet) -> SortedGaps:
-    """The certified sorted prefix as Fractions: interior gaps plus boundary
-    distances (a view of the lattice kernel; the metrics do not build it)."""
-    mesh, cur = _certified_mesh(ps)
-    M = cur.modulus
-    pts = tuple(Fraction(x, M) for x in mesh.pts)
-    gaps = tuple(b - a for a, b in zip(pts, pts[1:]))
-    return SortedGaps(pts, gaps, pts[0], 1 - pts[-1], cur.error_bound, cur)
+def _kronecker_lattice(exp: CFExpansion, n: int, ctx: PrecisionContext,
+                       start_bits: int) -> Tuple[int, int, int]:
+    """(A, U, M) with M = 2**B and alpha0 * M in [A, A + U] at the first
+    rung from B = start_bits where the forms at A are the gaps of the sorted
+    X_i = i*A mod M: no X_i straddles an integer (X_i + i*U < M) and the
+    smallest gap exceeds twice the drift (n - 1)*U.  Only the point nearest
+    1 can straddle before the smallest gap fails, and gaps only shrink as
+    points arrive, so the lattice serves every shorter prefix too.
+    """
+    def attempt(bits):
+        A, U = exp.alpha0_scaled(bits)
+        M = 1 << bits
+        try:
+            _, ming, last, i = _lattice_gaps(exp, n, A, M)
+        except PrecisionUnresolvedError:
+            # a digit prefix too short to decompose n: its bracket, not the
+            # scale, limits the error
+            return None, Fraction(U, M)
+        if ming > 2 * (n - 1) * U and last > i * U:
+            return (A, U, M), None
+        return None, Fraction((n - 1) * U, M)
+
+    return ctx.escalate(attempt, start_bits, f"point order at n={n}")
+
+
+def _kronecker_metrics(exp: CFExpansion, n: int, A: int, U: int, M: int) -> QUMetrics:
+    """Metrics of the first n points on a lattice from _kronecker_lattice;
+    each point is within (n - 1)*U / M of the true one."""
+    maxg, ming, last, _ = _lattice_gaps(exp, n, A, M)
+    return _lattice_metrics(n, max(2 * last, maxg), ming, M, Fraction((n - 1) * U, M))
 
 
 def fill_distance(ps: PointSet) -> Fraction:
-    mesh, cur = _certified_mesh(ps)
-    return Fraction(mesh.fill_units(), 2 * cur.modulus)
+    if ps.n < 2:
+        return Fraction(_stored_mesh(ps).fill_units(), 2 * ps.modulus)
+    return mesh_ratio(ps).fill
 
 
 def separation_radius(ps: PointSet) -> Fraction:
@@ -236,11 +254,16 @@ def separation_radius(ps: PointSet) -> Fraction:
 
 
 def mesh_ratio(ps: PointSet) -> QUMetrics:
-    """rho_n = h_n / q_n from the actual points (provenance oracle-exact)."""
+    """rho_n = h_n / q_n of the point set (provenance oracle-exact).  An
+    irrational Kronecker prefix is read off its three-gap forms on the set's
+    lattice, not off its points."""
     if ps.n < 2:
         raise ValueError("mesh ratio needs n >= 2")
-    mesh, cur = _certified_mesh(ps)
-    return mesh.metrics(cur.error_bound)
+    cfg = ps.config
+    if isinstance(cfg, _KroneckerRun):
+        lattice = _kronecker_lattice(cfg.exp, ps.n, cfg.ctx, cfg.scale_bits)
+        return _kronecker_metrics(cfg.exp, ps.n, *lattice)
+    return _stored_mesh(ps).metrics(ps.error_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -293,40 +316,13 @@ def kronecker_bounds(
 def mesh_ratio_structural(
     exp, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> QUMetrics:
-    """Mesh ratio of a Kronecker prefix straight from the gap structure.
-
-    The gap multiset determines everything except which gap is the one
-    touching 1 (it enters the fill distance unhalved while interior gaps are
-    halved).  That gap follows from the parity of m: for odd m the last gap
-    is eta_m; for even m it is eta_{m-1} - j*eta_m with j = h when k = 0 and
-    j = h + 1 otherwise.  The rule is cross-checked against point-based
-    metrics in the test suite over every feasible n.
-    """
+    """Mesh ratio of a Kronecker prefix from enclosures of its gap forms."""
     if n < 2:
         raise ValueError("mesh ratio needs n >= 2")
     exp = _as_expansion(exp)
-    gs = gap_structure(exp, n)
-    d = gs.decomposition
-    entries = list(gs.entries)
-    if d.m % 2 == 1:
-        last_idx = 0
-    else:
-        last_idx = 1 if d.k == 0 else 2
-    last_form, last_count = entries[last_idx]
-    interior = [
-        (form, count - (i == last_idx))
-        for i, (form, count) in enumerate(entries)
-    ]
-    present = [form for form, count in interior if count > 0]
-    if last_count <= 0 or not present:
-        raise KronmeshError(
-            f"gap structure lacks the gap touching 1 or an interior gap at "
-            f"n={n}, (m, h, k) = ({d.m}, {d.h}, {d.k})"
-        )
-
-    order = _order_forms(exp, present, ctx)
-    maxint = _pick_extreme(present, order, largest=True)
-    minint = _pick_extreme(present, order, largest=False)
+    last_form, present = _gap_roles(exp, n)
+    ordered = _order_forms(exp, present, ctx)
+    minint, maxint = ordered[0], ordered[-1]
 
     # fill = max(max interior gap, 2 * last gap) / 2; left boundary is a point
     fill_iv = form_interval(exp, maxint, ctx, require_positive=True).max_with(
@@ -340,28 +336,21 @@ def mesh_ratio_structural(
     )
 
 
-def _order_forms(exp, forms, ctx) -> dict:
-    """Map each distinct (u, v) to its rank among the forms' true values,
-    escalating precision until distinct forms separate."""
-    uniq = {(f.u, f.v): f for f in forms}
-
+def _order_forms(exp, forms, ctx) -> List[LinearForm]:
+    """The distinct forms sorted by true value, escalating precision until
+    they separate."""
     def attempt(bits):
-        ivs = {key: form.enclosure(exp, bits) for key, form in uniq.items()}
-        ordered = sorted(ivs, key=lambda key: ivs[key].lo)
+        ivs = {form: form.enclosure(exp, bits) for form in forms}
+        ordered = sorted(ivs, key=lambda form: ivs[form].lo)
         if all(ivs[a].hi < ivs[b].lo for a, b in zip(ordered, ordered[1:])):
-            return {key: rank for rank, key in enumerate(ordered)}, None
+            return ordered, None
         return None, max(iv.width for iv in ivs.values())
 
     return ctx.escalate(attempt, ctx.bits, "gap-length ordering")
 
 
-def _pick_extreme(forms, order, largest: bool):
-    ranked = sorted(forms, key=lambda f: order[(f.u, f.v)])
-    return ranked[-1] if largest else ranked[0]
-
-
 # ---------------------------------------------------------------------------
-# incremental sweeps
+# sweeps
 
 
 @dataclass(frozen=True)
@@ -377,31 +366,47 @@ def sweep(
     ctx: PrecisionContext = DEFAULT_CONTEXT,
     with_bounds: bool = True,
 ) -> List[SweepRow]:
-    """Metrics for every n in [n_lo, n_hi], maintained incrementally.
+    """Metrics for every n in [n_lo, n_hi].
 
-    Kronecker sweeps over an irrational alpha also carry the closed-form
-    bound report per n when with_bounds is set.
+    An irrational Kronecker alpha builds no points: the rows are the forms
+    on the lattice of n_hi, which depend on n only through (m, h, min(k, 2))
+    but for the drift (n - 1)*U / M, plus the bound report when with_bounds
+    is set.  Other generators grow the sorted kernel a point per row.
     """
     if n_lo < 2:
         raise ValueError("sweep needs n_lo >= 2 (mesh ratio undefined at n = 1)")
     if n_hi < n_lo:
         raise ValueError("empty sweep range")
     exp = _as_expansion(gen.alpha) if isinstance(gen, KroneckerGen) else None
-    ps = generate(gen, n_hi, ctx) if exp is None else kronecker(exp, n_hi, ctx)
-    rows = _sweep_rows(ps, n_lo)
-    if exp is None or exp.is_rational or not with_bounds:
-        return [SweepRow(qm, None) for qm in rows]
-    memo = {}
-
-    def bounds(n: int) -> BoundReport:
-        # the report depends on n only through (m, h) and whether k == 0
+    if exp is None or exp.is_rational:
+        # exact points: the first n_lo - 1 enter the mesh in bulk, then one
+        # insert per row
+        ps = generate(gen, n_hi, ctx)
+        mesh = _LatticeMesh(ps.xs[:n_lo - 1], ps.modulus)
+        rows = []
+        for x in ps.xs[n_lo - 1:]:
+            mesh.insert(x)
+            rows.append(SweepRow(mesh.metrics(Fraction(0)), None))
+        return rows
+    A, U, M = _kronecker_lattice(exp, n_hi, ctx, working_scale_bits(ctx, n_hi))
+    rows, memo, bounds_memo = [], {}, {}
+    for n in range(n_lo, n_hi + 1):
         d = decompose(exp, n)
-        key = (d.m, d.h, d.k == 0)
+        key = (d.m, d.h, min(d.k, 2))
         if key not in memo:
-            memo[key] = kronecker_bounds(exp, n, ctx)
-        return replace(memo[key], n=n, k=d.k)
-
-    return [SweepRow(qm, bounds(qm.n)) for qm in rows]
+            memo[key] = _kronecker_metrics(exp, n, A, U, M)
+        qm = memo[key]
+        qm = QUMetrics(n, qm.fill, qm.separation, qm.mesh_ratio, qm.provenance,
+                       Fraction((n - 1) * U, M))
+        br = None
+        if with_bounds:
+            # the report depends on n only through (m, h) and whether k == 0
+            key = (d.m, d.h, d.k == 0)
+            if key not in bounds_memo:
+                bounds_memo[key] = kronecker_bounds(exp, n, ctx)
+            br = replace(bounds_memo[key], n=n, k=d.k)
+        rows.append(SweepRow(qm, br))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -414,29 +419,40 @@ SWEEP_COLUMNS = (
 )
 
 
-def _rho_str(qm: QUMetrics, digits: int) -> str:
-    if qm.is_infinite:
-        return "inf"
-    return fraction_to_decimal(qm.mesh_ratio, digits)
+def _formatter(digits: int):
+    """fraction_to_decimal at `digits`, once per distinct (value, rounding
+    mode): the rows of a sweep repeat few distinct values."""
+    done = {}
+
+    def fmt(x, mode: str = "nearest") -> str:
+        key = (x.numerator, x.denominator, mode)  # cheaper than hashing a Fraction
+        if key not in done:
+            done[key] = fraction_to_decimal(x, digits, mode)
+        return done[key]
+
+    return fmt
+
+
+def _rho_str(qm: QUMetrics, fmt) -> str:
+    return "inf" if qm.is_infinite else fmt(qm.mesh_ratio)
+
+
+def _interval_str(iv: Interval, fmt) -> List[str]:
+    """Outward-rounded endpoints, as interval_to_decimal renders them."""
+    return [fmt(iv.lo, "floor"), fmt(iv.hi, "ceil")]
 
 
 def sweep_to_csv(rows: List[SweepRow], digits: int = 40) -> str:
+    fmt = _formatter(digits)
     lines = [SWEEP_COLUMNS]
     for row in rows:
         qm = row.metrics
-        cells = [
-            str(qm.n),
-            fraction_to_decimal(qm.fill, digits),
-            fraction_to_decimal(qm.separation, digits),
-            _rho_str(qm, digits),
-        ]
+        cells = [str(qm.n), fmt(qm.fill), fmt(qm.separation), _rho_str(qm, fmt)]
         br = row.bounds
         if br is not None:
-            up_lo, up_hi = interval_to_decimal(br.upper, digits)
-            cells += [up_lo, up_hi]
+            cells += _interval_str(br.upper, fmt)
             if br.lower_at_nm is not None:
-                lo_lo, lo_hi = interval_to_decimal(br.lower_at_nm, digits)
-                cells += [lo_lo, lo_hi]
+                cells += _interval_str(br.lower_at_nm, fmt)
             else:
                 cells += ["", ""]
             cells.append("" if br.global_upper is None else str(br.global_upper))
@@ -447,35 +463,39 @@ def sweep_to_csv(rows: List[SweepRow], digits: int = 40) -> str:
 
 
 def metrics_to_json(qm: QUMetrics, br: Optional[BoundReport], digits: int = 40) -> dict:
+    return _metrics_json(qm, br, _formatter(digits))
+
+
+def _sweep_json(rows: List[SweepRow], digits: int) -> dict:
+    fmt = _formatter(digits)
+    return {"rows": [_metrics_json(row.metrics, row.bounds, fmt) for row in rows]}
+
+
+def _metrics_json(qm: QUMetrics, br: Optional[BoundReport], fmt) -> dict:
     out = {
         "n": qm.n,
-        "fill": fraction_to_decimal(qm.fill, digits),
-        "separation": fraction_to_decimal(qm.separation, digits),
-        "mesh_ratio": _rho_str(qm, digits),
+        "fill": fmt(qm.fill),
+        "separation": fmt(qm.separation),
+        "mesh_ratio": _rho_str(qm, fmt),
         "provenance": qm.provenance,
     }
     if br is not None:
-        out["bounds"] = bound_report_to_json(br, digits)
+        out["bounds"] = _bounds_json(br, fmt)
     return out
 
 
 def bound_report_to_json(br: BoundReport, digits: int = 40) -> dict:
-    up = interval_to_decimal(br.upper, digits)
-    out = {
+    return _bounds_json(br, _formatter(digits))
+
+
+def _bounds_json(br: BoundReport, fmt) -> dict:
+    return {
         "n": br.n,
         "m": br.m,
         "h": br.h,
         "k": br.k,
-        "upper": [up[0], up[1]],
+        "upper": _interval_str(br.upper, fmt),
+        "lower_at_nm": None if br.lower_at_nm is None else _interval_str(br.lower_at_nm, fmt),
+        "lower_digit_form": None if br.lower_digit_form is None else fmt(br.lower_digit_form),
+        "global_upper": br.global_upper,
     }
-    if br.lower_at_nm is not None:
-        lo = interval_to_decimal(br.lower_at_nm, digits)
-        out["lower_at_nm"] = [lo[0], lo[1]]
-    else:
-        out["lower_at_nm"] = None
-    if br.lower_digit_form is not None:
-        out["lower_digit_form"] = fraction_to_decimal(br.lower_digit_form, digits)
-    else:
-        out["lower_digit_form"] = None
-    out["global_upper"] = br.global_upper
-    return out

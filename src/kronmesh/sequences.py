@@ -119,13 +119,6 @@ class PointSet:
             self.generator_tag, self.config,
         )
 
-    def regenerate(self, bits: int) -> "PointSet":
-        """Same prefix at a higher working precision (Kronecker only)."""
-        if not isinstance(self.config, _KroneckerRun):
-            return self
-        cfg = self.config
-        return _kronecker_at_scale(cfg.exp, self.n, cfg.ctx, bits)
-
 
 @dataclass(frozen=True)
 class _KroneckerRun:
@@ -180,13 +173,7 @@ def kronecker(
         return PointSet.lattice(tuple((i * p) % q for i in range(n)), q, 0,
                                 None, "kronecker")
     exp = alpha if isinstance(alpha, CFExpansion) else CFExpansion(alpha)
-    bits = scale_bits if scale_bits is not None else working_scale_bits(ctx, n)
-    return _kronecker_at_scale(exp, n, ctx, bits)
 
-
-def _kronecker_at_scale(
-    exp: CFExpansion, n: int, ctx: PrecisionContext, scale_bits: int
-) -> PointSet:
     def attempt(bits):
         try:
             return kronecker_scaled(exp, n, bits), None
@@ -195,7 +182,8 @@ def _kronecker_at_scale(
             # only to its bracket, so there it stops halving
             return None, Fraction(exp.alpha0_scaled(bits)[1], 1 << bits)
 
-    xs, M, U = ctx.escalate(attempt, scale_bits, f"integer straddles of the first {n} points")
+    start = scale_bits if scale_bits is not None else working_scale_bits(ctx, n)
+    xs, M, U = ctx.escalate(attempt, start, f"integer straddles of the first {n} points")
     bits = M.bit_length() - 1
     err_units = max(n - 1, 1) * U
     err = Fraction(err_units, M)

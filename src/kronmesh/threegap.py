@@ -17,6 +17,7 @@ exact integer assertions.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -132,9 +133,7 @@ def decompose(exp: CFExpansion, n: int) -> Decomposition:
                 f"digit prefix through a_{exp.depth} only brackets n < {exp.n[-1]}; "
                 f"cannot decompose n = {n}"
             )
-    m = len(exp.n) - 1
-    while exp.n[m] > n:
-        m -= 1
+    m = bisect.bisect_right(exp.n, n) - 1  # n_0 < n_1 < ... and n_0 = 1 <= n
     h, k = divmod(n - exp.n[m], exp.s[m])
     if not 0 <= h < exp.digit(m + 1):
         raise KronmeshError(

@@ -6,6 +6,9 @@ sorted-prefix gap multisets, O(n^2) pairwise metrics, grid fill oracles,
 digit-reversal radical inverses, an exact sign test for a + b*sqrt(D), the
 defining recurrence of the three-gap lengths eta_m, backward-recurrence
 tail enclosures, and big-float continued-fraction machinery via mpmath.
+The sorted-point Kronecker metrics reuse the package's point generator
+and precision ladder; they differ from the package in reading the metrics
+off sorted points instead of the three-gap forms.
 """
 import bisect
 import math
@@ -273,6 +276,48 @@ def scaled_prefix_metrics(xs: list, modulus: int, unit_error: int):
         return fill, None, None
     sep = Fraction(ming, 2 * modulus)
     return fill, sep, Fraction(fill_num, ming)
+
+
+def kronecker_point_lattice(exp, n: int, ctx, start_bits=None):
+    """(xs, M, U) for the first n Kronecker points the way the package once
+    certified them: build the points at the working scale (doubling it while
+    some point straddles an integer), sort them, and regenerate at doubled
+    scales while the smallest gap is not above twice the drift (n - 1)*U.
+    Both loops climb ctx's ladder; the result certifies every prefix."""
+    from kronmesh.errors import PrecisionUnresolvedError
+    from kronmesh.sequences import kronecker_scaled, working_scale_bits
+
+    def points(bits):
+        def attempt(b):
+            try:
+                return kronecker_scaled(exp, n, b), None
+            except PrecisionUnresolvedError:
+                return None, Fraction(exp.alpha0_scaled(b)[1], 1 << b)
+
+        return ctx.escalate(attempt, bits, f"integer straddles of the first {n} points")
+
+    first = points(working_scale_bits(ctx, n) if start_bits is None else start_bits)
+    first_bits = first[1].bit_length() - 1
+
+    def attempt(bits):
+        xs, M, U = first if bits == first_bits else points(bits)
+        try:
+            scaled_prefix_metrics(xs, M, U)
+        except ArithmeticError:
+            return None, Fraction((n - 1) * U, M)
+        return (xs, M, U), None
+
+    return ctx.escalate(attempt, first_bits, f"point order at n={n}")
+
+
+def kronecker_point_metrics(exp, n: int, ctx, start_bits=None):
+    """QUMetrics of the first n >= 2 Kronecker points from their sorted
+    lattice values (kronecker_point_lattice), error bound (n - 1)*U / M."""
+    from kronmesh import QUMetrics
+
+    xs, M, U = kronecker_point_lattice(exp, n, ctx, start_bits)
+    fill, sep, rho = scaled_prefix_metrics(xs, M, U)
+    return QUMetrics(n, fill, sep, rho, "oracle-exact", Fraction((n - 1) * U, M))
 
 
 # -- random generators for property-style suites -----------------------------

@@ -173,6 +173,7 @@ def test_prefix_order_unresolved_exit3(capsys, argv):
 def test_prefix_straddle_stops_when_the_error_stalls(capsys, monkeypatch):
     # a finer scale cannot shrink the bracket of a digit prefix, so the
     # point straddle must not be retried at 2**430, 2**860, ... 2**65536
+    # (analyze builds no points; a points dump climbs the straddle ladder)
     seq = importlib.import_module("kronmesh.sequences")
     scales = []
     original = seq.kronecker_scaled
@@ -182,11 +183,41 @@ def test_prefix_straddle_stops_when_the_error_stalls(capsys, monkeypatch):
         return original(exp, n, scale_bits)
 
     monkeypatch.setattr(seq, "kronecker_scaled", counting)
-    code, out, err = run(capsys, "analyze", "--alpha", "cf:0;1,2,3", "--n", "100")
-    assert code == 3
-    assert out == ""
-    assert "cannot reduce" in err
-    assert len(scales) <= 2, scales
+    for command in ("analyze", "points"):
+        scales.clear()
+        code, out, err = run(capsys, command, "--alpha", "cf:0;1,2,3", "--n", "100")
+        assert code == 3, command
+        assert out == ""
+        assert "cannot reduce" in err
+        assert len(scales) <= 2, (command, scales)
+
+
+def test_kronecker_metrics_build_no_points(capsys, monkeypatch):
+    # an irrational alpha's metrics come from the three-gap forms: neither
+    # the point generator nor the sorted-point kernel runs
+    seq = importlib.import_module("kronmesh.sequences")
+    metrics = importlib.import_module("kronmesh.metrics")
+    calls = []
+    original = seq.kronecker_scaled
+
+    def counting(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    def no_mesh(*args):
+        raise AssertionError("sorted-point kernel used")
+
+    monkeypatch.setattr(seq, "kronecker_scaled", counting)
+    coarse = kronmesh.kronecker(kronmesh.parse_alpha("golden"), 120, scale_bits=14)
+    calls.clear()
+    monkeypatch.setattr(metrics, "_LatticeMesh", no_mesh)
+    for argv in (("analyze", "--alpha", "sqrt:2", "--n", "5000"),
+                 ("sweep", "--alpha", "golden", "--n", "2..3000")):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and err == "", argv
+    qm = kronmesh.mesh_ratio(coarse)
+    assert qm.separation > qm.error_bound
+    assert calls == []
 
 
 def test_sweep_no_bounds(capsys):

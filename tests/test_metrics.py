@@ -16,6 +16,7 @@ from kronmesh import (
     UnsupportedAlphaError,
     VdcGen,
 )
+from kronmesh import metrics
 from kronmesh.metrics import SWEEP_COLUMNS
 from kronmesh.sequences import kronecker_scaled, working_scale_bits
 from conftest import ALPHA_SPECS, assert_rho_close
@@ -27,19 +28,12 @@ def golden():
     return km.expand(km.parse_alpha("golden"), 40)
 
 
-def test_sorted_gaps_vdc4():
-    sg = km.sorted_gaps(km.van_der_corput(2, 4))
-    assert sg.points == (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-    assert sg.gaps == (Fraction(1, 4),) * 3
-    assert sg.left == 0 and sg.right == Fraction(1, 4)
-    assert sg.error_bound == 0
-
-
 def test_vdc4_metrics_exact():
     qm = km.mesh_ratio(km.van_der_corput(2, 4))
     assert qm.fill == Fraction(1, 4)
     assert qm.separation == Fraction(1, 8)
     assert qm.mesh_ratio == 2
+    assert qm.error_bound == 0
 
 
 def test_golden_n5_rho_exactly_two(golden):
@@ -80,15 +74,15 @@ def test_small_n_validation():
 
 def test_sorted_gaps_regenerates_coarse_points(golden):
     # at scale 2**14 the 120-point golden prefix generates cleanly but its
-    # sorted order is not certified, forcing the doubling path
+    # sorted order is not certified, so mesh_ratio climbs the ladder to a
+    # finer lattice (without rebuilding the points)
     coarse = km.kronecker(golden, 120, scale_bits=14)
     assert any(g <= 2 * coarse.error_bound
                for g in sorted_gaps_raw(coarse))
-    sg = km.sorted_gaps(coarse)
-    assert all(g > 2 * sg.error_bound for g in sg.gaps)
-    assert sg.error_bound < coarse.error_bound
-    fine = km.mesh_ratio(km.kronecker(golden, 120))
     got = km.mesh_ratio(coarse)
+    assert got.separation > got.error_bound
+    assert got.error_bound < coarse.error_bound
+    fine = km.mesh_ratio(km.kronecker(golden, 120))
     giv, fiv = got.rho_interval(), fine.rho_interval()
     assert giv.lo <= fiv.hi and fiv.lo <= giv.hi
 
@@ -102,7 +96,7 @@ def test_sorted_gaps_unresolvable_without_config():
     ps = km.PointSet((Fraction(0), Fraction(1, 2), Fraction(1, 2)), 3, 10,
                      "kronecker", Fraction(1, 4), None)
     with pytest.raises(PrecisionUnresolvedError):
-        km.sorted_gaps(ps)
+        km.mesh_ratio(ps)
 
 
 def test_kronecker_bounds_golden_n5(golden):
@@ -231,6 +225,16 @@ def test_sweep_to_csv_shape(golden):
     grid = {line.split(",")[0]: line.split(",") for line in lines[1:]}
     assert grid["5"][6] != "" and grid["6"][6] == ""
     assert csv == km.sweep_to_csv(rows)
+
+
+def test_output_rounds_a_repeated_value_per_mode():
+    # one value printed rounded to nearest, down and up in the same output
+    third = Fraction(1, 3)
+    qm = QUMetrics(2, third, third, Fraction(1), "oracle-exact")
+    br = km.BoundReport(2, 1, 0, 0, km.Interval(third, third), None, None, None)
+    cells = km.sweep_to_csv([km.SweepRow(qm, br)], digits=5).splitlines()[1].split(",")
+    assert cells[1:6] == ["0.33333", "0.33333", "1", "0.33333", "0.33334"]
+    assert km.metrics_to_json(qm, br, 5)["bounds"]["upper"] == ["0.33333", "0.33334"]
 
 
 def test_metrics_json_roundtrip(golden):
@@ -380,3 +384,95 @@ def test_prefix_bound_denominator_stops_after_two_rungs(monkeypatch):
     with pytest.raises(PrecisionUnresolvedError, match="bound denominator sign.*cannot reduce"):
         km.kronecker_bounds(exp, 225)
     assert tried == [192, 384]
+
+
+def _outcome(f):
+    try:
+        return f()
+    except km.KronmeshError as e:
+        return type(e)
+
+
+_RNG = random.Random(3)
+DIFF_PREFIXES = (
+    "cf:0;1,2,3",
+    "cf:0;1,2,3,4,5",
+    "cf:0;" + ",".join(["1"] * 12),
+    "cf:0;" + ",".join(["2"] * 9),
+    "cf:1;7,2,2,2,2,2,2",
+    "cf:0;3,1,4,1,5,9,2,6",
+    ALPHA_SPECS[-1],
+) + tuple("cf:0;" + ",".join(str(_RNG.randint(1, 9)) for _ in range(_RNG.randint(5, 14)))
+          for _ in range(3))
+DIFF_SPECS = ("golden", "sqrt:2", "sqrt:7", "quad:1,13,6") + tuple(
+    oracles.random_periodic_alpha_specs(6, 11)) + DIFF_PREFIXES
+
+
+def _block_edges(exp, n_max):
+    """n = n_m + h*s_m + k for h in {0, a_{m+1} - 1} and k in {0, 1, 2, 3},
+    for every n_m <= n_max the expansion reaches."""
+    edges, m = set(), 1
+    while exp.ensure(m + 1) and exp.n_at(m) <= n_max:
+        a, s = exp.digit(m + 1), exp.s_at(m)
+        edges.update(exp.n_at(m) + h * s + k for h in (0, a - 1) for k in range(min(4, s)))
+        m += 1
+    return sorted(edges)
+
+
+@pytest.mark.parametrize("spec", DIFF_SPECS)
+def test_kronecker_forms_match_sorted_points(spec):
+    # the three-gap forms on the lattice give what sorting the points gave:
+    # the same QUMetrics, error bound included, or the same error class
+    # (digit prefixes run out of digits or of certified order part way)
+    exp = km.CFExpansion(km.parse_alpha(spec))
+    gen = KroneckerGen(exp)
+    ns = sorted(set(range(2, 401)) | set(_block_edges(exp, 4000)))
+    for bits in (64, 192):
+        ctx = PrecisionContext(bits)
+        for n in ns:
+            want = _outcome(lambda: oracles.kronecker_point_metrics(exp, n, ctx))
+            got = _outcome(lambda: km.sweep(gen, n, n, ctx, with_bounds=False)[0].metrics)
+            assert got == want, (spec, bits, n)
+    # a coarse start climbs the ladder on both paths
+    ctx = PrecisionContext(64)
+    for n in range(2, 121):
+        want = _outcome(lambda: oracles.kronecker_point_metrics(exp, n, ctx, 12))
+        got = _outcome(lambda: km.mesh_ratio(km.kronecker(exp, n, ctx, scale_bits=12)))
+        assert got == want, (spec, n)
+
+
+@pytest.mark.parametrize("spec", DIFF_SPECS)
+def test_sweep_rows_across_memo_keys_match_oneshot(spec):
+    # windows over block edges change the (m, h, min(k, 2)) key between
+    # rows; every row equals the sorted-point row on the sweep's lattice
+    exp = km.CFExpansion(km.parse_alpha(spec))
+    gen = KroneckerGen(exp)
+    ctx = PrecisionContext(64)
+    for edge in _block_edges(exp, 3000):
+        lo, hi = max(2, edge - 2), edge + 3
+        rows = _outcome(lambda: km.sweep(gen, lo, hi, ctx))
+        lattice = _outcome(lambda: oracles.kronecker_point_lattice(exp, hi, ctx))
+        if isinstance(lattice, type):
+            assert rows == lattice, (spec, lo, hi)
+            continue
+        xs, M, U = lattice
+        assert [row.metrics.n for row in rows] == list(range(lo, hi + 1))
+        for row in rows:
+            n = row.metrics.n
+            assert _as_tuple(row.metrics) == _scaled_oracle_row(xs, M, U, n), (spec, n)
+            oneshot = km.mesh_ratio(km.kronecker(exp, n, ctx, scale_bits=M.bit_length() - 1))
+            assert oneshot == row.metrics, (spec, n)
+            assert row.bounds == km.kronecker_bounds(exp, n, ctx), (spec, n)
+
+
+@pytest.mark.parametrize("spec, bits, n", [
+    ("quad:1,13,6", 9, 14), ("cf:0;(8)", 8, 9), ("cf:0;8,3(8)", 17, 209)])
+def test_lattice_climbs_past_a_straddle_at_the_point_nearest_1(spec, bits, n):
+    # at these scales the smallest gap is certified but the point nearest 1
+    # straddles 1: the sorted-point path rebuilds at a finer scale, and the
+    # lattice must climb to the same rung
+    exp = km.CFExpansion(km.parse_alpha(spec))
+    ctx = PrecisionContext(64)
+    xs, M, U = oracles.kronecker_point_lattice(exp, n, ctx, bits)
+    assert M > 1 << bits
+    assert metrics._kronecker_lattice(exp, n, ctx, bits)[1:] == (U, M)

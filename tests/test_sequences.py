@@ -175,12 +175,17 @@ def test_generate_dispatch():
 
 
 def test_pointset_prefix_and_regenerate():
-    ps = km.kronecker(km.parse_alpha("golden"), 30, PrecisionContext(64))
+    golden = km.parse_alpha("golden")
+    ctx = PrecisionContext(64)
+    ps = km.kronecker(golden, 30, ctx)
     pre = ps.prefix(10)
     assert pre.n == 10 and list(pre.points) == list(ps.points[:10])
-    finer = pre.regenerate(256)
+    # a prefix keeps the set's lattice for its metrics
+    same_scale = km.kronecker(golden, 10, ctx, scale_bits=ps.modulus.bit_length() - 1)
+    assert km.mesh_ratio(pre) == km.mesh_ratio(same_scale)
+    finer = km.kronecker(golden, 10, ctx, scale_bits=256)
     assert finer.n == 10
-    assert finer.error_bound < pre.error_bound or pre.error_bound == 0
+    assert finer.error_bound < pre.error_bound
     import mpmath
     a = mp_alpha("golden", 300)
     for i, x in enumerate(finer.points):
