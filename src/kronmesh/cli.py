@@ -307,10 +307,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except PrecisionUnresolvedError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PRECISION
-    except OutOfRangeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (AlphaSpecError, ValueError) as e:
+    except (OutOfRangeError, AlphaSpecError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     out_path = getattr(args, "out", None)

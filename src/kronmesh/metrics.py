@@ -7,10 +7,13 @@ For a prefix x_0..x_{n-1} in [0, 1] sorted ascending,
     rho_n = h_n / q_n                   (+inf marker when q_n = 0)
 
 h_n here is the sup over the whole closed domain of the distance to the
-nearest point, so boundary distances enter unhalved.  A Kronecker prefix of
-an irrational alpha builds no points: its gaps are the three-gap forms
-u*alpha0 + v evaluated at alpha0 ~ A / 2**B, exactly the gaps of the sorted
-lattice points i*A mod 2**B.  Other point sets are sorted on their lattice.
+nearest point, so boundary distances enter unhalved.  Sweeps and analyses
+build no points.  A Kronecker prefix reads its gaps off the three-gap forms
+u*alpha0 + v: at alpha0 ~ A / 2**B for an irrational alpha (exactly the
+gaps of the sorted lattice points i*A mod 2**B), and exactly at (p mod q)/q
+for alpha = p/q and n <= q (past q a point repeats).  van der Corput and
+greedy prefixes have closed-form gaps.  Only a stored PointSet that is not
+a Kronecker run is sorted, once.
 For Kronecker prefixes the module also evaluates the closed-form bounds
 
     upper:  2 (1 - h alpha_m) / min(alpha_m, 1 - (h+1) alpha_m)
@@ -22,13 +25,11 @@ forms (provenance "structure-exact").
 """
 from __future__ import annotations
 
-import bisect
-import heapq
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import List, Optional, Tuple, Union
 
 from .contfrac import (
@@ -42,13 +43,15 @@ from .errors import KronmeshError, PrecisionUnresolvedError, UnsupportedAlphaErr
 from .intervals import Interval, fraction_to_decimal
 from .sequences import (
     GeneratorSpec,
+    GreedyGen,
     KroneckerGen,
     PointSet,
+    VdcGen,
     _KroneckerRun,
-    generate,
     working_scale_bits,
 )
-from .threegap import LinearForm, decompose, form_interval, gap_structure
+from .threegap import (GapStructure, LinearForm, _gap_structure, decompose,
+                       form_interval, gap_structure)
 
 INF = math.inf
 
@@ -64,7 +67,7 @@ class QUMetrics:
 
     @property
     def is_infinite(self) -> bool:
-        return self.mesh_ratio == INF
+        return isinstance(self.mesh_ratio, float) and math.isinf(self.mesh_ratio)
 
     def rho_interval(self) -> Optional[Interval]:
         """Certified enclosure of the true mesh ratio, None when infinite."""
@@ -93,67 +96,8 @@ class BoundReport:
     global_upper: Optional[int]
 
 
-class _LatticeMesh:
-    """Sorted lattice points in [0, modulus] and the multiset of their
-    interior gaps: the kernel of every point set but an irrational Kronecker
-    prefix.  It is built in bulk from a prefix (one sort, one count, a
-    heapify over the distinct gaps) and then grown a point at a time; lazy
-    min/max heaps answer the extreme gaps.
-    """
-
-    def __init__(self, xs, modulus: int):
-        self.modulus = modulus
-        self.pts = sorted(xs)
-        self.gapcount = Counter(map(operator.sub, self.pts[1:], self.pts))
-        self._maxheap = [-g for g in self.gapcount]
-        self._minheap = list(self.gapcount)
-        heapq.heapify(self._maxheap)
-        heapq.heapify(self._minheap)
-
-    def insert(self, x: int) -> None:
-        pts = self.pts
-        i = bisect.bisect_left(pts, x)
-        if 0 < i < len(pts):
-            self._count(pts[i] - pts[i - 1], -1)
-        if i > 0:
-            self._count(x - pts[i - 1], 1)
-        if i < len(pts):
-            self._count(pts[i] - x, 1)
-        pts.insert(i, x)
-
-    def _count(self, g: int, step: int) -> None:
-        c = self.gapcount.pop(g, 0) + step
-        if c:
-            self.gapcount[g] = c
-        if c == step == 1:  # a new distinct gap
-            heapq.heappush(self._maxheap, -g)
-            heapq.heappush(self._minheap, g)
-
-    def max_gap(self) -> int:
-        """Largest interior gap, 0 for a single point."""
-        h = self._maxheap
-        while h and not self.gapcount.get(-h[0]):
-            heapq.heappop(h)
-        return -h[0] if h else 0
-
-    def min_gap(self) -> Optional[int]:
-        """Smallest interior gap, None for a single point."""
-        h = self._minheap
-        while h and not self.gapcount.get(h[0]):
-            heapq.heappop(h)
-        return h[0] if h else None
-
-    def fill_units(self) -> int:
-        """Twice the fill distance in lattice units: boundary distances
-        enter unhalved, interior gaps halved."""
-        return max(2 * self.pts[0], 2 * (self.modulus - self.pts[-1]), self.max_gap())
-
-    def metrics(self, err: Fraction) -> QUMetrics:
-        return _lattice_metrics(len(self.pts), self.fill_units(), self.min_gap(),
-                                self.modulus, err)
-
-
-def _lattice_metrics(n: int, fill: int, ming: int, modulus: int, err: Fraction) -> QUMetrics:
+def _lattice_metrics(n: int, fill: int, ming: int, modulus: int,
+                     err: Fraction = Fraction(0)) -> QUMetrics:
     """QUMetrics from twice the fill and the smallest interior gap, both in
     units of 1 / modulus."""
     scale = 2 * modulus
@@ -162,31 +106,33 @@ def _lattice_metrics(n: int, fill: int, ming: int, modulus: int, err: Fraction) 
                      "oracle-exact", err)
 
 
-def _stored_mesh(ps: PointSet) -> _LatticeMesh:
-    """The kernel over the stored points, whose sorted order the stored
-    error bound must certify: the smallest gap exceeds twice the error."""
+def _stored_units(ps: PointSet) -> Tuple[int, Optional[int]]:
+    """Twice the fill and the smallest interior gap (None for one point) of
+    the stored points, sorted once, in units of 1 / modulus.  The stored
+    error bound must certify the sorted order: the smallest gap exceeds
+    twice the error."""
     if ps.n < 1:
         raise ValueError("empty point set")
-    mesh = _LatticeMesh(ps.xs, ps.modulus)
-    ming = mesh.min_gap()
+    pts = sorted(ps.xs)
+    gaps = list(map(operator.sub, pts[1:], pts))
+    ming = min(gaps, default=None)
     if ps.error_units and ming is not None and ming <= 2 * ps.error_units:
         raise PrecisionUnresolvedError(
             "point order ambiguous within the stored error bound"
         )
-    return mesh
+    return max(2 * pts[0], 2 * (ps.modulus - pts[-1]), max(gaps, default=0)), ming
 
 
 # ---------------------------------------------------------------------------
-# Kronecker prefixes of an irrational alpha: the three-gap forms on a lattice
+# Kronecker prefixes: the three-gap forms on a lattice
 
 
-def _gap_roles(exp: CFExpansion, n: int) -> Tuple[LinearForm, List[LinearForm]]:
+def _gap_roles(gs: GapStructure) -> Tuple[LinearForm, List[LinearForm]]:
     """The gap touching 1 and the interior gap lengths present among the
-    first n points, as linear forms.  The gap touching 1 follows from the
-    parity of m: for odd m it is eta_m; for even m it is eta_{m-1} - j*eta_m
-    with j = h when k = 0 and j = h + 1 otherwise.
+    points, as linear forms.  The gap touching 1 follows from the parity of
+    m: for odd m it is eta_m; for even m it is eta_{m-1} - j*eta_m with
+    j = h when k = 0 and j = h + 1 otherwise.
     """
-    gs = gap_structure(exp, n)
     d = gs.decomposition
     last_idx = 0 if d.m % 2 else (1 if d.k == 0 else 2)
     last_form, last_count = gs.entries[last_idx]
@@ -195,7 +141,7 @@ def _gap_roles(exp: CFExpansion, n: int) -> Tuple[LinearForm, List[LinearForm]]:
     if last_count <= 0 or not present:
         raise KronmeshError(
             f"gap structure lacks the gap touching 1 or an interior gap at "
-            f"n={n}, (m, h, k) = ({d.m}, {d.h}, {d.k})"
+            f"n={gs.n}, (m, h, k) = ({d.m}, {d.h}, {d.k})"
         )
     return last_form, present
 
@@ -204,7 +150,7 @@ def _lattice_gaps(exp: CFExpansion, n: int, A: int, M: int) -> Tuple[int, int, i
     """The gap forms of the first n points evaluated at alpha0 = A / M, in
     units of 1 / M: (largest interior, smallest interior, gap touching 1,
     index of the point nearest 1)."""
-    last, present = _gap_roles(exp, n)
+    last, present = _gap_roles(_gap_structure(exp, n))
     units = [f.u * A + f.v * M for f in present]
     return max(units), min(units), last.u * A + last.v * M, -last.u
 
@@ -235,15 +181,16 @@ def _kronecker_lattice(exp: CFExpansion, n: int, ctx: PrecisionContext,
 
 
 def _kronecker_metrics(exp: CFExpansion, n: int, A: int, U: int, M: int) -> QUMetrics:
-    """Metrics of the first n points on a lattice from _kronecker_lattice;
-    each point is within (n - 1)*U / M of the true one."""
+    """Metrics of the first n points on a lattice from _kronecker_lattice
+    (or p mod q, 0, q for alpha = p/q); each point is within (n - 1)*U / M
+    of the true one."""
     maxg, ming, last, _ = _lattice_gaps(exp, n, A, M)
     return _lattice_metrics(n, max(2 * last, maxg), ming, M, Fraction((n - 1) * U, M))
 
 
 def fill_distance(ps: PointSet) -> Fraction:
     if ps.n < 2:
-        return Fraction(_stored_mesh(ps).fill_units(), 2 * ps.modulus)
+        return Fraction(_stored_units(ps)[0], 2 * ps.modulus)
     return mesh_ratio(ps).fill
 
 
@@ -263,7 +210,7 @@ def mesh_ratio(ps: PointSet) -> QUMetrics:
     if isinstance(cfg, _KroneckerRun):
         lattice = _kronecker_lattice(cfg.exp, ps.n, cfg.ctx, cfg.scale_bits)
         return _kronecker_metrics(cfg.exp, ps.n, *lattice)
-    return _stored_mesh(ps).metrics(ps.error_bound)
+    return _lattice_metrics(len(ps.xs), *_stored_units(ps), ps.modulus, ps.error_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +218,7 @@ def mesh_ratio(ps: PointSet) -> QUMetrics:
 
 
 def _as_expansion(alpha) -> CFExpansion:
-    if isinstance(alpha, CFExpansion):
-        return alpha
-    return CFExpansion(alpha)
+    return alpha if isinstance(alpha, CFExpansion) else CFExpansion(alpha)
 
 
 def kronecker_bounds(
@@ -320,7 +265,7 @@ def mesh_ratio_structural(
     if n < 2:
         raise ValueError("mesh ratio needs n >= 2")
     exp = _as_expansion(exp)
-    last_form, present = _gap_roles(exp, n)
+    last_form, present = _gap_roles(gap_structure(exp, n))
     ordered = _order_forms(exp, present, ctx)
     minint, maxint = ordered[0], ordered[-1]
 
@@ -331,9 +276,7 @@ def mesh_ratio_structural(
     sep_iv = form_interval(exp, minint, ctx, require_positive=True).scale(Fraction(1, 2))
     rho_iv = fill_iv / sep_iv
     err = max(fill_iv.width, sep_iv.width, rho_iv.width) / 2
-    return QUMetrics(
-        n, fill_iv.mid, sep_iv.mid, rho_iv.mid, "structure-exact", err
-    )
+    return QUMetrics(n, fill_iv.mid, sep_iv.mid, rho_iv.mid, "structure-exact", err)
 
 
 def _order_forms(exp, forms, ctx) -> List[LinearForm]:
@@ -366,29 +309,40 @@ def sweep(
     ctx: PrecisionContext = DEFAULT_CONTEXT,
     with_bounds: bool = True,
 ) -> List[SweepRow]:
-    """Metrics for every n in [n_lo, n_hi].
+    """Metrics for every n in [n_lo, n_hi]; no point is built.
 
-    An irrational Kronecker alpha builds no points: the rows are the forms
-    on the lattice of n_hi, which depend on n only through (m, h, min(k, 2))
-    but for the drift (n - 1)*U / M, plus the bound report when with_bounds
-    is set.  Other generators grow the sorted kernel a point per row.
+    For an irrational Kronecker alpha the rows are the forms on the lattice
+    of n_hi, which depend on n only through (m, h, min(k, 2)) but for the
+    drift (n - 1)*U / M, plus the bound report when with_bounds is set.
+    Rational alphas, van der Corput and greedy have exact closed forms and
+    no bound report.
     """
     if n_lo < 2:
         raise ValueError("sweep needs n_lo >= 2 (mesh ratio undefined at n = 1)")
     if n_hi < n_lo:
         raise ValueError("empty sweep range")
-    exp = _as_expansion(gen.alpha) if isinstance(gen, KroneckerGen) else None
-    if exp is None or exp.is_rational:
-        # exact points: the first n_lo - 1 enter the mesh in bulk, then one
-        # insert per row
-        ps = generate(gen, n_hi, ctx)
-        mesh = _LatticeMesh(ps.xs[:n_lo - 1], ps.modulus)
-        rows = []
-        for x in ps.xs[n_lo - 1:]:
-            mesh.insert(x)
-            rows.append(SweepRow(mesh.metrics(Fraction(0)), None))
-        return rows
-    A, U, M = _kronecker_lattice(exp, n_hi, ctx, working_scale_bits(ctx, n_hi))
+    if isinstance(gen, VdcGen):
+        return _run_rows(partial(_vdc_run, gen.base), n_lo, n_hi)
+    if isinstance(gen, GreedyGen):
+        return _run_rows(_greedy_run, n_lo, n_hi)
+    if not isinstance(gen, KroneckerGen):
+        raise ValueError(f"unknown generator spec {gen!r}")
+    exp = _as_expansion(gen.alpha)
+    if not exp.is_rational:
+        lattice = _kronecker_lattice(exp, n_hi, ctx, working_scale_bits(ctx, n_hi))
+        return _form_rows(exp, n_lo, n_hi, *lattice, ctx, with_bounds)
+    # alpha = p/q: the forms are exact at (p mod q)/q while n <= q; past q
+    # every multiple of 1/q is a point and one repeats
+    q = exp.spec.den
+    rows = _form_rows(exp, n_lo, min(n_hi, q), exp.spec.num % q, 0, q, ctx, False)
+    repeat = QUMetrics(q + 1, Fraction(1, q), Fraction(0), INF, "oracle-exact")
+    return rows + _run_rows(lambda n: (n_hi, repeat), max(n_lo, q + 1), n_hi)
+
+
+def _form_rows(exp: CFExpansion, n_lo: int, n_hi: int, A: int, U: int, M: int,
+               ctx: PrecisionContext, with_bounds: bool) -> List[SweepRow]:
+    """Rows of a Kronecker sweep on the lattice (A, U, M), one evaluation of
+    the forms per key (m, h, min(k, 2))."""
     rows, memo, bounds_memo = [], {}, {}
     for n in range(n_lo, n_hi + 1):
         d = decompose(exp, n)
@@ -404,9 +358,54 @@ def sweep(
             key = (d.m, d.h, d.k == 0)
             if key not in bounds_memo:
                 bounds_memo[key] = kronecker_bounds(exp, n, ctx)
-            br = replace(bounds_memo[key], n=n, k=d.k)
+            b = bounds_memo[key]
+            br = BoundReport(n, b.m, b.h, d.k, b.upper, b.lower_at_nm,
+                             b.lower_digit_form, b.global_upper)
         rows.append(SweepRow(qm, br))
     return rows
+
+
+def _run_rows(run, n_lo: int, n_hi: int) -> List[SweepRow]:
+    """Rows of an exact generator: run(n) gives the last n' >= n whose
+    prefix shares the metrics of the first n points, and those metrics."""
+    rows, n = [], n_lo
+    while n <= n_hi:
+        last, qm = run(n)
+        rows += [SweepRow(QUMetrics(i, qm.fill, qm.separation, qm.mesh_ratio,
+                                    qm.provenance), None)
+                 for i in range(n, min(last, n_hi) + 1)]
+        n = last + 1
+    return rows
+
+
+def _vdc_run(b: int, n: int) -> Tuple[int, QUMetrics]:
+    """A run of van der Corput prefixes in base b.  With G = b**K <= n < b*G
+    and n = c*G + r, every multiple of 1/G is a point, and the grid interval
+    starting at radinv_K(t) holds c more points at steps of 1/(b*G) when
+    t < r, else c - 1 (the last one, t = G - 1, holds c - 1).  So the gap
+    touching 1, (b - c + 1)/(b*G), is the largest and 1/(b*G) the smallest;
+    at n = G every gap is 1/G."""
+    G = 1
+    while G * b <= n:
+        G *= b
+    if n == G:
+        return n, _lattice_metrics(n, 2, 1, G)
+    c = n // G
+    return (c + 1) * G - 1, _lattice_metrics(n, 2 * (b - c + 1), 1, b * G)
+
+
+def _greedy_run(n: int) -> Tuple[int, QUMetrics]:
+    """A run of greedy prefixes, either tie rule.  Two points are 1/2 and an
+    end, 1/2 from the other end.  For 2**j <= n - 1 < 2**(j+1) the points
+    are the grid of step 2**-j, ends included, and t = n - 1 - 2**j odd
+    multiples of 2**-(j+1): the largest gap is 2**-j, the smallest 2**-j at
+    t = 0 and 2**-(j+1) after."""
+    if n == 2:
+        return 2, _lattice_metrics(2, 2, 1, 2)
+    j = (n - 1).bit_length() - 1
+    if n - 1 == 1 << j:
+        return n, _lattice_metrics(n, 2, 2, 2 << j)
+    return 2 << j, _lattice_metrics(n, 2, 1, 2 << j)
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +450,8 @@ def sweep_to_csv(rows: List[SweepRow], digits: int = 40) -> str:
         br = row.bounds
         if br is not None:
             cells += _interval_str(br.upper, fmt)
-            if br.lower_at_nm is not None:
-                cells += _interval_str(br.lower_at_nm, fmt)
-            else:
-                cells += ["", ""]
+            lower = br.lower_at_nm
+            cells += ["", ""] if lower is None else _interval_str(lower, fmt)
             cells.append("" if br.global_upper is None else str(br.global_upper))
         else:
             cells += ["", "", "", "", ""]

@@ -150,6 +150,11 @@ def gap_structure(exp: CFExpansion, n: int) -> GapStructure:
             "gap structure needs irrational alpha; rational rotations "
             "degenerate (duplicate points) and are handled by the metrics path"
         )
+    return _gap_structure(exp, n)
+
+
+def _gap_structure(exp: CFExpansion, n: int) -> GapStructure:
+    """gap_structure for any alpha: p/q has these gaps while n <= q."""
     d = decompose(exp, n)
     m, h, k = d.m, d.h, d.k
     e_m = eta(exp, m)

@@ -8,10 +8,15 @@ defining recurrence of the three-gap lengths eta_m, backward-recurrence
 tail enclosures, and big-float continued-fraction machinery via mpmath.
 The sorted-point Kronecker metrics reuse the package's point generator
 and precision ladder; they differ from the package in reading the metrics
-off sorted points instead of the three-gap forms.
+off sorted points instead of the three-gap forms.  Likewise the sorted-point
+kernel (LatticeMesh, exact_sweep_metrics) grows the package's van der
+Corput, greedy and rational points one insert at a time, where the package
+reads closed forms.
 """
 import bisect
+import heapq
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -318,6 +323,85 @@ def kronecker_point_metrics(exp, n: int, ctx, start_bits=None):
     xs, M, U = kronecker_point_lattice(exp, n, ctx, start_bits)
     fill, sep, rho = scaled_prefix_metrics(xs, M, U)
     return QUMetrics(n, fill, sep, rho, "oracle-exact", Fraction((n - 1) * U, M))
+
+
+# -- the incremental sorted-point kernel ---------------------------------------
+
+class LatticeMesh:
+    """Sorted lattice points in [0, modulus] and the multiset of their
+    interior gaps.  It is built in bulk from a prefix (one sort, one count,
+    a heapify over the distinct gaps) and then grown a point at a time; lazy
+    min/max heaps answer the extreme gaps.
+    """
+
+    def __init__(self, xs, modulus: int):
+        self.modulus = modulus
+        self.pts = sorted(xs)
+        self.gapcount = Counter(map(operator.sub, self.pts[1:], self.pts))
+        self._maxheap = [-g for g in self.gapcount]
+        self._minheap = list(self.gapcount)
+        heapq.heapify(self._maxheap)
+        heapq.heapify(self._minheap)
+
+    def insert(self, x: int) -> None:
+        pts = self.pts
+        i = bisect.bisect_left(pts, x)
+        if 0 < i < len(pts):
+            self._count(pts[i] - pts[i - 1], -1)
+        if i > 0:
+            self._count(x - pts[i - 1], 1)
+        if i < len(pts):
+            self._count(pts[i] - x, 1)
+        pts.insert(i, x)
+
+    def _count(self, g: int, step: int) -> None:
+        c = self.gapcount.pop(g, 0) + step
+        if c:
+            self.gapcount[g] = c
+        if c == step == 1:  # a new distinct gap
+            heapq.heappush(self._maxheap, -g)
+            heapq.heappush(self._minheap, g)
+
+    def max_gap(self) -> int:
+        """Largest interior gap, 0 for a single point."""
+        h = self._maxheap
+        while h and not self.gapcount.get(-h[0]):
+            heapq.heappop(h)
+        return -h[0] if h else 0
+
+    def min_gap(self):
+        """Smallest interior gap, None for a single point."""
+        h = self._minheap
+        while h and not self.gapcount.get(h[0]):
+            heapq.heappop(h)
+        return h[0] if h else None
+
+    def units(self):
+        """Twice the fill and the smallest interior gap in units of
+        1 / modulus: boundary distances enter unhalved, interior gaps
+        halved."""
+        fill = max(2 * self.pts[0], 2 * (self.modulus - self.pts[-1]), self.max_gap())
+        return fill, self.min_gap()
+
+
+def exact_sweep_metrics(gen, n_lo: int, n_hi: int):
+    """QUMetrics for every n in [n_lo, n_hi] of an exact generator (van der
+    Corput, greedy or a rational Kronecker alpha), by sorting its points:
+    the first n_lo - 1 enter the mesh in bulk, then one insert per row."""
+    from kronmesh import QUMetrics, generate
+
+    ps = generate(gen, n_hi)
+    scale = 2 * ps.modulus
+    mesh = LatticeMesh(ps.xs[:n_lo - 1], ps.modulus)
+    rows, values = [], {}
+    for x in ps.xs[n_lo - 1:]:
+        mesh.insert(x)
+        fill, ming = key = mesh.units()
+        if key not in values:
+            rho = math.inf if ming == 0 else Fraction(fill, ming)
+            values[key] = Fraction(fill, scale), Fraction(ming, scale), rho
+        rows.append(QUMetrics(len(mesh.pts), *values[key], "oracle-exact", Fraction(0)))
+    return rows
 
 
 # -- random generators for property-style suites -----------------------------

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -193,8 +194,9 @@ def test_prefix_straddle_stops_when_the_error_stalls(capsys, monkeypatch):
 
 
 def test_kronecker_metrics_build_no_points(capsys, monkeypatch):
-    # an irrational alpha's metrics come from the three-gap forms: neither
-    # the point generator nor the sorted-point kernel runs
+    # an irrational alpha's metrics come from the three-gap forms, and those
+    # of vdc, greedy and rat:p/q from closed forms: no point generator runs,
+    # and neither does the one-shot sort of a stored point set
     seq = importlib.import_module("kronmesh.sequences")
     metrics = importlib.import_module("kronmesh.metrics")
     calls = []
@@ -204,20 +206,47 @@ def test_kronecker_metrics_build_no_points(capsys, monkeypatch):
         calls.append(args[1])
         return original(*args)
 
-    def no_mesh(*args):
-        raise AssertionError("sorted-point kernel used")
+    def fail(*args, **kwargs):
+        raise AssertionError("points generated or sorted")
 
     monkeypatch.setattr(seq, "kronecker_scaled", counting)
     coarse = kronmesh.kronecker(kronmesh.parse_alpha("golden"), 120, scale_bits=14)
     calls.clear()
-    monkeypatch.setattr(metrics, "_LatticeMesh", no_mesh)
-    for argv in (("analyze", "--alpha", "sqrt:2", "--n", "5000"),
-                 ("sweep", "--alpha", "golden", "--n", "2..3000")):
+    monkeypatch.setattr(metrics, "_stored_units", fail)
+    for module in (kronmesh, seq, metrics, importlib.import_module("kronmesh.cli")):
+        for name in ("generate", "kronecker", "van_der_corput", "greedy_packing"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fail)
+    for argv, want in ((("analyze", "--alpha", "sqrt:2", "--n", "5000"), 0),
+                       (("sweep", "--alpha", "golden", "--n", "2..3000"), 0),
+                       (("analyze", "--gen", "vdc", "--base", "3", "--n", "5000"), 0),
+                       (("sweep", "--gen", "vdc", "--n", "2..3000", "--format", "json"), 0),
+                       (("analyze", "--gen", "greedy", "--n", "5000"), 0),
+                       (("sweep", "--gen", "greedy", "--tie-break", "rightmost",
+                         "--n", "2..3000"), 0),
+                       (("analyze", "--alpha", "rat:355/113", "--n", "100"), 0),
+                       (("analyze", "--alpha", "rat:3/7", "--n", "8"), 4),
+                       (("sweep", "--alpha", "rat:3/1000", "--n", "900..1100"), 0)):
         code, out, err = run(capsys, *argv)
-        assert code == 0 and out and err == "", argv
+        assert code == want and out and err == "", argv
     qm = kronmesh.mesh_ratio(coarse)
     assert qm.separation > qm.error_bound
     assert calls == []
+
+
+@pytest.mark.parametrize("argv, want, rho", [
+    (("analyze", "--gen", "vdc", "--n", str(10 ** 30)), 0, "4"),
+    (("analyze", "--gen", "greedy", "--n", str(10 ** 30)), 0, "2"),
+    (("analyze", "--alpha", "rat:3/7", "--n", str(10 ** 30)), 4, "inf"),
+])
+def test_exact_generators_analyze_huge_n(capsys, argv, want, rho):
+    # closed forms cost O(log n) (a vdc point list once overflowed and a
+    # greedy one grew without bound)
+    start = time.perf_counter()
+    code, payload, err = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == want and err == ""
+    assert (payload["n"], payload["mesh_ratio"]) == (10 ** 30, rho)
 
 
 def test_sweep_no_bounds(capsys):
@@ -369,6 +398,23 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_metrics_sort_no_points():
+    # the incremental sorted-point kernel lives in tests/oracles.py: the
+    # metrics module imports no heap or bisection and calls no generator
+    path = Path(kronmesh.__file__).resolve().parent / "metrics.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert imported.isdisjoint({"heapq", "bisect"}), imported
+    called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert called.isdisjoint({"generate", "kronecker", "van_der_corput", "greedy_packing"})
 
 
 def _names_bits(node) -> bool:

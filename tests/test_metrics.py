@@ -476,3 +476,79 @@ def test_lattice_climbs_past_a_straddle_at_the_point_nearest_1(spec, bits, n):
     xs, M, U = oracles.kronecker_point_lattice(exp, n, ctx, bits)
     assert M > 1 << bits
     assert metrics._kronecker_lattice(exp, n, ctx, bits)[1:] == (U, M)
+
+
+# -- closed forms of the exact generators against the sorted-point kernel -----
+
+def _brute_qm(points):
+    fill, sep, rho = oracles.brute_metrics(points)
+    return QUMetrics(len(points), fill, sep, rho, "oracle-exact", Fraction(0))
+
+
+def _runs_edges(steps, n_max):
+    """Every n in 2..n_max within 1 of c*G, for c = 1..20 and G in steps."""
+    return sorted({c * G + d for G in steps for c in range(1, 21) for d in (-1, 0, 1)
+                   if 2 <= c * G + d <= n_max})
+
+
+@pytest.mark.parametrize("base", range(2, 11))
+def test_vdc_closed_form_matches_kernel(base):
+    # every row, error bound included, equals the sorted-point kernel, and
+    # brute force at every n <= 150 and at the edges of the runs c*b**K
+    gen = VdcGen(base)
+    rows = km.sweep(gen, 2, 3000)
+    assert [row.metrics for row in rows] == oracles.exact_sweep_metrics(gen, 2, 3000)
+    assert all(row.bounds is None for row in rows)
+    pts = [oracles.radical_inverse_reference(i, base) for i in range(3000)]
+    powers = [base ** k for k in range(8) if base ** k <= 3000]
+    for n in sorted(set(range(2, 151)) | set(_runs_edges(powers, 1200))):
+        assert rows[n - 2].metrics == _brute_qm(pts[:n]), (base, n)
+    # a sweep may start inside a run
+    for lo in (3, base ** 2 + 1, 2 * base ** 3 - 1):
+        assert km.sweep(gen, lo, 3000) == rows[lo - 2:]
+
+
+@pytest.mark.parametrize("tie_break", ["leftmost", "rightmost"])
+def test_greedy_closed_form_matches_kernel(tie_break):
+    gen = GreedyGen(tie_break)
+    rows = km.sweep(gen, 2, 4100)
+    assert [row.metrics for row in rows] == oracles.exact_sweep_metrics(gen, 2, 4100)
+    # rho is 1 at n = 2**k + 1 and 2 everywhere else
+    assert [row.metrics.n for row in rows if row.metrics.mesh_ratio == 1] \
+        == [2 ** k + 1 for k in range(1, 13)]
+    assert all(row.metrics.mesh_ratio in (1, 2) for row in rows)
+    pts = km.greedy_packing(1100, tie_break).points
+    assert pts[:300] == tuple(oracles.greedy_reference(300, tie_break))
+    for n in sorted(set(range(2, 101)) | set(_runs_edges([2 ** k for k in range(11)], 1100))):
+        assert rows[n - 2].metrics == _brute_qm(pts[:n]), (tie_break, n)
+    for lo in (3, 4, 1000):
+        assert km.sweep(gen, lo, 4100) == rows[lo - 2:]
+
+
+def _rational_specs(q_max):
+    """Every coprime p/q with 0 <= p < q <= q_max, and per q a p above q
+    and a negative p."""
+    for q in range(1, q_max + 1):
+        ps = [p for p in range(q) if math.gcd(p, q) == 1]
+        yield from ((p, q) for p in ps)
+        yield ps[-1] + 3 * q, q
+        yield ps[0] - q, q
+
+
+def test_rational_forms_match_kernel():
+    # the three-gap forms at (p mod q)/q for n <= q and the repeat row past
+    # q equal the sorted-point kernel at every n <= q + 3, and brute force
+    # at every n for q <= 20
+    for p, q in _rational_specs(120):
+        gen = KroneckerGen(Rational(p, q))
+        rows = km.sweep(gen, 2, q + 3)
+        assert [row.metrics for row in rows] == oracles.exact_sweep_metrics(gen, 2, q + 3), (p, q)
+        assert all(row.bounds is None for row in rows)
+        assert [row.metrics.is_infinite for row in rows] == [n > q for n in range(2, q + 4)]
+        if q <= 20:
+            pts = [Fraction(i * p % q, q) for i in range(q + 3)]
+            for row in rows:
+                assert row.metrics == _brute_qm(pts[:row.metrics.n]), (p, q, row.metrics.n)
+        for lo in (q - 1, q + 1):
+            if lo >= 2:
+                assert km.sweep(gen, lo, q + 3) == rows[lo - 2:], (p, q, lo)
