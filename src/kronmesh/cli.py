@@ -10,12 +10,15 @@ Subcommands
 Exit codes: 0 success; 1 usage or parse error; 2 unsupported input class
 (e.g. rational alpha where the three-gap form needs an irrational); 3
 precision unresolved at the configured ceiling; 4 infinite mesh ratio.
+`points` refuses --n above 10**6 (MAX_POINTS) with exit 1 before it builds
+any point.
 
 Output is deterministic: the same arguments produce byte-identical output.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional, Tuple
@@ -56,6 +59,10 @@ EXIT_USAGE = 1
 EXIT_UNSUPPORTED = 2
 EXIT_PRECISION = 3
 EXIT_INFINITE = 4
+
+# the largest n a points dump builds: each point is a list entry and an
+# output line, so the cap bounds memory before anything is allocated
+MAX_POINTS = 10 ** 6
 
 
 class _UsageError(Exception):
@@ -137,6 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_precision(sp)
     _add_output(sp, "csv")
     return p
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing never mutates the parser (defaults are immutable, no append
+    # actions, and errors raise _UsageError), so main shares one
+    return build_parser()
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -269,6 +283,8 @@ def _cmd_points(args) -> Tuple[str, int]:
     ctx = _context(args)
     n = _parse_int(args.n, "--n")
     gen = _generator(args)
+    if n > MAX_POINTS:
+        raise _UsageError(f"--n {n} exceeds the points cap of {MAX_POINTS}")
     try:
         ps = generate(gen, n, ctx)
     except ValueError as e:
@@ -292,9 +308,10 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code.  Safe to call repeatedly
+    in one process: every call parses with the same parser."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         text, code = _COMMANDS[args.command](args)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)

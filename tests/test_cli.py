@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import kronmesh
+from kronmesh import cli
 from kronmesh.cli import main
 
 # run subprocesses against the kronmesh package under test, whatever the
@@ -296,6 +297,85 @@ def test_points_json_greedy(capsys):
     assert code == 0
     assert payload["n"] == 3
     assert len(payload["points"]) == 3
+
+
+@pytest.mark.parametrize("n", [10 ** 30, cli.MAX_POINTS + 1])
+@pytest.mark.parametrize("gen", [("--gen", "vdc"), ("--gen", "greedy"),
+                                 ("--alpha", "golden")])
+def test_points_cap_refuses_before_generating(capsys, monkeypatch, gen, n):
+    # a vdc or Kronecker list of 10**30 points once overflowed and a greedy
+    # one grew without bound; the cap is checked before any generator runs
+    def fail(*args, **kwargs):
+        raise AssertionError("points generated")
+
+    seq = importlib.import_module("kronmesh.sequences")
+    for module in (cli, seq):
+        for name in ("generate", "kronecker", "van_der_corput", "greedy_packing"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fail)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "points", *gen, "--n", str(n))
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_main_builds_one_parser(capsys, monkeypatch):
+    builds = []
+    original = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    assert main(["analyze", "--gen", "vdc", "--n", "9"]) == 0
+    assert main(["analyze", "--gen", "vdc", "--n", "9", "--format", "xml"]) == 1
+    assert main(["classify", "--alpha", "golden"]) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+    assert original() is not original()
+
+
+def _fresh_run(capsys, *argv):
+    cli._parser.cache_clear()
+    return run(capsys, *argv)
+
+
+@pytest.mark.parametrize("with_flag, code, without", [
+    (("sweep", "--alpha", "golden", "--n", "2..6", "--no-bounds"), 0,
+     ("sweep", "--alpha", "golden", "--n", "2..6")),
+    (("analyze", "--alpha", "sqrt:2", "--n", "7", "--digits", "8"), 0,
+     ("analyze", "--alpha", "sqrt:2", "--n", "7")),
+    (("sweep", "--gen", "vdc", "--n", "2..9", "--out", "{tmp}"), 0,
+     ("sweep", "--gen", "vdc", "--n", "2..9")),
+    (("sweep", "--gen", "vdc", "--n", "2..9", "--format", "json"), 0,
+     ("sweep", "--gen", "vdc", "--n", "2..9")),
+    (("sweep", "--alpha", "golden", "--n-at", "nm", "--m", "1..3"), 0,
+     ("sweep", "--alpha", "golden", "--n", "2..9")),
+    (("points", "--gen", "greedy", "--n", "9", "--tie-break", "rightmost"), 0,
+     ("points", "--gen", "greedy", "--n", "9")),
+    (("points", "--gen", "vdc", "--n", "9", "--base", "3"), 0,
+     ("points", "--gen", "vdc", "--n", "9")),
+    # an argparse failure, then an exit-3 run, before a valid call
+    (("analyze", "--alpha", "golden", "--n", "5", "--format", "xml"), 1,
+     ("analyze", "--alpha", "golden", "--n", "5")),
+    (("gaps", "--alpha", "cf:0;1,2,3", "--n", "100"), 3,
+     ("gaps", "--alpha", "golden", "--n", "5")),
+])
+def test_reused_parser_keeps_no_state(capsys, tmp_path, with_flag, code, without):
+    # main parses every call with one cached parser: a flag given in one
+    # call must not carry into the next
+    target = tmp_path / "out.txt"
+    with_flag = [a.format(tmp=target) for a in with_flag]
+    want = _fresh_run(capsys, *without)
+    assert run(capsys, *with_flag)[0] == code
+    assert run(capsys, *without) == want
+    assert vars(cli._parser().parse_args(without)) == \
+        vars(cli.build_parser().parse_args(without))
+    assert want[0] == 0 and want[1] and want[2] == ""
 
 
 def test_usage_errors_exit1(capsys):

@@ -43,6 +43,15 @@ def test_cli_output_unchanged(case):
     assert digest(code, out) == case["sha256"]
 
 
+def test_cli_replay_in_one_process():
+    # main reuses one parser for the process: replaying every row forward
+    # and then in reverse leaks no state from one command into the next
+    cases = _cases()
+    for case in cases + cases[::-1]:
+        code, out = run(case["argv"])
+        assert digest(code, out) == case["sha256"], case["argv"]
+
+
 if __name__ == "__main__":
     cases = []
     for case in _cases():
