@@ -11,7 +11,9 @@ Exit codes: 0 success; 1 usage or parse error; 2 unsupported input class
 (e.g. rational alpha where the three-gap form needs an irrational); 3
 precision unresolved at the configured ceiling; 4 infinite mesh ratio.
 `points` refuses --n above 10**6 (MAX_POINTS) with exit 1 before it builds
-any point.
+any point, and `sweep` refuses a --n or --m range of more than 10**6 rows
+(MAX_ROWS) with exit 1 before it evaluates any.  A bare KronmeshError (a
+broken internal invariant) exits 1 with an error line, not a traceback.
 
 Output is deterministic: the same arguments produce byte-identical output.
 """
@@ -31,6 +33,7 @@ from .contfrac import (
 )
 from .errors import (
     AlphaSpecError,
+    KronmeshError,
     OutOfRangeError,
     PrecisionUnresolvedError,
     UnsupportedAlphaError,
@@ -63,6 +66,10 @@ EXIT_INFINITE = 4
 # the largest n a points dump builds: each point is a list entry and an
 # output line, so the cap bounds memory before anything is allocated
 MAX_POINTS = 10 ** 6
+
+# the most rows one sweep evaluates: each row is a SweepRow and an output
+# line, so the cap is checked on the parsed range before any row is built
+MAX_ROWS = 10 ** 6
 
 
 class _UsageError(Exception):
@@ -223,6 +230,13 @@ def _cmd_analyze(args) -> Tuple[str, int]:
     return _dumps(payload), EXIT_INFINITE if row.metrics.is_infinite else EXIT_OK
 
 
+def _check_rows(lo: int, hi: int, what: str) -> None:
+    if hi - lo + 1 > MAX_ROWS:
+        raise _UsageError(
+            f"{what} range of {hi - lo + 1} rows exceeds the sweep cap of {MAX_ROWS}"
+        )
+
+
 def _sweep_rows(args, ctx) -> List[SweepRow]:
     gen = _generator(args)
     want_bounds = not args.no_bounds
@@ -237,6 +251,7 @@ def _sweep_rows(args, ctx) -> List[SweepRow]:
         m_lo, m_hi = _parse_range(args.m, "--m")
         if m_lo < 1:
             raise _UsageError("--m range must start at m >= 1")
+        _check_rows(m_lo, m_hi, "--m")
         rows = []
         for m in range(m_lo, m_hi + 1):
             if not exp.ensure(m):
@@ -252,6 +267,7 @@ def _sweep_rows(args, ctx) -> List[SweepRow]:
     if spec is None:
         raise _UsageError("sweep needs --n a..b (or --n-at nm --m a..b)")
     lo, hi = _parse_range(spec, "--n")
+    _check_rows(lo, hi, "--n")
     try:
         return sweep(gen, lo, hi, ctx, with_bounds=want_bounds)
     except ValueError as e:
@@ -291,11 +307,22 @@ def _cmd_points(args) -> Tuple[str, int]:
         raise _UsageError(str(e))
     if args.format == "csv":
         return points_to_csv(ps, args.digits), EXIT_OK
-    return _dumps(points_to_json(ps, args.digits)), EXIT_OK
+    return _points_json(points_to_json(ps, args.digits)), EXIT_OK
 
 
 def _dumps(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _points_json(payload: dict) -> str:
+    # byte-identical to _dumps(payload): with indent set, json.dumps runs
+    # its pure-Python encoder on every point string, so join the array
+    # here.  The points are str(Decimal) text (no character needs
+    # escaping), the list is never empty (n >= 1), and it is the last key.
+    points = payload.pop("points")
+    head = json.dumps(payload, indent=2)[:-2]  # drop the closing "\n}"
+    body = '",\n    "'.join(points)
+    return f'{head},\n  "points": [\n    "{body}"\n  ]\n}}\n'
 
 
 _COMMANDS = {
@@ -325,6 +352,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PRECISION
     except (OutOfRangeError, AlphaSpecError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    # a bare KronmeshError is a broken invariant; exit 1 as an uncaught
+    # exception would, but with one error line instead of a traceback
+    except KronmeshError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     out_path = getattr(args, "out", None)

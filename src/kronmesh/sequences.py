@@ -203,15 +203,19 @@ def van_der_corput(base: int, n: int) -> PointSet:
     if n < 1:
         raise ValueError("n must be >= 1")
     # on the lattice base**k, k the digit count of n - 1, reversing the
-    # digits of i = q*base + d puts d at the top place and shifts q's down
+    # digits of i = d*base**j + r (r < base**j) puts d at place j + 1 below
+    # the point: x_i = x_r + d*M/base**(j+1), so each block shifts the
+    # prefix built so far, cut at n
     M = 1
     while M < n:
         M *= base
-    top = M // base
-    xs = [0] * n
-    for i in range(1, n):
-        q, d = divmod(i, base)
-        xs[i] = d * top + xs[q] // base
+    xs = [0]
+    step = M
+    while len(xs) < n:
+        size = len(xs)
+        step //= base
+        for off in range(step, base * step, step):
+            xs += [x + off for x in xs[:min(size, n - len(xs))]]
     return PointSet.lattice(tuple(xs), M, 0, None, "vdc")
 
 

@@ -208,6 +208,21 @@ def radical_inverse_reference(i: int, base: int) -> Fraction:
     return Fraction(num, base ** len(digs))
 
 
+def vdc_digit_reversal(base: int, n: int):
+    """(xs, M): van der Corput points 0..n-1 on the lattice M = base**k, k
+    the digit count of n - 1, one reversal step per point: the digits of
+    i = q*base + d put d at the top place and shift q's down."""
+    M = 1
+    while M < n:
+        M *= base
+    top = M // base
+    xs = [0] * n
+    for i in range(1, n):
+        q, d = divmod(i, base)
+        xs[i] = d * top + xs[q] // base
+    return xs, M
+
+
 def greedy_reference(n: int, tie_break: str = "leftmost"):
     """Farthest-point packing reference: rescans every candidate each step."""
     pts = [Fraction(1, 2)]

@@ -292,6 +292,41 @@ def test_criterion_7_gap_length_product_identity(capsys):
                       f"oracle within 2^-128{cap_note} ({dt:.1f}s)"))
 
 
+def _circle_max_rescan(points):
+    """Largest max-arc/min-arc ratio over the prefixes of at least two
+    points, rescanning every arc of the circle after each insertion."""
+    circle_max = Fraction(0)
+    srt = []
+    for i, x in enumerate(points):
+        bisect.insort(srt, x)
+        if i == 0:
+            continue
+        arcs = [b - a for a, b in zip(srt, srt[1:])]
+        arcs.append(1 - srt[-1] + srt[0])
+        circle_max = max(circle_max, max(arcs) / min(arcs))
+    return circle_max
+
+
+def _circle_max_split(points):
+    """_circle_max_rescan, updating only the arc each new point splits: the
+    arcs are kept as a multiset of exact lengths."""
+    circle_max = Fraction(0)
+    srt = [points[0]]
+    arcs = Counter({Fraction(1): 1})
+    for x in points[1:]:
+        j = bisect.bisect(srt, x)
+        a = srt[j - 1] if j else srt[-1] - 1
+        b = srt[j] if j < len(srt) else srt[0] + 1
+        arcs[b - a] -= 1
+        if not arcs[b - a]:
+            del arcs[b - a]
+        arcs[x - a] += 1
+        arcs[b - x] += 1
+        srt.insert(j, x)
+        circle_max = max(circle_max, max(arcs) / min(arcs))
+    return circle_max
+
+
 def test_criterion_8_vdc_and_greedy(capsys):
     t0 = time.time()
     # With unhalved boundary distances, a base-2 prefix with
@@ -305,15 +340,9 @@ def test_criterion_8_vdc_and_greedy(capsys):
     ]
 
     # circle reading: widest arc over narrowest arc, no boundary terms
-    circle_max = Fraction(0)
-    srt = []
-    for i, x in enumerate(km.van_der_corput(2, 4096).points):
-        bisect.insort(srt, x)
-        if i == 0:
-            continue
-        arcs = [b - a for a, b in zip(srt, srt[1:])]
-        arcs.append(1 - srt[-1] + srt[0])
-        circle_max = max(circle_max, max(arcs) / min(arcs))
+    points = km.van_der_corput(2, 4096).points
+    assert _circle_max_split(points[:512]) == _circle_max_rescan(points[:512])
+    circle_max = _circle_max_split(points)
 
     greedy_rows = km.sweep(GreedyGen(tie_break="leftmost"), 2, 1024)
     greedy_max = max(row.metrics.mesh_ratio for row in greedy_rows)

@@ -321,6 +321,81 @@ def test_points_cap_refuses_before_generating(capsys, monkeypatch, gen, n):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--gen", "vdc", "--n", f"2..{10 ** 30}"),
+    ("--alpha", "golden", "--n", f"2..{cli.MAX_ROWS + 2}"),
+    ("--gen", "greedy", "--n-range", f"3..{cli.MAX_ROWS + 3}", "--format", "json"),
+    ("--alpha", "golden", "--n-at", "nm", "--m", f"1..{10 ** 9}"),
+    ("--alpha", "sqrt:2", "--n-at", "nm", "--m", f"5..{cli.MAX_ROWS + 5}"),
+])
+def test_sweep_cap_refuses_before_evaluating(capsys, monkeypatch, argv):
+    # a vdc sweep over 2..10**30 once built one row per n until memory ran
+    # out; the row cap is checked on the parsed range before any row
+    def fail(*args, **kwargs):
+        raise AssertionError("rows evaluated")
+
+    metrics = importlib.import_module("kronmesh.metrics")
+    for module in (cli, metrics):
+        for name in ("sweep", "mesh_ratio_structural", "kronecker_bounds"):
+            monkeypatch.setattr(module, name, fail)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sweep", *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cap" in err and "Traceback" not in err
+
+
+def test_sweep_cap_admits_exactly_the_cap(capsys, monkeypatch):
+    class Evaluated(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Evaluated
+
+    monkeypatch.setattr(cli, "sweep", stop)
+    with pytest.raises(Evaluated):
+        main(["sweep", "--gen", "vdc", "--n", f"2..{cli.MAX_ROWS + 1}"])
+
+
+def test_bare_kronmesh_error_exits1(capsys, monkeypatch):
+    # decompose raises a bare KronmeshError for a broken invariant
+    def broken(exp, n):
+        raise kronmesh.KronmeshError(f"decomposition out of range at n={n}")
+
+    monkeypatch.setattr(importlib.import_module("kronmesh.threegap"),
+                        "decompose", broken)
+    code, out, err = run(capsys, "gaps", "--alpha", "golden", "--n", "5")
+    assert code == 1 and out == ""
+    assert err == "error: decomposition out of range at n=5\n"
+
+
+_DUMP_GENERATORS = (
+    [(("--gen", "vdc", "--base", str(b)), kronmesh.VdcGen(b)) for b in range(2, 17)]
+    + [(("--gen", "greedy", "--tie-break", t), kronmesh.GreedyGen(t))
+       for t in ("leftmost", "rightmost")]
+    + [(("--alpha", a), kronmesh.KroneckerGen(kronmesh.parse_alpha(a)))
+       for a in ("golden", "sqrt:7", "cf:0;5,4(6,8,6)",
+                 "cf:0;1,2,3,4,5,6,7,8", "rat:3/7")]
+)
+
+
+@pytest.mark.parametrize("argv,gen", _DUMP_GENERATORS,
+                         ids=[" ".join(a) for a, _ in _DUMP_GENERATORS])
+def test_points_json_is_json_dumps(capsys, argv, gen):
+    # the points writer joins the array itself; its text must stay the
+    # one json.dumps(indent=2) gives
+    for n in (1, 2, 1000):
+        ps = kronmesh.generate(gen, n)
+        for digits in (1, 2, 17, 40, 90, 120):
+            code, out, err = run(capsys, "points", *argv, "--n", str(n),
+                                 "--digits", str(digits), "--format", "json")
+            payload = kronmesh.points_to_json(ps, digits)
+            assert (code, err) == (0, ""), (n, digits)
+            assert out == json.dumps(payload, indent=2) + "\n", (n, digits)
+            assert json.loads(out) == payload, (n, digits)
+
+
 def test_main_builds_one_parser(capsys, monkeypatch):
     builds = []
     original = cli.build_parser

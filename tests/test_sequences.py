@@ -97,6 +97,26 @@ def test_vdc_matches_reference():
             assert x == oracles.radical_inverse_reference(i, base), (base, i)
 
 
+def test_vdc_blocks_match_digit_reversal():
+    # every n <= 3000 and the sizes around each power up to 10**5; sizes of
+    # one lattice come largest first, so one oracle run serves them all
+    for base in range(2, 17):
+        sizes = set(range(1, 3001))
+        p = base
+        while p <= 10 ** 5:
+            sizes.update((p - 1, p, p + 1))
+            p *= base
+        ref, M = (), 0
+        for n in sorted(sizes, reverse=True):
+            if not ref or n <= M // base:  # below the oracle's lattice
+                xs, M = oracles.vdc_digit_reversal(base, n)
+                ref = tuple(xs)
+            ps = km.van_der_corput(base, n)
+            assert ps.modulus == M, (base, n)
+            assert len(ps.xs) == n, (base, n)
+            assert ps.xs == ref[:n], (base, n)
+
+
 def test_vdc_rejects_bad_base():
     with pytest.raises(ValueError):
         km.van_der_corput(1, 4)
