@@ -205,7 +205,8 @@ def van_der_corput(base: int, n: int) -> PointSet:
     # on the lattice base**k, k the digit count of n - 1, reversing the
     # digits of i = d*base**j + r (r < base**j) puts d at place j + 1 below
     # the point: x_i = x_r + d*M/base**(j+1), so each block shifts the
-    # prefix built so far, cut at n
+    # prefix built so far, cut at n; only the first ceil(n / size) digits d
+    # reach below n, so the work stays O(n) however large the base
     M = 1
     while M < n:
         M *= base
@@ -214,7 +215,7 @@ def van_der_corput(base: int, n: int) -> PointSet:
     while len(xs) < n:
         size = len(xs)
         step //= base
-        for off in range(step, base * step, step):
+        for off in range(step, min(base, -(-n // size)) * step, step):
             xs += [x + off for x in xs[:min(size, n - len(xs))]]
     return PointSet.lattice(tuple(xs), M, 0, None, "vdc")
 

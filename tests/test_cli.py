@@ -321,6 +321,16 @@ def test_points_cap_refuses_before_generating(capsys, monkeypatch, gen, n):
     assert "Traceback" not in err
 
 
+def test_points_vdc_huge_base_is_quick(capsys):
+    # the work of a vdc dump is bounded by --n, however large --base is
+    start = time.perf_counter()
+    code, out, err = run(capsys, "points", "--gen", "vdc", "--base",
+                         str(10 ** 12), "--n", "2", "--format", "csv")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == ""
+    assert out == "index,value\n0,0\n1,1E-12\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("--gen", "vdc", "--n", f"2..{10 ** 30}"),
     ("--alpha", "golden", "--n", f"2..{cli.MAX_ROWS + 2}"),

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,18 @@ def test_vdc_blocks_match_digit_reversal():
             assert ps.modulus == M, (base, n)
             assert len(ps.xs) == n, (base, n)
             assert ps.xs == ref[:n], (base, n)
+
+
+def test_vdc_huge_base_stays_linear_in_n():
+    # a block once ran all base - 1 digit offsets, so the work grew with the
+    # base, not with n; only the digits that reach below n may be visited
+    for base in (1001, 10 ** 7, 10 ** 12):
+        for n in (1, 2, 1000):
+            start = time.perf_counter()
+            ps = km.van_der_corput(base, n)
+            assert time.perf_counter() - start < 1, (base, n)
+            xs, M = oracles.vdc_digit_reversal(base, n)
+            assert ps.modulus == M and ps.xs == tuple(xs), (base, n)
 
 
 def test_vdc_rejects_bad_base():
