@@ -12,14 +12,16 @@ Exit codes: 0 success; 1 usage or parse error; 2 unsupported input class
 precision unresolved at the configured ceiling; 4 infinite mesh ratio.
 `points` refuses --n above 10**6 (MAX_POINTS) with exit 1 before it builds
 any point, and `sweep` refuses a --n or --m range of more than 10**6 rows
-(MAX_ROWS) with exit 1 before it evaluates any.  A bare KronmeshError (a
-broken internal invariant) exits 1 with an error line, not a traceback.
+(MAX_ROWS), or an --n-at nm range whose last n_m has more than 2048 bits
+(MAX_NM_BITS), with exit 1 before it evaluates any row.  A bare
+KronmeshError (a broken internal invariant) exits 1 with an error line.
 
 Output is deterministic: the same arguments produce byte-identical output.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -70,6 +72,11 @@ MAX_POINTS = 10 ** 6
 # the most rows one sweep evaluates: each row is a SweepRow and an output
 # line, so the cap is checked on the parsed range before any row is built
 MAX_ROWS = 10 ** 6
+
+# the largest n_m, in bits, an --n-at nm sweep evaluates: n_m grows
+# exponentially in m, so the row cap alone does not bound its time (the
+# slowest sweep admitted, golden --m 1..2949, takes about 4 s)
+MAX_NM_BITS = 2048
 
 
 class _UsageError(Exception):
@@ -209,10 +216,7 @@ def _cmd_gaps(args) -> Tuple[str, int]:
     gs = gap_structure(exp, n)
     report = lengths_check(gs)
     payload = gap_structure_json(gs, exp, ctx, args.digits)
-    payload["checks"] = [
-        {"name": c.name, "passed": c.passed, "detail": c.detail}
-        for c in report.checks
-    ]
+    payload["checks"] = [dataclasses.asdict(c) for c in report.checks]
     payload["all_passed"] = report.all_passed
     code = EXIT_OK if report.all_passed else EXIT_PRECISION
     return _dumps(payload), code
@@ -237,6 +241,18 @@ def _check_rows(lo: int, hi: int, what: str) -> None:
         )
 
 
+def _check_nm(exp: CFExpansion, m_hi: int) -> None:
+    """Refuse n_{m_hi} above MAX_NM_BITS, extending digits only until n_m
+    passes it (a prefix that ends first is reported by the row loop)."""
+    m = min(exp.depth, m_hi)
+    while exp.n[m].bit_length() <= MAX_NM_BITS:
+        if m == m_hi or not exp.ensure(m + 1):
+            return
+        m += 1
+    raise _UsageError(f"--m reaches n_{m} of {exp.n[m].bit_length()} bits, "
+                      f"above the n_m cap of {MAX_NM_BITS} bits")
+
+
 def _sweep_rows(args, ctx) -> List[SweepRow]:
     gen = _generator(args)
     want_bounds = not args.no_bounds
@@ -252,6 +268,7 @@ def _sweep_rows(args, ctx) -> List[SweepRow]:
         if m_lo < 1:
             raise _UsageError("--m range must start at m >= 1")
         _check_rows(m_lo, m_hi, "--m")
+        _check_nm(exp, m_hi)
         rows = []
         for m in range(m_lo, m_hi + 1):
             if not exp.ensure(m):
@@ -285,14 +302,9 @@ def _cmd_sweep(args) -> Tuple[str, int]:
 def _cmd_classify(args) -> Tuple[str, int]:
     if args.probe < 1:
         raise _UsageError("--probe must be >= 1")
+    # the JSON keys are the Classification fields, in order
     verdict = is_badly_approximable(parse_alpha(args.alpha), args.probe)
-    payload = {
-        "verdict": verdict.verdict,
-        "digit_sup": verdict.digit_sup,
-        "certainty": verdict.certainty,
-        "c_bound": verdict.c_bound,
-    }
-    return _dumps(payload), EXIT_OK
+    return _dumps(dataclasses.asdict(verdict)), EXIT_OK
 
 
 def _cmd_points(args) -> Tuple[str, int]:

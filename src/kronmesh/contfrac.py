@@ -154,14 +154,6 @@ class QuadraticSurd:
         """Exact floor(value * 2**bits)."""
         return _floor_surd(self.P << bits, self.D << (2 * bits), self.Q)
 
-    def floor(self) -> int:
-        return self.floor_scaled(0)
-
-    def enclosure(self, bits: int) -> Interval:
-        f = self.floor_scaled(bits)
-        unit = Fraction(1, 1 << bits)
-        return Interval(f * unit, (f + 1) * unit)
-
 
 @dataclass(frozen=True)
 class Rational:
@@ -228,17 +220,6 @@ def _convergent_pair(digits: Tuple[int, ...]) -> Tuple[int, int, int, int]:
     return p, p_prev, q, q_prev
 
 
-def _tail_bracket(window: Tuple[int, ...]) -> Interval:
-    """Enclosure of [0; d_1, ..., d_W + x] over x in [0, 1] for the window
-    (d_1, ..., d_W): the value (p + x p') / (q + x q') runs from the
-    convergent p/q to the mediant (p + p') / (q + q'), width 1/(q (q + q')),
-    exactly the ends the backward recurrence x -> 1/(d_j + x) gives from
-    the seeds 0 and 1."""
-    p, p_prev, q, q_prev = _convergent_pair((0, *window))
-    end, mediant = Fraction(p, q), Fraction(p + p_prev, q + q_prev)
-    return Interval(end, mediant) if end < mediant else Interval(mediant, end)
-
-
 def _periodic_tail_surd(preperiod_tail: Tuple[int, ...], period: Tuple[int, ...]) -> QuadraticSurd:
     """Exact value of [0; b_1, ..., b_k, (c_1, ..., c_L) repeating] as a surd.
 
@@ -299,6 +280,7 @@ class CFExpansion:
         self.n: list = []
         self.finite = False
         self.periodic: Optional[Tuple[int, int]] = None
+        self._scaled: dict = {}  # bits -> alpha0_scaled(bits)
 
         if isinstance(spec, Rational):
             self._rational_digits = _euclid_digits(spec.as_fraction())
@@ -442,11 +424,19 @@ class CFExpansion:
             raise PrecisionUnresolvedError(
                 "no digits beyond a_0; alpha mod 1 is unconstrained in [0, 1]"
             )
-        return _tail_bracket(self.digits[1:M + 1])
+        return _window_bracket(self, 0, M)
 
     def alpha0_scaled(self, bits: int) -> Tuple[int, int]:
         """(A, U) with (alpha mod 1) * 2**bits in [A, A + U]; U = 1 whenever
-        the value is exactly known."""
+        the value is exactly known.  Memoized per bits without a lock: the
+        value depends only on (spec, bits), so threads racing on a miss
+        store equal tuples, and one dict read or write is atomic."""
+        hit = self._scaled.get(bits)
+        if hit is None:
+            hit = self._scaled[bits] = self._alpha0_scaled(bits)
+        return hit
+
+    def _alpha0_scaled(self, bits: int) -> Tuple[int, int]:
         spec = self.spec
         if isinstance(spec, Rational):
             x = spec.as_fraction()
@@ -463,12 +453,24 @@ class CFExpansion:
         U = -((-hi_num) // iv.hi.denominator) - A
         return (A, max(U, 1))
 
-    def alpha0_best_enclosure(self, bits: int) -> Interval:
-        """Valid enclosure of alpha mod 1 at scale 2**-bits; the width may
-        exceed 2**-bits when only a digit prefix constrains the value."""
-        A, U = self.alpha0_scaled(bits)
-        unit = Fraction(1, 1 << bits)
-        return Interval(A * unit, (A + U) * unit)
+
+def _window_bracket(exp: CFExpansion, m: int, e: int) -> Interval:
+    """Enclosure of alpha_m = [0; a_{m+1}, ..., a_e + x] over x in [0, 1]
+    for known digits m < e, between the window's convergent (x = 0) and its
+    mediant (x = 1); exact when a terminating expansion ends at a_e.  With
+    P_j = p_j - a_0 q_j and Q_j = q_j read off the stored convergents
+    ((p_-1, q_-1) = (1, 0)), alpha0 = (P_e + x P_{e-1}) / (Q_e + x Q_{e-1})
+    and alpha_m is its unimodular image t(P / Q) = (Q_m P - P_m Q) /
+    (P_{m-1} Q - Q_{m-1} P), so the bracket costs O(1) in the window."""
+    a0 = exp.digits[0]
+    (Pl, Ql), (Pm, Qm), (Pf, Qf), (Pe, Qe) = (
+        (p - a0 * q, q) for p, q in (exp.convergents[j] if j >= 0 else (1, 0)
+                                     for j in (m - 1, m, e - 1, e)))
+    end, mediant = (Fraction(Qm * P - Pm * Q, Pl * Q - Ql * P)
+                    for P, Q in ((Pe, Qe), (Pe + Pf, Qe + Qf)))
+    if exp.finite and e == exp.depth:
+        return Interval(end, end)
+    return Interval(end, mediant) if end < mediant else Interval(mediant, end)
 
 
 def expand(alpha: AlphaSpec, m_max: int) -> CFExpansion:
@@ -490,8 +492,9 @@ def alpha_tail(exp: CFExpansion, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT
 
     The enclosure is the bracket of the digit window a_{m+1}..a_{m+w}
     between its convergent and its mediant (the unknown remainder ranges
-    over [0, 1]).  The window starts at w = max(16, 3 (bits - guard) / 4)
-    digits and doubles until the width target 2**(guard - bits) is met.
+    over [0, 1]), read off the stored convergents in O(1).  The window
+    starts at w = max(16, 3 (bits - guard) / 4) digits and doubles until
+    the width target 2**(guard - bits) is met.
     Terminating tails come out exact.
     """
     if m < 0:
@@ -500,30 +503,27 @@ def alpha_tail(exp: CFExpansion, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT
 
     if exp.finite:
         exp.ensure(10 ** 9)  # rational digits are finite; materialize all
-        M = exp.depth
-        if m >= M:
-            raise UnsupportedAlphaError(
-                f"alpha_{m} needs digits beyond a_{M}, but the expansion terminates"
-            )
-        p, _, q, _ = _convergent_pair((0, *exp.digits[m + 1:]))
-        return Interval.point(Fraction(p, q))
-
     w = max(16, (3 * (ctx.bits - ctx.guard)) // 4)
     while True:
-        if not exp.ensure(m + w):
+        # a terminating expansion's bracket of all its digits is exact
+        if exp.finite or not exp.ensure(m + w):
             M = exp.depth
+            if M <= m and exp.finite:
+                raise UnsupportedAlphaError(
+                    f"alpha_{m} needs digits beyond a_{M}, but the expansion terminates"
+                )
             if M <= m:
                 raise PrecisionUnresolvedError(
                     f"alpha_{m} needs digits beyond a_{M}; the known prefix is too short"
                 )
-            iv = _tail_bracket(exp.digits[m + 1:])
+            iv = _window_bracket(exp, m, M)
             if iv.width <= target:
                 return iv
             raise PrecisionUnresolvedError(
                 f"alpha_{m} certified only to width {float(iv.width):.3e} from digits "
                 f"through a_{M}; need roughly depth {m + w} for width 2**-{ctx.bits - ctx.guard}"
             )
-        iv = _tail_bracket(exp.digits[m + 1:m + w + 1])
+        iv = _window_bracket(exp, m, m + w)
         if iv.width <= target:
             return iv
         w *= 2
@@ -542,7 +542,7 @@ def alpha_tail_best(exp: CFExpansion, m: int, ctx: PrecisionContext = DEFAULT_CO
     except PrecisionUnresolvedError:
         if exp.depth <= m:
             raise
-        return _tail_bracket(exp.digits[m + 1:])
+        return _window_bracket(exp, m, exp.depth)
 
 
 def digit_supremum(exp: CFExpansion, probe_depth: int = 64) -> Tuple[int, str]:

@@ -31,11 +31,6 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
 
-    @staticmethod
-    def point(x: Rat) -> "Interval":
-        x = Fraction(x)
-        return Interval(x, x)
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -43,15 +38,6 @@ class Interval:
     @property
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
 
     def scale(self, c: Rat) -> "Interval":
         if c >= 0:
@@ -74,9 +60,6 @@ class Interval:
 
     def min_with(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), min(self.hi, other.hi))
-
-    def max_with(self, other: "Interval") -> "Interval":
-        return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
 
 
 _ROUNDING = {

@@ -50,8 +50,8 @@ from .sequences import (
     _KroneckerRun,
     working_scale_bits,
 )
-from .threegap import (GapStructure, LinearForm, _gap_structure, decompose,
-                       form_interval, gap_structure)
+from .threegap import (GapStructure, LinearForm, _form_rung, _gap_structure,
+                       decompose, gap_structure)
 
 INF = math.inf
 
@@ -261,33 +261,41 @@ def kronecker_bounds(
 def mesh_ratio_structural(
     exp, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> QUMetrics:
-    """Mesh ratio of a Kronecker prefix from enclosures of its gap forms."""
+    """Mesh ratio of a Kronecker prefix from enclosures of its gap forms:
+    the largest interior gap, twice the gap touching 1 and the smallest
+    interior gap, each on its own ladder, shifted to the finest rung 2**-B.
+    Fill and separation are [F_lo, F_hi] and [S_lo, S_hi] / 2**(B + 1) and
+    rho is [F_lo / S_hi, F_hi / S_lo] (gap lengths are positive), each
+    reported by its midpoint, with half the largest width as the error."""
     if n < 2:
         raise ValueError("mesh ratio needs n >= 2")
     exp = _as_expansion(exp)
     last_form, present = _gap_roles(gap_structure(exp, n))
     ordered = _order_forms(exp, present, ctx)
-    minint, maxint = ordered[0], ordered[-1]
-
-    # fill = max(max interior gap, 2 * last gap) / 2; left boundary is a point
-    fill_iv = form_interval(exp, maxint, ctx, require_positive=True).max_with(
-        form_interval(exp, last_form.scale(2), ctx, require_positive=True)
-    ).scale(Fraction(1, 2))
-    sep_iv = form_interval(exp, minint, ctx, require_positive=True).scale(Fraction(1, 2))
-    rho_iv = fill_iv / sep_iv
-    err = max(fill_iv.width, sep_iv.width, rho_iv.width) / 2
-    return QUMetrics(n, fill_iv.mid, sep_iv.mid, rho_iv.mid, "structure-exact", err)
+    rungs = [_form_rung(exp, form, ctx, True)
+             for form in (ordered[-1], last_form.scale(2), ordered[0])]
+    B = max(bits for _, _, bits in rungs)
+    (maxlo, maxhi), (lastlo, lasthi), (S_lo, S_hi) = (
+        (lo << (B - bits), hi << (B - bits)) for lo, hi, bits in rungs)
+    F_lo, F_hi = max(maxlo, lastlo), max(maxhi, lasthi)
+    den = S_lo * S_hi
+    half_widths = (Fraction(max(F_hi - F_lo, S_hi - S_lo), 1 << (B + 2)),
+                   Fraction(F_hi * S_hi - F_lo * S_lo, 2 * den))
+    return QUMetrics(n, Fraction(F_lo + F_hi, 1 << (B + 2)),
+                     Fraction(S_lo + S_hi, 1 << (B + 2)),
+                     Fraction(F_lo * S_lo + F_hi * S_hi, 2 * den),
+                     "structure-exact", max(half_widths))
 
 
 def _order_forms(exp, forms, ctx) -> List[LinearForm]:
     """The distinct forms sorted by true value, escalating precision until
     they separate."""
     def attempt(bits):
-        ivs = {form: form.enclosure(exp, bits) for form in forms}
-        ordered = sorted(ivs, key=lambda form: ivs[form].lo)
-        if all(ivs[a].hi < ivs[b].lo for a, b in zip(ordered, ordered[1:])):
+        units = {form: form.units(exp, bits) for form in forms}
+        ordered = sorted(units, key=lambda form: units[form][0])
+        if all(units[a][1] < units[b][0] for a, b in zip(ordered, ordered[1:])):
             return ordered, None
-        return None, max(iv.width for iv in ivs.values())
+        return None, Fraction(max(hi - lo for lo, hi in units.values()), 1 << bits)
 
     return ctx.escalate(attempt, ctx.bits, "gap-length ordering")
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .contfrac import CFExpansion, DEFAULT_CONTEXT, PrecisionContext
@@ -46,11 +47,13 @@ class LinearForm:
     def scale(self, c: int) -> "LinearForm":
         return LinearForm(self.u * c, self.v * c)
 
-    def enclosure(self, exp: CFExpansion, bits: int) -> Interval:
-        # best-effort base enclosure: always valid, and for digit-prefix
-        # alphas it stays usable past the prefix resolution instead of
-        # failing; callers needing a width promise check it themselves
-        return exp.alpha0_best_enclosure(bits).scale(self.u).shift(self.v)
+    def units(self, exp: CFExpansion, bits: int) -> Tuple[int, int]:
+        """(lo, hi), the form in [lo, hi] / 2**bits: u*A + v*2**bits and that
+        plus u*U for alpha0 * 2**bits in [A, A + U] (always valid; callers
+        needing a width promise check it themselves)."""
+        A, U = exp.alpha0_scaled(bits)
+        lo = self.u * A + (self.v << bits)
+        return (lo + self.u * U, lo) if self.u < 0 else (lo, lo + self.u * U)
 
 
 ONE = LinearForm(0, 1)
@@ -93,12 +96,21 @@ def form_interval(
 ) -> Interval:
     """Evaluate a linear form, escalating precision until the enclosure is
     strictly signed when asked to."""
+    *ends, bits = _form_rung(exp, form, ctx, require_positive)
+    return Interval(*(Fraction(x, 1 << bits) for x in ends))
+
+
+def _form_rung(exp: CFExpansion, form: LinearForm, ctx: PrecisionContext,
+               require_positive: bool) -> Tuple[int, int, int]:
+    """form_interval as (lo, hi, bits): the enclosure [lo, hi] / 2**bits at
+    the rung that decides it."""
     if not require_positive or form == ZERO:
-        return form.enclosure(exp, ctx.bits)
+        return (*form.units(exp, ctx.bits), ctx.bits)
 
     def attempt(bits):
-        iv = form.enclosure(exp, bits)
-        return (iv, None) if iv.lo > 0 or iv.hi < 0 else (None, iv.width)
+        lo, hi = form.units(exp, bits)
+        signed = lo > 0 or hi < 0
+        return ((lo, hi, bits), None) if signed else (None, Fraction(hi - lo, 1 << bits))
 
     return ctx.escalate(attempt, ctx.bits, f"sign of {form.u}*alpha+{form.v}")
 
@@ -183,36 +195,18 @@ class LengthsReport:
 def lengths_check(gs: GapStructure) -> LengthsReport:
     """Exact integer verification of the structural identities."""
     (l1, c1), (l2, c2), (l3, c3) = gs.entries
-    checks = []
-
     middle = l1 + l3
-    checks.append(
-        IdentityCheck(
-            "middle equals first plus third",
-            middle == l2,
-            f"({l1.u},{l1.v}) + ({l3.u},{l3.v}) = ({middle.u},{middle.v}) "
-            f"vs ({l2.u},{l2.v})",
-        )
-    )
-
     total = l1.scale(c1) + l2.scale(c2) + l3.scale(c3)
-    checks.append(
-        IdentityCheck(
-            "gaps tile the unit interval",
-            total == ONE,
-            f"sum of count*length = ({total.u},{total.v}), expected (0,1)",
-        )
-    )
-
     count = c1 + c2 + c3
-    checks.append(
-        IdentityCheck(
-            "multiplicities sum to n",
-            count == gs.n and min(c1, c2, c3) >= 0,
-            f"{c1} + {c2} + {c3} = {count}, expected {gs.n}",
-        )
-    )
-    return LengthsReport(tuple(checks))
+    return LengthsReport((
+        IdentityCheck("middle equals first plus third", middle == l2,
+                      f"({l1.u},{l1.v}) + ({l3.u},{l3.v}) = ({middle.u},{middle.v}) "
+                      f"vs ({l2.u},{l2.v})"),
+        IdentityCheck("gaps tile the unit interval", total == ONE,
+                      f"sum of count*length = ({total.u},{total.v}), expected (0,1)"),
+        IdentityCheck("multiplicities sum to n", count == gs.n and min(c1, c2, c3) >= 0,
+                      f"{c1} + {c2} + {c3} = {count}, expected {gs.n}"),
+    ))
 
 
 def gap_structure_json(

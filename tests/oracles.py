@@ -6,6 +6,10 @@ sorted-prefix gap multisets, O(n^2) pairwise metrics, grid fill oracles,
 digit-reversal radical inverses, an exact sign test for a + b*sqrt(D), the
 defining recurrence of the three-gap lengths eta_m, backward-recurrence
 tail enclosures, and big-float continued-fraction machinery via mpmath.
+The structure path the package once ran is kept as well: tail brackets by
+a loop over the digit window, and gap-form enclosures, their order and the
+structure-exact mesh ratio by Interval arithmetic (the package reads the
+brackets off its convergents and evaluates the forms on integers).
 The sorted-point Kronecker metrics reuse the package's point generator
 and precision ladder; they differ from the package in reading the metrics
 off sorted points instead of the three-gap forms.  Likewise the sorted-point
@@ -139,6 +143,146 @@ def eta_product_interval(digits, m: int):
         tlo, thi = tail_interval_from_digits(digits, j)
         lo, hi = lo * tlo, hi * thi
     return lo, hi
+
+
+# -- the window loops and Interval arithmetic the structure path replaced ----
+
+def tail_bracket(window):
+    """Enclosure of [0; d_1, ..., d_W + x] over x in [0, 1] for the window
+    (d_1, ..., d_W), by the forward convergent loop over the window: the
+    value (p + x p') / (q + x q') runs from the convergent p/q to the
+    mediant (p + p') / (q + q'), the ends the backward recurrence
+    x -> 1/(d_j + x) gives from the seeds 0 and 1."""
+    from kronmesh.intervals import Interval
+
+    p_prev, p, q_prev, q = 1, 0, 0, 1
+    for a in window:
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+    end, mediant = Fraction(p, q), Fraction(p + p_prev, q + q_prev)
+    return Interval(end, mediant) if end < mediant else Interval(mediant, end)
+
+
+def alpha0_scaled_window(exp, bits: int):
+    """exp.alpha0_scaled(bits) without the memo, a digit prefix bracketed
+    by tail_bracket over a_1..a_M."""
+    if exp.is_rational or exp._alpha0_surd is not None or exp.depth < 1:
+        return exp._alpha0_scaled(bits)
+    exp.ensure(len(exp.spec.preperiod) - 1)
+    iv = tail_bracket(exp.digits[1:exp.depth + 1])
+    A = (iv.lo.numerator << bits) // iv.lo.denominator
+    U = -((-(iv.hi.numerator << bits)) // iv.hi.denominator) - A
+    return (A, max(U, 1))
+
+
+def alpha_tail_window(exp, m: int, ctx):
+    """alpha_tail by brackets of the digit window a_{m+1}..a_{m+w}, w from
+    max(16, 3 (bits - guard) / 4) doubling until the width target is met;
+    the same errors for a short prefix or a terminating expansion."""
+    from kronmesh.errors import OutOfRangeError, PrecisionUnresolvedError
+    from kronmesh.errors import UnsupportedAlphaError
+    from kronmesh.intervals import Interval
+
+    if m < 0:
+        raise OutOfRangeError("alpha_m defined for m >= 0")
+    target = Fraction(1, 1 << (ctx.bits - ctx.guard))
+    if exp.finite:
+        exp.ensure(10 ** 9)
+        M = exp.depth
+        if m >= M:
+            raise UnsupportedAlphaError(
+                f"alpha_{m} needs digits beyond a_{M}, but the expansion terminates"
+            )
+        x = Fraction(0)  # [0; a_{m+1}, ..., a_M], evaluated backwards
+        for a in reversed(exp.digits[m + 1:]):
+            x = 1 / (a + x)
+        return Interval(x, x)
+    w = max(16, (3 * (ctx.bits - ctx.guard)) // 4)
+    while True:
+        if not exp.ensure(m + w):
+            M = exp.depth
+            if M <= m:
+                raise PrecisionUnresolvedError(
+                    f"alpha_{m} needs digits beyond a_{M}; the known prefix is too short"
+                )
+            iv = tail_bracket(exp.digits[m + 1:])
+            if iv.width <= target:
+                return iv
+            raise PrecisionUnresolvedError(
+                f"alpha_{m} certified only to width {float(iv.width):.3e} from digits "
+                f"through a_{M}; need roughly depth {m + w} for width 2**-{ctx.bits - ctx.guard}"
+            )
+        iv = tail_bracket(exp.digits[m + 1:m + w + 1])
+        if iv.width <= target:
+            return iv
+        w *= 2
+
+
+def alpha_tail_best_window(exp, m: int, ctx):
+    """alpha_tail_best over alpha_tail_window: the bracket of every known
+    digit when the prefix is too short for the width target."""
+    from kronmesh.errors import PrecisionUnresolvedError
+
+    try:
+        return alpha_tail_window(exp, m, ctx)
+    except PrecisionUnresolvedError:
+        if exp.depth <= m:
+            raise
+        return tail_bracket(exp.digits[m + 1:])
+
+
+def form_enclosure_interval(exp, form, bits: int):
+    """The form u*alpha0 + v by Interval arithmetic: the enclosure of alpha0
+    at 2**-bits, scaled by u and shifted by v."""
+    from kronmesh.intervals import Interval
+
+    A, U = alpha0_scaled_window(exp, bits)
+    unit = Fraction(1, 1 << bits)
+    return Interval(A * unit, (A + U) * unit).scale(form.u).shift(form.v)
+
+
+def form_interval_interval(exp, form, ctx, require_positive: bool = False):
+    """form_interval on form_enclosure_interval, the same ladder site."""
+    if not require_positive or (form.u, form.v) == (0, 0):
+        return form_enclosure_interval(exp, form, ctx.bits)
+
+    def attempt(bits):
+        iv = form_enclosure_interval(exp, form, bits)
+        return (iv, None) if iv.lo > 0 or iv.hi < 0 else (None, iv.width)
+
+    return ctx.escalate(attempt, ctx.bits, f"sign of {form.u}*alpha+{form.v}")
+
+
+def mesh_ratio_structural_interval(exp, n: int, ctx):
+    """mesh_ratio_structural by Interval arithmetic: the gap forms ordered on
+    their enclosures, then fill = max(largest interior, twice the gap
+    touching 1) / 2, separation = smallest interior / 2 and rho = fill /
+    separation as intervals, each reported by its midpoint, with half the
+    largest width as the error."""
+    from kronmesh import QUMetrics
+    from kronmesh.intervals import Interval
+    from kronmesh.metrics import _gap_roles
+    from kronmesh.threegap import gap_structure
+
+    if n < 2:
+        raise ValueError("mesh ratio needs n >= 2")
+    last_form, present = _gap_roles(gap_structure(exp, n))
+
+    def order(bits):
+        ivs = {form: form_enclosure_interval(exp, form, bits) for form in present}
+        ordered = sorted(ivs, key=lambda form: ivs[form].lo)
+        if all(ivs[a].hi < ivs[b].lo for a, b in zip(ordered, ordered[1:])):
+            return ordered, None
+        return None, max(iv.width for iv in ivs.values())
+
+    ordered = ctx.escalate(order, ctx.bits, "gap-length ordering")
+    big = form_interval_interval(exp, ordered[-1], ctx, True)
+    last = form_interval_interval(exp, last_form.scale(2), ctx, True)
+    fill_iv = Interval(max(big.lo, last.lo), max(big.hi, last.hi)).scale(Fraction(1, 2))
+    sep_iv = form_interval_interval(exp, ordered[0], ctx, True).scale(Fraction(1, 2))
+    rho_iv = fill_iv / sep_iv
+    err = max(fill_iv.width, sep_iv.width, rho_iv.width) / 2
+    return QUMetrics(n, fill_iv.mid, sep_iv.mid, rho_iv.mid, "structure-exact", err)
 
 
 # -- brute-force prefix machinery -------------------------------------------

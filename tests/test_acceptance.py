@@ -26,6 +26,7 @@ from kronmesh import (
     GreedyGen,
 )
 from kronmesh.sequences import kronecker_scaled, working_scale_bits
+from kronmesh.threegap import form_interval
 from conftest import ALPHA_SPECS, PREFIX_SPEC, mp_scaled_points
 import oracles
 
@@ -54,7 +55,7 @@ def test_criterion_1_gap_multiset_oracle(capsys):
             gaps[M - srt[-1] + srt[0]] += 1
             gs = km.gap_structure(exp, n)
             want = [
-                (form.enclosure(exp, CTX.bits), count)
+                (form_interval(exp, form, CTX), count)
                 for form, count in gs.entries if count
             ]
             drift = 2 * max(i, 1) * unit

@@ -337,10 +337,13 @@ def test_points_vdc_huge_base_is_quick(capsys):
     ("--gen", "greedy", "--n-range", f"3..{cli.MAX_ROWS + 3}", "--format", "json"),
     ("--alpha", "golden", "--n-at", "nm", "--m", f"1..{10 ** 9}"),
     ("--alpha", "sqrt:2", "--n-at", "nm", "--m", f"5..{cli.MAX_ROWS + 5}"),
+    # within the row cap, but n_m passes MAX_NM_BITS near m = 2950
+    ("--alpha", "golden", "--n-at", "nm", "--m", f"1..{cli.MAX_ROWS}"),
 ])
 def test_sweep_cap_refuses_before_evaluating(capsys, monkeypatch, argv):
     # a vdc sweep over 2..10**30 once built one row per n until memory ran
-    # out; the row cap is checked on the parsed range before any row
+    # out; the row cap is checked on the parsed range before any row, and
+    # the n_m cap after extending digits only until n_m passes it
     def fail(*args, **kwargs):
         raise AssertionError("rows evaluated")
 
@@ -366,6 +369,34 @@ def test_sweep_cap_admits_exactly_the_cap(capsys, monkeypatch):
     monkeypatch.setattr(cli, "sweep", stop)
     with pytest.raises(Evaluated):
         main(["sweep", "--gen", "vdc", "--n", f"2..{cli.MAX_ROWS + 1}"])
+
+
+@pytest.mark.parametrize("spec", ["golden", "cf:0;9(9)", "sqrt:94"])
+def test_nm_cap_admits_the_largest_fitting_m(capsys, monkeypatch, spec):
+    class Evaluated(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Evaluated
+
+    exp = kronmesh.CFExpansion(kronmesh.parse_alpha(spec))
+    m = 1
+    while exp.n_at(m + 1).bit_length() <= cli.MAX_NM_BITS:
+        m += 1
+    monkeypatch.setattr(cli, "mesh_ratio_structural", stop)
+    with pytest.raises(Evaluated):
+        main(["sweep", "--alpha", spec, "--n-at", "nm", "--m", f"1..{m}"])
+    code, out, err = run(capsys, "sweep", "--alpha", spec, "--n-at", "nm",
+                         "--m", f"{m}..{m + 1}")
+    assert code == 1 and out == ""
+    assert err == (f"error: --m reaches n_{m + 1} of {exp.n_at(m + 1).bit_length()} "
+                   f"bits, above the n_m cap of {cli.MAX_NM_BITS} bits\n")
+
+
+def test_nm_cap_lies_far_above_the_sizes_in_use():
+    # the fixture sweeps m <= 80 and kron-deep's n_m stay below 10**60; a
+    # cap near them would refuse sweeps the benchmark and users run
+    assert cli.MAX_NM_BITS >= 8 * (10 ** 60).bit_length()
 
 
 def test_bare_kronmesh_error_exits1(capsys, monkeypatch):

@@ -16,7 +16,7 @@ from kronmesh import (
     Rational,
     UnsupportedAlphaError,
 )
-from kronmesh.contfrac import _tail_bracket
+from kronmesh.contfrac import _window_bracket
 from conftest import ALPHA_SPECS, PREFIX_SPEC, mpf_to_fraction
 import oracles
 
@@ -238,7 +238,12 @@ def test_tail_bracket_equals_backward_recurrence(data):
     digits = [data.draw(st.integers(min_value=0, max_value=3))] + digits
     m = data.draw(st.integers(min_value=0, max_value=len(digits) - 2))
     lo, hi = oracles.tail_interval_from_digits(digits, m)
-    iv = _tail_bracket(digits[m + 1:])
+    iv = oracles.tail_bracket(digits[m + 1:])
+    assert (iv.lo, iv.hi) == (lo, hi)
+    # and so is the bracket the package reads off the convergents
+    prefix = CFExpansion(ExplicitCF(tuple(digits)))
+    prefix.ensure(len(digits) - 1)
+    iv = _window_bracket(prefix, m, len(digits) - 1)
     assert (iv.lo, iv.hi) == (lo, hi)
     # the tail of the rational with these digits is exact: one of the ends
     exp = CFExpansion(Rational(*oracles.convergents_from_digits(digits)[-1]))

@@ -1,0 +1,222 @@
+"""The structure path on the integer lattice against the window loops and
+Interval arithmetic it replaced (kept in tests/oracles.py): the same tail
+brackets, enclosures, metrics and errors, and the same CLI output."""
+import importlib
+import random
+import threading
+
+import pytest
+
+import kronmesh as km
+from kronmesh import CFExpansion, PrecisionContext
+from kronmesh.cli import main
+from kronmesh.contfrac import _window_bracket
+from conftest import ALPHA_SPECS, PREFIX_SPEC
+import oracles
+
+SURDS = ("golden", "sqrt:2", "sqrt:13", "quad:3,7,2", "sqrt:94")
+PERIODIC = ("cf:0;(1,2)", "cf:1;9,3(9)", "cf:0;5,1(2,7,1,1)", "cf:2;(50)")
+PREFIXES = (PREFIX_SPEC, "cf:0;1,1,1,1,1,1", "cf:1;3,1,4,1,5,9,2,6,5,3,5,8,9,7,9,3",
+            "cf:0;" + ",".join(str(1 + j % 7) for j in range(320)))
+RATIONALS = ("rat:3/8", "rat:355/113", "rat:-7/30", "rat:" + "/".join(
+    str(n) for n in oracles.convergents_from_digits([0] + [1, 2, 3] * 40)[-1]))
+
+
+def outcome(f):
+    """(result, None) or (None, (type, message)) of a call."""
+    try:
+        return f(), None
+    except km.KronmeshError as e:
+        return None, (type(e), str(e))
+
+
+def expansion(spec, depth):
+    exp = CFExpansion(km.parse_alpha(spec))
+    exp.ensure(depth)
+    return exp
+
+
+@pytest.mark.parametrize("spec", SURDS + PERIODIC + PREFIXES)
+def test_window_bracket_equals_window_oracle(spec):
+    # m <= 300 and windows of 1..500 digits, sampled, plus their corners
+    exp = expansion(spec, 800)
+    rng = random.Random(spec)
+    pairs = {(0, 1), (0, 500), (300, 1), (300, 500)}
+    pairs |= {(rng.randint(0, 300), rng.randint(1, 500)) for _ in range(60)}
+    checked = 0
+    for m, w in sorted(pairs):
+        if m + w > exp.depth:
+            continue
+        iv = _window_bracket(exp, m, m + w)
+        assert iv == oracles.tail_bracket(exp.digits[m + 1:m + w + 1]), (spec, m, w)
+        checked += 1
+    # a prefix ends at a_depth: every tail's bracket of all known digits
+    if exp.depth < 800:
+        for m in range(exp.depth):
+            assert _window_bracket(exp, m, exp.depth) == oracles.tail_bracket(
+                exp.digits[m + 1:]), (spec, m)
+        assert exp._prefix_bracket == oracles.tail_bracket(exp.digits[1:])
+        checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("spec", SURDS[:3] + PERIODIC + PREFIXES + RATIONALS)
+@pytest.mark.parametrize("bits", [64, 192, 576])
+def test_alpha_tail_equals_window_loop(spec, bits):
+    # digits through a_400, or to the end of a prefix or a rational
+    exp = expansion(spec, 400)
+    ctx = PrecisionContext(bits)
+    for m in list(range(0, 301, 13)) + [exp.depth - 1, exp.depth, exp.depth + 1]:
+        if m < 0:
+            continue
+        assert outcome(lambda: km.alpha_tail(exp, m, ctx)) == outcome(
+            lambda: oracles.alpha_tail_window(exp, m, ctx)), (spec, m)
+        assert outcome(lambda: km.alpha_tail_best(exp, m, ctx)) == outcome(
+            lambda: oracles.alpha_tail_best_window(exp, m, ctx)), (spec, m)
+
+
+def _sample_sizes(exp, m_max, rng):
+    """n_m and a few n = n_m + h s_m + k inside each block, m <= m_max."""
+    sizes = set()
+    for m in range(1, m_max + 1):
+        if not exp.ensure(m + 1):
+            break
+        n, s = exp.n[m], exp.s[m]
+        sizes.add(n)
+        if m % 5 == 0:
+            h = rng.randrange(exp.digits[m + 1])
+            sizes.add(n + h * s + rng.randrange(s))
+    return sorted(s for s in sizes if s >= 2)
+
+
+@pytest.mark.parametrize("bits", [64, 192, 576])
+def test_mesh_ratio_structural_equals_interval_path(bits):
+    # exact Fractions, field for field, or the same exception and message
+    rng = random.Random(bits)
+    specs = oracles.random_periodic_alpha_specs(4, seed=bits) + ["golden", "sqrt:7"]
+    ctx = PrecisionContext(bits)
+    for spec in specs + list(PREFIXES[:2]):
+        exp = expansion(spec, 0)
+        for n in _sample_sizes(exp, 200, rng):
+            new = outcome(lambda: km.mesh_ratio_structural(exp, n, ctx))
+            old = outcome(lambda: oracles.mesh_ratio_structural_interval(exp, n, ctx))
+            assert new == old, (spec, n)
+
+
+@pytest.mark.parametrize("spec,n", [("cf:0;1,1,1,1,1,1", 13), ("cf:0;1,1,1,1,1,1", 14),
+                                    ("cf:0;2,2,2,2,2,2,2,2,2,2,2,2", 19602)])
+def test_stalling_prefix_raises_the_same_error(spec, n):
+    for bits in (64, 192):
+        ctx = PrecisionContext(bits)
+        new = outcome(lambda: km.mesh_ratio_structural(expansion(spec, 0), n, ctx))
+        old = outcome(lambda: oracles.mesh_ratio_structural_interval(expansion(spec, 0), n, ctx))
+        assert new[1] is not None and new[1][0] is km.PrecisionUnresolvedError
+        assert "cannot reduce" in new[1][1]
+        assert new == old
+
+
+@pytest.mark.parametrize("spec", ALPHA_SPECS + ("sqrt:94", "cf:1;9,3(9)"))
+def test_form_and_eta_interval_equal_interval_path(spec):
+    threegap = importlib.import_module("kronmesh.threegap")
+    exp = expansion(spec, 0)
+    for bits in (64, 192):
+        ctx = PrecisionContext(bits)
+        for m in range(-1, 201, 3):
+            new = outcome(lambda: km.eta_interval(exp, m, ctx))
+            old = outcome(lambda: oracles.form_interval_interval(exp, km.eta(exp, m), ctx, True))
+            assert new == old, (spec, m)
+        for n in (2, 7, 100, 12345, 10 ** 12 + 39):
+            gs = outcome(lambda: km.gap_structure(exp, n))[0]
+            for form, _ in gs.entries if gs else ():
+                for positive in (False, True):
+                    new = outcome(lambda: threegap.form_interval(exp, form, ctx, positive))
+                    old = outcome(lambda: oracles.form_interval_interval(exp, form, ctx, positive))
+                    assert new == old, (spec, n, form, positive)
+
+
+CLI_COMMANDS = [
+    ("gaps", "--alpha", "golden", "--n", str(10 ** 35 + 7)),
+    ("gaps", "--alpha", "sqrt:94", "--n", "123456789012345678901234567890", "--bits", "64"),
+    ("gaps", "--alpha", PREFIX_SPEC, "--n", "10000000000000"),
+    ("gaps", "--alpha", "cf:0;1,1,1,1,1,1", "--n", "13"),
+    ("sweep", "--alpha", "cf:1;7(2)", "--n-at", "nm", "--m", "40..60"),
+    ("sweep", "--alpha", "golden", "--n-at", "nm", "--m", "1..90", "--bits", "64"),
+    ("sweep", "--alpha", "quad:3,7,2", "--n-at", "nm", "--m", "100..120", "--bits", "576",
+     "--format", "json"),
+    ("sweep", "--alpha", PREFIX_SPEC, "--n-at", "nm", "--m", "3..29"),
+    ("sweep", "--alpha", "cf:0;1,1,1,1,1,1", "--n-at", "nm", "--m", "1..6"),
+    ("analyze", "--alpha", "golden", "--n", str(10 ** 30)),
+    ("analyze", "--alpha", "cf:0;2,2,2,2,2,2,2,2,2,2,2,2", "--n", "19602"),
+    ("analyze", "--alpha", PREFIX_SPEC, "--n", "123456789"),
+    ("analyze", "--alpha", "sqrt:13", "--n", "987654321", "--bits", "64", "--digits", "60"),
+]
+
+
+def test_cli_output_equals_interval_path(capsys, monkeypatch):
+    def run_all():
+        runs = []
+        for argv in CLI_COMMANDS:
+            code = main(list(argv))
+            cap = capsys.readouterr()
+            runs.append((code, cap.out, cap.err))
+        return runs
+
+    new = run_all()
+    # the old code: no alpha0 memo, window loops for the tails and a
+    # prefix's alpha0, Interval arithmetic for the forms and the metrics
+    metrics = importlib.import_module("kronmesh.metrics")
+    threegap = importlib.import_module("kronmesh.threegap")
+    cli = importlib.import_module("kronmesh.cli")
+    monkeypatch.setattr(CFExpansion, "alpha0_scaled", oracles.alpha0_scaled_window)
+    monkeypatch.setattr(metrics, "alpha_tail_best", oracles.alpha_tail_best_window)
+    monkeypatch.setattr(threegap, "form_interval", oracles.form_interval_interval)
+    monkeypatch.setattr(cli, "mesh_ratio_structural", oracles.mesh_ratio_structural_interval)
+    old = run_all()
+    assert [code for code, _, _ in new] == [0, 0, 0, 3, 0, 0, 0, 0, 3, 0, 0, 0, 0]
+    for argv, a, b in zip(CLI_COMMANDS, new, old):
+        assert a == b, argv
+
+
+def _ladder_workout(exp):
+    """Climb the ladders of the structure and lattice paths on exp."""
+    ctx = PrecisionContext(64)
+    for m in (5, 40, 120):
+        if exp.ensure(m + 1):
+            outcome(lambda: km.mesh_ratio_structural(exp, exp.n[m], ctx))
+            outcome(lambda: km.eta_interval(exp, m, ctx))
+    outcome(lambda: km.sweep(km.KroneckerGen(exp), 2, 300, ctx))
+    outcome(lambda: km.kronecker(exp, 50, ctx))
+
+
+@pytest.mark.parametrize("spec", SURDS[:2] + PERIODIC[:2] + PREFIXES[:2] + ("cf:2;7",))
+def test_alpha0_memo_equals_fresh_computation(spec):
+    exp = CFExpansion(km.parse_alpha(spec))
+    _ladder_workout(exp)
+    visited = dict(exp._scaled)
+    if spec != "cf:2;7":  # a one-digit prefix fails before any rung
+        assert len(visited) >= 3
+    for bits, value in visited.items():
+        assert value == CFExpansion(km.parse_alpha(spec)).alpha0_scaled(bits), (spec, bits)
+        assert value == oracles.alpha0_scaled_window(exp, bits), (spec, bits)
+
+
+def test_alpha0_memo_two_threads_agree():
+    exp = CFExpansion(km.parse_alpha("sqrt:94"))
+    exp.ensure(200)
+    barrier = threading.Barrier(2)
+    results = [None, None]
+
+    def read(slot):
+        barrier.wait()
+        out = [exp.alpha0_scaled(bits) for bits in range(64, 1200, 7)]
+        out.append(km.mesh_ratio_structural(exp, exp.n[150], PrecisionContext(64)))
+        results[slot] = out
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert results[0] == results[1]
+    fresh = CFExpansion(km.parse_alpha("sqrt:94"))
+    assert results[0][:-1] == [fresh.alpha0_scaled(bits) for bits in range(64, 1200, 7)]

@@ -196,7 +196,7 @@ def test_multiset_against_brute_force(expansions):
             gaps = oracles.circle_gap_multiset(srt, M)
             gs = km.gap_structure(exp, n)
             want = [
-                (form.enclosure(exp, 160), count)
+                (form_interval(exp, form, PrecisionContext(160)), count)
                 for form, count in gs.entries if count
             ]
             drift = 2 * max(i, 1) * unit
