@@ -13,7 +13,8 @@ precision unresolved at the configured ceiling; 4 infinite mesh ratio.
 `points` refuses --n above 10**6 (MAX_POINTS) with exit 1 before it builds
 any point, and `sweep` refuses a --n or --m range of more than 10**6 rows
 (MAX_ROWS), or an --n-at nm range whose last n_m has more than 2048 bits
-(MAX_NM_BITS), with exit 1 before it evaluates any row.  A bare
+(MAX_NM_BITS), with exit 1 before it evaluates any row.  --bits and
+--max-bits above 65536 (MAX_BITS) exit 1 before any work.  A bare
 KronmeshError (a broken internal invariant) exits 1 with an error line.
 
 Output is deterministic: the same arguments produce byte-identical output.
@@ -78,6 +79,11 @@ MAX_ROWS = 10 ** 6
 # slowest sweep admitted, golden --m 1..2949, takes about 4 s)
 MAX_NM_BITS = 2048
 
+# the largest --bits and --max-bits: at 65536 a golden analyze at n = 1000
+# peaks near 450 MB (its alpha_m window holds about 49k convergents), and
+# memory and time grow with the bits
+MAX_BITS = 65536
+
 
 class _UsageError(Exception):
     pass
@@ -93,8 +99,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_precision(sp) -> None:
     sp.add_argument("--bits", type=int, default=192,
                     help="working precision in bits (default 192)")
-    sp.add_argument("--max-bits", type=int, default=65536,
-                    help="escalation ceiling in bits (default 65536)")
+    sp.add_argument("--max-bits", type=int, default=MAX_BITS,
+                    help=f"escalation ceiling in bits (default and cap {MAX_BITS})")
 
 
 def _add_output(sp, fmt_default: str, fmt_choices=("csv", "json")) -> None:
@@ -186,6 +192,9 @@ def _parse_range(text: str, what: str) -> Tuple[int, int]:
 
 
 def _context(args) -> PrecisionContext:
+    for flag, bits in (("--bits", args.bits), ("--max-bits", args.max_bits)):
+        if bits > MAX_BITS:
+            raise _UsageError(f"{flag} {bits} exceeds the precision cap of {MAX_BITS} bits")
     try:
         return PrecisionContext(args.bits, args.max_bits)
     except ValueError as e:

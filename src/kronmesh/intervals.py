@@ -1,10 +1,10 @@
-"""Closed intervals with Fraction endpoints.
+"""Closed intervals with Fraction endpoints, and their decimal rendering.
 
-All certified real comparisons in this package reduce to exact rational
-arithmetic on enclosures [lo, hi].  An interval produced by the library
-always contains the mathematical value it stands for, so a comparison
-that succeeds on intervals is a proof, and an overlap means "escalate
-precision and retry".
+An Interval is an enclosure container: one produced by the library always
+contains the mathematical value it stands for.  It does no arithmetic.
+Certified comparisons are integer work on scaled enclosure ends (u*A + v*2**B,
+a bracket's numerators and denominators), so a comparison they decide is a
+proof, and an overlap means "escalate precision and retry".
 """
 from __future__ import annotations
 
@@ -38,28 +38,6 @@ class Interval:
     @property
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def scale(self, c: Rat) -> "Interval":
-        if c >= 0:
-            return Interval(self.lo * c, self.hi * c)
-        return Interval(self.hi * c, self.lo * c)
-
-    def shift(self, c: Rat) -> "Interval":
-        return Interval(self.lo + c, self.hi + c)
-
-    def reciprocal(self) -> "Interval":
-        # only for intervals bounded away from zero
-        if self.lo <= 0 <= self.hi:
-            raise ZeroDivisionError(f"reciprocal of interval containing 0: [{self.lo}, {self.hi}]")
-        return Interval(1 / self.hi, 1 / self.lo)
-
-    def __truediv__(self, other: "Interval") -> "Interval":
-        r = other.reciprocal()
-        cands = (self.lo * r.lo, self.lo * r.hi, self.hi * r.lo, self.hi * r.hi)
-        return Interval(min(cands), max(cands))
-
-    def min_with(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), min(self.hi, other.hi))
 
 
 _ROUNDING = {

@@ -224,27 +224,38 @@ def _as_expansion(alpha) -> CFExpansion:
 def kronecker_bounds(
     exp, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> BoundReport:
-    """Certified mesh-ratio bounds for the first n Kronecker points."""
+    """Certified mesh-ratio bounds for the first n Kronecker points, from
+    the alpha_m bracket x1/y1 <= x2/y2 (y > 0) in integers: with c_i =
+    y_i - (h+1) x_i, min(alpha_m, 1 - (h+1) alpha_m) is in [den_lo, den_hi]
+    = [min(x1/y1, c2/y2), min(x2/y2, c1/y1)], decided when den_lo > 0, and
+    the upper bound is [2 (y2 - h x2) / (y2 den_hi), 2 (y1 - h x1) / (y1
+    den_lo)], as 2 (1 - h alpha_m) > 0: h < a_{m+1} and every bracket keeps
+    alpha_m <= 1/a_{m+1}.  The lower bound at n_m is [y2/x2, y1/x1]."""
     exp = _as_expansion(exp)
     if exp.is_rational:
         raise UnsupportedAlphaError("mesh-ratio bounds need irrational alpha")
     d = decompose(exp, n)
+    h = d.h
 
     def attempt(bits):
         # a digit prefix too short for the width target still yields the
         # bracket of every known digit
         am = alpha_tail_best(exp, d.m, replace(ctx, bits=bits))
-        den = am.min_with(am.scale(-(d.h + 1)).shift(1))
-        return ((am, den), None) if den.lo > 0 else (None, am.width)
+        (x1, y1), (x2, y2) = ends = [(f.numerator, f.denominator) for f in (am.lo, am.hi)]
+        c1, c2 = y1 - (h + 1) * x1, y2 - (h + 1) * x2
+        lo = (x1, y1) if x1 * y2 <= c2 * y1 else (c2, y2)
+        hi = (x2, y2) if x2 * y1 <= c1 * y2 else (c1, y1)
+        return ((ends, lo, hi), None) if lo[0] > 0 else (None, am.width)
 
-    am, den = ctx.escalate(attempt, ctx.bits, f"bound denominator sign (n={n})")
-    num = am.scale(-d.h).shift(1).scale(2)
-    upper = num / den
+    ((x1, y1), (x2, y2)), (p_lo, q_lo), (p_hi, q_hi) = ctx.escalate(
+        attempt, ctx.bits, f"bound denominator sign (n={n})")
+    upper = Interval(Fraction(2 * (y2 - h * x2) * q_hi, y2 * p_hi),
+                     Fraction(2 * (y1 - h * x1) * q_lo, y1 * p_lo))
 
     lower = None
     digit_form = None
-    if d.m >= 3 and d.h == 0 and d.k == 0:
-        lower = am.reciprocal()
+    if d.m >= 3 and h == 0 and d.k == 0:
+        lower = Interval(Fraction(y2, x2), Fraction(y1, x1))
         # a prefix may end before a_{m+2}; lower_at_nm does not need it
         if exp.ensure(d.m + 2):
             digit_form = Fraction(exp.digit(d.m + 1)) + Fraction(1, exp.digit(d.m + 2) + 1)

@@ -19,6 +19,10 @@ ALPHA_SPECS = (
 
 PREFIX_SPEC = ALPHA_SPECS[-1]
 
+# a 60-digit prefix whose tails are too short for 576-bit brackets
+PREFIX_60_DIGITS = ("cf:0;4,9,3,6,8,2,1,8,5,9,4,4,8,9,9,8,7,3,4,3,9,7,1,2,3,1,5,1,5,8,"
+                    "7,7,7,8,3,6,2,1,3,8,4,5,7,5,7,9,7,6,9,7,4,6,1,5,3,6,9,2,4,5")
+
 
 @pytest.fixture(scope="session")
 def expansions():

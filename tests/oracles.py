@@ -7,9 +7,10 @@ digit-reversal radical inverses, an exact sign test for a + b*sqrt(D), the
 defining recurrence of the three-gap lengths eta_m, backward-recurrence
 tail enclosures, and big-float continued-fraction machinery via mpmath.
 The structure path the package once ran is kept as well: tail brackets by
-a loop over the digit window, and gap-form enclosures, their order and the
-structure-exact mesh ratio by Interval arithmetic (the package reads the
-brackets off its convergents and evaluates the forms on integers).
+a loop over the digit window, and gap-form enclosures, their order, the
+structure-exact mesh ratio and the closed-form bounds by Interval
+arithmetic (the package reads the brackets off its convergents and
+evaluates the forms and bounds on integers; Interval does no arithmetic).
 The sorted-point Kronecker metrics reuse the package's point generator
 and precision ladder; they differ from the package in reading the metrics
 off sorted points instead of the three-gap forms.  Likewise the sorted-point
@@ -231,6 +232,46 @@ def alpha_tail_best_window(exp, m: int, ctx):
         return tail_bracket(exp.digits[m + 1:])
 
 
+def iv_scale(iv, c):
+    """c * [lo, hi] for a rational c."""
+    from kronmesh.intervals import Interval
+
+    return Interval(iv.lo * c, iv.hi * c) if c >= 0 else Interval(iv.hi * c, iv.lo * c)
+
+
+def iv_shift(iv, c):
+    """[lo, hi] + c for a rational c."""
+    from kronmesh.intervals import Interval
+
+    return Interval(iv.lo + c, iv.hi + c)
+
+
+def iv_min(a, b):
+    """The enclosure of min(x, y) for x in a and y in b."""
+    from kronmesh.intervals import Interval
+
+    return Interval(min(a.lo, b.lo), min(a.hi, b.hi))
+
+
+def iv_reciprocal(iv):
+    """1 / [lo, hi] for an interval bounded away from zero."""
+    from kronmesh.intervals import Interval
+
+    if iv.lo <= 0 <= iv.hi:
+        raise ZeroDivisionError(f"reciprocal of interval containing 0: [{iv.lo}, {iv.hi}]")
+    return Interval(1 / iv.hi, 1 / iv.lo)
+
+
+def iv_divide(a, b):
+    """a / b for b bounded away from zero: the extremes of the four end
+    products with 1 / b."""
+    from kronmesh.intervals import Interval
+
+    r = iv_reciprocal(b)
+    cands = (a.lo * r.lo, a.lo * r.hi, a.hi * r.lo, a.hi * r.hi)
+    return Interval(min(cands), max(cands))
+
+
 def form_enclosure_interval(exp, form, bits: int):
     """The form u*alpha0 + v by Interval arithmetic: the enclosure of alpha0
     at 2**-bits, scaled by u and shifted by v."""
@@ -238,7 +279,7 @@ def form_enclosure_interval(exp, form, bits: int):
 
     A, U = alpha0_scaled_window(exp, bits)
     unit = Fraction(1, 1 << bits)
-    return Interval(A * unit, (A + U) * unit).scale(form.u).shift(form.v)
+    return iv_shift(iv_scale(Interval(A * unit, (A + U) * unit), form.u), form.v)
 
 
 def form_interval_interval(exp, form, ctx, require_positive: bool = False):
@@ -278,11 +319,52 @@ def mesh_ratio_structural_interval(exp, n: int, ctx):
     ordered = ctx.escalate(order, ctx.bits, "gap-length ordering")
     big = form_interval_interval(exp, ordered[-1], ctx, True)
     last = form_interval_interval(exp, last_form.scale(2), ctx, True)
-    fill_iv = Interval(max(big.lo, last.lo), max(big.hi, last.hi)).scale(Fraction(1, 2))
-    sep_iv = form_interval_interval(exp, ordered[0], ctx, True).scale(Fraction(1, 2))
-    rho_iv = fill_iv / sep_iv
+    fill_iv = iv_scale(Interval(max(big.lo, last.lo), max(big.hi, last.hi)), Fraction(1, 2))
+    sep_iv = iv_scale(form_interval_interval(exp, ordered[0], ctx, True), Fraction(1, 2))
+    rho_iv = iv_divide(fill_iv, sep_iv)
     err = max(fill_iv.width, sep_iv.width, rho_iv.width) / 2
     return QUMetrics(n, fill_iv.mid, sep_iv.mid, rho_iv.mid, "structure-exact", err)
+
+
+def kronecker_bounds_interval(exp, n: int, ctx=None):
+    """kronecker_bounds by Interval arithmetic on the alpha_m bracket: the
+    denominator min(alpha_m, 1 - (h+1) alpha_m), the numerator
+    2 (1 - h alpha_m), their quotient, and 1 / alpha_m at n_m."""
+    from dataclasses import replace
+
+    from kronmesh.contfrac import DEFAULT_CONTEXT, alpha_tail_best, digit_supremum
+    from kronmesh.errors import UnsupportedAlphaError
+    from kronmesh.metrics import BoundReport, _as_expansion
+    from kronmesh.threegap import decompose
+
+    ctx = DEFAULT_CONTEXT if ctx is None else ctx
+    exp = _as_expansion(exp)
+    if exp.is_rational:
+        raise UnsupportedAlphaError("mesh-ratio bounds need irrational alpha")
+    d = decompose(exp, n)
+
+    def attempt(bits):
+        # a digit prefix too short for the width target still yields the
+        # bracket of every known digit
+        am = alpha_tail_best(exp, d.m, replace(ctx, bits=bits))
+        den = iv_min(am, iv_shift(iv_scale(am, -(d.h + 1)), 1))
+        return ((am, den), None) if den.lo > 0 else (None, am.width)
+
+    am, den = ctx.escalate(attempt, ctx.bits, f"bound denominator sign (n={n})")
+    num = iv_scale(iv_shift(iv_scale(am, -d.h), 1), 2)
+    upper = iv_divide(num, den)
+
+    lower = None
+    digit_form = None
+    if d.m >= 3 and d.h == 0 and d.k == 0:
+        lower = iv_reciprocal(am)
+        # a prefix may end before a_{m+2}; lower_at_nm does not need it
+        if exp.ensure(d.m + 2):
+            digit_form = Fraction(exp.digit(d.m + 1)) + Fraction(1, exp.digit(d.m + 2) + 1)
+
+    sup, certainty = digit_supremum(exp)
+    global_upper = 2 + 2 * sup if certainty == "exact" else None
+    return BoundReport(n, d.m, d.h, d.k, upper, lower, digit_form, global_upper)
 
 
 # -- brute-force prefix machinery -------------------------------------------

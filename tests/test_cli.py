@@ -393,6 +393,52 @@ def test_nm_cap_admits_the_largest_fitting_m(capsys, monkeypatch, spec):
                    f"bits, above the n_m cap of {cli.MAX_NM_BITS} bits\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--alpha", "golden", "--n", "1000"),
+    ("sweep", "--alpha", "golden", "--n", "2..100"),
+    ("sweep", "--alpha", "golden", "--n-at", "nm", "--m", "1..10"),
+    ("gaps", "--alpha", "golden", "--n", "1000"),
+    ("points", "--alpha", "golden", "--n", "10"),
+])
+@pytest.mark.parametrize("flags", [("--bits", "65537"), ("--max-bits", "65537"),
+                                   ("--bits", "3000000000", "--max-bits", "3000000000")])
+def test_bits_cap_refuses_before_any_work(capsys, monkeypatch, argv, flags):
+    # at --bits 1048576 an analyze once ran out of memory building its
+    # alpha_m window; the cap is checked on the parsed flags before any work
+    def fail(*args, **kwargs):
+        raise AssertionError("work done")
+
+    metrics = importlib.import_module("kronmesh.metrics")
+    for module in (cli, metrics):
+        for name in ("sweep", "mesh_ratio_structural", "kronecker_bounds"):
+            monkeypatch.setattr(module, name, fail)
+    for name in ("CFExpansion", "gap_structure", "generate"):
+        monkeypatch.setattr(cli, name, fail)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, *flags)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == f"error: {flags[0]} {flags[1]} exceeds the precision cap of 65536 bits\n"
+
+
+def test_bits_cap_admits_exactly_the_cap(monkeypatch):
+    class Evaluated(Exception):
+        pass
+
+    seen = []
+
+    def stop(gen, lo, hi, ctx, **kwargs):
+        seen.append(ctx)
+        raise Evaluated
+
+    monkeypatch.setattr(cli, "sweep", stop)
+    with pytest.raises(Evaluated):
+        main(["analyze", "--alpha", "golden", "--n", "1000",
+              "--bits", "65536", "--max-bits", "65536"])
+    assert cli.MAX_BITS == 65536
+    assert seen == [kronmesh.PrecisionContext(65536, 65536)]
+
+
 def test_nm_cap_lies_far_above_the_sizes_in_use():
     # the fixture sweeps m <= 80 and kron-deep's n_m stay below 10**60; a
     # cap near them would refuse sweeps the benchmark and users run

@@ -19,7 +19,7 @@ from kronmesh import (
 from kronmesh import metrics
 from kronmesh.metrics import SWEEP_COLUMNS
 from kronmesh.sequences import kronecker_scaled, working_scale_bits
-from conftest import ALPHA_SPECS, assert_rho_close
+from conftest import ALPHA_SPECS, PREFIX_60_DIGITS, assert_rho_close
 import oracles
 
 
@@ -351,10 +351,6 @@ def test_pointset_fraction_and_lattice_forms_agree():
     assert again.points == ps.points
     assert km.mesh_ratio(again) == km.mesh_ratio(ps)
     assert km.greedy_packing(9).modulus == 16
-
-
-PREFIX_60_DIGITS = ("cf:0;4,9,3,6,8,2,1,8,5,9,4,4,8,9,9,8,7,3,4,3,9,7,1,2,3,1,5,1,5,8,"
-                    "7,7,7,8,3,6,2,1,3,8,4,5,7,5,7,9,7,6,9,7,4,6,1,5,3,6,9,2,4,5")
 
 
 def test_prefix_bounds_use_every_known_digit():

@@ -1,6 +1,7 @@
 """The structure path on the integer lattice against the window loops and
 Interval arithmetic it replaced (kept in tests/oracles.py): the same tail
-brackets, enclosures, metrics and errors, and the same CLI output."""
+brackets, enclosures, metrics, bound reports and errors, and the same CLI
+output."""
 import importlib
 import random
 import threading
@@ -11,7 +12,7 @@ import kronmesh as km
 from kronmesh import CFExpansion, PrecisionContext
 from kronmesh.cli import main
 from kronmesh.contfrac import _window_bracket
-from conftest import ALPHA_SPECS, PREFIX_SPEC
+from conftest import ALPHA_SPECS, PREFIX_60_DIGITS, PREFIX_SPEC
 import oracles
 
 SURDS = ("golden", "sqrt:2", "sqrt:13", "quad:3,7,2", "sqrt:94")
@@ -113,6 +114,70 @@ def test_stalling_prefix_raises_the_same_error(spec, n):
         assert new[1] is not None and new[1][0] is km.PrecisionUnresolvedError
         assert "cannot reduce" in new[1][1]
         assert new == old
+
+
+BOUND_SPECS = ("golden", "sqrt:2", "sqrt:213", "quad:3,37,5", "cf:1;7(2)", "cf:0;20000(1)",
+               "cf:0;1,2,3,4,5", PREFIX_60_DIGITS) + tuple(
+                   oracles.random_periodic_alpha_specs(4, seed=11))
+
+
+def _bound_sizes(exp, m_max=60):
+    """n in 2..400 plus, for m <= m_max, n_m and the edges of its blocks
+    n_m + h s_m + k at h in {0, 1, a_{m+1} - 1} and k in {0, s_m - 1}."""
+    sizes = set(range(2, 401))
+    for m in range(1, m_max + 1):
+        if not exp.ensure(m + 1):
+            break
+        n, s, a = exp.n[m], exp.s[m], exp.digits[m + 1]
+        sizes |= {n + h * s + k for h in {0, 1, a - 1} if h < a for k in (0, s - 1)}
+    return sorted(sizes)
+
+
+def _bounds_against_interval_path(spec, monkeypatch):
+    """Hold kronecker_bounds to the Interval path at bits 64, 192 and 576
+    over _bound_sizes: the same BoundReport field for field (exact
+    Fractions), or the same exception and message.  Returns the ends each
+    min took on the deciding bracket and the count of stalled ladders."""
+    metrics = importlib.import_module("kronmesh.metrics")
+    original, brackets = metrics.alpha_tail_best, []
+
+    def recording(exp, m, ctx):
+        brackets.append(original(exp, m, ctx))
+        return brackets[-1]
+
+    monkeypatch.setattr(metrics, "alpha_tail_best", recording)
+    branches, stalls = set(), 0
+    for bits in (64, 192, 576):
+        ctx = PrecisionContext(bits)
+        exp = expansion(spec, 0)
+        for n in _bound_sizes(exp):
+            new = outcome(lambda: km.kronecker_bounds(exp, n, ctx))
+            old = outcome(lambda: oracles.kronecker_bounds_interval(exp, n, ctx))
+            assert new == old, (spec, bits, n)
+            if new[1] is not None:
+                stalls += "cannot reduce" in new[1][1]
+                continue
+            am, h = brackets[-1], new[0].h
+            branches.add(("den_lo", am.lo <= 1 - (h + 1) * am.hi))
+            branches.add(("den_hi", am.hi <= 1 - (h + 1) * am.lo))
+    return branches, stalls
+
+
+@pytest.mark.parametrize("spec", BOUND_SPECS)
+def test_kronecker_bounds_equal_interval_path(spec, monkeypatch):
+    _, stalls = _bounds_against_interval_path(spec, monkeypatch)
+    if spec == "cf:0;1,2,3,4,5":
+        assert stalls > 0
+
+
+def test_kronecker_bounds_take_both_ends_of_each_min():
+    # the alpha_m end at small h, the 1 - (h+1) alpha_m end at h = a_{m+1} - 1
+    branches = set()
+    for spec in ("sqrt:2", "sqrt:213", "cf:1;7(2)"):
+        with pytest.MonkeyPatch.context() as mp:
+            branches |= _bounds_against_interval_path(spec, mp)[0]
+    assert branches == {(which, end) for which in ("den_lo", "den_hi")
+                        for end in (True, False)}
 
 
 @pytest.mark.parametrize("spec", ALPHA_SPECS + ("sqrt:94", "cf:1;9,3(9)"))
