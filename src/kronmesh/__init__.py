@@ -33,7 +33,6 @@ from .metrics import (
     BoundReport,
     QUMetrics,
     SweepRow,
-    bound_report_to_json,
     fill_distance,
     kronecker_bounds,
     mesh_ratio,
@@ -41,7 +40,9 @@ from .metrics import (
     metrics_to_json,
     separation_radius,
     sweep,
+    sweep_segments,
     sweep_to_csv,
+    sweep_to_json,
 )
 from .sequences import (
     GreedyGen,

@@ -14,8 +14,11 @@ precision unresolved at the configured ceiling; 4 infinite mesh ratio.
 any point, and `sweep` refuses a --n or --m range of more than 10**6 rows
 (MAX_ROWS), or an --n-at nm range whose last n_m has more than 2048 bits
 (MAX_NM_BITS), with exit 1 before it evaluates any row.  --bits and
---max-bits above 65536 (MAX_BITS) exit 1 before any work.  A bare
-KronmeshError (a broken internal invariant) exits 1 with an error line.
+--max-bits above 65536 (MAX_BITS) exit 1 before any work.  A quadratic surd
+whose digit period does not close within 10**4 digits (MAX_PERIOD_WALK in
+contfrac) exits 3 where its digit supremum is needed: classify and the bound
+columns.  A bare KronmeshError (a broken internal invariant) exits 1 with an
+error line.
 
 Output is deterministic: the same arguments produce byte-identical output.
 """
@@ -42,13 +45,14 @@ from .errors import (
     UnsupportedAlphaError,
 )
 from .metrics import (
-    SweepRow,
-    _sweep_json,
+    Segment,
     kronecker_bounds,
     mesh_ratio_structural,
     metrics_to_json,
     sweep,
+    sweep_segments,
     sweep_to_csv,
+    sweep_to_json,
 )
 from .sequences import (
     GreedyGen,
@@ -70,8 +74,8 @@ EXIT_INFINITE = 4
 # output line, so the cap bounds memory before anything is allocated
 MAX_POINTS = 10 ** 6
 
-# the most rows one sweep evaluates: each row is a SweepRow and an output
-# line, so the cap is checked on the parsed range before any row is built
+# the most rows one sweep writes: the per-n work is one line of text (a run
+# of n with the same cells is evaluated once); checked before any evaluation
 MAX_ROWS = 10 ** 6
 
 # the largest n_m, in bits, an --n-at nm sweep evaluates: n_m grows
@@ -262,7 +266,7 @@ def _check_nm(exp: CFExpansion, m_hi: int) -> None:
                       f"above the n_m cap of {MAX_NM_BITS} bits")
 
 
-def _sweep_rows(args, ctx) -> List[SweepRow]:
+def _sweep_segments(args, ctx) -> List[Segment]:
     gen = _generator(args)
     want_bounds = not args.no_bounds
     if args.n_at is not None:
@@ -278,34 +282,30 @@ def _sweep_rows(args, ctx) -> List[SweepRow]:
             raise _UsageError("--m range must start at m >= 1")
         _check_rows(m_lo, m_hi, "--m")
         _check_nm(exp, m_hi)
-        rows = []
+        segments = []
         for m in range(m_lo, m_hi + 1):
             if not exp.ensure(m):
-                raise _UsageError(
-                    f"--m reaches m={m} but the expansion ends at a_{exp.depth}"
-                )
+                raise _UsageError(f"--m reaches m={m} but the expansion ends at a_{exp.depth}")
             n = exp.n_at(m)
-            qm = mesh_ratio_structural(exp, n, ctx)
-            br = kronecker_bounds(exp, n, ctx) if want_bounds else None
-            rows.append(SweepRow(qm, br))
-        return rows
+            segments.append(Segment(n, n, mesh_ratio_structural(exp, n, ctx),
+                                    kronecker_bounds(exp, n, ctx) if want_bounds else None))
+        return segments
     spec = args.n if args.n is not None else args.n_range
     if spec is None:
         raise _UsageError("sweep needs --n a..b (or --n-at nm --m a..b)")
     lo, hi = _parse_range(spec, "--n")
     _check_rows(lo, hi, "--n")
     try:
-        return sweep(gen, lo, hi, ctx, with_bounds=want_bounds)
+        return sweep_segments(gen, lo, hi, ctx, with_bounds=want_bounds)
     except ValueError as e:
         raise _UsageError(str(e))
 
 
 def _cmd_sweep(args) -> Tuple[str, int]:
     ctx = _context(args)
-    rows = _sweep_rows(args, ctx)
-    if args.format == "csv":
-        return sweep_to_csv(rows, args.digits), EXIT_OK
-    return _dumps(_sweep_json(rows, args.digits)), EXIT_OK
+    segments = _sweep_segments(args, ctx)
+    write = sweep_to_csv if args.format == "csv" else sweep_to_json
+    return write(segments, args.digits), EXIT_OK
 
 
 def _cmd_classify(args) -> Tuple[str, int]:

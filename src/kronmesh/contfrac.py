@@ -281,6 +281,7 @@ class CFExpansion:
         self.finite = False
         self.periodic: Optional[Tuple[int, int]] = None
         self._scaled: dict = {}  # bits -> alpha0_scaled(bits)
+        self._sup: dict = {}  # probe_depth -> digit_supremum(self, probe_depth)
 
         if isinstance(spec, Rational):
             self._rational_digits = _euclid_digits(spec.as_fraction())
@@ -545,29 +546,40 @@ def alpha_tail_best(exp: CFExpansion, m: int, ctx: PrecisionContext = DEFAULT_CO
         return _window_bracket(exp, m, exp.depth)
 
 
+# the most digits digit_supremum walks for a surd's period (70 MB, 0.1 s)
+MAX_PERIOD_WALK = 10 ** 4
+
+
 def digit_supremum(exp: CFExpansion, probe_depth: int = 64) -> Tuple[int, str]:
-    """sup over the digits a_j, j >= 1.
+    """sup over the digits a_j, j >= 1, memoized per expansion and probe_depth.
 
     Exact for terminating and periodic expansions; otherwise the max over
-    the first probe_depth digits, flagged prefix-only.
+    the first probe_depth digits, flagged prefix-only.  Raises
+    PrecisionUnresolvedError for a surd whose preperiod and period do not
+    fit in the first MAX_PERIOD_WALK digits.
     """
     if probe_depth < 1:
         raise ValueError("probe_depth must be >= 1")
+    if probe_depth in exp._sup:
+        return exp._sup[probe_depth]
     if exp.finite:
         exp.ensure(10 ** 9)
-        return (max(exp.digits[1:], default=0), "exact")
-    if isinstance(exp.spec, QuadraticSurd):
-        # extend until the Gauss map revisits a state (Lagrange guarantees it)
-        while exp.periodic is None:
-            exp.ensure(exp.depth + 64)
+    # a surd: extend until the Gauss map revisits a state (Lagrange guarantees it)
+    while exp.periodic is None and isinstance(exp.spec, QuadraticSurd):
+        if exp.depth >= MAX_PERIOD_WALK:
+            raise PrecisionUnresolvedError(
+                f"the digit period of {alpha_to_string(exp.spec)} does not close "
+                f"within the walk cap of {MAX_PERIOD_WALK} digits")
+        exp.ensure(min(exp.depth + 64, MAX_PERIOD_WALK))
+    hi, certainty = exp.depth, "exact"
     if exp.periodic is not None:
-        pre_len, per_len = exp.periodic
-        start = max(1, pre_len)
-        exp.ensure(start + per_len - 1)
-        return (max(exp.digits[1:start + per_len]), "exact")
-    exp.ensure(probe_depth)
-    hi = min(probe_depth, exp.depth)
-    return (max(exp.digits[1:hi + 1], default=0), "prefix-only")
+        hi = max(1, exp.periodic[0]) + exp.periodic[1] - 1
+        exp.ensure(hi)
+    elif not exp.finite:
+        exp.ensure(probe_depth)
+        hi, certainty = min(probe_depth, exp.depth), "prefix-only"
+    exp._sup[probe_depth] = (max(exp.digits[1:hi + 1], default=0), certainty)
+    return exp._sup[probe_depth]
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,13 @@ forms (provenance "structure-exact").
 """
 from __future__ import annotations
 
+import json
 import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .contfrac import (
     CFExpansion,
@@ -320,81 +321,90 @@ class SweepRow:
     metrics: QUMetrics
     bounds: Optional[BoundReport]
 
+    n_lo = n_hi = property(lambda self: self.metrics.n)  # the writers take rows too
 
-def sweep(
-    gen: GeneratorSpec,
-    n_lo: int,
-    n_hi: int,
-    ctx: PrecisionContext = DEFAULT_CONTEXT,
-    with_bounds: bool = True,
-) -> List[SweepRow]:
-    """Metrics for every n in [n_lo, n_hi]; no point is built.
 
-    For an irrational Kronecker alpha the rows are the forms on the lattice
-    of n_hi, which depend on n only through (m, h, min(k, 2)) but for the
-    drift (n - 1)*U / M, plus the bound report when with_bounds is set.
-    Rational alphas, van der Corput and greedy have exact closed forms and
-    no bound report.
-    """
+class Segment(NamedTuple):
+    """Sweep rows n_lo..n_hi with the cells of n_lo's metrics and bounds."""
+    n_lo: int
+    n_hi: int
+    metrics: QUMetrics
+    bounds: Optional[BoundReport]
+
+
+def sweep(gen: GeneratorSpec, n_lo: int, n_hi: int, ctx: PrecisionContext = DEFAULT_CONTEXT,
+          with_bounds: bool = True) -> List[SweepRow]:
+    """One row per n in [n_lo, n_hi]: sweep_segments expanded, each row with
+    its own n, bounds k and drift error_bound (n - 1)*U / M."""
+    rows = []
+    for lo, hi, qm, br in sweep_segments(gen, n_lo, n_hi, ctx, with_bounds):
+        unit = qm.error_bound / (lo - 1)  # the drift is linear in n - 1
+        rows += [SweepRow(QUMetrics(n, qm.fill, qm.separation, qm.mesh_ratio,
+                                    qm.provenance, unit * (n - 1) if unit else unit),
+                          None if br is None else replace(br, n=n, k=br.k + n - lo))
+                 for n in range(lo, hi + 1)]
+    return rows
+
+
+def sweep_segments(gen: GeneratorSpec, n_lo: int, n_hi: int, ctx: PrecisionContext = DEFAULT_CONTEXT,
+                   with_bounds: bool = True) -> List[Segment]:
+    """The sweep over [n_lo, n_hi] as runs of n that print the same cells;
+    no point is built.  For an irrational Kronecker alpha the forms, on the
+    lattice of n_hi, depend on n only through (m, h, min(k, 2)) but for the
+    unprinted drift, and the bound report (when with_bounds is set) through
+    (m, h, k == 0): a segment is k = 0, k = 1 or k = 2..s_m - 1 of one
+    (m, h).  Rational alphas, van der Corput and greedy have exact closed
+    forms, one segment per run, and no bound report."""
     if n_lo < 2:
         raise ValueError("sweep needs n_lo >= 2 (mesh ratio undefined at n = 1)")
     if n_hi < n_lo:
         raise ValueError("empty sweep range")
     if isinstance(gen, VdcGen):
-        return _run_rows(partial(_vdc_run, gen.base), n_lo, n_hi)
+        return _run_segments(partial(_vdc_run, gen.base), n_lo, n_hi)
     if isinstance(gen, GreedyGen):
-        return _run_rows(_greedy_run, n_lo, n_hi)
+        return _run_segments(_greedy_run, n_lo, n_hi)
     if not isinstance(gen, KroneckerGen):
         raise ValueError(f"unknown generator spec {gen!r}")
     exp = _as_expansion(gen.alpha)
     if not exp.is_rational:
         lattice = _kronecker_lattice(exp, n_hi, ctx, working_scale_bits(ctx, n_hi))
-        return _form_rows(exp, n_lo, n_hi, *lattice, ctx, with_bounds)
+        return _form_segments(exp, n_lo, n_hi, *lattice, ctx, with_bounds)
     # alpha = p/q: the forms are exact at (p mod q)/q while n <= q; past q
     # every multiple of 1/q is a point and one repeats
     q = exp.spec.den
-    rows = _form_rows(exp, n_lo, min(n_hi, q), exp.spec.num % q, 0, q, ctx, False)
-    repeat = QUMetrics(q + 1, Fraction(1, q), Fraction(0), INF, "oracle-exact")
-    return rows + _run_rows(lambda n: (n_hi, repeat), max(n_lo, q + 1), n_hi)
+    segs = _form_segments(exp, n_lo, min(n_hi, q), exp.spec.num % q, 0, q, ctx, False)
+    repeat = partial(QUMetrics, fill=Fraction(1, q), separation=Fraction(0),
+                     mesh_ratio=INF, provenance="oracle-exact")
+    return segs + _run_segments(lambda n: (n_hi, repeat(n)), max(n_lo, q + 1), n_hi)
 
 
-def _form_rows(exp: CFExpansion, n_lo: int, n_hi: int, A: int, U: int, M: int,
-               ctx: PrecisionContext, with_bounds: bool) -> List[SweepRow]:
-    """Rows of a Kronecker sweep on the lattice (A, U, M), one evaluation of
-    the forms per key (m, h, min(k, 2))."""
-    rows, memo, bounds_memo = [], {}, {}
-    for n in range(n_lo, n_hi + 1):
+def _form_segments(exp: CFExpansion, n_lo: int, n_hi: int, A: int, U: int, M: int,
+                   ctx: PrecisionContext, with_bounds: bool) -> List[Segment]:
+    """Segments of a Kronecker sweep on the lattice (A, U, M): the forms
+    once per segment, the bounds once per key (m, h, k == 0)."""
+    segs, key, n = [], None, n_lo
+    while n <= n_hi:
         d = decompose(exp, n)
-        key = (d.m, d.h, min(d.k, 2))
-        if key not in memo:
-            memo[key] = _kronecker_metrics(exp, n, A, U, M)
-        qm = memo[key]
-        qm = QUMetrics(n, qm.fill, qm.separation, qm.mesh_ratio, qm.provenance,
-                       Fraction((n - 1) * U, M))
-        br = None
+        qm, br = _kronecker_metrics(exp, n, A, U, M), None
         if with_bounds:
-            # the report depends on n only through (m, h) and whether k == 0
-            key = (d.m, d.h, d.k == 0)
-            if key not in bounds_memo:
-                bounds_memo[key] = kronecker_bounds(exp, n, ctx)
-            b = bounds_memo[key]
-            br = BoundReport(n, b.m, b.h, d.k, b.upper, b.lower_at_nm,
-                             b.lower_digit_form, b.global_upper)
-        rows.append(SweepRow(qm, br))
-    return rows
+            if key != (d.m, d.h, d.k == 0):
+                key, b = (d.m, d.h, d.k == 0), kronecker_bounds(exp, n, ctx)
+            br = replace(b, n=n, k=d.k)
+        hi = n if d.k < 2 else min(n + exp.s[d.m] - 1 - d.k, n_hi)
+        segs.append(Segment(n, hi, qm, br))
+        n = hi + 1
+    return segs
 
 
-def _run_rows(run, n_lo: int, n_hi: int) -> List[SweepRow]:
-    """Rows of an exact generator: run(n) gives the last n' >= n whose
+def _run_segments(run, n_lo: int, n_hi: int) -> List[Segment]:
+    """Segments of an exact generator: run(n) gives the last n' >= n whose
     prefix shares the metrics of the first n points, and those metrics."""
-    rows, n = [], n_lo
+    segs, n = [], n_lo
     while n <= n_hi:
         last, qm = run(n)
-        rows += [SweepRow(QUMetrics(i, qm.fill, qm.separation, qm.mesh_ratio,
-                                    qm.provenance), None)
-                 for i in range(n, min(last, n_hi) + 1)]
+        segs.append(Segment(n, min(last, n_hi), qm, None))
         n = last + 1
-    return rows
+    return segs
 
 
 def _vdc_run(b: int, n: int) -> Tuple[int, QUMetrics]:
@@ -451,40 +461,51 @@ def _formatter(digits: int):
     return fmt
 
 
-def _rho_str(qm: QUMetrics, fmt) -> str:
-    return "inf" if qm.is_infinite else fmt(qm.mesh_ratio)
-
-
 def _interval_str(iv: Interval, fmt) -> List[str]:
     """Outward-rounded endpoints, as interval_to_decimal renders them."""
     return [fmt(iv.lo, "floor"), fmt(iv.hi, "ceil")]
 
 
-def sweep_to_csv(rows: List[SweepRow], digits: int = 40) -> str:
-    fmt = _formatter(digits)
-    lines = [SWEEP_COLUMNS]
-    for row in rows:
-        qm = row.metrics
-        cells = [str(qm.n), fmt(qm.fill), fmt(qm.separation), _rho_str(qm, fmt)]
-        br = row.bounds
-        if br is not None:
-            cells += _interval_str(br.upper, fmt)
-            lower = br.lower_at_nm
-            cells += ["", ""] if lower is None else _interval_str(lower, fmt)
-            cells.append("" if br.global_upper is None else str(br.global_upper))
-        else:
-            cells += ["", "", "", "", ""]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _expand(segments, digits: int, template) -> List[str]:
+    """Each segment's template(JSON row) text, formatted per n with n and k."""
+    fmt, out = _formatter(digits), []
+    for seg in segments:
+        text = template(_metrics_json(seg.metrics, seg.bounds, fmt))
+        dk = 0 if seg.bounds is None else seg.bounds.k - seg.n_lo
+        out += [text.format(n, n + dk) for n in range(seg.n_lo, seg.n_hi + 1)]
+    return out
+
+
+def _csv_template(row: dict) -> str:
+    b = row.get("bounds") or {"upper": ["", ""], "lower_at_nm": None, "global_upper": None}
+    g = b["global_upper"]
+    return ",".join(["{0}", row["fill"], row["separation"], row["mesh_ratio"], *b["upper"],
+                     *(b["lower_at_nm"] or ["", ""]), "" if g is None else str(g)]) + "\n"
+
+
+def _json_template(row: dict) -> str:
+    # marks for n, bounds.n and bounds.k; json.dumps writes "\u0000", "\u0001"
+    row["n"] = "\0"
+    if "bounds" in row:
+        row["bounds"]["n"], row["bounds"]["k"] = "\0", "\1"
+    text = json.dumps(row, indent=2).replace("{", "{{").replace("}", "}}")
+    text = text.replace('"\\u0000"', "{0}").replace('"\\u0001"', "{1}")
+    return "    " + text.replace("\n", "\n    ")
+
+
+def sweep_to_csv(segments, digits: int = 40) -> str:
+    """CSV of sweep segments (or rows), a line per n."""
+    return "".join([SWEEP_COLUMNS + "\n", *_expand(segments, digits, _csv_template)])
+
+
+def sweep_to_json(segments, digits: int = 40) -> str:
+    """json.dumps({"rows": rows}, indent=2) + "\n" of sweep segments (or rows)."""
+    rows = _expand(segments, digits, _json_template)
+    return '{\n  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}\n" if rows else '{\n  "rows": []\n}\n'
 
 
 def metrics_to_json(qm: QUMetrics, br: Optional[BoundReport], digits: int = 40) -> dict:
     return _metrics_json(qm, br, _formatter(digits))
-
-
-def _sweep_json(rows: List[SweepRow], digits: int) -> dict:
-    fmt = _formatter(digits)
-    return {"rows": [_metrics_json(row.metrics, row.bounds, fmt) for row in rows]}
 
 
 def _metrics_json(qm: QUMetrics, br: Optional[BoundReport], fmt) -> dict:
@@ -492,16 +513,12 @@ def _metrics_json(qm: QUMetrics, br: Optional[BoundReport], fmt) -> dict:
         "n": qm.n,
         "fill": fmt(qm.fill),
         "separation": fmt(qm.separation),
-        "mesh_ratio": _rho_str(qm, fmt),
+        "mesh_ratio": "inf" if qm.is_infinite else fmt(qm.mesh_ratio),
         "provenance": qm.provenance,
     }
     if br is not None:
         out["bounds"] = _bounds_json(br, fmt)
     return out
-
-
-def bound_report_to_json(br: BoundReport, digits: int = 40) -> dict:
-    return _bounds_json(br, _formatter(digits))
 
 
 def _bounds_json(br: BoundReport, fmt) -> dict:

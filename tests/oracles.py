@@ -16,7 +16,9 @@ and precision ladder; they differ from the package in reading the metrics
 off sorted points instead of the three-gap forms.  Likewise the sorted-point
 kernel (LatticeMesh, exact_sweep_metrics) grows the package's van der
 Corput, greedy and rational points one insert at a time, where the package
-reads closed forms.
+reads closed forms.  The per-row sweep (sweep_rows, its CSV and JSON
+writers and the sweep command) builds and prints one row per n, where the
+package evaluates and formats each run of n once.
 """
 import bisect
 import heapq
@@ -643,6 +645,179 @@ def exact_sweep_metrics(gen, n_lo: int, n_hi: int):
             values[key] = Fraction(fill, scale), Fraction(ming, scale), rho
         rows.append(QUMetrics(len(mesh.pts), *values[key], "oracle-exact", Fraction(0)))
     return rows
+
+
+# -- the per-row sweep -----------------------------------------------------------
+# The package once built one SweepRow per n (memoizing the forms per key) and
+# formatted every cell of every row; a JSON sweep went through json.dumps.
+# It now evaluates and formats each run of n once.  These are the old rows,
+# writers and sweep command.
+
+def sweep_rows(gen, n_lo: int, n_hi: int, ctx=None, with_bounds: bool = True):
+    """The SweepRow of every n in [n_lo, n_hi], one n at a time."""
+    from functools import partial
+    from kronmesh import GreedyGen, KroneckerGen, QUMetrics, VdcGen
+    from kronmesh.contfrac import DEFAULT_CONTEXT
+    from kronmesh.metrics import _as_expansion, _greedy_run, _kronecker_lattice, _vdc_run
+    from kronmesh.sequences import working_scale_bits
+
+    ctx = ctx or DEFAULT_CONTEXT
+    if n_lo < 2:
+        raise ValueError("sweep needs n_lo >= 2 (mesh ratio undefined at n = 1)")
+    if n_hi < n_lo:
+        raise ValueError("empty sweep range")
+    if isinstance(gen, VdcGen):
+        return run_rows(partial(_vdc_run, gen.base), n_lo, n_hi)
+    if isinstance(gen, GreedyGen):
+        return run_rows(_greedy_run, n_lo, n_hi)
+    if not isinstance(gen, KroneckerGen):
+        raise ValueError(f"unknown generator spec {gen!r}")
+    exp = _as_expansion(gen.alpha)
+    if not exp.is_rational:
+        lattice = _kronecker_lattice(exp, n_hi, ctx, working_scale_bits(ctx, n_hi))
+        return form_rows(exp, n_lo, n_hi, *lattice, ctx, with_bounds)
+    q = exp.spec.den
+    rows = form_rows(exp, n_lo, min(n_hi, q), exp.spec.num % q, 0, q, ctx, False)
+    repeat = QUMetrics(q + 1, Fraction(1, q), Fraction(0), math.inf, "oracle-exact")
+    return rows + run_rows(lambda n: (n_hi, repeat), max(n_lo, q + 1), n_hi)
+
+
+def form_rows(exp, n_lo: int, n_hi: int, A: int, U: int, M: int, ctx, with_bounds: bool):
+    """Rows of a Kronecker sweep on the lattice (A, U, M), one evaluation of
+    the forms per key (m, h, min(k, 2)) and of the bounds per (m, h, k == 0)."""
+    from kronmesh import BoundReport, QUMetrics, SweepRow, decompose, kronecker_bounds
+    from kronmesh.metrics import _kronecker_metrics
+
+    rows, memo, bounds_memo = [], {}, {}
+    for n in range(n_lo, n_hi + 1):
+        d = decompose(exp, n)
+        key = (d.m, d.h, min(d.k, 2))
+        if key not in memo:
+            memo[key] = _kronecker_metrics(exp, n, A, U, M)
+        qm = memo[key]
+        qm = QUMetrics(n, qm.fill, qm.separation, qm.mesh_ratio, qm.provenance,
+                       Fraction((n - 1) * U, M))
+        br = None
+        if with_bounds:
+            key = (d.m, d.h, d.k == 0)
+            if key not in bounds_memo:
+                bounds_memo[key] = kronecker_bounds(exp, n, ctx)
+            b = bounds_memo[key]
+            br = BoundReport(n, b.m, b.h, d.k, b.upper, b.lower_at_nm,
+                             b.lower_digit_form, b.global_upper)
+        rows.append(SweepRow(qm, br))
+    return rows
+
+
+def run_rows(run, n_lo: int, n_hi: int):
+    """Rows of an exact generator: run(n) gives the last n' >= n whose
+    prefix shares the metrics of the first n points, and those metrics."""
+    from kronmesh import QUMetrics, SweepRow
+
+    rows, n = [], n_lo
+    while n <= n_hi:
+        last, qm = run(n)
+        rows += [SweepRow(QUMetrics(i, qm.fill, qm.separation, qm.mesh_ratio,
+                                    qm.provenance), None)
+                 for i in range(n, min(last, n_hi) + 1)]
+        n = last + 1
+    return rows
+
+
+def _row_cells(row, digits: int):
+    """(fill, separation, rho, bounds or None) of a row as printed, each
+    value rounded from scratch: nearest, and intervals outward."""
+    from kronmesh import fraction_to_decimal
+
+    def iv(x):
+        return [fraction_to_decimal(x.lo, digits, "floor"),
+                fraction_to_decimal(x.hi, digits, "ceil")]
+
+    qm, br = row.metrics, row.bounds
+    cells = [fraction_to_decimal(v, digits) for v in (qm.fill, qm.separation)]
+    cells.append("inf" if qm.is_infinite else fraction_to_decimal(qm.mesh_ratio, digits))
+    if br is None:
+        return cells, None
+    return cells, {
+        "n": br.n, "m": br.m, "h": br.h, "k": br.k, "upper": iv(br.upper),
+        "lower_at_nm": None if br.lower_at_nm is None else iv(br.lower_at_nm),
+        "lower_digit_form": None if br.lower_digit_form is None
+        else fraction_to_decimal(br.lower_digit_form, digits),
+        "global_upper": br.global_upper,
+    }
+
+
+def sweep_rows_csv(rows, digits: int) -> str:
+    """The old CSV writer: every cell of every row."""
+    lines = ["n,h_n,q_n,rho_n,upper_bound_lo,upper_bound_hi,"
+             "lower_bound_lo,lower_bound_hi,global_upper"]
+    for row in rows:
+        cells, b = _row_cells(row, digits)
+        if b is None:
+            cells += ["", "", "", "", ""]
+        else:
+            cells += b["upper"] + (b["lower_at_nm"] or ["", ""])
+            cells.append("" if b["global_upper"] is None else str(b["global_upper"]))
+        lines.append(",".join([str(row.metrics.n)] + cells))
+    return "\n".join(lines) + "\n"
+
+
+def sweep_rows_json(rows, digits: int) -> dict:
+    """The old JSON payload: one dict per row."""
+    out = []
+    for row in rows:
+        (fill, sep, rho), b = _row_cells(row, digits)
+        out.append({"n": row.metrics.n, "fill": fill, "separation": sep,
+                    "mesh_ratio": rho, "provenance": row.metrics.provenance})
+        if b is not None:
+            out[-1]["bounds"] = b
+    return {"rows": out}
+
+
+def sweep_command_rows(args):
+    """The old `kronmesh sweep`: rows one n (or one m) at a time, written by
+    sweep_rows_csv or by json.dumps(sweep_rows_json(...), indent=2)."""
+    import json
+    from kronmesh import (CFExpansion, KroneckerGen, SweepRow, UnsupportedAlphaError,
+                          kronecker_bounds, mesh_ratio_structural)
+    from kronmesh import cli
+
+    ctx = cli._context(args)
+    gen = cli._generator(args)
+    if args.n_at is not None:
+        if args.m is None:
+            raise cli._UsageError("--n-at nm needs --m a..b")
+        if not isinstance(gen, KroneckerGen):
+            raise cli._UsageError("--n-at nm applies to Kronecker sequences only")
+        exp = CFExpansion(gen.alpha)
+        if exp.is_rational:
+            raise UnsupportedAlphaError("n_m sweep needs irrational alpha")
+        m_lo, m_hi = cli._parse_range(args.m, "--m")
+        if m_lo < 1:
+            raise cli._UsageError("--m range must start at m >= 1")
+        cli._check_rows(m_lo, m_hi, "--m")
+        cli._check_nm(exp, m_hi)
+        rows = []
+        for m in range(m_lo, m_hi + 1):
+            if not exp.ensure(m):
+                raise cli._UsageError(
+                    f"--m reaches m={m} but the expansion ends at a_{exp.depth}")
+            n = exp.n_at(m)
+            rows.append(SweepRow(mesh_ratio_structural(exp, n, ctx),
+                                 None if args.no_bounds else kronecker_bounds(exp, n, ctx)))
+    else:
+        spec = args.n if args.n is not None else args.n_range
+        if spec is None:
+            raise cli._UsageError("sweep needs --n a..b (or --n-at nm --m a..b)")
+        lo, hi = cli._parse_range(spec, "--n")
+        cli._check_rows(lo, hi, "--n")
+        try:
+            rows = sweep_rows(gen, lo, hi, ctx, with_bounds=not args.no_bounds)
+        except ValueError as e:
+            raise cli._UsageError(str(e))
+    if args.format == "csv":
+        return sweep_rows_csv(rows, args.digits), 0
+    return json.dumps(sweep_rows_json(rows, args.digits), indent=2) + "\n", 0
 
 
 # -- random generators for property-style suites -----------------------------

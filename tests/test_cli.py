@@ -349,7 +349,7 @@ def test_sweep_cap_refuses_before_evaluating(capsys, monkeypatch, argv):
 
     metrics = importlib.import_module("kronmesh.metrics")
     for module in (cli, metrics):
-        for name in ("sweep", "mesh_ratio_structural", "kronecker_bounds"):
+        for name in ("sweep", "sweep_segments", "mesh_ratio_structural", "kronecker_bounds"):
             monkeypatch.setattr(module, name, fail)
     start = time.perf_counter()
     code, out, err = run(capsys, "sweep", *argv)
@@ -366,7 +366,7 @@ def test_sweep_cap_admits_exactly_the_cap(capsys, monkeypatch):
     def stop(*args, **kwargs):
         raise Evaluated
 
-    monkeypatch.setattr(cli, "sweep", stop)
+    monkeypatch.setattr(cli, "sweep_segments", stop)
     with pytest.raises(Evaluated):
         main(["sweep", "--gen", "vdc", "--n", f"2..{cli.MAX_ROWS + 1}"])
 
@@ -410,7 +410,7 @@ def test_bits_cap_refuses_before_any_work(capsys, monkeypatch, argv, flags):
 
     metrics = importlib.import_module("kronmesh.metrics")
     for module in (cli, metrics):
-        for name in ("sweep", "mesh_ratio_structural", "kronecker_bounds"):
+        for name in ("sweep", "sweep_segments", "mesh_ratio_structural", "kronecker_bounds"):
             monkeypatch.setattr(module, name, fail)
     for name in ("CFExpansion", "gap_structure", "generate"):
         monkeypatch.setattr(cli, name, fail)
@@ -437,6 +437,28 @@ def test_bits_cap_admits_exactly_the_cap(monkeypatch):
               "--bits", "65536", "--max-bits", "65536"])
     assert cli.MAX_BITS == 65536
     assert seen == [kronmesh.PrecisionContext(65536, 65536)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--alpha", "sqrt:99999999977"),
+    ("analyze", "--alpha", "sqrt:99999999977", "--n", "100"),
+    ("sweep", "--alpha", "sqrt:99999999977", "--n", "2..50", "--format", "json"),
+])
+def test_period_walk_cap_exits_3(capsys, argv):
+    # the walk once ran until MemoryError; its period does not close within
+    # contfrac.MAX_PERIOD_WALK digits
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err == ("error: the digit period of sqrt:99999999977 does not close within "
+                   "the walk cap of 10000 digits\n")
+
+
+def test_period_walk_cap_spares_bound_free_sweeps(capsys):
+    code, out, err = run(capsys, "sweep", "--alpha", "sqrt:99999999977", "--n", "2..50",
+                         "--no-bounds")
+    assert code == 0 and err == "" and len(out.splitlines()) == 50
 
 
 def test_nm_cap_lies_far_above_the_sizes_in_use():

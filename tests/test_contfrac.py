@@ -1,3 +1,5 @@
+import importlib
+import math
 import threading
 from fractions import Fraction
 
@@ -285,6 +287,60 @@ def test_digit_supremum_examples():
     assert km.digit_supremum(CFExpansion(ExplicitCF((0,), (1, 2)))) == (2, "exact")
     rule = CFExpansion(ExplicitCF(tuple([0] + list(range(1, 51))), ()))
     assert km.digit_supremum(rule, probe_depth=50) == (50, "prefix-only")
+
+
+def test_digit_supremum_is_memoized_per_expansion_and_probe():
+    # kronecker_bounds asks once per bound key; the walk and the max run once
+    exp = CFExpansion(km.parse_alpha("sqrt:94"))
+    first = km.digit_supremum(exp)
+    depth = exp.depth
+    exp.digits[1] = 10 ** 9  # a re-walk would see it
+    assert km.digit_supremum(exp) is first and exp.depth == depth
+    rule = CFExpansion(ExplicitCF(tuple([0] + list(range(1, 51))), ()))
+    assert km.digit_supremum(rule, probe_depth=20) == (20, "prefix-only")
+    assert km.digit_supremum(rule, probe_depth=30) == (30, "prefix-only")
+    assert km.digit_supremum(rule, probe_depth=20) == (20, "prefix-only")
+
+
+def _sqrt_period(D: int) -> tuple:
+    """(period length, largest digit) of sqrt(D) by the integer recurrence."""
+    a0 = math.isqrt(D)
+    m, d, a, length, top = 0, 1, a0, 0, 0
+    while a != 2 * a0:
+        m = d * a - m
+        d = (D - m * m) // d
+        a = (a0 + m) // d
+        length, top = length + 1, max(top, a)
+    return length, top
+
+
+@pytest.mark.parametrize("spec", ["sqrt:94", "sqrt:213", "quad:3,37,5", "golden"])
+def test_period_walk_cap_is_exact(monkeypatch, spec):
+    # a surd whose preperiod and period fill the cap answers; one digit
+    # less exits with PrecisionUnresolvedError naming the cap
+    contfrac = importlib.import_module("kronmesh.contfrac")
+    exp = CFExpansion(km.parse_alpha(spec))
+    expected = km.digit_supremum(exp)
+    pre, per = exp.periodic
+    monkeypatch.setattr(contfrac, "MAX_PERIOD_WALK", pre + per)
+    assert km.digit_supremum(CFExpansion(km.parse_alpha(spec))) == expected
+    monkeypatch.setattr(contfrac, "MAX_PERIOD_WALK", pre + per - 1)
+    with pytest.raises(PrecisionUnresolvedError, match=f"walk cap of {pre + per - 1} digits"):
+        km.digit_supremum(CFExpansion(km.parse_alpha(spec)))
+
+
+def test_surd_just_inside_the_walk_cap_answers():
+    # sqrt(20001019) has period 9714 (preperiod a_0): 9715 of the 10**4 digits
+    length, top = _sqrt_period(20001019)
+    assert length == 9714 and 1 + length <= km.contfrac.MAX_PERIOD_WALK
+    v = km.is_badly_approximable(km.parse_alpha("sqrt:20001019"))
+    assert (v.verdict, v.digit_sup, v.certainty, v.c_bound) == ("yes", top, "exact", 2 + 2 * top)
+
+
+def test_surds_in_use_lie_far_inside_the_walk_cap():
+    for D in (2, 3, 5, 7, 11, 13, 94, 213) + tuple(range(2, 301)):
+        if math.isqrt(D) ** 2 != D:
+            assert 1 + _sqrt_period(D)[0] <= km.contfrac.MAX_PERIOD_WALK // 100
 
 
 def test_is_badly_approximable():
