@@ -14,11 +14,10 @@ precision unresolved at the configured ceiling; 4 infinite mesh ratio.
 any point, and `sweep` refuses a --n or --m range of more than 10**6 rows
 (MAX_ROWS), or an --n-at nm range whose last n_m has more than 2048 bits
 (MAX_NM_BITS), with exit 1 before it evaluates any row.  --bits and
---max-bits above 65536 (MAX_BITS) exit 1 before any work.  A quadratic surd
-whose digit period does not close within 10**4 digits (MAX_PERIOD_WALK in
-contfrac) exits 3 where its digit supremum is needed: classify and the bound
-columns.  A bare KronmeshError (a broken internal invariant) exits 1 with an
-error line.
+--max-bits above 65536 (MAX_BITS) exit 1 before any work, and a surd whose
+digit period does not close in 10**4 digits (contfrac.MAX_PERIOD_WALK) exits
+3 in classify and the bound columns.  A bare KronmeshError (a broken internal
+invariant) exits 1 with an error line.
 
 Output is deterministic: the same arguments produce byte-identical output.
 """

@@ -324,18 +324,14 @@ class SweepRow:
     n_lo = n_hi = property(lambda self: self.metrics.n)  # the writers take rows too
 
 
-class Segment(NamedTuple):
-    """Sweep rows n_lo..n_hi with the cells of n_lo's metrics and bounds."""
-    n_lo: int
-    n_hi: int
-    metrics: QUMetrics
-    bounds: Optional[BoundReport]
+# sweep rows n_lo..n_hi, which print the cells of n_lo's metrics and bounds
+Segment = NamedTuple("Segment", [("n_lo", int), ("n_hi", int), ("metrics", QUMetrics),
+                                 ("bounds", Optional[BoundReport])])
 
 
 def sweep(gen: GeneratorSpec, n_lo: int, n_hi: int, ctx: PrecisionContext = DEFAULT_CONTEXT,
           with_bounds: bool = True) -> List[SweepRow]:
-    """One row per n in [n_lo, n_hi]: sweep_segments expanded, each row with
-    its own n, bounds k and drift error_bound (n - 1)*U / M."""
+    """sweep_segments as one row per n, with its n, bounds k and drift error."""
     rows = []
     for lo, hi, qm, br in sweep_segments(gen, n_lo, n_hi, ctx, with_bounds):
         unit = qm.error_bound / (lo - 1)  # the drift is linear in n - 1
@@ -348,13 +344,11 @@ def sweep(gen: GeneratorSpec, n_lo: int, n_hi: int, ctx: PrecisionContext = DEFA
 
 def sweep_segments(gen: GeneratorSpec, n_lo: int, n_hi: int, ctx: PrecisionContext = DEFAULT_CONTEXT,
                    with_bounds: bool = True) -> List[Segment]:
-    """The sweep over [n_lo, n_hi] as runs of n that print the same cells;
-    no point is built.  For an irrational Kronecker alpha the forms, on the
-    lattice of n_hi, depend on n only through (m, h, min(k, 2)) but for the
-    unprinted drift, and the bound report (when with_bounds is set) through
-    (m, h, k == 0): a segment is k = 0, k = 1 or k = 2..s_m - 1 of one
-    (m, h).  Rational alphas, van der Corput and greedy have exact closed
-    forms, one segment per run, and no bound report."""
+    """[n_lo, n_hi] as runs of n that print the same cells; no point is built.
+    An irrational Kronecker alpha's forms, on the lattice of n_hi, depend on
+    n only through (m, h, min(k, 2)) but for the unprinted drift, and its
+    bound report (with_bounds) through (m, h, k == 0): a segment is k = 0, 1
+    or 2..s_m - 1 of one (m, h).  p/q, vdc and greedy runs have no bounds."""
     if n_lo < 2:
         raise ValueError("sweep needs n_lo >= 2 (mesh ratio undefined at n = 1)")
     if n_hi < n_lo:
@@ -380,8 +374,7 @@ def sweep_segments(gen: GeneratorSpec, n_lo: int, n_hi: int, ctx: PrecisionConte
 
 def _form_segments(exp: CFExpansion, n_lo: int, n_hi: int, A: int, U: int, M: int,
                    ctx: PrecisionContext, with_bounds: bool) -> List[Segment]:
-    """Segments of a Kronecker sweep on the lattice (A, U, M): the forms
-    once per segment, the bounds once per key (m, h, k == 0)."""
+    """Kronecker segments on the lattice (A, U, M); bounds once per key."""
     segs, key, n = [], None, n_lo
     while n <= n_hi:
         d = decompose(exp, n)
@@ -461,47 +454,55 @@ def _formatter(digits: int):
     return fmt
 
 
+def _rho_str(qm: QUMetrics, fmt) -> str:
+    return "inf" if qm.is_infinite else fmt(qm.mesh_ratio)
+
+
 def _interval_str(iv: Interval, fmt) -> List[str]:
     """Outward-rounded endpoints, as interval_to_decimal renders them."""
     return [fmt(iv.lo, "floor"), fmt(iv.hi, "ceil")]
 
 
-def _expand(segments, digits: int, template) -> List[str]:
-    """Each segment's template(JSON row) text, formatted per n with n and k."""
-    fmt, out = _formatter(digits), []
-    for seg in segments:
-        text = template(_metrics_json(seg.metrics, seg.bounds, fmt))
-        dk = 0 if seg.bounds is None else seg.bounds.k - seg.n_lo
-        out += [text.format(n, n + dk) for n in range(seg.n_lo, seg.n_hi + 1)]
-    return out
-
-
-def _csv_template(row: dict) -> str:
-    b = row.get("bounds") or {"upper": ["", ""], "lower_at_nm": None, "global_upper": None}
-    g = b["global_upper"]
-    return ",".join(["{0}", row["fill"], row["separation"], row["mesh_ratio"], *b["upper"],
-                     *(b["lower_at_nm"] or ["", ""]), "" if g is None else str(g)]) + "\n"
-
-
-def _json_template(row: dict) -> str:
-    # marks for n, bounds.n and bounds.k; json.dumps writes "\u0000", "\u0001"
-    row["n"] = "\0"
-    if "bounds" in row:
-        row["bounds"]["n"], row["bounds"]["k"] = "\0", "\1"
-    text = json.dumps(row, indent=2).replace("{", "{{").replace("}", "}}")
-    text = text.replace('"\\u0000"', "{0}").replace('"\\u0001"', "{1}")
-    return "    " + text.replace("\n", "\n    ")
-
-
 def sweep_to_csv(segments, digits: int = 40) -> str:
-    """CSV of sweep segments (or rows), a line per n."""
-    return "".join([SWEEP_COLUMNS + "\n", *_expand(segments, digits, _csv_template)])
+    """CSV of sweep segments (or rows): cells formatted once, a line per n."""
+    fmt, lines = _formatter(digits), [SWEEP_COLUMNS + "\n"]
+    for seg in segments:
+        qm, br = seg.metrics, seg.bounds
+        cells = ["", fmt(qm.fill), fmt(qm.separation), _rho_str(qm, fmt)]
+        if br is None:
+            cells += [""] * 5
+        else:
+            lower = br.lower_at_nm
+            cells += _interval_str(br.upper, fmt)
+            cells += ["", ""] if lower is None else _interval_str(lower, fmt)
+            cells.append("" if br.global_upper is None else str(br.global_upper))
+        tail = ",".join(cells) + "\n"
+        lines += [f"{n}{tail}" for n in range(seg.n_lo, seg.n_hi + 1)]
+    return "".join(lines)
 
 
 def sweep_to_json(segments, digits: int = 40) -> str:
-    """json.dumps({"rows": rows}, indent=2) + "\n" of sweep segments (or rows)."""
-    rows = _expand(segments, digits, _json_template)
-    return '{\n  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}\n" if rows else '{\n  "rows": []\n}\n'
+    """json.dumps({"rows": rows}, indent=2) + "\n" of sweep segments (or rows),
+    from one json.dumps of each segment's row: where a segment spans several
+    n, its n, bounds.n and bounds.k are "\\0" (written "\\u0000", in no cell)."""
+    fmt, segs, rows = _formatter(digits), list(segments), []
+    for seg in segs:
+        rows.append(_metrics_json(seg.metrics, seg.bounds, fmt))
+        if seg.n_hi > seg.n_lo:
+            rows[-1]["n"] = "\0"
+            if seg.bounds is not None:
+                rows[-1]["bounds"]["n"] = rows[-1]["bounds"]["k"] = "\0"
+    text = json.dumps({"rows": rows}, indent=2)
+    if all(seg.n_hi == seg.n_lo for seg in segs):
+        return text + "\n"
+    # a row starts with the only "{" on a line indented by four spaces
+    first, *rest = text[len('{\n  "rows": [\n'):-len('\n  ]\n}')].split(",\n    {")
+    out = []
+    for seg, row in zip(segs, [first] + ["    {" + t for t in rest]):
+        row = row.replace("{", "{{").replace("}", "}}").replace('"\\u0000"', "{}")
+        dk = 0 if seg.bounds is None else seg.bounds.k - seg.n_lo
+        out += [row.format(n, n, n + dk) for n in range(seg.n_lo, seg.n_hi + 1)]
+    return '{\n  "rows": [\n' + ",\n".join(out) + "\n  ]\n}\n"
 
 
 def metrics_to_json(qm: QUMetrics, br: Optional[BoundReport], digits: int = 40) -> dict:
@@ -513,7 +514,7 @@ def _metrics_json(qm: QUMetrics, br: Optional[BoundReport], fmt) -> dict:
         "n": qm.n,
         "fill": fmt(qm.fill),
         "separation": fmt(qm.separation),
-        "mesh_ratio": "inf" if qm.is_infinite else fmt(qm.mesh_ratio),
+        "mesh_ratio": _rho_str(qm, fmt),
         "provenance": qm.provenance,
     }
     if br is not None:
