@@ -83,8 +83,8 @@ MAX_ROWS = 10 ** 6
 MAX_NM_BITS = 2048
 
 # the largest --bits and --max-bits: at 65536 a golden analyze at n = 1000
-# peaks near 450 MB (its alpha_m window holds about 49k convergents), and
-# memory and time grow with the bits
+# peaks near 240 MB (its alpha_m window holds about 49k convergents, whose
+# sizes grow linearly, so memory is quadratic in the digits)
 MAX_BITS = 65536
 
 
@@ -257,11 +257,11 @@ def _check_nm(exp: CFExpansion, m_hi: int) -> None:
     """Refuse n_{m_hi} above MAX_NM_BITS, extending digits only until n_m
     passes it (a prefix that ends first is reported by the row loop)."""
     m = min(exp.depth, m_hi)
-    while exp.n[m].bit_length() <= MAX_NM_BITS:
+    while exp.n_at(m).bit_length() <= MAX_NM_BITS:
         if m == m_hi or not exp.ensure(m + 1):
             return
         m += 1
-    raise _UsageError(f"--m reaches n_{m} of {exp.n[m].bit_length()} bits, "
+    raise _UsageError(f"--m reaches n_{m} of {exp.n_at(m).bit_length()} bits, "
                       f"above the n_m cap of {MAX_NM_BITS} bits")
 
 

@@ -2,14 +2,14 @@
 
 Alpha is described exactly (quadratic surd, rational, or explicit digit
 list), never as a float.  From the digits a_0; a_1, a_2, ... we derive
-convergents p_m/q_m of the reduced tail [0; a_1, a_2, ...], the point
-counts
+the convergents p_m/q_m of alpha, whose denominators are those of the
+reduced tail [0; a_1, a_2, ...].  The point counts are read off q:
 
-    s_0 = 1,  s_1 = a_1,  s_{m+2} = a_{m+2} s_{m+1} + s_m,   s_{-1} := 0,
-    n_0 = 1,  n_m = s_m + s_{m-1},
+    s_m = q_m   (s_{-1} = q_{-1} = 0),     n_m = q_m + q_{m-1},
 
-and certified enclosures of the tail values alpha_m = [0; a_{m+1}, ...].
-All arithmetic is integer or Fraction arithmetic; big-float never enters.
+and the tail values alpha_m = [0; a_{m+1}, ...] are bracketed by integer
+ends x1/y1 <= x2/y2.  All arithmetic is integer arithmetic; a Fraction is
+built only for a public Interval, and big-float never enters.
 """
 from __future__ import annotations
 
@@ -38,21 +38,18 @@ from .intervals import Interval
 class PrecisionContext:
     """Working precision for certified enclosures.
 
-    bits is the width target exponent, max_bits the escalation ceiling for
-    comparisons that start ambiguous, guard the slack allowed per contract.
+    bits is the width target exponent (less GUARD), max_bits the escalation
+    ceiling for comparisons that start ambiguous.
     """
 
     bits: int = 192
     max_bits: int = 65536
-    guard: int = 8
 
     def __post_init__(self):
         if self.bits < 64:
             raise ValueError("PrecisionContext.bits must be >= 64")
         if self.max_bits < self.bits:
             raise ValueError("PrecisionContext.max_bits must be >= bits")
-        if self.guard < 0:
-            raise ValueError("PrecisionContext.guard must be >= 0")
 
     def escalate(self, attempt: Callable[[int], tuple], start_bits: int, what: str):
         """The precision ladder shared by every certified comparison.
@@ -84,6 +81,7 @@ class PrecisionContext:
 
 
 DEFAULT_CONTEXT = PrecisionContext()
+GUARD = 8  # the slack of the tail enclosures: alpha_tail meets width 2**-(bits - GUARD)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +258,16 @@ def _euclid_digits(fr: Fraction) -> list:
         num, den = den, rem
 
 
+Ends = Tuple[int, int, int, int]  # bracket ends (x1, y1, x2, y2): [x1/y1, x2/y2], y > 0
+
+
 class CFExpansion:
     """Lazily extended continued-fraction data for one alpha.
 
-    digits[j] holds a_j.  convergents[m] = (p_m, q_m) of [0; a_1, a_2, ...],
-    and s[m], n[m] follow the recurrences in the module docstring.  Reads are
-    safe from any thread; extension is serialized on an internal lock, and
-    the produced values are deterministic regardless of thread count.
+    digits[j] holds a_j and convergents[j] = (p_j, q_j) of alpha; s_m and
+    n_m are read off q.  A convergent is stored before its digit, so reads
+    after ensure(m) are safe from any thread; extension is serialized on an
+    internal lock, and the values are deterministic regardless of threads.
     """
 
     def __init__(self, spec: AlphaSpec):
@@ -276,8 +277,6 @@ class CFExpansion:
         self._lock = threading.RLock()
         self.digits: list = []
         self.convergents: list = []
-        self.s: list = []
-        self.n: list = []
         self.finite = False
         self.periodic: Optional[Tuple[int, int]] = None
         self._scaled: dict = {}  # bits -> alpha0_scaled(bits)
@@ -328,24 +327,13 @@ class CFExpansion:
                 a = self._next_digit(j)
                 if a is None:
                     return False
-                self.digits.append(a)
+                cv = self.convergents
                 if j == 0:
-                    # p_0/q_0 = a_0/1; s and n track the fractional
-                    # expansion [0; a_1, ...] so their bases ignore a_0
-                    self.convergents.append((a, 1))
-                    self.s.append(1)
-                    self.n.append(1)
-                elif j == 1:
-                    a0 = self.digits[0]
-                    self.convergents.append((a * a0 + 1, a))
-                    self.s.append(a)
-                    self.n.append(a + 1)
-                else:
-                    p1, q1 = self.convergents[-1]
-                    p2, q2 = self.convergents[-2]
-                    self.convergents.append((a * p1 + p2, a * q1 + q2))
-                    self.s.append(a * self.s[-1] + self.s[-2])
-                    self.n.append(self.s[-1] + self.s[-2])
+                    cv.append((a, 1))
+                else:  # (p_{-1}, q_{-1}) = (1, 0)
+                    (p1, q1), (p2, q2) = cv[-1], cv[-2] if j > 1 else (1, 0)
+                    cv.append((a * p1 + p2, a * q1 + q2))
+                self.digits.append(a)
             return True
 
     # -- accessors ---------------------------------------------------------
@@ -378,14 +366,14 @@ class CFExpansion:
             raise OutOfRangeError("s_m defined for m >= -1")
         if not self.ensure(m):
             raise OutOfRangeError(f"s_{m} needs digit a_{m}; expansion ends at a_{self.depth}")
-        return self.s[m]
+        return self.convergents[m][1]
 
     def n_at(self, m: int) -> int:
         if m < 0:
             raise OutOfRangeError("n_m defined for m >= 0")
         if not self.ensure(m):
             raise OutOfRangeError(f"n_{m} needs digit a_{m}; expansion ends at a_{self.depth}")
-        return self.n[m]
+        return self.s_at(m) + self.s_at(m - 1)
 
     def convergent(self, m: int) -> Tuple[int, int]:
         if m < 0:
@@ -415,67 +403,95 @@ class CFExpansion:
         return None
 
     @cached_property
-    def _prefix_bracket(self) -> Interval:
-        """Enclosure of alpha mod 1 for a digit prefix with unknown
-        continuation: the tail bracket of a_1..a_M, between the convergent
-        and the mediant (computed once; the prefix is fixed)."""
-        self.ensure(len(self.spec.preperiod) - 1)
-        M = self.depth
-        if M < 1:
+    def _prefix_bracket(self) -> Ends:
+        """Bracket ends of alpha mod 1 from every digit there is, when no surd
+        gives it: exact for a terminating expansion, else the bracket of a
+        prefix with unknown continuation (computed once; the digits are fixed)."""
+        self.ensure(10 ** 9 if self.finite else len(self.spec.preperiod) - 1)
+        if self.depth < 1 and not self.finite:
             raise PrecisionUnresolvedError(
                 "no digits beyond a_0; alpha mod 1 is unconstrained in [0, 1]"
             )
-        return _window_bracket(self, 0, M)
+        return _window_bracket(self, 0, self.depth)
 
     def alpha0_scaled(self, bits: int) -> Tuple[int, int]:
-        """(A, U) with (alpha mod 1) * 2**bits in [A, A + U]; U = 1 whenever
-        the value is exactly known.  Memoized per bits without a lock: the
-        value depends only on (spec, bits), so threads racing on a miss
-        store equal tuples, and one dict read or write is atomic."""
+        """(A, U) with (alpha mod 1) * 2**bits in [A, A + U]: U = 1 for a
+        surd, else the ceiling less the floor of the bracket ends (0 for an
+        exact dyadic).  Memoized per bits without a lock: the value depends
+        only on (spec, bits), so threads racing on a miss store equal
+        tuples, and one dict read or write is atomic."""
         hit = self._scaled.get(bits)
         if hit is None:
             hit = self._scaled[bits] = self._alpha0_scaled(bits)
         return hit
 
     def _alpha0_scaled(self, bits: int) -> Tuple[int, int]:
-        spec = self.spec
-        if isinstance(spec, Rational):
-            x = spec.as_fraction()
-            x -= math.floor(x)
-            num = x.numerator << bits
-            A, rem = divmod(num, x.denominator)
-            return (A, 1 if rem else 0)
         surd = self._alpha0_surd
         if surd is not None:
             return (surd.floor_scaled(bits), 1)
-        iv = self._prefix_bracket
-        A = (iv.lo.numerator << bits) // iv.lo.denominator
-        hi_num = iv.hi.numerator << bits
-        U = -((-hi_num) // iv.hi.denominator) - A
-        return (A, max(U, 1))
+        x1, y1, x2, y2 = self._prefix_bracket
+        A = (x1 << bits) // y1
+        return (A, -((-x2 << bits) // y2) - A)
 
 
-def _window_bracket(exp: CFExpansion, m: int, e: int) -> Interval:
-    """Enclosure of alpha_m = [0; a_{m+1}, ..., a_e + x] over x in [0, 1]
-    for known digits m < e, between the window's convergent (x = 0) and its
-    mediant (x = 1); exact when a terminating expansion ends at a_e.  With
-    P_j = p_j - a_0 q_j and Q_j = q_j read off the stored convergents
-    ((p_-1, q_-1) = (1, 0)), alpha0 = (P_e + x P_{e-1}) / (Q_e + x Q_{e-1})
-    and alpha_m is its unimodular image t(P / Q) = (Q_m P - P_m Q) /
-    (P_{m-1} Q - Q_{m-1} P), so the bracket costs O(1) in the window."""
+def _window_bracket(exp: CFExpansion, m: int, e: int) -> Ends:
+    """Unreduced ends of the enclosure of alpha_m = [0; a_{m+1}, ..., a_e +
+    x] over x in [0, 1] for known digits m < e: the window's convergent
+    (x = 0) and mediant (x = 1), exact when a terminating expansion ends at
+    a_e.  With P_j = p_j - a_0 q_j and Q_j = q_j read off the stored
+    convergents ((p_-1, q_-1) = (1, 0)), alpha0 = (P_e + x P_{e-1}) / (Q_e +
+    x Q_{e-1}) and alpha_m is its unimodular image (Q_m P - P_m Q) /
+    (P_{m-1} Q - Q_{m-1} P), O(1) in the window; the pole P_{m-1} / Q_{m-1}
+    is outside the alpha0 bracket, so both denominators share one sign."""
     a0 = exp.digits[0]
     (Pl, Ql), (Pm, Qm), (Pf, Qf), (Pe, Qe) = (
         (p - a0 * q, q) for p, q in (exp.convergents[j] if j >= 0 else (1, 0)
                                      for j in (m - 1, m, e - 1, e)))
-    end, mediant = (Fraction(Qm * P - Pm * Q, Pl * Q - Ql * P)
-                    for P, Q in ((Pe, Qe), (Pe + Pf, Qe + Qf)))
+    (x1, y1), (x2, y2) = ((Qm * P - Pm * Q, Pl * Q - Ql * P)
+                          for P, Q in ((Pe, Qe), (Pe + Pf, Qe + Qf)))
+    if y1 < 0:
+        x1, y1, x2, y2 = -x1, -y1, -x2, -y2
     if exp.finite and e == exp.depth:
-        return Interval(end, end)
-    return Interval(end, mediant) if end < mediant else Interval(mediant, end)
+        return (x1, y1, x1, y1)
+    return (x1, y1, x2, y2) if x1 * y2 < x2 * y1 else (x2, y2, x1, y1)
+
+
+def _tail_ends(exp: CFExpansion, m: int, bits: int) -> Tuple[Ends, int]:
+    """The alpha_m bracket for the width target 2**(GUARD - bits), and its
+    window w: the bracket of a_{m+1}..a_{m+w}, w from max(16, 3 (bits -
+    GUARD) / 4) doubling until the target is met, or of every digit there
+    is when they run out first (exact for a terminating expansion, perhaps
+    too wide for a prefix).  Raises when no digit beyond a_m exists."""
+    if m < 0:
+        raise OutOfRangeError("alpha_m defined for m >= 0")
+    if exp.finite:
+        exp.ensure(10 ** 9)  # rational digits are finite; materialize all
+    width_bits = bits - GUARD
+    w = max(16, (3 * width_bits) // 4)
+    while not exp.finite and exp.ensure(m + w):
+        x1, y1, x2, y2 = ends = _window_bracket(exp, m, m + w)
+        if (x2 * y1 - x1 * y2) << width_bits <= y1 * y2:
+            return ends, w
+        w *= 2
+    M = exp.depth
+    if M <= m and exp.finite:
+        raise UnsupportedAlphaError(
+            f"alpha_{m} needs digits beyond a_{M}, but the expansion terminates"
+        )
+    if M <= m:
+        raise PrecisionUnresolvedError(
+            f"alpha_{m} needs digits beyond a_{M}; the known prefix is too short"
+        )
+    return _window_bracket(exp, m, M), w
+
+
+def _interval(ends: Ends) -> Interval:
+    x1, y1, x2, y2 = ends
+    return Interval(Fraction(x1, y1), Fraction(x2, y2))
 
 
 def expand(alpha: AlphaSpec, m_max: int) -> CFExpansion:
-    """Digits a_0..a_{m_max} (or to termination) with convergents, s, n."""
+    """Digits a_0..a_{m_max} (or to termination) with their convergents."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     exp = CFExpansion(alpha)
@@ -484,7 +500,7 @@ def expand(alpha: AlphaSpec, m_max: int) -> CFExpansion:
 
 
 def s_and_n(exp: CFExpansion, m: int) -> Tuple[int, int]:
-    """Exact (s_m, n_m) per the recurrences; m >= 0."""
+    """Exact (s_m, n_m) = (q_m, q_m + q_{m-1}); m >= 0."""
     return (exp.s_at(m), exp.n_at(m))
 
 
@@ -494,40 +510,18 @@ def alpha_tail(exp: CFExpansion, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT
     The enclosure is the bracket of the digit window a_{m+1}..a_{m+w}
     between its convergent and its mediant (the unknown remainder ranges
     over [0, 1]), read off the stored convergents in O(1).  The window
-    starts at w = max(16, 3 (bits - guard) / 4) digits and doubles until
-    the width target 2**(guard - bits) is met.
+    starts at w = max(16, 3 (bits - GUARD) / 4) digits and doubles until
+    the width target 2**(GUARD - bits) is met.
     Terminating tails come out exact.
     """
-    if m < 0:
-        raise OutOfRangeError("alpha_m defined for m >= 0")
-    target = Fraction(1, 1 << (ctx.bits - ctx.guard))
-
-    if exp.finite:
-        exp.ensure(10 ** 9)  # rational digits are finite; materialize all
-    w = max(16, (3 * (ctx.bits - ctx.guard)) // 4)
-    while True:
-        # a terminating expansion's bracket of all its digits is exact
-        if exp.finite or not exp.ensure(m + w):
-            M = exp.depth
-            if M <= m and exp.finite:
-                raise UnsupportedAlphaError(
-                    f"alpha_{m} needs digits beyond a_{M}, but the expansion terminates"
-                )
-            if M <= m:
-                raise PrecisionUnresolvedError(
-                    f"alpha_{m} needs digits beyond a_{M}; the known prefix is too short"
-                )
-            iv = _window_bracket(exp, m, M)
-            if iv.width <= target:
-                return iv
-            raise PrecisionUnresolvedError(
-                f"alpha_{m} certified only to width {float(iv.width):.3e} from digits "
-                f"through a_{M}; need roughly depth {m + w} for width 2**-{ctx.bits - ctx.guard}"
-            )
-        iv = _window_bracket(exp, m, m + w)
-        if iv.width <= target:
-            return iv
-        w *= 2
+    ends, w = _tail_ends(exp, m, ctx.bits)
+    iv, bits = _interval(ends), ctx.bits - GUARD
+    if iv.width * (1 << bits) > 1:
+        raise PrecisionUnresolvedError(
+            f"alpha_{m} certified only to width {float(iv.width):.3e} from digits "
+            f"through a_{exp.depth}; need roughly depth {m + w} for width 2**-{bits}"
+        )
+    return iv
 
 
 def alpha_tail_best(exp: CFExpansion, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Interval:
@@ -538,12 +532,7 @@ def alpha_tail_best(exp: CFExpansion, m: int, ctx: PrecisionContext = DEFAULT_CO
     raising.  Still raises when no digit beyond a_m is known (the enclosure
     would be all of [0, 1]).
     """
-    try:
-        return alpha_tail(exp, m, ctx)
-    except PrecisionUnresolvedError:
-        if exp.depth <= m:
-            raise
-        return _window_bracket(exp, m, exp.depth)
+    return _interval(_tail_ends(exp, m, ctx.bits)[0])
 
 
 # the most digits digit_supremum walks for a surd's period (60 MB RSS, 0.1 s)

@@ -37,7 +37,7 @@ from .contfrac import (
     CFExpansion,
     DEFAULT_CONTEXT,
     PrecisionContext,
-    alpha_tail_best,
+    _tail_ends,
     digit_supremum,
 )
 from .errors import KronmeshError, PrecisionUnresolvedError, UnsupportedAlphaError
@@ -239,16 +239,17 @@ def kronecker_bounds(
     h = d.h
 
     def attempt(bits):
-        # a digit prefix too short for the width target still yields the
-        # bracket of every known digit
-        am = alpha_tail_best(exp, d.m, replace(ctx, bits=bits))
-        (x1, y1), (x2, y2) = ends = [(f.numerator, f.denominator) for f in (am.lo, am.hi)]
+        # alpha_tail_best's bracket: a digit prefix too short for the width
+        # target still yields the bracket of every known digit
+        x1, y1, x2, y2 = ends = _tail_ends(exp, d.m, bits)[0]
         c1, c2 = y1 - (h + 1) * x1, y2 - (h + 1) * x2
         lo = (x1, y1) if x1 * y2 <= c2 * y1 else (c2, y2)
         hi = (x2, y2) if x2 * y1 <= c1 * y2 else (c1, y1)
-        return ((ends, lo, hi), None) if lo[0] > 0 else (None, am.width)
+        if lo[0] > 0:
+            return (ends, lo, hi), None
+        return None, Fraction(x2 * y1 - x1 * y2, y1 * y2)  # the bracket width
 
-    ((x1, y1), (x2, y2)), (p_lo, q_lo), (p_hi, q_hi) = ctx.escalate(
+    (x1, y1, x2, y2), (p_lo, q_lo), (p_hi, q_hi) = ctx.escalate(
         attempt, ctx.bits, f"bound denominator sign (n={n})")
     upper = Interval(Fraction(2 * (y2 - h * x2) * q_hi, y2 * p_hi),
                      Fraction(2 * (y1 - h * x1) * q_lo, y1 * p_lo))
@@ -383,7 +384,7 @@ def _form_segments(exp: CFExpansion, n_lo: int, n_hi: int, A: int, U: int, M: in
             if key != (d.m, d.h, d.k == 0):
                 key, b = (d.m, d.h, d.k == 0), kronecker_bounds(exp, n, ctx)
             br = replace(b, n=n, k=d.k)
-        hi = n if d.k < 2 else min(n + exp.s[d.m] - 1 - d.k, n_hi)
+        hi = n if d.k < 2 else min(n + exp.s_at(d.m) - 1 - d.k, n_hi)
         segs.append(Segment(n, hi, qm, br))
         n = hi + 1
     return segs

@@ -20,12 +20,15 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from .contfrac import CFExpansion, DEFAULT_CONTEXT, PrecisionContext
 from .errors import KronmeshError, OutOfRangeError
 from .errors import PrecisionUnresolvedError, UnsupportedAlphaError
 from .intervals import Interval, interval_to_decimal
+
+_Q = itemgetter(1)  # q of a convergent (p, q)
 
 
 @dataclass(frozen=True)
@@ -133,20 +136,26 @@ def decompose(exp: CFExpansion, n: int) -> Decomposition:
     """The unique (m, h, k) with n = n_m + h s_m + k in the ranges above."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    # extend until n_{m+1} > n, minding finite and prefix-only expansions
-    while exp.n[-1] <= n:
-        if not exp.ensure(exp.depth + 1):
+    cv = exp.convergents  # s_m = q_m, n_m = q_m + q_{m-1}
+    # extend until n_{m+1} > n (q_{m+1} > n settles it at one lookup),
+    # minding finite and prefix-only expansions
+    while cv[-1][1] <= n and cv[-1][1] + (cv[-2][1] if len(cv) > 1 else 0) <= n:
+        if not exp.ensure(len(cv)):
             if exp.finite:
                 raise UnsupportedAlphaError(
                     f"n = {n} reaches the periodic regime of a rational alpha "
-                    f"(expansion ends at n_{exp.depth} = {exp.n[-1]})"
+                    f"(expansion ends at n_{exp.depth} = {exp.n_at(exp.depth)})"
                 )
             raise PrecisionUnresolvedError(
-                f"digit prefix through a_{exp.depth} only brackets n < {exp.n[-1]}; "
+                f"digit prefix through a_{exp.depth} only brackets n < {exp.n_at(exp.depth)}; "
                 f"cannot decompose n = {n}"
             )
-    m = bisect.bisect_right(exp.n, n) - 1  # n_0 < n_1 < ... and n_0 = 1 <= n
-    h, k = divmod(n - exp.n[m], exp.s[m])
+    # q_m <= n_m <= q_{m+1}: the last q_j <= n has j = m or j = m + 1
+    m = bisect.bisect_right(cv, n, key=_Q) - 1
+    s, prev = cv[m][1], cv[m - 1][1] if m else 0
+    if s + prev > n:
+        m, s, prev = m - 1, prev, cv[m - 2][1] if m > 1 else 0
+    h, k = divmod(n - s - prev, s)
     if not 0 <= h < exp.digit(m + 1):
         raise KronmeshError(
             f"decomposition out of range at n={n}: (m, h, k) = ({m}, {h}, {k}) "

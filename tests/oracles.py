@@ -180,15 +180,16 @@ def alpha0_scaled_window(exp, bits: int):
 
 def alpha_tail_window(exp, m: int, ctx):
     """alpha_tail by brackets of the digit window a_{m+1}..a_{m+w}, w from
-    max(16, 3 (bits - guard) / 4) doubling until the width target is met;
+    max(16, 3 (bits - GUARD) / 4) doubling until the width target is met;
     the same errors for a short prefix or a terminating expansion."""
+    from kronmesh.contfrac import GUARD
     from kronmesh.errors import OutOfRangeError, PrecisionUnresolvedError
     from kronmesh.errors import UnsupportedAlphaError
     from kronmesh.intervals import Interval
 
     if m < 0:
         raise OutOfRangeError("alpha_m defined for m >= 0")
-    target = Fraction(1, 1 << (ctx.bits - ctx.guard))
+    target = Fraction(1, 1 << (ctx.bits - GUARD))
     if exp.finite:
         exp.ensure(10 ** 9)
         M = exp.depth
@@ -200,7 +201,7 @@ def alpha_tail_window(exp, m: int, ctx):
         for a in reversed(exp.digits[m + 1:]):
             x = 1 / (a + x)
         return Interval(x, x)
-    w = max(16, (3 * (ctx.bits - ctx.guard)) // 4)
+    w = max(16, (3 * (ctx.bits - GUARD)) // 4)
     while True:
         if not exp.ensure(m + w):
             M = exp.depth
@@ -213,7 +214,7 @@ def alpha_tail_window(exp, m: int, ctx):
                 return iv
             raise PrecisionUnresolvedError(
                 f"alpha_{m} certified only to width {float(iv.width):.3e} from digits "
-                f"through a_{M}; need roughly depth {m + w} for width 2**-{ctx.bits - ctx.guard}"
+                f"through a_{M}; need roughly depth {m + w} for width 2**-{ctx.bits - GUARD}"
             )
         iv = tail_bracket(exp.digits[m + 1:m + w + 1])
         if iv.width <= target:

@@ -721,6 +721,29 @@ def test_only_the_ladder_escalates_precision():
     assert found == []
 
 
+def test_ladder_rungs_pass_bits_not_contexts():
+    # a PrecisionContext is built only from the CLI flags (cli._context) and
+    # as contfrac.DEFAULT_CONTEXT; no module rebuilds one per rung with
+    # replace(ctx, ...)
+    package = Path(kronmesh.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = getattr(top, "name", None) or ",".join(
+                t.id for t in getattr(top, "targets", ()) if isinstance(t, ast.Name))
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "PrecisionContext" and (path.name, owner) not in {
+                        ("cli.py", "_context"), ("contfrac.py", "DEFAULT_CONTEXT")}:
+                    found.append(f"{path.name}:{node.lineno} builds a PrecisionContext")
+                if (name == "replace" and node.args and isinstance(node.args[0], ast.Name)
+                        and "ctx" in node.args[0].id):
+                    found.append(f"{path.name}:{node.lineno} calls replace(ctx, ...)")
+    assert found == []
+
+
 @pytest.mark.parametrize("argv, site, start_bits", [
     (("gaps", "--alpha", "cf:0;1,2,3,4,5", "--n", "226"), "sign of", 192),
     (("sweep", "--alpha", "cf:0;1,1,1,1,1,1", "--n-at", "nm", "--m", "5..5"),

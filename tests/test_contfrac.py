@@ -26,8 +26,19 @@ import oracles
 def test_expand_golden():
     exp = km.expand(km.parse_alpha("golden"), 10)
     assert exp.digits == [0] + [1] * 10
-    assert exp.s[:6] == [1, 1, 2, 3, 5, 8]
-    assert exp.n[:6] == [1, 2, 3, 5, 8, 13]
+    assert [exp.s_at(m) for m in range(6)] == [1, 1, 2, 3, 5, 8]
+    assert [exp.n_at(m) for m in range(6)] == [1, 2, 3, 5, 8, 13]
+
+
+def test_expansion_stores_only_digits_and_convergents():
+    # s_m = q_m and n_m = q_m + q_{m-1} are read off the convergents: two
+    # lists of big integers per expansion, not four
+    exp = CFExpansion(km.parse_alpha("golden"))
+    exp.ensure(500)
+    assert sorted(k for k, v in vars(exp).items() if isinstance(v, list)) == [
+        "convergents", "digits"]
+    assert len(exp.convergents) == len(exp.digits) == 501
+    assert exp.n_at(500) == exp.s_at(500) + exp.s_at(499) == exp.s_at(501)
 
 
 def test_expand_sqrt2():
@@ -58,7 +69,7 @@ def test_s_and_n_examples():
         (1, 1), (1, 2), (2, 3), (3, 5)
     ]
     r2 = km.expand(km.parse_alpha("quad:-1,2,1"), 6)
-    assert r2.s[:5] == [1, 2, 5, 12, 29]
+    assert [r2.s_at(m) for m in range(5)] == [1, 2, 5, 12, 29]
     assert km.s_and_n(r2, 1)[1] == 3
     assert km.s_and_n(r2, 2)[1] == 7
     # m = 0 base case is generator-independent
@@ -72,7 +83,7 @@ def test_s_equals_convergent_denominator(digits):
     exp = CFExpansion(ExplicitCF((0, *digits), ()))
     exp.ensure(len(digits))
     qs = [q for _, q in oracles.convergents_from_digits([0] + digits)]
-    assert exp.s[: len(digits) + 1] == qs
+    assert [exp.s_at(m) for m in range(len(digits) + 1)] == qs
 
 
 @settings(max_examples=100, deadline=None)
@@ -168,7 +179,7 @@ def test_alpha_tail_sqrt2_m0():
 
 
 def test_alpha_tail_width_contract():
-    ctx = PrecisionContext(128, guard=8)
+    ctx = PrecisionContext(128)
     target = Fraction(1, 1 << 120)
     for spec in ALPHA_SPECS[:4]:
         exp = km.CFExpansion(km.parse_alpha(spec))
@@ -245,8 +256,8 @@ def test_tail_bracket_equals_backward_recurrence(data):
     # and so is the bracket the package reads off the convergents
     prefix = CFExpansion(ExplicitCF(tuple(digits)))
     prefix.ensure(len(digits) - 1)
-    iv = _window_bracket(prefix, m, len(digits) - 1)
-    assert (iv.lo, iv.hi) == (lo, hi)
+    x1, y1, x2, y2 = _window_bracket(prefix, m, len(digits) - 1)
+    assert (Fraction(x1, y1), Fraction(x2, y2)) == (lo, hi)
     # the tail of the rational with these digits is exact: one of the ends
     exp = CFExpansion(Rational(*oracles.convergents_from_digits(digits)[-1]))
     exp.ensure(10 ** 6)
@@ -276,8 +287,9 @@ def test_alpha_tail_best_prefix_equals_oracle(spec):
 @pytest.mark.parametrize("spec", [PREFIX_SPEC, "cf:2;7", "cf:0;1,1,1,1,1,1,1,1,1,1,1,1,1"])
 def test_prefix_bracket_equals_oracle(spec):
     exp = CFExpansion(km.parse_alpha(spec))
-    iv = exp._prefix_bracket
-    assert (iv.lo, iv.hi) == oracles.tail_interval_from_digits(exp.digits, 0)
+    x1, y1, x2, y2 = exp._prefix_bracket
+    assert y1 > 0 and y2 > 0
+    assert (Fraction(x1, y1), Fraction(x2, y2)) == oracles.tail_interval_from_digits(exp.digits, 0)
 
 
 def test_digit_supremum_examples():
@@ -389,6 +401,18 @@ def test_prefix_only_scaled_value_is_bracketed():
     lo, hi = Fraction(9, 13), Fraction(7, 10)
     assert Fraction(A, 1 << 64) <= lo <= hi <= Fraction(A + U, 1 << 64)
     assert U > 1
+
+
+@pytest.mark.parametrize("p, q", [(3, 8), (-7, 30), (355, 113), (5, 1), (0, 1), (1, 1024),
+                                  (-3, 4)])
+def test_rational_scaled_value_is_exact(p, q):
+    # the bracket of every digit of a rational is exact: A = floor(x * 2**bits)
+    # for x = alpha mod 1, and U = 0 for a dyadic x, else 1
+    x = Fraction(p, q) % 1
+    for bits in (64, 65, 200):
+        scaled = x * (1 << bits)
+        assert CFExpansion(Rational(p, q)).alpha0_scaled(bits) == (
+            math.floor(scaled), 0 if scaled.denominator == 1 else 1), (p, q, bits)
 
 
 def test_concurrent_extension_is_consistent():

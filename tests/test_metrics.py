@@ -369,13 +369,13 @@ def test_prefix_bounds_use_every_known_digit():
 def test_prefix_bound_denominator_stops_after_two_rungs(monkeypatch):
     metrics = importlib.import_module("kronmesh.metrics")
     tried = []
-    original = metrics.alpha_tail_best
+    original = metrics._tail_ends
 
-    def recording(exp, m, ctx):
-        tried.append(ctx.bits)
-        return original(exp, m, ctx)
+    def recording(exp, m, bits):
+        tried.append(bits)
+        return original(exp, m, bits)
 
-    monkeypatch.setattr(metrics, "alpha_tail_best", recording)
+    monkeypatch.setattr(metrics, "_tail_ends", recording)
     exp = km.CFExpansion(km.parse_alpha("cf:0;1,2,3,4,5"))
     with pytest.raises(PrecisionUnresolvedError, match="bound denominator sign.*cannot reduce"):
         km.kronecker_bounds(exp, 225)

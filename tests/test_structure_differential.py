@@ -5,6 +5,7 @@ output."""
 import importlib
 import random
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ import kronmesh as km
 from kronmesh import CFExpansion, PrecisionContext
 from kronmesh.cli import main
 from kronmesh.contfrac import _window_bracket
+from kronmesh.intervals import Interval
 from conftest import ALPHA_SPECS, PREFIX_60_DIGITS, PREFIX_SPEC
 import oracles
 
@@ -31,6 +33,13 @@ def outcome(f):
         return None, (type(e), str(e))
 
 
+def bracket(ends):
+    """The Interval of bracket ends (x1, y1, x2, y2), y > 0."""
+    x1, y1, x2, y2 = ends
+    assert y1 > 0 and y2 > 0
+    return Interval(Fraction(x1, y1), Fraction(x2, y2))
+
+
 def expansion(spec, depth):
     exp = CFExpansion(km.parse_alpha(spec))
     exp.ensure(depth)
@@ -48,15 +57,15 @@ def test_window_bracket_equals_window_oracle(spec):
     for m, w in sorted(pairs):
         if m + w > exp.depth:
             continue
-        iv = _window_bracket(exp, m, m + w)
+        iv = bracket(_window_bracket(exp, m, m + w))
         assert iv == oracles.tail_bracket(exp.digits[m + 1:m + w + 1]), (spec, m, w)
         checked += 1
     # a prefix ends at a_depth: every tail's bracket of all known digits
     if exp.depth < 800:
         for m in range(exp.depth):
-            assert _window_bracket(exp, m, exp.depth) == oracles.tail_bracket(
+            assert bracket(_window_bracket(exp, m, exp.depth)) == oracles.tail_bracket(
                 exp.digits[m + 1:]), (spec, m)
-        assert exp._prefix_bracket == oracles.tail_bracket(exp.digits[1:])
+        assert bracket(exp._prefix_bracket) == oracles.tail_bracket(exp.digits[1:])
         checked += 1
     assert checked > 0
 
@@ -82,7 +91,7 @@ def _sample_sizes(exp, m_max, rng):
     for m in range(1, m_max + 1):
         if not exp.ensure(m + 1):
             break
-        n, s = exp.n[m], exp.s[m]
+        n, s = exp.n_at(m), exp.s_at(m)
         sizes.add(n)
         if m % 5 == 0:
             h = rng.randrange(exp.digits[m + 1])
@@ -128,7 +137,7 @@ def _bound_sizes(exp, m_max=60):
     for m in range(1, m_max + 1):
         if not exp.ensure(m + 1):
             break
-        n, s, a = exp.n[m], exp.s[m], exp.digits[m + 1]
+        n, s, a = exp.n_at(m), exp.s_at(m), exp.digits[m + 1]
         sizes |= {n + h * s + k for h in {0, 1, a - 1} if h < a for k in (0, s - 1)}
     return sorted(sizes)
 
@@ -139,13 +148,14 @@ def _bounds_against_interval_path(spec, monkeypatch):
     Fractions), or the same exception and message.  Returns the ends each
     min took on the deciding bracket and the count of stalled ladders."""
     metrics = importlib.import_module("kronmesh.metrics")
-    original, brackets = metrics.alpha_tail_best, []
+    original, brackets = metrics._tail_ends, []
 
-    def recording(exp, m, ctx):
-        brackets.append(original(exp, m, ctx))
-        return brackets[-1]
+    def recording(exp, m, bits):
+        ends, w = original(exp, m, bits)
+        brackets.append(bracket(ends))
+        return ends, w
 
-    monkeypatch.setattr(metrics, "alpha_tail_best", recording)
+    monkeypatch.setattr(metrics, "_tail_ends", recording)
     branches, stalls = set(), 0
     for bits in (64, 192, 576):
         ctx = PrecisionContext(bits)
@@ -217,6 +227,13 @@ CLI_COMMANDS = [
 ]
 
 
+def _window_loop_ends(exp, m, bits):
+    """metrics._tail_ends by the old window loop: the ends of
+    oracles.alpha_tail_best_window at bits."""
+    iv = oracles.alpha_tail_best_window(exp, m, PrecisionContext(bits, max(bits, 65536)))
+    return (iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator), None
+
+
 def test_cli_output_equals_interval_path(capsys, monkeypatch):
     def run_all():
         runs = []
@@ -233,7 +250,7 @@ def test_cli_output_equals_interval_path(capsys, monkeypatch):
     threegap = importlib.import_module("kronmesh.threegap")
     cli = importlib.import_module("kronmesh.cli")
     monkeypatch.setattr(CFExpansion, "alpha0_scaled", oracles.alpha0_scaled_window)
-    monkeypatch.setattr(metrics, "alpha_tail_best", oracles.alpha_tail_best_window)
+    monkeypatch.setattr(metrics, "_tail_ends", _window_loop_ends)
     monkeypatch.setattr(threegap, "form_interval", oracles.form_interval_interval)
     monkeypatch.setattr(cli, "mesh_ratio_structural", oracles.mesh_ratio_structural_interval)
     old = run_all()
@@ -247,7 +264,7 @@ def _ladder_workout(exp):
     ctx = PrecisionContext(64)
     for m in (5, 40, 120):
         if exp.ensure(m + 1):
-            outcome(lambda: km.mesh_ratio_structural(exp, exp.n[m], ctx))
+            outcome(lambda: km.mesh_ratio_structural(exp, exp.n_at(m), ctx))
             outcome(lambda: km.eta_interval(exp, m, ctx))
     outcome(lambda: km.sweep(km.KroneckerGen(exp), 2, 300, ctx))
     outcome(lambda: km.kronecker(exp, 50, ctx))
@@ -274,7 +291,7 @@ def test_alpha0_memo_two_threads_agree():
     def read(slot):
         barrier.wait()
         out = [exp.alpha0_scaled(bits) for bits in range(64, 1200, 7)]
-        out.append(km.mesh_ratio_structural(exp, exp.n[150], PrecisionContext(64)))
+        out.append(km.mesh_ratio_structural(exp, exp.n_at(150), PrecisionContext(64)))
         results[slot] = out
 
     threads = [threading.Thread(target=read, args=(i,)) for i in range(2)]

@@ -1,4 +1,6 @@
+import bisect
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,7 @@ from kronmesh import (
     UnsupportedAlphaError,
 )
 from kronmesh.threegap import form_interval
-from conftest import ALPHA_SPECS, PREFIX_SPEC, mp_scaled_points
+from conftest import ALPHA_SPECS, PREFIX_60_DIGITS, PREFIX_SPEC, mp_scaled_points
 import oracles
 
 
@@ -129,6 +131,61 @@ def test_decompose_prefix_exhaustion():
     exp = CFExpansion(km.parse_alpha("cf:0;1,2,3"))
     with pytest.raises(PrecisionUnresolvedError):
         km.decompose(exp, 200)
+
+
+DECOMPOSE_SPECS = ("golden", "sqrt:213", "cf:0;20000(1)", *oracles.random_periodic_alpha_specs(
+    4, seed=23, digit_hi=40), "rat:3/8", "rat:355/113", "rat:-7/30", "rat:1/20000", "rat:5/1",
+    "rat:" + "/".join(str(v) for v in oracles.convergents_from_digits([0] + [1, 2, 3] * 40)[-1]),
+    PREFIX_SPEC, PREFIX_60_DIGITS, "cf:0;1,2,3")
+
+
+@pytest.mark.parametrize("spec", DECOMPOSE_SPECS)
+def test_decompose_equals_convergent_oracle(spec):
+    # s_m = q_m and n_m = q_m + q_{m-1} from oracles.convergents_from_digits
+    # (q_{-1} = 0); probes n_m - 1, n_m, n_m + 1 and the block edges
+    # n_m + h s_m + k at h in {0, 1, a_{m+1} - 1}, k in {0, s_m - 1}, m <= 200
+    ref = CFExpansion(km.parse_alpha(spec))
+    ends = not ref.ensure(201)  # a rational or a prefix ends before a_201
+    digits = ref.digits
+    s = [qm for _, qm in oracles.convergents_from_digits(digits)]
+    nm = [s[m] + (s[m - 1] if m else 0) for m in range(len(s))]
+    top = len(digits) - 1  # n < n_top decomposes within these digits
+    probes = set()
+    for m in range(min(top + 1, 201)):
+        probes |= {nm[m] - 1, nm[m], nm[m] + 1}
+        if m < top:
+            a = digits[m + 1]
+            probes |= {nm[m] + h * s[m] + k for h in {0, 1, a - 1} for k in (0, s[m] - 1)}
+    probes = sorted(n for n in probes if n >= 1)
+    random.Random(spec).shuffle(probes)  # extend from any depth
+    exp = CFExpansion(km.parse_alpha(spec))
+    corrected = 0
+    for n in probes:
+        if n >= nm[top]:
+            if not ends:
+                continue
+            if ref.finite:
+                with pytest.raises(UnsupportedAlphaError) as info:
+                    km.decompose(exp, n)
+                assert str(info.value) == (
+                    f"n = {n} reaches the periodic regime of a rational alpha "
+                    f"(expansion ends at n_{top} = {nm[top]})")
+            else:
+                with pytest.raises(PrecisionUnresolvedError) as info:
+                    km.decompose(exp, n)
+                assert str(info.value) == (
+                    f"digit prefix through a_{top} only brackets n < {nm[top]}; "
+                    f"cannot decompose n = {n}")
+            continue
+        m = bisect.bisect_right(nm, n) - 1
+        h, k = divmod(n - nm[m], s[m])
+        assert km.decompose(exp, n) == km.Decomposition(m, h, k), (spec, n)
+        assert 0 <= h < digits[m + 1] and 0 <= k < s[m]
+        # the package bisects on q: the last q_j <= n is at j = m + 1 when
+        # q_{m+1} <= n < n_{m+1}, and it steps back to m
+        corrected += bisect.bisect_right(s, n) - 1 == m + 1
+    if top > 1:
+        assert corrected > 0, spec
 
 
 def test_gap_structure_examples(golden):
