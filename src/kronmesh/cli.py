@@ -36,13 +36,7 @@ from .contfrac import (
     is_badly_approximable,
     parse_alpha,
 )
-from .errors import (
-    AlphaSpecError,
-    KronmeshError,
-    OutOfRangeError,
-    PrecisionUnresolvedError,
-    UnsupportedAlphaError,
-)
+from .errors import KronmeshError, PrecisionUnresolvedError, UnsupportedAlphaError
 from .metrics import (
     Segment,
     kronecker_bounds,
@@ -198,10 +192,7 @@ def _context(args) -> PrecisionContext:
     for flag, bits in (("--bits", args.bits), ("--max-bits", args.max_bits)):
         if bits > MAX_BITS:
             raise _UsageError(f"{flag} {bits} exceeds the precision cap of {MAX_BITS} bits")
-    try:
-        return PrecisionContext(args.bits, args.max_bits)
-    except ValueError as e:
-        raise _UsageError(str(e))
+    return PrecisionContext(args.bits, args.max_bits)
 
 
 def _generator(args):
@@ -238,10 +229,7 @@ def _cmd_analyze(args) -> Tuple[str, int]:
     ctx = _context(args)
     n = _parse_int(args.n, "--n")
     gen = _generator(args)
-    try:
-        (row,) = sweep(gen, n, n, ctx)
-    except ValueError as e:
-        raise _UsageError(str(e))
+    (row,) = sweep(gen, n, n, ctx)
     payload = metrics_to_json(row.metrics, row.bounds, args.digits)
     return _dumps(payload), EXIT_INFINITE if row.metrics.is_infinite else EXIT_OK
 
@@ -294,10 +282,7 @@ def _sweep_segments(args, ctx) -> List[Segment]:
         raise _UsageError("sweep needs --n a..b (or --n-at nm --m a..b)")
     lo, hi = _parse_range(spec, "--n")
     _check_rows(lo, hi, "--n")
-    try:
-        return sweep_segments(gen, lo, hi, ctx, with_bounds=want_bounds)
-    except ValueError as e:
-        raise _UsageError(str(e))
+    return sweep_segments(gen, lo, hi, ctx, with_bounds=want_bounds)
 
 
 def _cmd_sweep(args) -> Tuple[str, int]:
@@ -321,10 +306,7 @@ def _cmd_points(args) -> Tuple[str, int]:
     gen = _generator(args)
     if n > MAX_POINTS:
         raise _UsageError(f"--n {n} exceeds the points cap of {MAX_POINTS}")
-    try:
-        ps = generate(gen, n, ctx)
-    except ValueError as e:
-        raise _UsageError(str(e))
+    ps = generate(gen, n, ctx)
     if args.format == "csv":
         return points_to_csv(ps, args.digits), EXIT_OK
     return _points_json(points_to_json(ps, args.digits)), EXIT_OK
@@ -360,25 +342,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
         text, code = _COMMANDS[args.command](args)
-    except _UsageError as e:
+    except (_UsageError, KronmeshError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    # note: UnsupportedAlphaError and AlphaSpecError are ValueError
-    # subclasses, so the order of these clauses is load-bearing
-    except UnsupportedAlphaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except PrecisionUnresolvedError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PRECISION
-    except (OutOfRangeError, AlphaSpecError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    # a bare KronmeshError is a broken invariant; exit 1 as an uncaught
-    # exception would, but with one error line instead of a traceback
-    except KronmeshError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        # UnsupportedAlphaError is also a ValueError, so it is tested first.
+        # A bare KronmeshError is a broken invariant; exit 1 as an uncaught
+        # exception would, but with one error line instead of a traceback
+        if isinstance(e, UnsupportedAlphaError):
+            return EXIT_UNSUPPORTED
+        return EXIT_PRECISION if isinstance(e, PrecisionUnresolvedError) else EXIT_USAGE
     out_path = getattr(args, "out", None)
     if out_path:
         with open(out_path, "w") as fh:

@@ -1,9 +1,12 @@
 """Exact continued-fraction engine.
 
 Alpha is described exactly (quadratic surd, rational, or explicit digit
-list), never as a float.  From the digits a_0; a_1, a_2, ... we derive
-the convergents p_m/q_m of alpha, whose denominators are those of the
-reduced tail [0; a_1, a_2, ...].  The point counts are read off q:
+list), never as a float.  Each kind has one digit source, chosen when its
+expansion is built: the Gauss map on integer triples for a surd, a lazy
+Euclid for a rational, the preperiod then the cycled period for a digit
+list.  From the digits a_0; a_1, a_2, ... we derive the convergents
+p_m/q_m of alpha, whose denominators are those of the reduced tail
+[0; a_1, a_2, ...].  The point counts are read off q:
 
     s_m = q_m   (s_{-1} = q_{-1} = 0),     n_m = q_m + q_{m-1},
 
@@ -19,7 +22,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Tuple, Union
+from itertools import chain, count, cycle, islice
+from typing import Callable, Iterator, Optional, Tuple, Union
 
 from .errors import (
     AlphaSpecError,
@@ -105,6 +109,7 @@ def _floor_surd(A: int, N: int, Q: int) -> int:
     return -_floor_surd(A, N, -Q) - 1
 
 
+@dataclass(frozen=True)
 class QuadraticSurd:
     """The real number (P + sqrt(D)) / Q with integer P, Q != 0 and D > 0
     not a perfect square.
@@ -113,9 +118,12 @@ class QuadraticSurd:
     stays inside integer triples.
     """
 
-    __slots__ = ("P", "D", "Q")
+    P: int
+    D: int
+    Q: int
 
-    def __init__(self, P: int, D: int, Q: int):
+    def __post_init__(self):
+        P, D, Q = self.P, self.D, self.Q
         for name, v in (("P", P), ("D", D), ("Q", Q)):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise AlphaSpecError(f"QuadraticSurd.{name} must be an integer, got {v!r}")
@@ -128,25 +136,8 @@ class QuadraticSurd:
             raise AlphaSpecError(f"QuadraticSurd.D = {D} is a perfect square; use rat: instead")
         if (D - P * P) % Q != 0:
             # scale numerator and denominator by |Q| to restore divisibility
-            P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "Q", Q)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("QuadraticSurd is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuadraticSurd)
-            and (self.P, self.D, self.Q) == (other.P, other.D, other.Q)
-        )
-
-    def __hash__(self):
-        return hash((self.P, self.D, self.Q))
-
-    def __repr__(self):
-        return f"QuadraticSurd(P={self.P}, D={self.D}, Q={self.Q})"
+            for name, v in (("P", P * abs(Q)), ("D", D * Q * Q), ("Q", Q * abs(Q))):
+                object.__setattr__(self, name, v)
 
     def floor_scaled(self, bits: int) -> int:
         """Exact floor(value * 2**bits)."""
@@ -247,15 +238,40 @@ def _periodic_tail_surd(preperiod_tail: Tuple[int, ...], period: Tuple[int, ...]
 # expansion
 
 
-def _euclid_digits(fr: Fraction) -> list:
-    digs = []
-    num, den = fr.numerator, fr.denominator
-    while True:
-        a, rem = divmod(num, den)
-        digs.append(a)
-        if rem == 0:
-            return digs
-        num, den = den, rem
+Period = Tuple[int, int]  # (start, length) of the digit period
+
+
+def _digit_source(spec: AlphaSpec) -> Iterator[Tuple[int, Optional[Period]]]:
+    """The digits a_0, a_1, ... of alpha, each paired with the digit period
+    when it first becomes known (else None); it ends where the expansion
+    does.  A rational runs Euclid, an ExplicitCF cycles its period after
+    the preperiod (an empty period ends it), and a surd runs the Gauss map
+    on (P, Q), reporting (start, length) at the first j whose state recurs.
+    It holds the spec alone, never the expansion that draws on it, so an
+    expansion is freed by reference counting, without a cycle."""
+    if isinstance(spec, Rational):
+        num, den = spec.num, spec.den
+        while den:
+            a, rem = divmod(num, den)
+            yield a, None
+            num, den = den, rem
+    elif isinstance(spec, ExplicitCF):
+        pre, per = spec.preperiod, spec.period
+        yield pre[0], (len(pre), len(per)) if per else None
+        for a in chain(pre[1:], cycle(per)):
+            yield a, None
+    else:
+        P, D, Q, seen = spec.P, spec.D, spec.Q, {}
+        for j in count():
+            period = None
+            if seen is not None:
+                i = seen.setdefault((P, Q), j)
+                if i < j:
+                    period, seen = (i, j - i), None
+            a = _floor_surd(P, D, Q)
+            yield a, period
+            P = a * Q - P
+            Q = (D - P * P) // Q
 
 
 Ends = Tuple[int, int, int, int]  # bracket ends (x1, y1, x2, y2): [x1/y1, x2/y2], y > 0
@@ -277,64 +293,27 @@ class CFExpansion:
         self._lock = threading.RLock()
         self.digits: list = []
         self.convergents: list = []
-        self.finite = False
-        self.periodic: Optional[Tuple[int, int]] = None
+        self.finite = isinstance(spec, Rational)
+        self.periodic: Optional[Period] = None
+        self._source = _digit_source(spec)
         self._scaled: dict = {}  # bits -> alpha0_scaled(bits)
         self._sup: dict = {}  # probe_depth -> digit_supremum(self, probe_depth)
-
-        if isinstance(spec, Rational):
-            self._rational_digits = _euclid_digits(spec.as_fraction())
-            self.finite = True
-        elif isinstance(spec, QuadraticSurd):
-            self._gauss_state = (spec.P, spec.Q)
-            self._seen: dict = {}
-        else:
-            if spec.period:
-                self.periodic = (len(spec.preperiod), len(spec.period))
         self._extend_locked(0)
-
-    # -- digit production -------------------------------------------------
-
-    def _next_digit(self, j: int) -> Optional[int]:
-        spec = self.spec
-        if isinstance(spec, Rational):
-            if j < len(self._rational_digits):
-                return self._rational_digits[j]
-            return None
-        if isinstance(spec, QuadraticSurd):
-            P, Q = self._gauss_state
-            if self.periodic is None:
-                key = (P, Q)
-                if key in self._seen:
-                    self.periodic = (self._seen[key], j - self._seen[key])
-                else:
-                    self._seen[key] = j
-            a = _floor_surd(P, spec.D, Q)
-            P1 = a * Q - P
-            self._gauss_state = (P1, (spec.D - P1 * P1) // Q)
-            return a
-        pre, per = spec.preperiod, spec.period
-        if j < len(pre):
-            return pre[j]
-        if per:
-            return per[(j - len(pre)) % len(per)]
-        return None
 
     def _extend_locked(self, m_target: int) -> bool:
         with self._lock:
-            while len(self.digits) <= m_target:
-                j = len(self.digits)
-                a = self._next_digit(j)
-                if a is None:
-                    return False
-                cv = self.convergents
-                if j == 0:
-                    cv.append((a, 1))
-                else:  # (p_{-1}, q_{-1}) = (1, 0)
-                    (p1, q1), (p2, q2) = cv[-1], cv[-2] if j > 1 else (1, 0)
+            cv, digits = self.convergents, self.digits
+            # a thread that lost the race to extend finds nothing left to take
+            for a, period in islice(self._source, max(0, m_target + 1 - len(digits))):
+                if period:
+                    self.periodic = period
+                if cv:  # (p_{-1}, q_{-1}) = (1, 0)
+                    (p1, q1), (p2, q2) = cv[-1], cv[-2] if len(cv) > 1 else (1, 0)
                     cv.append((a * p1 + p2, a * q1 + q2))
-                self.digits.append(a)
-            return True
+                else:
+                    cv.append((a, 1))
+                digits.append(a)
+            return len(digits) > m_target
 
     # -- accessors ---------------------------------------------------------
 
@@ -384,7 +363,7 @@ class CFExpansion:
 
     @property
     def is_rational(self) -> bool:
-        return isinstance(self.spec, Rational)
+        return self.finite
 
     # -- certified value enclosures -----------------------------------------
 

@@ -21,7 +21,7 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .contfrac import CFExpansion, DEFAULT_CONTEXT, PrecisionContext
 from .errors import KronmeshError, OutOfRangeError
@@ -43,9 +43,6 @@ class LinearForm:
 
     def __sub__(self, other: "LinearForm") -> "LinearForm":
         return LinearForm(self.u - other.u, self.v - other.v)
-
-    def __neg__(self) -> "LinearForm":
-        return LinearForm(-self.u, -self.v)
 
     def scale(self, c: int) -> "LinearForm":
         return LinearForm(self.u * c, self.v * c)
@@ -118,11 +115,7 @@ def _form_rung(exp: CFExpansion, form: LinearForm, ctx: PrecisionContext,
     return ctx.escalate(attempt, ctx.bits, f"sign of {form.u}*alpha+{form.v}")
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    m: int
-    h: int
-    k: int
+Decomposition = NamedTuple("Decomposition", [("m", int), ("h", int), ("k", int)])
 
 
 @dataclass(frozen=True)

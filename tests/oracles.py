@@ -79,6 +79,36 @@ def convergents_from_digits(digits):
     return out
 
 
+def surd_period_walk(a: int, b: int, c: int, d: int, limit: int = 10 ** 4):
+    """(digits, (start, length)) of x = (a + b*sqrt(d)) / c, nonsquare d,
+    b and c nonzero: the digits a_0..a_j of x and the period read at the
+    first j whose complete quotient x_j equals an earlier x_i.  Each x_j is
+    kept as the unique triple with c > 0 and gcd(a, b, c) = 1, its floor
+    found by exact sign tests; None for the period past limit digits."""
+    seen, digits = {}, []
+    for j in range(limit):
+        if c < 0:
+            a, b, c = -a, -b, -c
+        g = math.gcd(a, b, c)
+        a, b, c = a // g, b // g, c // g
+        if (a, b, c) in seen:
+            i = seen[(a, b, c)]
+            return digits + [digits[i]], (i, j - i)
+        seen[(a, b, c)] = j
+        # floor(x) = t with a - t c + b sqrt(d) >= 0 > a - (t + 1) c + b sqrt(d)
+        root = math.isqrt(b * b * d)
+        t = (a + (root if b > 0 else -root)) // c
+        while surd_sign(a - t * c, b, d) < 0:
+            t -= 1
+        while surd_sign(a - (t + 1) * c, b, d) >= 0:
+            t += 1
+        digits.append(t)
+        # 1 / (x - t) = c (a' - b sqrt(d)) / (a'^2 - b^2 d), a' = a - t c
+        a1 = a - t * c
+        a, b, c = c * a1, -c * b, a1 * a1 - b * b * d
+    return digits, None
+
+
 def mp_value(spec: str, prec: int = 400) -> mpmath.mpf:
     """Big-float value of an alpha spec string (test-side parser)."""
     with mpmath.workprec(prec):

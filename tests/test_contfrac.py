@@ -1,6 +1,9 @@
+import gc
 import importlib
 import math
+import random
 import threading
+import weakref
 from fractions import Fraction
 
 import mpmath
@@ -415,22 +418,151 @@ def test_rational_scaled_value_is_exact(p, q):
             math.floor(scaled), 0 if scaled.denominator == 1 else 1), (p, q, bits)
 
 
+def _fibonacci_ratio(k: int) -> str:
+    # F_{k+1}/F_k = [1; 1, ..., 1, 2]: a rational of k - 1 digits
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return f"rat:{b}/{a}"
+
+
 def test_concurrent_extension_is_consistent():
-    exp = CFExpansion(km.parse_alpha("sqrt:2"))
-    errors = []
+    # a surd, a rational of 3998 digits and a periodic digit list, each
+    # extended by eight threads at once
+    for spec, want in (("sqrt:2", [1] + [2] * 3000),
+                       (_fibonacci_ratio(3999), [1] * 3001),
+                       ("cf:0;1,2,3(4,5,6)", [0, 1, 2, 3] + [4, 5, 6] * 999)):
+        exp = CFExpansion(km.parse_alpha(spec))
+        errors = []
 
-    def work():
-        try:
-            exp.ensure(3000)
-            assert exp.digits[1:3000] == [2] * 2999
-        except Exception as e:          # pragma: no cover
-            errors.append(e)
+        def work():
+            try:
+                assert exp.ensure(3000)
+                assert exp.digits[:3001] == want
+                assert exp.convergents[:3001] == oracles.convergents_from_digits(want)
+            except Exception as e:          # pragma: no cover
+                errors.append(e)
 
-    threads = [threading.Thread(target=work) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-    fresh = km.expand(km.parse_alpha("sqrt:2"), 3000)
-    assert exp.digits[:3001] == fresh.digits[:3001]
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors, spec
+        fresh = km.expand(km.parse_alpha(spec), 3000)
+        assert exp.digits == fresh.digits and exp.convergents == fresh.convergents, spec
+
+
+def _surd_triple(spec: str):
+    # (a, b, c, d) with alpha = (a + b sqrt(d)) / c, read off the spec text
+    if spec == "golden":
+        return -1, 1, 2, 5
+    if spec.startswith("sqrt:"):
+        return 0, 1, 1, int(spec[5:])
+    p, d, q = (int(t) for t in spec[5:].split(","))
+    return p, 1, q, d
+
+
+SURD_SPECS = (["golden", "quad:1,5,-3", "quad:2,7,-5", "quad:-3,11,-4", "quad:0,2,-1",
+               "quad:5,13,7", "quad:3,7,2"]
+              + [f"sqrt:{D}" for D in range(2, 301) if math.isqrt(D) ** 2 != D])
+
+
+def test_surd_digit_source_matches_period_walk():
+    # digits, convergents and the digit period against an independent walk
+    # over reduced triples (a + b sqrt(d)) / c, and the digits against mpmath
+    for spec in SURD_SPECS:
+        want, period = oracles.surd_period_walk(*_surd_triple(spec))
+        j = len(want) - 1           # the digit at which the period closes
+        exp = CFExpansion(km.parse_alpha(spec))
+        assert exp.ensure(j - 1) and exp.periodic is None, spec
+        assert exp.ensure(j) and exp.periodic == period, spec
+        assert exp.digits == want and not exp.finite, spec
+        exp.ensure(j + 40)
+        assert exp.periodic == period, spec
+        mp = oracles.mp_cf_digits(oracles.mp_value(spec, 1200), 40, 1200)
+        assert exp.digits[:41] == mp, spec
+        assert exp.convergents == oracles.convergents_from_digits(exp.digits), spec
+
+
+def test_rational_digit_source_matches_euclid():
+    rng = random.Random(14)
+    pairs = [(rng.randint(-10 ** 6, 10 ** 6), 1) for _ in range(20)]
+    pairs += [(rng.randint(-2 ** 40, 2 ** 40), 2 ** rng.randint(1, 40)) for _ in range(40)]
+    pairs += [(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 30)) for _ in range(140)]
+    for p, q in pairs:
+        want = oracles.cf_digits_euclid(p, q)
+        exp = CFExpansion(km.parse_alpha(f"rat:{p}/{q}"))
+        assert exp.finite and exp.is_rational and exp.periodic is None
+        assert exp.ensure(len(want) - 1), (p, q)
+        assert not exp.ensure(len(want)) and not exp.ensure(10 ** 9), (p, q)
+        assert exp.digits == want, (p, q)
+        assert exp.convergents == oracles.convergents_from_digits(want), (p, q)
+        assert Fraction(*exp.convergents[-1]) == Fraction(p, q)
+
+
+def _cf_digits(spec: str, count: int):
+    # the first count digits of a cf: spec, read off its text, and its period
+    head, _, per = spec[3:].partition("(")
+    a0, _, rest = head.partition(";")
+    pre = [int(a0)] + [int(t) for t in rest.split(",") if t]
+    per = [int(t) for t in per.rstrip(")").split(",") if t]
+    digits = (pre + per * count)[:count] if per else pre[:count]
+    return digits, (len(pre), len(per)) if per else None
+
+
+def test_digit_list_source_matches_spec():
+    specs = ["cf:0;", "cf:3;", "cf:0;1,2,3", "cf:2;7,1,1,5", "cf:0;(1)", "cf:1;(2)",
+             "cf:0;2(1,3)", "cf:1;2,3(4,5)"] + oracles.random_periodic_alpha_specs(40, 14)
+    for spec in specs:
+        want, period = _cf_digits(spec, 60)
+        exp = CFExpansion(km.parse_alpha(spec))
+        assert exp.periodic == period and not exp.finite and not exp.is_rational, spec
+        # a prefix ends: asking past its end, twice, extends nothing
+        assert exp.ensure(len(want) - 1), spec
+        for _ in range(2):
+            assert exp.ensure(70) == bool(period), spec
+        assert len(exp.digits) == (71 if period else len(want)), spec
+        assert exp.digits[:60] == want, spec
+        assert exp.convergents == oracles.convergents_from_digits(exp.digits), spec
+
+
+def test_quadratic_surd_value_semantics():
+    s = QuadraticSurd(-1, 5, 2)
+    assert repr(s) == "QuadraticSurd(P=-1, D=5, Q=2)"
+    assert s == QuadraticSurd(-1, 5, 2) == km.parse_alpha("golden")
+    assert s != QuadraticSurd(1, 5, 2) and s != (-1, 5, 2)
+    assert hash(s) == hash((-1, 5, 2)) and len({s, QuadraticSurd(-1, 5, 2)}) == 1
+    # the normal form Q | D - P*P scales numerator and denominator by |Q|
+    t = QuadraticSurd(1, 5, -3)
+    assert (t.P, t.D, t.Q) == (3, 45, -9) and repr(t) == "QuadraticSurd(P=3, D=45, Q=-9)"
+    assert t == QuadraticSurd(3, 45, -9) and hash(t) == hash((3, 45, -9))
+    for name in "PDQ":
+        with pytest.raises(AttributeError):
+            setattr(s, name, 1)
+    assert (s.P, s.D, s.Q) == (-1, 5, 2)
+    for args, message in (((True, 5, 2), "QuadraticSurd.P must be an integer, got True"),
+                          ((0, 2.0, 0), "QuadraticSurd.D must be an integer, got 2.0"),
+                          ((0, 4, 0), "QuadraticSurd.Q must be nonzero"),
+                          ((0, -2, 1), "QuadraticSurd.D must be positive"),
+                          ((0, 4, 1), "QuadraticSurd.D = 4 is a perfect square; use rat: instead")):
+        with pytest.raises(AlphaSpecError) as info:
+            QuadraticSurd(*args)
+        assert str(info.value) == message
+
+
+def test_expansion_is_freed_without_the_cycle_collector():
+    # the digit source holds the spec, never the expansion: an expansion
+    # that has extended is freed as soon as its last reference goes
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for spec in ("sqrt:7", _fibonacci_ratio(150), "cf:0;1,2(3,4)"):
+            exp = CFExpansion(km.parse_alpha(spec))
+            assert exp.ensure(100)
+            ref = weakref.ref(exp)
+            del exp
+            assert ref() is None, spec
+    finally:
+        if enabled:
+            gc.enable()
