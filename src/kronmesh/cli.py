@@ -14,17 +14,17 @@ precision unresolved at the configured ceiling; 4 infinite mesh ratio.
 any point, and `sweep` refuses a --n or --m range of more than 10**6 rows
 (MAX_ROWS), or an --n-at nm range whose last n_m has more than 2048 bits
 (MAX_NM_BITS), with exit 1 before it evaluates any row.  --bits and
---max-bits above 65536 (MAX_BITS) exit 1 before any work, and a surd whose
-digit period does not close in 10**4 digits (contfrac.MAX_PERIOD_WALK) exits
-3 in classify and the bound columns.  A bare KronmeshError (a broken internal
-invariant) exits 1 with an error line.
+--max-bits above 65536 (MAX_BITS) and --digits above 1000 (MAX_DIGITS) exit
+1 before any work, and a surd whose digit period does not close in 10**4
+digits (contfrac.MAX_PERIOD_WALK) exits 3 in classify and the bound
+columns.  A bare KronmeshError (a broken internal invariant) exits 1 with an
+error line.
 
 Output is deterministic: the same arguments produce byte-identical output.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -81,6 +81,11 @@ MAX_NM_BITS = 2048
 # sizes grow linearly, so memory is quadratic in the digits)
 MAX_BITS = 65536
 
+# the most significant digits a printed value gets: each value is rendered
+# by a Decimal division at this precision, so the cap bounds the size of
+# every cell (with MAX_POINTS and MAX_ROWS, of the output) before any work
+MAX_DIGITS = 1000
+
 
 class _UsageError(Exception):
     pass
@@ -104,7 +109,7 @@ def _add_output(sp, fmt_default: str, fmt_choices=("csv", "json")) -> None:
     sp.add_argument("--format", choices=list(fmt_choices), default=fmt_default,
                     help=f"output format (default {fmt_default})")
     sp.add_argument("--digits", type=int, default=40,
-                    help="significant decimal digits in output (default 40)")
+                    help=f"significant decimal digits in output (default 40, cap {MAX_DIGITS})")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -219,7 +224,7 @@ def _cmd_gaps(args) -> Tuple[str, int]:
     gs = gap_structure(exp, n)
     report = lengths_check(gs)
     payload = gap_structure_json(gs, exp, ctx, args.digits)
-    payload["checks"] = [dataclasses.asdict(c) for c in report.checks]
+    payload["checks"] = [c._asdict() for c in report.checks]
     payload["all_passed"] = report.all_passed
     code = EXIT_OK if report.all_passed else EXIT_PRECISION
     return _dumps(payload), code
@@ -297,7 +302,7 @@ def _cmd_classify(args) -> Tuple[str, int]:
         raise _UsageError("--probe must be >= 1")
     # the JSON keys are the Classification fields, in order
     verdict = is_badly_approximable(parse_alpha(args.alpha), args.probe)
-    return _dumps(dataclasses.asdict(verdict)), EXIT_OK
+    return _dumps(verdict._asdict()), EXIT_OK
 
 
 def _cmd_points(args) -> Tuple[str, int]:
@@ -341,6 +346,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     in one process: every call parses with the same parser."""
     try:
         args = _parser().parse_args(argv)
+        if args.digits > MAX_DIGITS:
+            raise _UsageError(f"--digits {args.digits} exceeds the output cap of {MAX_DIGITS}")
         text, code = _COMMANDS[args.command](args)
     except (_UsageError, KronmeshError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

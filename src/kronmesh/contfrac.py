@@ -19,11 +19,10 @@ from __future__ import annotations
 import math
 import re
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, count, cycle, islice
-from typing import Callable, Iterator, Optional, Tuple, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Tuple, Union
 
 from .errors import (
     AlphaSpecError,
@@ -38,22 +37,23 @@ from .intervals import Interval
 # precision bookkeeping
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class PrecisionContext(NamedTuple("PrecisionContext", [("bits", int), ("max_bits", int)])):
     """Working precision for certified enclosures.
 
     bits is the width target exponent (less GUARD), max_bits the escalation
     ceiling for comparisons that start ambiguous.
     """
 
-    bits: int = 192
-    max_bits: int = 65536
+    __slots__ = ()
+    # _replace builds through _make: validate there too, as the constructor does
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self):
-        if self.bits < 64:
+    def __new__(cls, bits: int = 192, max_bits: int = 65536):
+        if bits < 64:
             raise ValueError("PrecisionContext.bits must be >= 64")
-        if self.max_bits < self.bits:
+        if max_bits < bits:
             raise ValueError("PrecisionContext.max_bits must be >= bits")
+        return tuple.__new__(cls, (bits, max_bits))
 
     def escalate(self, attempt: Callable[[int], tuple], start_bits: int, what: str):
         """The precision ladder shared by every certified comparison.
@@ -109,8 +109,7 @@ def _floor_surd(A: int, N: int, Q: int) -> int:
     return -_floor_surd(A, N, -Q) - 1
 
 
-@dataclass(frozen=True)
-class QuadraticSurd:
+class QuadraticSurd(NamedTuple("QuadraticSurd", [("P", int), ("D", int), ("Q", int)])):
     """The real number (P + sqrt(D)) / Q with integer P, Q != 0 and D > 0
     not a perfect square.
 
@@ -118,12 +117,10 @@ class QuadraticSurd:
     stays inside integer triples.
     """
 
-    P: int
-    D: int
-    Q: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self):
-        P, D, Q = self.P, self.D, self.Q
+    def __new__(cls, P: int, D: int, Q: int):
         for name, v in (("P", P), ("D", D), ("Q", Q)):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise AlphaSpecError(f"QuadraticSurd.{name} must be an integer, got {v!r}")
@@ -136,36 +133,34 @@ class QuadraticSurd:
             raise AlphaSpecError(f"QuadraticSurd.D = {D} is a perfect square; use rat: instead")
         if (D - P * P) % Q != 0:
             # scale numerator and denominator by |Q| to restore divisibility
-            for name, v in (("P", P * abs(Q)), ("D", D * Q * Q), ("Q", Q * abs(Q))):
-                object.__setattr__(self, name, v)
+            P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
+        return tuple.__new__(cls, (P, D, Q))
 
     def floor_scaled(self, bits: int) -> int:
         """Exact floor(value * 2**bits)."""
         return _floor_surd(self.P << bits, self.D << (2 * bits), self.Q)
 
 
-@dataclass(frozen=True)
-class Rational:
+class Rational(NamedTuple("Rational", [("num", int), ("den", int)])):
     """Exact rational alpha = num / den."""
 
-    num: int
-    den: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self):
-        if not isinstance(self.num, int) or not isinstance(self.den, int):
+    def __new__(cls, num: int, den: int):
+        if not isinstance(num, int) or not isinstance(den, int):
             raise AlphaSpecError("Rational takes integers")
-        if self.den <= 0:
+        if den <= 0:
             raise AlphaSpecError("Rational.den must be positive")
-        fr = Fraction(self.num, self.den)
-        object.__setattr__(self, "num", fr.numerator)
-        object.__setattr__(self, "den", fr.denominator)
+        fr = Fraction(num, den)
+        return tuple.__new__(cls, (fr.numerator, fr.denominator))
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, self.den)
 
 
-@dataclass(frozen=True)
-class ExplicitCF:
+class ExplicitCF(NamedTuple("ExplicitCF", [("preperiod", Tuple[int, ...]),
+                                           ("period", Tuple[int, ...])])):
     """Alpha given by continued-fraction digits.
 
     preperiod = (a_0, a_1, ..., a_k); period repeats forever after the
@@ -174,14 +169,12 @@ class ExplicitCF:
     operations that need more certainty fail loudly instead of guessing.
     """
 
-    preperiod: Tuple[int, ...]
-    period: Tuple[int, ...] = ()
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self):
-        pre = tuple(self.preperiod)
-        per = tuple(self.period)
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
+    def __new__(cls, preperiod: Tuple[int, ...], period: Tuple[int, ...] = ()):
+        pre = tuple(preperiod)
+        per = tuple(period)
         if len(pre) < 1:
             raise AlphaSpecError("ExplicitCF needs at least a_0")
         for j, a in enumerate(pre):
@@ -194,6 +187,7 @@ class ExplicitCF:
         for a in per:
             if not isinstance(a, int) or isinstance(a, bool) or a < 1:
                 raise AlphaSpecError(f"period digits must be integers >= 1, got {a!r}")
+        return tuple.__new__(cls, (pre, per))
 
 
 AlphaSpec = Union[QuadraticSurd, Rational, ExplicitCF]
@@ -550,8 +544,7 @@ def digit_supremum(exp: CFExpansion, probe_depth: int = 64) -> Tuple[int, str]:
     return exp._sup[probe_depth]
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     verdict: str          # "yes" | "no" | "unknown"
     digit_sup: int
     certainty: str        # "exact" | "prefix-only"

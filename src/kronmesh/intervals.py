@@ -8,28 +8,27 @@ proof, and an overlap means "escalate precision and retry".
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 Rat = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: Fraction
-    hi: Fraction
+class Interval(NamedTuple("Interval", [("lo", Fraction), ("hi", Fraction)])):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self):
+    def __new__(cls, lo: Rat, hi: Rat):
         # Fraction(x) of a Fraction costs a constructor call and an ABC check
-        if type(self.lo) is not Fraction:
-            object.__setattr__(self, "lo", Fraction(self.lo))
-        if type(self.hi) is not Fraction:
-            object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
+        if type(lo) is not Fraction:
+            lo = Fraction(lo)
+        if type(hi) is not Fraction:
+            hi = Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi))
 
     @property
     def width(self) -> Fraction:

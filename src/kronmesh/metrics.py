@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from typing import List, NamedTuple, Optional, Tuple, Union
@@ -57,8 +56,7 @@ from .threegap import (GapStructure, LinearForm, _form_rung, _gap_structure,
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class QUMetrics:
+class QUMetrics(NamedTuple):
     n: int
     fill: Fraction
     separation: Fraction
@@ -85,8 +83,7 @@ class QUMetrics:
         return Interval(lo_num / den_hi, (self.fill + e) / den_lo)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     n: int
     m: int
     h: int
@@ -317,8 +314,7 @@ def _order_forms(exp, forms, ctx) -> List[LinearForm]:
 # sweeps
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     metrics: QUMetrics
     bounds: Optional[BoundReport]
 
@@ -338,7 +334,7 @@ def sweep(gen: GeneratorSpec, n_lo: int, n_hi: int, ctx: PrecisionContext = DEFA
         unit = qm.error_bound / (lo - 1)  # the drift is linear in n - 1
         rows += [SweepRow(QUMetrics(n, qm.fill, qm.separation, qm.mesh_ratio,
                                     qm.provenance, unit * (n - 1) if unit else unit),
-                          None if br is None else replace(br, n=n, k=br.k + n - lo))
+                          None if br is None else br._replace(n=n, k=br.k + n - lo))
                  for n in range(lo, hi + 1)]
     return rows
 
@@ -383,7 +379,7 @@ def _form_segments(exp: CFExpansion, n_lo: int, n_hi: int, A: int, U: int, M: in
         if with_bounds:
             if key != (d.m, d.h, d.k == 0):
                 key, b = (d.m, d.h, d.k == 0), kronecker_bounds(exp, n, ctx)
-            br = replace(b, n=n, k=d.k)
+            br = b._replace(n=n, k=d.k)
         hi = n if d.k < 2 else min(n + exp.s_at(d.m) - 1 - d.k, n_hi)
         segs.append(Segment(n, hi, qm, br))
         n = hi + 1

@@ -12,10 +12,9 @@ exact rationals (precision_bits = None, error_units = 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, NamedTuple, Optional, Tuple, Union
 
 from .contfrac import (
     AlphaSpec,
@@ -29,33 +28,34 @@ from .errors import PrecisionUnresolvedError
 from .intervals import decimal_context
 
 
-@dataclass(frozen=True)
-class KroneckerGen:
+class KroneckerGen(NamedTuple):
     alpha: AlphaSpec
 
     def describe(self) -> str:
         return f"kronecker alpha={alpha_to_string(self.alpha)}"
 
 
-@dataclass(frozen=True)
-class VdcGen:
-    base: int
+class VdcGen(NamedTuple("VdcGen", [("base", int)])):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self):
-        if not isinstance(self.base, int) or self.base < 2:
-            raise ValueError(f"van der Corput base must be an integer >= 2, got {self.base!r}")
+    def __new__(cls, base: int):
+        if not isinstance(base, int) or base < 2:
+            raise ValueError(f"van der Corput base must be an integer >= 2, got {base!r}")
+        return tuple.__new__(cls, (base,))
 
     def describe(self) -> str:
         return f"vdc base={self.base}"
 
 
-@dataclass(frozen=True)
-class GreedyGen:
-    tie_break: str = "leftmost"
+class GreedyGen(NamedTuple("GreedyGen", [("tie_break", str)])):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self):
-        if self.tie_break not in ("leftmost", "rightmost"):
-            raise ValueError(f"tie_break must be leftmost or rightmost, got {self.tie_break!r}")
+    def __new__(cls, tie_break: str = "leftmost"):
+        if tie_break not in ("leftmost", "rightmost"):
+            raise ValueError(f"tie_break must be leftmost or rightmost, got {tie_break!r}")
+        return tuple.__new__(cls, (tie_break,))
 
     def describe(self) -> str:
         return f"greedy tie_break={self.tie_break}"
@@ -64,41 +64,41 @@ class GreedyGen:
 GeneratorSpec = Union[KroneckerGen, VdcGen, GreedyGen]
 
 
-@dataclass(frozen=True, init=False)
-class PointSet:
+class PointSet(NamedTuple("PointSet", [
+        ("xs", Tuple[int, ...]), ("modulus", int), ("error_units", int), ("n", int),
+        ("precision_bits", Optional[int]), ("generator_tag", str)])):
     """An index-ordered prefix of a sequence in [0, 1], stored on a lattice.
 
     Point i is xs[i] / modulus, within error_units / modulus of the true
     point (0 for exact rationals); precision_bits is None when points are
     exact.  PointSet(points, n, ...) puts Fractions on the lattice of their
-    common denominator; the generators build with PointSet.lattice.
+    common denominator; the generators build with PointSet.lattice.  config
+    (the generator's state) is not a field, so == and hash ignore it.
     """
 
-    xs: Tuple[int, ...]
-    modulus: int
-    error_units: int
-    n: int
-    precision_bits: Optional[int]
-    generator_tag: str
-    config: Optional[object] = field(default=None, compare=False)
+    config = property(lambda self: self.__dict__.get("config"))
 
-    def __init__(self, points: Iterable, n: int, precision_bits: Optional[int],
-                 generator_tag: str, error_bound=Fraction(0), config=None):
+    def __new__(cls, points: Iterable, n: int, precision_bits: Optional[int],
+                generator_tag: str, error_bound=Fraction(0), config=None):
         pts = [Fraction(x) for x in points] + [Fraction(error_bound)]
         M = math.lcm(*(x.denominator for x in pts))
         *xs, err = (x.numerator * (M // x.denominator) for x in pts)
-        self._set(tuple(xs), M, err, n, precision_bits, generator_tag, config)
+        return cls._with((tuple(xs), M, err, n, precision_bits, generator_tag), config)
 
     @classmethod
     def lattice(cls, xs: Tuple[int, ...], modulus: int, error_units: int,
                 precision_bits: Optional[int], generator_tag: str, config=None):
-        ps = cls.__new__(cls)
-        ps._set(xs, modulus, error_units, len(xs), precision_bits, generator_tag, config)
+        return cls._with((xs, modulus, error_units, len(xs), precision_bits, generator_tag),
+                         config)
+
+    @classmethod
+    def _with(cls, fields: tuple, config) -> "PointSet":
+        ps = tuple.__new__(cls, fields)
+        ps.__dict__["config"] = config
         return ps
 
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__dataclass_fields__, values):
-            object.__setattr__(self, name, value)
+    def __reduce__(self):  # copy and pickle: the fields are not __new__'s arguments
+        return PointSet._with, (tuple(self), self.config)
 
     @property
     def points(self) -> Tuple[Fraction, ...]:
@@ -120,8 +120,7 @@ class PointSet:
         )
 
 
-@dataclass(frozen=True)
-class _KroneckerRun:
+class _KroneckerRun(NamedTuple):
     exp: CFExpansion
     ctx: PrecisionContext
     scale_bits: int

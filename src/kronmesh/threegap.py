@@ -18,7 +18,6 @@ exact integer assertions.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import List, NamedTuple, Optional, Tuple
@@ -31,8 +30,7 @@ from .intervals import Interval, interval_to_decimal
 _Q = itemgetter(1)  # q of a convergent (p, q)
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(NamedTuple):
     """The real number u*alpha0 + v for integers u, v (alpha0 = alpha mod 1)."""
 
     u: int
@@ -118,8 +116,7 @@ def _form_rung(exp: CFExpansion, form: LinearForm, ctx: PrecisionContext,
 Decomposition = NamedTuple("Decomposition", [("m", int), ("h", int), ("k", int)])
 
 
-@dataclass(frozen=True)
-class GapStructure:
+class GapStructure(NamedTuple):
     n: int
     decomposition: Decomposition
     entries: Tuple[Tuple[LinearForm, int], ...]  # exactly three (length, count)
@@ -178,15 +175,13 @@ def _gap_structure(exp: CFExpansion, n: int) -> GapStructure:
     return GapStructure(n, d, tuple(zip(lengths, counts)))
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class LengthsReport:
+class LengthsReport(NamedTuple):
     checks: Tuple[IdentityCheck, ...]
 
     @property

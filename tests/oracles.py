@@ -363,8 +363,6 @@ def kronecker_bounds_interval(exp, n: int, ctx=None):
     """kronecker_bounds by Interval arithmetic on the alpha_m bracket: the
     denominator min(alpha_m, 1 - (h+1) alpha_m), the numerator
     2 (1 - h alpha_m), their quotient, and 1 / alpha_m at n_m."""
-    from dataclasses import replace
-
     from kronmesh.contfrac import DEFAULT_CONTEXT, alpha_tail_best, digit_supremum
     from kronmesh.errors import UnsupportedAlphaError
     from kronmesh.metrics import BoundReport, _as_expansion
@@ -379,7 +377,7 @@ def kronecker_bounds_interval(exp, n: int, ctx=None):
     def attempt(bits):
         # a digit prefix too short for the width target still yields the
         # bracket of every known digit
-        am = alpha_tail_best(exp, d.m, replace(ctx, bits=bits))
+        am = alpha_tail_best(exp, d.m, ctx._replace(bits=bits))
         den = iv_min(am, iv_shift(iv_scale(am, -(d.h + 1)), 1))
         return ((am, den), None) if den.lo > 0 else (None, am.width)
 

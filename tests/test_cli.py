@@ -439,6 +439,45 @@ def test_bits_cap_admits_exactly_the_cap(monkeypatch):
     assert seen == [kronmesh.PrecisionContext(65536, 65536)]
 
 
+DIGITS_COMMANDS = [
+    ("analyze", "--alpha", "golden", "--n", "10"),
+    ("sweep", "--gen", "vdc", "--base", "3", "--n", "2..4", "--format", "json"),
+    ("points", "--gen", "vdc", "--base", "3", "--n", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", DIGITS_COMMANDS + [
+    ("gaps", "--alpha", "golden", "--n", "10"),
+    ("classify", "--alpha", "golden"),
+])
+@pytest.mark.parametrize("digits", [1001, 2000000000])
+def test_digits_cap_refuses_before_any_work(capsys, monkeypatch, argv, digits):
+    # --digits 2000000000 once ended an analyze in a MemoryError traceback,
+    # and --digits 10**8 made a 3-point dump write 200 MB
+    def fail(*args, **kwargs):
+        raise AssertionError("work done")
+
+    for name in ("sweep", "sweep_segments", "CFExpansion", "generate", "parse_alpha"):
+        monkeypatch.setattr(cli, name, fail)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--digits", str(digits))
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == f"error: --digits {digits} exceeds the output cap of 1000\n"
+
+
+@pytest.mark.parametrize("argv", DIGITS_COMMANDS)
+def test_digits_cap_admits_exactly_the_cap(capsys, argv):
+    assert cli.MAX_DIGITS == 1000
+    code, out, err = run(capsys, *argv, "--digits", "1000")
+    assert code == 0 and err == ""
+    if argv[0] == "analyze":
+        digits = json.loads(out)["mesh_ratio"].replace(".", "")
+        assert len(digits) == 1000 and digits.isdigit()
+    else:  # a vdc base 3 point, and the fill of 3 of them, is 1/3
+        assert "0." + "3" * 1000 in out and "3" * 1001 not in out
+
+
 @pytest.mark.parametrize("argv", [
     ("classify", "--alpha", "sqrt:99999999977"),
     ("analyze", "--alpha", "sqrt:99999999977", "--n", "100"),
@@ -664,6 +703,32 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_cli_start_up_loads_no_dataclasses_machinery():
+    # the records are NamedTuples, so a one-shot CLI run pays for none of the
+    # modules dataclasses pulls in (-S: count the package's imports only)
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = ("import sys, kronmesh.cli; kronmesh.cli.build_parser(); "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=SUBPROCESS_ENV, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_no_package_module_imports_dataclasses():
+    package = Path(kronmesh.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [node.module] if isinstance(node, ast.ImportFrom) else []
+            if any(name and name.partition(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_metrics_sort_no_points():
     # the incremental sorted-point kernel lives in tests/oracles.py: the
     # metrics module imports no heap or bisection and calls no generator
@@ -724,7 +789,7 @@ def test_only_the_ladder_escalates_precision():
 def test_ladder_rungs_pass_bits_not_contexts():
     # a PrecisionContext is built only from the CLI flags (cli._context) and
     # as contfrac.DEFAULT_CONTEXT; no module rebuilds one per rung with
-    # replace(ctx, ...)
+    # replace(ctx, ...) or its NamedTuple spelling ctx._replace(...)
     package = Path(kronmesh.__file__).resolve().parent
     found = []
     for path in sorted(package.glob("*.py")):
@@ -741,6 +806,9 @@ def test_ladder_rungs_pass_bits_not_contexts():
                 if (name == "replace" and node.args and isinstance(node.args[0], ast.Name)
                         and "ctx" in node.args[0].id):
                     found.append(f"{path.name}:{node.lineno} calls replace(ctx, ...)")
+                if (name == "_replace" and isinstance(node.func.value, ast.Name)
+                        and "ctx" in node.func.value.id):
+                    found.append(f"{path.name}:{node.lineno} calls ctx._replace(...)")
     assert found == []
 
 

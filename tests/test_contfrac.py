@@ -531,7 +531,8 @@ def test_quadratic_surd_value_semantics():
     s = QuadraticSurd(-1, 5, 2)
     assert repr(s) == "QuadraticSurd(P=-1, D=5, Q=2)"
     assert s == QuadraticSurd(-1, 5, 2) == km.parse_alpha("golden")
-    assert s != QuadraticSurd(1, 5, 2) and s != (-1, 5, 2)
+    # a record is a NamedTuple: it equals the plain tuple of its fields
+    assert s != QuadraticSurd(1, 5, 2) and s == (-1, 5, 2)
     assert hash(s) == hash((-1, 5, 2)) and len({s, QuadraticSurd(-1, 5, 2)}) == 1
     # the normal form Q | D - P*P scales numerator and denominator by |Q|
     t = QuadraticSurd(1, 5, -3)
