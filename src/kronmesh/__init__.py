@@ -12,14 +12,10 @@ from .contfrac import (
     PrecisionContext,
     QuadraticSurd,
     Rational,
-    alpha_tail,
-    alpha_tail_best,
     alpha_to_string,
     digit_supremum,
-    expand,
     is_badly_approximable,
     parse_alpha,
-    s_and_n,
 )
 from .errors import (
     AlphaSpecError,
@@ -33,12 +29,10 @@ from .metrics import (
     BoundReport,
     QUMetrics,
     SweepRow,
-    fill_distance,
     kronecker_bounds,
     mesh_ratio,
     mesh_ratio_structural,
     metrics_to_json,
-    separation_radius,
     sweep,
     sweep_segments,
     sweep_to_csv,
@@ -62,7 +56,6 @@ from .threegap import (
     LinearForm,
     decompose,
     eta,
-    eta_interval,
     gap_structure,
     gap_structure_json,
     lengths_check,

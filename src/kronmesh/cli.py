@@ -267,7 +267,7 @@ def _sweep_segments(args, ctx) -> List[Segment]:
         if not isinstance(gen, KroneckerGen):
             raise _UsageError("--n-at nm applies to Kronecker sequences only")
         exp = CFExpansion(gen.alpha)
-        if exp.is_rational:
+        if exp.finite:
             raise UnsupportedAlphaError("n_m sweep needs irrational alpha")
         m_lo, m_hi = _parse_range(args.m, "--m")
         if m_lo < 1:

@@ -11,8 +11,8 @@ p_m/q_m of alpha, whose denominators are those of the reduced tail
     s_m = q_m   (s_{-1} = q_{-1} = 0),     n_m = q_m + q_{m-1},
 
 and the tail values alpha_m = [0; a_{m+1}, ...] are bracketed by integer
-ends x1/y1 <= x2/y2.  All arithmetic is integer arithmetic; a Fraction is
-built only for a public Interval, and big-float never enters.
+ends x1/y1 <= x2/y2.  All arithmetic is integer arithmetic, and big-float
+never enters.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ from .errors import (
     PrecisionUnresolvedError,
     UnsupportedAlphaError,
 )
-from .intervals import Interval
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +84,7 @@ class PrecisionContext(NamedTuple("PrecisionContext", [("bits", int), ("max_bits
 
 
 DEFAULT_CONTEXT = PrecisionContext()
-GUARD = 8  # the slack of the tail enclosures: alpha_tail meets width 2**-(bits - GUARD)
+GUARD = 8  # the slack of the tail enclosures: _tail_ends meets width 2**-(bits - GUARD)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +153,6 @@ class Rational(NamedTuple("Rational", [("num", int), ("den", int)])):
             raise AlphaSpecError("Rational.den must be positive")
         fr = Fraction(num, den)
         return tuple.__new__(cls, (fr.numerator, fr.denominator))
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
 
 
 class ExplicitCF(NamedTuple("ExplicitCF", [("preperiod", Tuple[int, ...]),
@@ -348,17 +344,6 @@ class CFExpansion:
             raise OutOfRangeError(f"n_{m} needs digit a_{m}; expansion ends at a_{self.depth}")
         return self.s_at(m) + self.s_at(m - 1)
 
-    def convergent(self, m: int) -> Tuple[int, int]:
-        if m < 0:
-            raise OutOfRangeError("convergent index must be >= 0")
-        if not self.ensure(m):
-            raise OutOfRangeError(f"p_{m}/q_{m} needs digit a_{m}; expansion ends at a_{self.depth}")
-        return self.convergents[m]
-
-    @property
-    def is_rational(self) -> bool:
-        return self.finite
-
     # -- certified value enclosures -----------------------------------------
 
     @cached_property
@@ -456,56 +441,6 @@ def _tail_ends(exp: CFExpansion, m: int, bits: int) -> Tuple[Ends, int]:
             f"alpha_{m} needs digits beyond a_{M}; the known prefix is too short"
         )
     return _window_bracket(exp, m, M), w
-
-
-def _interval(ends: Ends) -> Interval:
-    x1, y1, x2, y2 = ends
-    return Interval(Fraction(x1, y1), Fraction(x2, y2))
-
-
-def expand(alpha: AlphaSpec, m_max: int) -> CFExpansion:
-    """Digits a_0..a_{m_max} (or to termination) with their convergents."""
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    exp = CFExpansion(alpha)
-    exp.ensure(m_max)
-    return exp
-
-
-def s_and_n(exp: CFExpansion, m: int) -> Tuple[int, int]:
-    """Exact (s_m, n_m) = (q_m, q_m + q_{m-1}); m >= 0."""
-    return (exp.s_at(m), exp.n_at(m))
-
-
-def alpha_tail(exp: CFExpansion, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Interval:
-    """Certified enclosure of alpha_m = [0; a_{m+1}, a_{m+2}, ...].
-
-    The enclosure is the bracket of the digit window a_{m+1}..a_{m+w}
-    between its convergent and its mediant (the unknown remainder ranges
-    over [0, 1]), read off the stored convergents in O(1).  The window
-    starts at w = max(16, 3 (bits - GUARD) / 4) digits and doubles until
-    the width target 2**(GUARD - bits) is met.
-    Terminating tails come out exact.
-    """
-    ends, w = _tail_ends(exp, m, ctx.bits)
-    iv, bits = _interval(ends), ctx.bits - GUARD
-    if iv.width * (1 << bits) > 1:
-        raise PrecisionUnresolvedError(
-            f"alpha_{m} certified only to width {float(iv.width):.3e} from digits "
-            f"through a_{exp.depth}; need roughly depth {m + w} for width 2**-{bits}"
-        )
-    return iv
-
-
-def alpha_tail_best(exp: CFExpansion, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Interval:
-    """alpha_tail without the width guarantee.
-
-    When only a digit prefix constrains the tail, returns the tightest
-    enclosure that prefix supports (the bracket of a_{m+1}..a_M) instead of
-    raising.  Still raises when no digit beyond a_m is known (the enclosure
-    would be all of [0, 1]).
-    """
-    return _interval(_tail_ends(exp, m, ctx.bits)[0])
 
 
 # the most digits digit_supremum walks for a surd's period (60 MB RSS, 0.1 s)

@@ -186,18 +186,6 @@ def _kronecker_metrics(exp: CFExpansion, n: int, A: int, U: int, M: int) -> QUMe
     return _lattice_metrics(n, max(2 * last, maxg), ming, M, Fraction((n - 1) * U, M))
 
 
-def fill_distance(ps: PointSet) -> Fraction:
-    if ps.n < 2:
-        return Fraction(_stored_units(ps)[0], 2 * ps.modulus)
-    return mesh_ratio(ps).fill
-
-
-def separation_radius(ps: PointSet) -> Fraction:
-    if ps.n < 2:
-        raise ValueError("separation radius needs n >= 2")
-    return mesh_ratio(ps).separation
-
-
 def mesh_ratio(ps: PointSet) -> QUMetrics:
     """rho_n = h_n / q_n of the point set (provenance oracle-exact).  An
     irrational Kronecker prefix is read off its three-gap forms on the set's
@@ -230,13 +218,13 @@ def kronecker_bounds(
     den_lo)], as 2 (1 - h alpha_m) > 0: h < a_{m+1} and every bracket keeps
     alpha_m <= 1/a_{m+1}.  The lower bound at n_m is [y2/x2, y1/x1]."""
     exp = _as_expansion(exp)
-    if exp.is_rational:
+    if exp.finite:
         raise UnsupportedAlphaError("mesh-ratio bounds need irrational alpha")
     d = decompose(exp, n)
     h = d.h
 
     def attempt(bits):
-        # alpha_tail_best's bracket: a digit prefix too short for the width
+        # _tail_ends: a digit prefix too short for the width
         # target still yields the bracket of every known digit
         x1, y1, x2, y2 = ends = _tail_ends(exp, d.m, bits)[0]
         c1, c2 = y1 - (h + 1) * x1, y2 - (h + 1) * x2
@@ -357,7 +345,7 @@ def sweep_segments(gen: GeneratorSpec, n_lo: int, n_hi: int, ctx: PrecisionConte
     if not isinstance(gen, KroneckerGen):
         raise ValueError(f"unknown generator spec {gen!r}")
     exp = _as_expansion(gen.alpha)
-    if not exp.is_rational:
+    if not exp.finite:
         lattice = _kronecker_lattice(exp, n_hi, ctx, working_scale_bits(ctx, n_hi))
         return _form_segments(exp, n_lo, n_hi, *lattice, ctx, with_bounds)
     # alpha = p/q: the forms are exact at (p mod q)/q while n <= q; past q

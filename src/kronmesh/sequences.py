@@ -22,7 +22,6 @@ from .contfrac import (
     DEFAULT_CONTEXT,
     PrecisionContext,
     Rational,
-    alpha_to_string,
 )
 from .errors import PrecisionUnresolvedError
 from .intervals import decimal_context
@@ -30,9 +29,6 @@ from .intervals import decimal_context
 
 class KroneckerGen(NamedTuple):
     alpha: AlphaSpec
-
-    def describe(self) -> str:
-        return f"kronecker alpha={alpha_to_string(self.alpha)}"
 
 
 class VdcGen(NamedTuple("VdcGen", [("base", int)])):
@@ -44,9 +40,6 @@ class VdcGen(NamedTuple("VdcGen", [("base", int)])):
             raise ValueError(f"van der Corput base must be an integer >= 2, got {base!r}")
         return tuple.__new__(cls, (base,))
 
-    def describe(self) -> str:
-        return f"vdc base={self.base}"
-
 
 class GreedyGen(NamedTuple("GreedyGen", [("tie_break", str)])):
     __slots__ = ()
@@ -56,9 +49,6 @@ class GreedyGen(NamedTuple("GreedyGen", [("tie_break", str)])):
         if tie_break not in ("leftmost", "rightmost"):
             raise ValueError(f"tie_break must be leftmost or rightmost, got {tie_break!r}")
         return tuple.__new__(cls, (tie_break,))
-
-    def describe(self) -> str:
-        return f"greedy tie_break={self.tie_break}"
 
 
 GeneratorSpec = Union[KroneckerGen, VdcGen, GreedyGen]
@@ -111,14 +101,6 @@ class PointSet(NamedTuple("PointSet", [
         """Certified per-point absolute error."""
         return Fraction(self.error_units, self.modulus)
 
-    def prefix(self, k: int) -> "PointSet":
-        if not 1 <= k <= self.n:
-            raise ValueError(f"prefix length {k} outside [1, {self.n}]")
-        return PointSet.lattice(
-            self.xs[:k], self.modulus, self.error_units, self.precision_bits,
-            self.generator_tag, self.config,
-        )
-
 
 class _KroneckerRun(NamedTuple):
     exp: CFExpansion
@@ -167,8 +149,7 @@ def kronecker(
         raise ValueError("n must be >= 1")
     spec = alpha.spec if isinstance(alpha, CFExpansion) else alpha
     if isinstance(spec, Rational):
-        fr = spec.as_fraction()
-        p, q = fr.numerator, fr.denominator
+        p, q = spec.num, spec.den
         return PointSet.lattice(tuple((i * p) % q for i in range(n)), q, 0,
                                 None, "kronecker")
     exp = alpha if isinstance(alpha, CFExpansion) else CFExpansion(alpha)

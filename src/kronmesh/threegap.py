@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 from fractions import Fraction
 from operator import itemgetter
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 from .contfrac import CFExpansion, DEFAULT_CONTEXT, PrecisionContext
 from .errors import KronmeshError, OutOfRangeError
@@ -76,14 +76,6 @@ def eta(exp: CFExpansion, m: int) -> LinearForm:
     p, q = exp.convergents[m]
     u, v = q, exp.digits[0] * q - p
     return LinearForm(-u, -v) if m % 2 else LinearForm(u, v)
-
-
-def eta_interval(
-    exp: CFExpansion, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT
-) -> Interval:
-    """Certified enclosure of eta_m, escalated until strictly positive."""
-    form = eta(exp, m)
-    return form_interval(exp, form, ctx, require_positive=True)
 
 
 def form_interval(
@@ -156,7 +148,7 @@ def decompose(exp: CFExpansion, n: int) -> Decomposition:
 
 def gap_structure(exp: CFExpansion, n: int) -> GapStructure:
     """The three (length, multiplicity) entries for the first n points."""
-    if exp.is_rational:
+    if exp.finite:
         raise UnsupportedAlphaError(
             "gap structure needs irrational alpha; rational rotations "
             "degenerate (duplicate points) and are handled by the metrics path"

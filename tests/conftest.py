@@ -64,8 +64,8 @@ def alpha0_width_bound(spec: str) -> Fraction:
     exp = km.CFExpansion(km.parse_alpha(spec))
     exp.ensure(10 ** 6)
     m = exp.depth
-    p1, q1 = exp.convergent(m)
-    p0, q0 = exp.convergent(m - 1)
+    p1, q1 = exp.convergents[m]
+    p0, q0 = exp.convergents[m - 1]
     return abs(Fraction(p1, q1) - Fraction(p1 + p0, q1 + q0))
 
 

@@ -199,7 +199,7 @@ def tail_bracket(window):
 def alpha0_scaled_window(exp, bits: int):
     """exp.alpha0_scaled(bits) without the memo, a digit prefix bracketed
     by tail_bracket over a_1..a_M."""
-    if exp.is_rational or exp._alpha0_surd is not None or exp.depth < 1:
+    if exp.finite or exp._alpha0_surd is not None or exp.depth < 1:
         return exp._alpha0_scaled(bits)
     exp.ensure(len(exp.spec.preperiod) - 1)
     iv = tail_bracket(exp.digits[1:exp.depth + 1])
@@ -208,10 +208,11 @@ def alpha0_scaled_window(exp, bits: int):
     return (A, max(U, 1))
 
 
-def alpha_tail_window(exp, m: int, ctx):
-    """alpha_tail by brackets of the digit window a_{m+1}..a_{m+w}, w from
-    max(16, 3 (bits - GUARD) / 4) doubling until the width target is met;
-    the same errors for a short prefix or a terminating expansion."""
+def alpha_tail_best_window(exp, m: int, ctx):
+    """contfrac._tail_ends by brackets of the digit window a_{m+1}..a_{m+w},
+    w from max(16, 3 (bits - GUARD) / 4) doubling until the width target is
+    met, or of every known digit when a prefix runs out first; the same
+    errors for a short prefix or a terminating expansion."""
     from kronmesh.contfrac import GUARD
     from kronmesh.errors import OutOfRangeError, PrecisionUnresolvedError
     from kronmesh.errors import UnsupportedAlphaError
@@ -232,37 +233,16 @@ def alpha_tail_window(exp, m: int, ctx):
             x = 1 / (a + x)
         return Interval(x, x)
     w = max(16, (3 * (ctx.bits - GUARD)) // 4)
-    while True:
-        if not exp.ensure(m + w):
-            M = exp.depth
-            if M <= m:
-                raise PrecisionUnresolvedError(
-                    f"alpha_{m} needs digits beyond a_{M}; the known prefix is too short"
-                )
-            iv = tail_bracket(exp.digits[m + 1:])
-            if iv.width <= target:
-                return iv
-            raise PrecisionUnresolvedError(
-                f"alpha_{m} certified only to width {float(iv.width):.3e} from digits "
-                f"through a_{M}; need roughly depth {m + w} for width 2**-{ctx.bits - GUARD}"
-            )
+    while exp.ensure(m + w):
         iv = tail_bracket(exp.digits[m + 1:m + w + 1])
         if iv.width <= target:
             return iv
         w *= 2
-
-
-def alpha_tail_best_window(exp, m: int, ctx):
-    """alpha_tail_best over alpha_tail_window: the bracket of every known
-    digit when the prefix is too short for the width target."""
-    from kronmesh.errors import PrecisionUnresolvedError
-
-    try:
-        return alpha_tail_window(exp, m, ctx)
-    except PrecisionUnresolvedError:
-        if exp.depth <= m:
-            raise
-        return tail_bracket(exp.digits[m + 1:])
+    if exp.depth <= m:
+        raise PrecisionUnresolvedError(
+            f"alpha_{m} needs digits beyond a_{exp.depth}; the known prefix is too short"
+        )
+    return tail_bracket(exp.digits[m + 1:])
 
 
 def iv_scale(iv, c):
@@ -363,21 +343,21 @@ def kronecker_bounds_interval(exp, n: int, ctx=None):
     """kronecker_bounds by Interval arithmetic on the alpha_m bracket: the
     denominator min(alpha_m, 1 - (h+1) alpha_m), the numerator
     2 (1 - h alpha_m), their quotient, and 1 / alpha_m at n_m."""
-    from kronmesh.contfrac import DEFAULT_CONTEXT, alpha_tail_best, digit_supremum
+    from kronmesh.contfrac import DEFAULT_CONTEXT, digit_supremum
     from kronmesh.errors import UnsupportedAlphaError
     from kronmesh.metrics import BoundReport, _as_expansion
     from kronmesh.threegap import decompose
 
     ctx = DEFAULT_CONTEXT if ctx is None else ctx
     exp = _as_expansion(exp)
-    if exp.is_rational:
+    if exp.finite:
         raise UnsupportedAlphaError("mesh-ratio bounds need irrational alpha")
     d = decompose(exp, n)
 
     def attempt(bits):
         # a digit prefix too short for the width target still yields the
         # bracket of every known digit
-        am = alpha_tail_best(exp, d.m, ctx._replace(bits=bits))
+        am = alpha_tail_best_window(exp, d.m, ctx._replace(bits=bits))
         den = iv_min(am, iv_shift(iv_scale(am, -(d.h + 1)), 1))
         return ((am, den), None) if den.lo > 0 else (None, am.width)
 
@@ -702,7 +682,7 @@ def sweep_rows(gen, n_lo: int, n_hi: int, ctx=None, with_bounds: bool = True):
     if not isinstance(gen, KroneckerGen):
         raise ValueError(f"unknown generator spec {gen!r}")
     exp = _as_expansion(gen.alpha)
-    if not exp.is_rational:
+    if not exp.finite:
         lattice = _kronecker_lattice(exp, n_hi, ctx, working_scale_bits(ctx, n_hi))
         return form_rows(exp, n_lo, n_hi, *lattice, ctx, with_bounds)
     q = exp.spec.den
@@ -819,7 +799,7 @@ def sweep_command_rows(args):
         if not isinstance(gen, KroneckerGen):
             raise cli._UsageError("--n-at nm applies to Kronecker sequences only")
         exp = CFExpansion(gen.alpha)
-        if exp.is_rational:
+        if exp.finite:
             raise UnsupportedAlphaError("n_m sweep needs irrational alpha")
         m_lo, m_hi = cli._parse_range(args.m, "--m")
         if m_lo < 1:

@@ -273,7 +273,7 @@ def test_criterion_7_gap_length_product_identity(capsys):
                 mp_prod = mp_prod * mp_tails[m]
             if m > exp.depth - 1 and spec == PREFIX_SPEC:
                 break
-            iv = km.eta_interval(exp, m, ctx256)
+            iv = form_interval(exp, km.eta(exp, m), ctx256, require_positive=True)
             if spec == PREFIX_SPEC and (iv.width > width_cap or phi - plo > width_cap):
                 cap_note = f"; prefix alpha certified through m={m - 1}"
                 assert m - 1 >= 20, (spec, m)
@@ -394,10 +394,9 @@ def test_criterion_9_rational_metrics_oracle(capsys):
         n = rng.randint(2, 200)
         pts = oracles.random_rational_points(rng, n)
         ps = km.PointSet(tuple(pts), n, None, "external")
-        sep = km.separation_radius(ps)
-        assert sep == oracles.pairwise_separation(pts), n
-        fill = km.fill_distance(ps)
-        assert abs(float(fill) - oracles.grid_fill(pts, 16)) <= delta, n
+        qm = km.mesh_ratio(ps)
+        assert qm.separation == oracles.pairwise_separation(pts), n
+        assert abs(float(qm.fill) - oracles.grid_fill(pts, 16)) <= delta, n
     dt = time.time() - t0
     with capsys.disabled():
         print(_report(9, True,

@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -726,6 +727,42 @@ def test_no_package_module_imports_dataclasses():
                 names = [node.module] if isinstance(node, ast.ImportFrom) else []
             if any(name and name.partition(".")[0] == "dataclasses" for name in names):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def _package_trees():
+    package = Path(kronmesh.__file__).resolve().parent
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(package.glob("*.py"))}
+
+
+def test_every_export_has_a_package_caller_or_is_documented():
+    # README's `## Library` text before its first subsection is the contract
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = re.split(r"\n##+ ", readme.read_text().split("\n## Library\n", 1)[1], 1)[0]
+    documented = {name for span in re.findall(r"`([^`]+)`", section)
+                  for name in re.findall(r"[A-Za-z_]\w*", span)}
+    trees = _package_trees()
+    exported = {alias.asname or alias.name for node in trees.pop("__init__.py").body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    called = {node.id for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Name)}
+    assert sorted(exported - called - documented) == []
+
+
+def test_no_package_module_keeps_an_unused_import():
+    found = []
+    for name, tree in _package_trees().items():
+        if name == "__init__.py":  # its imports are the exports
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{name}:{node.lineno} {alias.asname or alias.name}"
+                          for alias in node.names
+                          if (alias.asname or alias.name).partition(".")[0] not in used]
     assert found == []
 
 

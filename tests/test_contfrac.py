@@ -21,13 +21,25 @@ from kronmesh import (
     Rational,
     UnsupportedAlphaError,
 )
-from kronmesh.contfrac import _window_bracket
+from kronmesh.contfrac import GUARD, _tail_ends, _window_bracket
 from conftest import ALPHA_SPECS, PREFIX_SPEC, mpf_to_fraction
 import oracles
 
 
+def expansion(spec: str, depth: int) -> CFExpansion:
+    exp = CFExpansion(km.parse_alpha(spec))
+    exp.ensure(depth)
+    return exp
+
+
+def tail(exp: CFExpansion, m: int, bits: int = 192):
+    """The ends of _tail_ends as Fractions."""
+    x1, y1, x2, y2 = _tail_ends(exp, m, bits)[0]
+    return Fraction(x1, y1), Fraction(x2, y2)
+
+
 def test_expand_golden():
-    exp = km.expand(km.parse_alpha("golden"), 10)
+    exp = expansion("golden", 10)
     assert exp.digits == [0] + [1] * 10
     assert [exp.s_at(m) for m in range(6)] == [1, 1, 2, 3, 5, 8]
     assert [exp.n_at(m) for m in range(6)] == [1, 2, 3, 5, 8, 13]
@@ -45,39 +57,35 @@ def test_expansion_stores_only_digits_and_convergents():
 
 
 def test_expand_sqrt2():
-    exp = km.expand(km.parse_alpha("sqrt:2"), 8)
+    exp = expansion("sqrt:2", 8)
     assert exp.digits == [1] + [2] * 8
     assert exp.periodic is not None
 
 
 def test_expand_rational_3_8():
-    exp = km.expand(km.parse_alpha("rat:3/8"), 10)
+    exp = expansion("rat:3/8", 10)
     assert exp.digits == [0, 2, 1, 2]
     assert exp.finite
 
 
-def test_expand_m_max_validation():
-    with pytest.raises(ValueError):
-        km.expand(km.parse_alpha("golden"), 0)
-
-
 def test_sqrt3_minus_1_periodic_digits():
-    exp = km.expand(km.parse_alpha("quad:-1,3,1"), 9)
+    exp = expansion("quad:-1,3,1", 9)
     assert exp.digits == [0, 1, 2, 1, 2, 1, 2, 1, 2, 1]
 
 
 def test_s_and_n_examples():
-    golden = km.expand(km.parse_alpha("golden"), 6)
-    assert [km.s_and_n(golden, m) for m in range(4)] == [
+    golden = expansion("golden", 6)
+    assert [(golden.s_at(m), golden.n_at(m)) for m in range(4)] == [
         (1, 1), (1, 2), (2, 3), (3, 5)
     ]
-    r2 = km.expand(km.parse_alpha("quad:-1,2,1"), 6)
+    r2 = expansion("quad:-1,2,1", 6)
     assert [r2.s_at(m) for m in range(5)] == [1, 2, 5, 12, 29]
-    assert km.s_and_n(r2, 1)[1] == 3
-    assert km.s_and_n(r2, 2)[1] == 7
+    assert r2.n_at(1) == 3
+    assert r2.n_at(2) == 7
     # m = 0 base case is generator-independent
     for spec in ALPHA_SPECS:
-        assert km.s_and_n(km.CFExpansion(km.parse_alpha(spec)), 0) == (1, 1)
+        exp = CFExpansion(km.parse_alpha(spec))
+        assert (exp.s_at(0), exp.n_at(0)) == (1, 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -95,7 +103,7 @@ def test_s_equals_convergent_denominator(digits):
 def test_rational_terminates_at_its_value(p, q):
     exp = CFExpansion(Rational(p, q))
     exp.ensure(10 ** 9)
-    pm, qm = exp.convergent(exp.depth)
+    pm, qm = exp.convergents[exp.depth]
     assert Fraction(pm, qm) == Fraction(p, q)
     # canonical form: last digit >= 2 whenever there is a fractional part
     if exp.depth >= 1:
@@ -122,7 +130,7 @@ def test_quadratic_surd_validation():
 
 def test_surd_digits_match_bigfloat():
     for spec in ("golden", "quad:-1,2,1", "quad:-1,3,1", "sqrt:13", "quad:3,7,2"):
-        exp = km.expand(km.parse_alpha(spec), 25)
+        exp = expansion(spec, 25)
         want = oracles.mp_cf_digits(oracles.mp_value(spec, 420), 25, 420)
         assert exp.digits[:20] == want[:20], spec
 
@@ -131,11 +139,12 @@ def test_surd_convergents_alternate_and_sharpen():
     # q_m*alpha - p_m alternates in sign and shrinks in magnitude; checked
     # exactly through the integer sign of a + b*sqrt(D)
     surd = km.parse_alpha("quad:3,7,2")   # (3 + sqrt 7)/2
-    exp = km.expand(surd, 18)
+    exp = CFExpansion(surd)
+    exp.ensure(18)
     P, D, Q = surd.P, surd.D, surd.Q
     prev_sign = None
     for m in range(1, 18):
-        pm, qm = exp.convergent(m)
+        pm, qm = exp.convergents[m]
         # sign of qm*(P + sqrt D)/Q - pm  ==  sign of (qm*P - pm*Q) + qm*sqrt D
         s = oracles.surd_sign(qm * P - pm * Q, qm, D)
         assert s != 0
@@ -145,55 +154,48 @@ def test_surd_convergents_alternate_and_sharpen():
 
 
 def test_periodic_detection():
-    r2 = km.expand(km.parse_alpha("sqrt:2"), 12)
+    r2 = expansion("sqrt:2", 12)
     pre, per = r2.periodic
     assert per == 1
-    r3 = km.expand(km.parse_alpha("quad:-1,3,1"), 12)
+    r3 = expansion("quad:-1,3,1", 12)
     assert r3.periodic[1] == 2
 
 
-def test_alpha_tail_golden_self_similar():
-    exp = km.expand(km.parse_alpha("golden"), 8)
-    iv = km.alpha_tail(exp, 3, PrecisionContext(64))
-    assert iv.width <= Fraction(1, 1 << 56)
+def test_tail_ends_golden_self_similar():
+    exp = expansion("golden", 8)
+    lo, hi = tail(exp, 3, 64)
+    assert hi - lo <= Fraction(1, 1 << 56)
     with mpmath.workprec(400):
         phi = mpf_to_fraction((mpmath.sqrt(5) - 1) / 2)
     eps = Fraction(1, 1 << 200)
-    assert iv.lo - eps <= phi <= iv.hi + eps
+    assert lo - eps <= phi <= hi + eps
 
 
-def test_alpha_tail_terminating_exact():
+def test_tail_ends_terminating_exact():
     exp = CFExpansion(Rational(3, 8))
-    assert km.alpha_tail(exp, 2).width == 0
-    assert km.alpha_tail(exp, 2).lo == Fraction(1, 2)
+    assert tail(exp, 2) == (Fraction(1, 2), Fraction(1, 2))
     # alpha_1 of [0;2,1,2] is [0;1,2] = 2/3
-    assert km.alpha_tail(exp, 1).lo == Fraction(2, 3)
+    assert tail(exp, 1) == (Fraction(2, 3), Fraction(2, 3))
     with pytest.raises(UnsupportedAlphaError):
-        km.alpha_tail(exp, 3)
+        tail(exp, 3)
 
 
-def test_alpha_tail_sqrt2_m0():
-    exp = km.expand(km.parse_alpha("sqrt:2"), 6)
-    iv = km.alpha_tail(exp, 0)
+def test_tail_ends_sqrt2_m0():
+    exp = expansion("sqrt:2", 6)
+    lo, hi = tail(exp, 0)
     with mpmath.workprec(400):
         v = mpf_to_fraction(mpmath.sqrt(2) - 1)
     eps = Fraction(1, 1 << 200)
-    assert iv.lo - eps < v < iv.hi + eps
+    assert lo - eps < v < hi + eps
 
 
-def test_alpha_tail_width_contract():
-    ctx = PrecisionContext(128)
-    target = Fraction(1, 1 << 120)
+def test_tail_ends_width_contract():
+    target = Fraction(1, 1 << (128 - GUARD))
     for spec in ALPHA_SPECS[:4]:
         exp = km.CFExpansion(km.parse_alpha(spec))
         for m in range(0, 12):
-            assert km.alpha_tail(exp, m, ctx).width <= target
-
-
-def test_alpha_tail_prefix_exhaustion_raises():
-    exp = CFExpansion(ExplicitCF((0, 1, 2, 3), ()))
-    with pytest.raises(PrecisionUnresolvedError):
-        km.alpha_tail(exp, 0, PrecisionContext(192))
+            lo, hi = tail(exp, m, 128)
+            assert hi - lo <= target
 
 
 def test_escalate_doubles_to_the_ceiling_and_stops_on_a_stall():
@@ -227,7 +229,7 @@ def test_escalate_doubles_to_the_ceiling_and_stops_on_a_stall():
     assert "384 bits; doubling the precision cannot reduce the error" in msg
 
 
-def test_alpha_tail_sandwich():
+def test_tail_ends_sandwich():
     # alpha_m = 1/(a_{m+1} + alpha_{m+1}) pinches between the digit bounds:
     #   1/(a_{m+1} + 1/a_{m+2})  <  alpha_m  <  1/(a_{m+1} + 1/(a_{m+2}+1))
     # and in particular 1/(a_{m+1}+1) < alpha_m < 1/a_{m+1}
@@ -235,13 +237,13 @@ def test_alpha_tail_sandwich():
         exp = km.CFExpansion(km.parse_alpha(spec))
         hi_m = 10 if spec != PREFIX_SPEC else 8
         for m in range(hi_m):
-            iv = km.alpha_tail(exp, m, PrecisionContext(96))
+            t_lo, t_hi = tail(exp, m, 96)
             a1 = exp.digit(m + 1)
             a2 = exp.digit(m + 2)
             lo = Fraction(1) / (a1 + Fraction(1, a2))
             hi = Fraction(1) / (a1 + Fraction(1, a2 + 1))
-            assert lo < iv.lo and iv.hi < hi, (spec, m)
-            assert Fraction(1, a1 + 1) < iv.lo and iv.hi < Fraction(1, a1)
+            assert lo < t_lo and t_hi < hi, (spec, m)
+            assert Fraction(1, a1 + 1) < t_lo and t_hi < Fraction(1, a1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -265,26 +267,22 @@ def test_tail_bracket_equals_backward_recurrence(data):
     exp = CFExpansion(Rational(*oracles.convergents_from_digits(digits)[-1]))
     exp.ensure(10 ** 6)
     if exp.digits == digits:  # the Euclidean digits end in a_M >= 2
-        point = km.alpha_tail(exp, m)
-        assert point.width == 0 and point.lo in (lo, hi)
+        point, same = tail(exp, m)
+        assert point == same and point in (lo, hi)
 
 
 @pytest.mark.parametrize("spec", [PREFIX_SPEC, "cf:1;3,1,4,1,5,9,2,6,5,3,5,8,9,7,9,3,2,3,8,4,6,2,6,4"])
-def test_alpha_tail_best_prefix_equals_oracle(spec):
+def test_tail_ends_prefix_equals_oracle(spec):
     exp = CFExpansion(km.parse_alpha(spec))
     exp.ensure(10 ** 6)
-    ctx = PrecisionContext(192)
-    fallbacks = 0
+    too_wide = 0
     for m in range(exp.depth):
-        try:
-            km.alpha_tail(exp, m, ctx)
-        except PrecisionUnresolvedError:
-            fallbacks += 1
-        iv = km.alpha_tail_best(exp, m, ctx)
-        assert (iv.lo, iv.hi) == oracles.tail_interval_from_digits(exp.digits, m), (spec, m)
-    assert fallbacks > 0
+        lo, hi = tail(exp, m)
+        too_wide += hi - lo > Fraction(1, 1 << (192 - GUARD))
+        assert (lo, hi) == oracles.tail_interval_from_digits(exp.digits, m), (spec, m)
+    assert too_wide > 0  # the bracket of every known digit, short of the target
     with pytest.raises(PrecisionUnresolvedError):
-        km.alpha_tail_best(exp, exp.depth, ctx)
+        tail(exp, exp.depth)
 
 
 @pytest.mark.parametrize("spec", [PREFIX_SPEC, "cf:2;7", "cf:0;1,1,1,1,1,1,1,1,1,1,1,1,1"])
@@ -296,9 +294,9 @@ def test_prefix_bracket_equals_oracle(spec):
 
 
 def test_digit_supremum_examples():
-    assert km.digit_supremum(km.expand(km.parse_alpha("golden"), 3)) == (1, "exact")
+    assert km.digit_supremum(expansion("golden", 3)) == (1, "exact")
     assert km.digit_supremum(CFExpansion(Rational(3, 8))) == (2, "exact")
-    assert km.digit_supremum(km.expand(km.parse_alpha("sqrt:2"), 3)) == (2, "exact")
+    assert km.digit_supremum(expansion("sqrt:2", 3)) == (2, "exact")
     assert km.digit_supremum(CFExpansion(ExplicitCF((0,), (1, 2)))) == (2, "exact")
     rule = CFExpansion(ExplicitCF(tuple([0] + list(range(1, 51))), ()))
     assert km.digit_supremum(rule, probe_depth=50) == (50, "prefix-only")
@@ -449,7 +447,7 @@ def test_concurrent_extension_is_consistent():
         for t in threads:
             t.join()
         assert not errors, spec
-        fresh = km.expand(km.parse_alpha(spec), 3000)
+        fresh = expansion(spec, 3000)
         assert exp.digits == fresh.digits and exp.convergents == fresh.convergents, spec
 
 
@@ -493,7 +491,7 @@ def test_rational_digit_source_matches_euclid():
     for p, q in pairs:
         want = oracles.cf_digits_euclid(p, q)
         exp = CFExpansion(km.parse_alpha(f"rat:{p}/{q}"))
-        assert exp.finite and exp.is_rational and exp.periodic is None
+        assert exp.finite and exp.periodic is None
         assert exp.ensure(len(want) - 1), (p, q)
         assert not exp.ensure(len(want)) and not exp.ensure(10 ** 9), (p, q)
         assert exp.digits == want, (p, q)
@@ -517,7 +515,7 @@ def test_digit_list_source_matches_spec():
     for spec in specs:
         want, period = _cf_digits(spec, 60)
         exp = CFExpansion(km.parse_alpha(spec))
-        assert exp.periodic == period and not exp.finite and not exp.is_rational, spec
+        assert exp.periodic == period and not exp.finite, spec
         # a prefix ends: asking past its end, twice, extends nothing
         assert exp.ensure(len(want) - 1), spec
         for _ in range(2):

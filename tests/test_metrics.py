@@ -25,7 +25,9 @@ import oracles
 
 @pytest.fixture(scope="module")
 def golden():
-    return km.expand(km.parse_alpha("golden"), 40)
+    exp = km.CFExpansion(km.parse_alpha("golden"))
+    exp.ensure(40)
+    return exp
 
 
 def test_vdc4_metrics_exact():
@@ -68,8 +70,7 @@ def test_small_n_validation():
     with pytest.raises(ValueError):
         km.mesh_ratio(km.van_der_corput(2, 1))
     with pytest.raises(ValueError):
-        km.separation_radius(km.greedy_packing(1))
-    assert km.fill_distance(km.greedy_packing(1)) == Fraction(1, 2)
+        km.mesh_ratio(km.greedy_packing(1))
 
 
 def test_sorted_gaps_regenerates_coarse_points(golden):

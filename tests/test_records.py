@@ -144,7 +144,6 @@ def test_point_sets_compare_without_their_config():
     assert a == b and hash(a) == hash(b)
     with pytest.raises(AttributeError):
         a.config = None
-    assert a.prefix(10).config is a.config
     assert copy.copy(a) == a and copy.copy(a).config is a.config
     vdc = km.van_der_corput(3, 4)
     assert pickle.loads(pickle.dumps(vdc)) == vdc

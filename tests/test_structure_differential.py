@@ -12,8 +12,9 @@ import pytest
 import kronmesh as km
 from kronmesh import CFExpansion, PrecisionContext
 from kronmesh.cli import main
-from kronmesh.contfrac import _window_bracket
+from kronmesh.contfrac import _tail_ends, _window_bracket
 from kronmesh.intervals import Interval
+from kronmesh.threegap import form_interval
 from conftest import ALPHA_SPECS, PREFIX_60_DIGITS, PREFIX_SPEC
 import oracles
 
@@ -72,16 +73,14 @@ def test_window_bracket_equals_window_oracle(spec):
 
 @pytest.mark.parametrize("spec", SURDS[:3] + PERIODIC + PREFIXES + RATIONALS)
 @pytest.mark.parametrize("bits", [64, 192, 576])
-def test_alpha_tail_equals_window_loop(spec, bits):
+def test_tail_ends_equal_window_loop(spec, bits):
     # digits through a_400, or to the end of a prefix or a rational
     exp = expansion(spec, 400)
     ctx = PrecisionContext(bits)
     for m in list(range(0, 301, 13)) + [exp.depth - 1, exp.depth, exp.depth + 1]:
         if m < 0:
             continue
-        assert outcome(lambda: km.alpha_tail(exp, m, ctx)) == outcome(
-            lambda: oracles.alpha_tail_window(exp, m, ctx)), (spec, m)
-        assert outcome(lambda: km.alpha_tail_best(exp, m, ctx)) == outcome(
+        assert outcome(lambda: bracket(_tail_ends(exp, m, bits)[0])) == outcome(
             lambda: oracles.alpha_tail_best_window(exp, m, ctx)), (spec, m)
 
 
@@ -191,20 +190,19 @@ def test_kronecker_bounds_take_both_ends_of_each_min():
 
 
 @pytest.mark.parametrize("spec", ALPHA_SPECS + ("sqrt:94", "cf:1;9,3(9)"))
-def test_form_and_eta_interval_equal_interval_path(spec):
-    threegap = importlib.import_module("kronmesh.threegap")
+def test_form_interval_equals_interval_path(spec):
     exp = expansion(spec, 0)
     for bits in (64, 192):
         ctx = PrecisionContext(bits)
         for m in range(-1, 201, 3):
-            new = outcome(lambda: km.eta_interval(exp, m, ctx))
+            new = outcome(lambda: form_interval(exp, km.eta(exp, m), ctx, True))
             old = outcome(lambda: oracles.form_interval_interval(exp, km.eta(exp, m), ctx, True))
             assert new == old, (spec, m)
         for n in (2, 7, 100, 12345, 10 ** 12 + 39):
             gs = outcome(lambda: km.gap_structure(exp, n))[0]
             for form, _ in gs.entries if gs else ():
                 for positive in (False, True):
-                    new = outcome(lambda: threegap.form_interval(exp, form, ctx, positive))
+                    new = outcome(lambda: form_interval(exp, form, ctx, positive))
                     old = outcome(lambda: oracles.form_interval_interval(exp, form, ctx, positive))
                     assert new == old, (spec, n, form, positive)
 
@@ -265,7 +263,7 @@ def _ladder_workout(exp):
     for m in (5, 40, 120):
         if exp.ensure(m + 1):
             outcome(lambda: km.mesh_ratio_structural(exp, exp.n_at(m), ctx))
-            outcome(lambda: km.eta_interval(exp, m, ctx))
+            outcome(lambda: form_interval(exp, km.eta(exp, m), ctx, True))
     outcome(lambda: km.sweep(km.KroneckerGen(exp), 2, 300, ctx))
     outcome(lambda: km.kronecker(exp, 50, ctx))
 

@@ -23,7 +23,9 @@ import oracles
 
 @pytest.fixture(scope="module")
 def golden():
-    return km.expand(km.parse_alpha("golden"), 20)
+    exp = CFExpansion(km.parse_alpha("golden"))
+    exp.ensure(20)
+    return exp
 
 
 def test_eta_examples_golden(golden):
@@ -35,7 +37,7 @@ def test_eta_examples_golden(golden):
 
 
 def test_eta_example_sqrt2():
-    exp = km.expand(km.parse_alpha("sqrt:2"), 6)
+    exp = CFExpansion(km.parse_alpha("sqrt:2"))
     assert km.eta(exp, 1) == LinearForm(-2, 1)     # 1 - 2(sqrt2 - 1) = 3 - 2*sqrt2
 
 
@@ -72,7 +74,7 @@ def test_eta_matches_convergents(expansions):
         a0 = exp.digits[0]
         for m in range(hi + 1):
             form = km.eta(exp, m)
-            pm, qm = exp.convergent(m)
+            pm, qm = exp.convergents[m]
             sign = 1 if m % 2 == 0 else -1
             assert form.u == sign * exp.s_at(m), (spec, m)
             assert form.v == -sign * (pm - a0 * qm), (spec, m)
@@ -83,7 +85,7 @@ def test_eta_positive_decreasing(expansions):
     for spec, exp in expansions.items():
         prev = None
         for m in range(0, 13):
-            iv = km.eta_interval(exp, m, ctx)
+            iv = form_interval(exp, km.eta(exp, m), ctx, require_positive=True)
             assert iv.lo > 0, (spec, m)
             if prev is not None:
                 assert iv.hi < prev.lo, (spec, m)
@@ -112,7 +114,7 @@ def test_decompose_reconstructs(expansions):
     for spec, exp in expansions.items():
         for n in range(1, 600):
             d = km.decompose(exp, n)
-            sm, nm = km.s_and_n(exp, d.m)
+            sm, nm = exp.s_at(d.m), exp.n_at(d.m)
             assert nm <= n < exp.n_at(d.m + 1)
             assert n == nm + d.h * sm + d.k
             assert 0 <= d.h <= exp.digit(d.m + 1) - 1
@@ -197,7 +199,7 @@ def test_gap_structure_examples(golden):
     assert [c for _, c in gs1.entries] == [0, 1, 0]
     assert gs1.entries[1][0] == LinearForm(0, 1)
 
-    r2 = km.expand(km.parse_alpha("quad:-1,2,1"), 8)
+    r2 = CFExpansion(km.parse_alpha("quad:-1,2,1"))
     gs4 = km.gap_structure(r2, 4)
     assert [c for _, c in gs4.entries] == [2, 1, 1]
 
@@ -287,7 +289,7 @@ def test_gap_structure_json_schema(golden):
 
 
 def test_form_interval_escalates_sign():
-    exp = km.expand(km.parse_alpha("golden"), 40)
+    exp = CFExpansion(km.parse_alpha("golden"))
     # eta_30 is ~ phi^-31 ~ 6e-7; still strictly positive at high m
     iv = form_interval(exp, km.eta(exp, 30), PrecisionContext(64), require_positive=True)
     assert iv.lo > 0
