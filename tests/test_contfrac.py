@@ -198,6 +198,27 @@ def test_tail_ends_width_contract():
             assert hi - lo <= target
 
 
+def test_tail_ends_prefix_exhaustion_raises():
+    exp = CFExpansion(ExplicitCF((0, 1, 2, 3), ()))
+    # alpha_2 = [0; 3 + x] for x in [0, 1]: every digit there is, too wide
+    # for the width target, but still a bracket
+    assert tail(exp, 2) == (Fraction(1, 4), Fraction(1, 3))
+    with pytest.raises(PrecisionUnresolvedError, match="prefix is too short"):
+        tail(exp, 3)
+    with pytest.raises(km.OutOfRangeError):
+        tail(exp, -1)
+
+
+def test_ensure_stops_where_the_digits_end():
+    for spec in (Rational(3, 8), ExplicitCF((0, 2, 1, 2), ())):
+        exp = CFExpansion(spec)
+        assert exp.ensure(3) and not exp.ensure(4)
+        assert exp.depth == 3 and exp.digits == [0, 2, 1, 2]
+    # a prefix with no digit beyond a_0 leaves alpha mod 1 unconstrained
+    with pytest.raises(PrecisionUnresolvedError, match="no digits beyond a_0"):
+        CFExpansion(ExplicitCF((2,), ())).alpha0_scaled(64)
+
+
 def test_escalate_doubles_to_the_ceiling_and_stops_on_a_stall():
     ctx = PrecisionContext(192, 1000)
 
