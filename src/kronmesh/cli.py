@@ -18,7 +18,8 @@ any point, and `sweep` refuses a --n or --m range of more than 10**6 rows
 1 before any work, and a surd whose digit period does not close in 10**4
 digits (contfrac.MAX_PERIOD_WALK) exits 3 in classify and the bound
 columns.  A bare KronmeshError (a broken internal invariant) exits 1 with an
-error line.
+error line, and so does an --out path that cannot be written (a missing
+directory, a directory).
 
 Output is deterministic: the same arguments produce byte-identical output.
 """
@@ -324,8 +325,9 @@ def _dumps(payload) -> str:
 def _points_json(payload: dict) -> str:
     # byte-identical to _dumps(payload): with indent set, json.dumps runs
     # its pure-Python encoder on every point string, so join the array
-    # here.  The points are str(Decimal) text (no character needs
-    # escaping), the list is never empty (n >= 1), and it is the last key.
+    # here.  The points are the text of sequences._point_strings, equal to
+    # str(Decimal) (digits, ".", "E" and "-": no character needs escaping),
+    # the list is never empty (n >= 1), and it is the last key.
     points = payload.pop("points")
     head = json.dumps(payload, indent=2)[:-2]  # drop the closing "\n}"
     body = '",\n    "'.join(points)
@@ -349,20 +351,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.digits > MAX_DIGITS:
             raise _UsageError(f"--digits {args.digits} exceeds the output cap of {MAX_DIGITS}")
         text, code = _COMMANDS[args.command](args)
-    except (_UsageError, KronmeshError, ValueError) as e:
+        out_path = getattr(args, "out", None)
+        if out_path:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (_UsageError, KronmeshError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         # UnsupportedAlphaError is also a ValueError, so it is tested first.
-        # A bare KronmeshError is a broken invariant; exit 1 as an uncaught
+        # A bare KronmeshError is a broken invariant, and an OSError an
+        # output that cannot be written; both exit 1 as an uncaught
         # exception would, but with one error line instead of a traceback
         if isinstance(e, UnsupportedAlphaError):
             return EXIT_UNSUPPORTED
         return EXIT_PRECISION if isinstance(e, PrecisionUnresolvedError) else EXIT_USAGE
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

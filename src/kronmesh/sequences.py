@@ -120,23 +120,22 @@ def kronecker_scaled(
     """(X, M, U) with X[i] = i*A mod M, M = 2**scale_bits, such that the true
     i*alpha mod 1 lies in [X[i]/M, (X[i] + i*U)/M] with no integer straddle.
 
-    Raises PrecisionUnresolvedError when some multiple straddles an integer
-    at this scale (caller escalates), or when a digit prefix cannot support
-    the scale at all.
+    Every X[i] + i*U is at most max(X) + (n - 1)*U, so one comparison clears
+    the whole prefix; only when that bound reaches M are the points scanned
+    for the first straddle.  Raises PrecisionUnresolvedError when some
+    multiple straddles an integer at this scale (caller escalates), or when
+    a digit prefix cannot support the scale at all.
     """
     A, U = exp.alpha0_scaled(scale_bits)
     M = 1 << scale_bits
-    xs = [0] * n
-    x = 0
-    for i in range(1, n):
-        x += A
-        if x >= M:
-            x -= M
-        if x + i * U >= M:
-            raise PrecisionUnresolvedError(
-                f"point {i} straddles an integer at scale 2**{scale_bits}"
-            )
-        xs[i] = x
+    mask = M - 1  # 0 <= A < M, so i*A mod M is a mask of the product
+    xs = [(i * A) & mask for i in range(n)]
+    if max(xs, default=0) + (n - 1) * U >= M:
+        for i, x in enumerate(xs):
+            if x + i * U >= M:
+                raise PrecisionUnresolvedError(
+                    f"point {i} straddles an integer at scale 2**{scale_bits}"
+                )
     return xs, M, U
 
 
@@ -237,18 +236,56 @@ def generate(gen: GeneratorSpec, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT
     raise ValueError(f"unknown generator spec {gen!r}")
 
 
-def points_to_csv(ps: PointSet, digits: int = 40) -> str:
-    lines = ["index,value"]
+def _point_strings(ps: PointSet, digits: int) -> list:
+    """str(Decimal(x) / Decimal(M)) at d = digits significant digits,
+    rounded half even, for each x in ps.xs (0 <= x <= M).  Two kinds of
+    modulus render in integers where cheap tests on x prove the Decimal text:
+
+    - M = 2**B with B > d + 1 (irrational Kronecker).  For x in
+      (M//10, M - ceil(M/2 / 10**d)) with a set bit below bit B-1-d, x/M
+      lies in [0.1, 1), is neither a d-digit decimal nor a tie, and does
+      not round up to 1, so its text is d digits of round(x * 10**d / M).
+    - M = 2**a * 5**b with K = max(a, b) <= d (van der Corput in bases 2, 5
+      and 10, greedy).  Every x/M is exact in K places, and for
+      M//10**6 < x < M it prints without an exponent and without the
+      trailing zeros an exact quotient drops.
+
+    Every other x (0, M, values below 0.1 on the first path and below 1e-6
+    on the second, other moduli, d too wide for the modulus) is a Decimal
+    division.
+    """
+    xs, M = ps.xs, ps.modulus
+    a = (M & -M).bit_length() - 1
+    b, odd = 0, M >> a
+    while odd % 5 == 0:
+        b, odd = b + 1, odd // 5
     with decimal_context(digits):
-        M = Decimal(ps.modulus)
-        lines.extend(f"{i},{Decimal(x) / M!s}" for i, x in enumerate(ps.xs))
-    return "\n".join(lines) + "\n"
+        DM = Decimal(M)
+        if odd == 1 and b == 0 and a > digits + 1:
+            P, H, mask = 10 ** digits, M >> 1, (1 << (a - 1 - digits)) - 1
+            lo, hi = M // 10, M + (-H // P)
+            return ["0." + str((x * P + H) >> a) if lo < x < hi and x & mask
+                    else str(Decimal(x) / DM) for x in xs]
+        K = max(a, b)
+        if odd == 1 and K <= digits:
+            F, lo = 10 ** K // M, M // 10 ** 6
+            return ["0." + str(x * F).rjust(K, "0").rstrip("0") if lo < x < M
+                    else str(Decimal(x) / DM) for x in xs]
+        return [str(Decimal(x) / DM) for x in xs]
+
+
+def points_to_csv(ps: PointSet, digits: int = 40) -> str:
+    lines = _point_strings(ps, digits)
+    # in place, so the values and the lines are never both alive
+    for i, v in enumerate(lines):
+        lines[i] = f"{i},{v}"
+    lines.insert(0, "index,value")
+    lines.append("")  # the final newline, without copying the text again
+    return "\n".join(lines)
 
 
 def points_to_json(ps: PointSet, digits: int = 40) -> dict:
-    with decimal_context(digits):
-        M = Decimal(ps.modulus)
-        points = [str(Decimal(x) / M) for x in ps.xs]
+    points = _point_strings(ps, digits)
     return {
         "generator": ps.generator_tag,
         "n": ps.n,

@@ -13,7 +13,9 @@ arithmetic (the package reads the brackets off its convergents and
 evaluates the forms and bounds on integers; Interval does no arithmetic).
 The sorted-point Kronecker metrics reuse the package's point generator
 and precision ladder; they differ from the package in reading the metrics
-off sorted points instead of the three-gap forms.  Likewise the sorted-point
+off sorted points instead of the three-gap forms.  The point generator is
+kept as the point-by-point loop it was, the reference for the package's
+bulk products and one straddle bound.  Likewise the sorted-point
 kernel (LatticeMesh, exact_sweep_metrics) grows the package's van der
 Corput, greedy and rational points one insert at a time, where the package
 reads closed forms.  The per-row sweep (sweep_rows, its CSV and JSON
@@ -503,6 +505,28 @@ def greedy_lattice_reference(n: int, tie_break: str = "leftmost"):
 
 
 # -- scaled-integer Kronecker metrics for large n ----------------------------
+
+def kronecker_scaled_loop(exp, n: int, scale_bits: int):
+    """(X, M, U) as sequences.kronecker_scaled once built them: X[i] = i*A mod
+    M by adding A and wrapping, checking each point for a straddle
+    X[i] + i*U >= M as it is made, so the error names the first such i."""
+    from kronmesh.errors import PrecisionUnresolvedError
+
+    A, U = exp.alpha0_scaled(scale_bits)
+    M = 1 << scale_bits
+    xs = [0] * n
+    x = 0
+    for i in range(1, n):
+        x += A
+        if x >= M:
+            x -= M
+        if x + i * U >= M:
+            raise PrecisionUnresolvedError(
+                f"point {i} straddles an integer at scale 2**{scale_bits}"
+            )
+        xs[i] = x
+    return xs, M, U
+
 
 def scaled_prefix_metrics(xs: list, modulus: int, unit_error: int):
     """(fill, separation, rho) as exact Fractions from scaled points.

@@ -652,6 +652,16 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert len(text.strip().splitlines()) == 5
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_exits_1_with_one_error_line(tmp_path, capsys, where):
+    target = tmp_path / "no" / "such" / "x.csv" if where == "missing directory" else tmp_path
+    code, out, err = run(capsys, "points", "--gen", "vdc", "--n", "3", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_digits_flag_truncates(capsys):
     _, p1, _ = run_json(capsys, "analyze", "--alpha", "sqrt:2", "--n", "7",
                         "--digits", "8")

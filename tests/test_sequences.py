@@ -1,3 +1,4 @@
+import decimal
 import json
 import time
 from fractions import Fraction
@@ -14,7 +15,8 @@ from kronmesh import (
     Rational,
     VdcGen,
 )
-from kronmesh.sequences import kronecker_scaled, working_scale_bits
+from kronmesh.errors import PrecisionUnresolvedError
+from kronmesh.sequences import _point_strings, kronecker_scaled, working_scale_bits
 from conftest import ALPHA_SPECS, mp_alpha, mpf_to_fraction
 import oracles
 
@@ -63,6 +65,87 @@ def test_kronecker_scaled_straddle_free():
     xs, M, U = kronecker_scaled(exp, 1000, 120)
     for i, x in enumerate(xs):
         assert 0 <= x and x + i * U < M, i
+
+
+def _scaled_or_error(f, exp, n, bits):
+    try:
+        return f(exp, n, bits)
+    except PrecisionUnresolvedError as e:
+        return str(e)
+
+
+# bare cf: prefixes have a bracket, so U > 1 at scales above their depth
+_STRADDLE_SPECS = ("golden", "sqrt:2", "cf:0;(1,2)", "cf:0;1,2,3", "cf:0;1,2,3,4,5",
+                   "cf:0;7,1,9", "cf:0;2,3,1,1,4,2,6")
+
+
+def test_kronecker_scaled_matches_the_point_loop_on_a_grid():
+    # every scale from 8 to 40 bits: the same points, or the same first
+    # straddle; the grid reaches all three outcomes of the bulk bound
+    outcomes = set()
+    for spec in _STRADDLE_SPECS:
+        exp = CFExpansion(km.parse_alpha(spec))
+        for bits in range(8, 41):
+            for n in (*range(1, 65), 100, 300):
+                want = _scaled_or_error(oracles.kronecker_scaled_loop, exp, n, bits)
+                assert _scaled_or_error(kronecker_scaled, exp, n, bits) == want, (spec, bits, n)
+                if isinstance(want, str):
+                    outcomes.add("straddle")
+                else:
+                    xs, M, U = want
+                    outcomes.add("bound reaches M" if max(xs) + (n - 1) * U >= M else "clear")
+    assert outcomes == {"straddle", "bound reaches M", "clear"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=8),
+       st.integers(8, 40), st.integers(1, 500))
+def test_kronecker_scaled_matches_the_point_loop_on_prefixes(digits, bits, n):
+    exp = CFExpansion(km.parse_alpha("cf:0;" + ",".join(map(str, digits))))
+    want = _scaled_or_error(oracles.kronecker_scaled_loop, exp, n, bits)
+    assert _scaled_or_error(kronecker_scaled, exp, n, bits) == want
+
+
+_RENDER_DIGITS = (1, 2, 3, 17, 40, 60, 1000)
+
+
+@st.composite
+def _render_cases(draw):
+    """(xs, M, digits): a modulus of each kind the renderer tells apart and
+    the x in [0, M] where its integer paths end: 0, M, M//10 and M//10**6,
+    ties and exact d-digit values, and the values that carry to 1."""
+    d = draw(st.sampled_from(_RENDER_DIGITS))
+    kind = draw(st.sampled_from(("2**B", "2**a * 5**b", "3**k", "q")))
+    if kind == "2**B":
+        M = 1 << draw(st.one_of(st.integers(max(0, d - 3), d + 4), st.integers(0, 300)))
+    elif kind == "2**a * 5**b":
+        M = 2 ** draw(st.integers(0, 70)) * 5 ** draw(st.integers(0, 70))
+    elif kind == "3**k":
+        M = 3 ** draw(st.integers(0, 150))
+    else:
+        M = draw(st.integers(1, 10 ** 90))
+    P = 10 ** d
+    t = 2 * draw(st.integers(0, P - 1)) + 1
+    tie = M * t // (2 * P)  # at or below the tie (2k+1)/(2*10**d)
+    exact = M * (t + 1) // (2 * P)  # at or below a d-digit value
+    # on 2**B the odd multiples of 2**(B-1-d) are ties, the even ones exact
+    shift = M.bit_length() - 2 - d
+    on_grid = draw(st.integers(1, 2 ** (d + 1))) << shift if shift >= 0 else 0
+    carry = M - -(-M // (2 * P))
+    edges = [0, M, M // 10, M // 10 ** 6, tie, exact, on_grid, carry, M - 1]
+    xs = [min(M, max(0, x + draw(st.integers(-2, 2)))) for x in edges]
+    xs += draw(st.lists(st.integers(0, M), max_size=12))
+    return xs, M, d
+
+
+@settings(max_examples=400, deadline=None)
+@given(_render_cases())
+def test_point_strings_match_decimal_division(case):
+    xs, M, digits = case
+    ps = km.PointSet.lattice(tuple(xs), M, 0, None, "test")
+    with decimal.localcontext(decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN)):
+        want = [str(decimal.Decimal(x) / decimal.Decimal(M)) for x in xs]
+    assert _point_strings(ps, digits) == want
 
 
 def test_working_scale_bits_margin():
