@@ -351,21 +351,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.digits > MAX_DIGITS:
             raise _UsageError(f"--digits {args.digits} exceeds the output cap of {MAX_DIGITS}")
         text, code = _COMMANDS[args.command](args)
-        out_path = getattr(args, "out", None)
-        if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    except (_UsageError, KronmeshError, ValueError, OSError) as e:
+    except (_UsageError, KronmeshError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         # UnsupportedAlphaError is also a ValueError, so it is tested first.
-        # A bare KronmeshError is a broken invariant, and an OSError an
-        # output that cannot be written; both exit 1 as an uncaught
+        # A bare KronmeshError is a broken invariant; exit 1 as an uncaught
         # exception would, but with one error line instead of a traceback
         if isinstance(e, UnsupportedAlphaError):
             return EXIT_UNSUPPORTED
         return EXIT_PRECISION if isinstance(e, PrecisionUnresolvedError) else EXIT_USAGE
+    out_path = getattr(args, "out", None)
+    if out_path:
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as e:  # a missing directory, a directory, a full disk
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_USAGE
+    else:
+        sys.stdout.write(text)
     return code
 
 

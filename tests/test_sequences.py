@@ -126,8 +126,8 @@ def _render_cases(draw):
         M = draw(st.integers(1, 10 ** 90))
     P = 10 ** d
     t = 2 * draw(st.integers(0, P - 1)) + 1
-    tie = M * t // (2 * P)  # at or below the tie (2k+1)/(2*10**d)
-    exact = M * (t + 1) // (2 * P)  # at or below a d-digit value
+    tie = M * t // (2 * P)  # x/M at or just below the tie t/(2*10**d), t odd
+    exact = M * (t + 1) // (2 * P)  # x/M at or just below a d-digit decimal
     # on 2**B the odd multiples of 2**(B-1-d) are ties, the even ones exact
     shift = M.bit_length() - 2 - d
     on_grid = draw(st.integers(1, 2 ** (d + 1))) << shift if shift >= 0 else 0
