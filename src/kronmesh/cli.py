@@ -18,8 +18,11 @@ any point, and `sweep` refuses a --n or --m range of more than 10**6 rows
 1 before any work, and a surd whose digit period does not close in 10**4
 digits (contfrac.MAX_PERIOD_WALK) exits 3 in classify and the bound
 columns.  A bare KronmeshError (a broken internal invariant) exits 1 with an
-error line, and so does an --out path that cannot be written (a missing
-directory, a directory).
+error line, and so does a write that fails: an --out path that cannot be
+written (a missing directory, a directory, a full disk) or a closed stdout
+pipe.  Every value is decided before the first byte; `sweep` and `points`
+then write their text in chunks as it is rendered (bounded memory), so a
+write that fails partway leaves a partial --out file.
 
 Output is deterministic: the same arguments produce byte-identical output.
 """
@@ -28,8 +31,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .contfrac import (
     CFExpansion,
@@ -40,21 +44,21 @@ from .contfrac import (
 from .errors import KronmeshError, PrecisionUnresolvedError, UnsupportedAlphaError
 from .metrics import (
     Segment,
-    kronecker_bounds,
-    mesh_ratio_structural,
+    _bounds,
+    _csv_chunks,
+    _json_chunks,
+    _structural,
     metrics_to_json,
     sweep,
     sweep_segments,
-    sweep_to_csv,
-    sweep_to_json,
 )
 from .sequences import (
     GreedyGen,
     KroneckerGen,
     VdcGen,
+    _csv_point_chunks,
+    _json_point_chunks,
     generate,
-    points_to_csv,
-    points_to_json,
 )
 from .threegap import gap_structure, gap_structure_json, lengths_check
 
@@ -218,7 +222,7 @@ def _generator(args):
     return GreedyGen(args.tie_break)
 
 
-def _cmd_gaps(args) -> Tuple[str, int]:
+def _cmd_gaps(args) -> Tuple[Iterable[str], int]:
     ctx = _context(args)
     n = _parse_int(args.n, "--n")
     exp = CFExpansion(parse_alpha(args.alpha))
@@ -231,7 +235,7 @@ def _cmd_gaps(args) -> Tuple[str, int]:
     return _dumps(payload), code
 
 
-def _cmd_analyze(args) -> Tuple[str, int]:
+def _cmd_analyze(args) -> Tuple[Iterable[str], int]:
     ctx = _context(args)
     n = _parse_int(args.n, "--n")
     gen = _generator(args)
@@ -279,9 +283,10 @@ def _sweep_segments(args, ctx) -> List[Segment]:
         for m in range(m_lo, m_hi + 1):
             if not exp.ensure(m):
                 raise _UsageError(f"--m reaches m={m} but the expansion ends at a_{exp.depth}")
-            n = exp.n_at(m)
-            segments.append(Segment(n, n, mesh_ratio_structural(exp, n, ctx),
-                                    kronecker_bounds(exp, n, ctx) if want_bounds else None))
+            gs = gap_structure(exp, exp.n_at(m))
+            segments.append(Segment(gs.n, gs.n, _structural(exp, gs, ctx),
+                                    _bounds(exp, gs.n, gs.decomposition, ctx)
+                                    if want_bounds else None))
         return segments
     spec = args.n if args.n is not None else args.n_range
     if spec is None:
@@ -291,14 +296,15 @@ def _sweep_segments(args, ctx) -> List[Segment]:
     return sweep_segments(gen, lo, hi, ctx, with_bounds=want_bounds)
 
 
-def _cmd_sweep(args) -> Tuple[str, int]:
+def _cmd_sweep(args) -> Tuple[Iterable[str], int]:
     ctx = _context(args)
     segments = _sweep_segments(args, ctx)
-    write = sweep_to_csv if args.format == "csv" else sweep_to_json
+    _check_digits(args.digits)
+    write = _csv_chunks if args.format == "csv" else _json_chunks
     return write(segments, args.digits), EXIT_OK
 
 
-def _cmd_classify(args) -> Tuple[str, int]:
+def _cmd_classify(args) -> Tuple[Iterable[str], int]:
     if args.probe < 1:
         raise _UsageError("--probe must be >= 1")
     # the JSON keys are the Classification fields, in order
@@ -306,32 +312,28 @@ def _cmd_classify(args) -> Tuple[str, int]:
     return _dumps(verdict._asdict()), EXIT_OK
 
 
-def _cmd_points(args) -> Tuple[str, int]:
+def _cmd_points(args) -> Tuple[Iterable[str], int]:
     ctx = _context(args)
     n = _parse_int(args.n, "--n")
     gen = _generator(args)
     if n > MAX_POINTS:
         raise _UsageError(f"--n {n} exceeds the points cap of {MAX_POINTS}")
     ps = generate(gen, n, ctx)
-    if args.format == "csv":
-        return points_to_csv(ps, args.digits), EXIT_OK
-    return _points_json(points_to_json(ps, args.digits)), EXIT_OK
+    _check_digits(args.digits)
+    write = _csv_point_chunks if args.format == "csv" else _json_point_chunks
+    return write(ps, args.digits), EXIT_OK
 
 
-def _dumps(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _check_digits(digits: int) -> None:
+    # the renderers refuse --digits below 1, but the chunk writers render
+    # while main writes, where nothing may raise: refuse it here, after the
+    # evaluation, whose errors come first
+    if digits < 1:
+        raise _UsageError("digits must be >= 1")
 
 
-def _points_json(payload: dict) -> str:
-    # byte-identical to _dumps(payload): with indent set, json.dumps runs
-    # its pure-Python encoder on every point string, so join the array
-    # here.  The points are the text of sequences._point_strings, equal to
-    # str(Decimal) (digits, ".", "E" and "-": no character needs escaping),
-    # the list is never empty (n >= 1), and it is the last key.
-    points = payload.pop("points")
-    head = json.dumps(payload, indent=2)[:-2]  # drop the closing "\n}"
-    body = '",\n    "'.join(points)
-    return f'{head},\n  "points": [\n    "{body}"\n  ]\n}}\n'
+def _dumps(payload) -> Tuple[str]:
+    return (json.dumps(payload, indent=2) + "\n",)
 
 
 _COMMANDS = {
@@ -350,7 +352,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = _parser().parse_args(argv)
         if args.digits > MAX_DIGITS:
             raise _UsageError(f"--digits {args.digits} exceeds the output cap of {MAX_DIGITS}")
-        text, code = _COMMANDS[args.command](args)
+        chunks, code = _COMMANDS[args.command](args)
     except (_UsageError, KronmeshError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         # UnsupportedAlphaError is also a ValueError, so it is tested first.
@@ -359,17 +361,36 @@ def main(argv: Optional[List[str]] = None) -> int:
         if isinstance(e, UnsupportedAlphaError):
             return EXIT_UNSUPPORTED
         return EXIT_PRECISION if isinstance(e, PrecisionUnresolvedError) else EXIT_USAGE
+    # every value is decided by now: the chunks only format and join, so
+    # the exit code is settled before the first byte
     out_path = getattr(args, "out", None)
-    if out_path:
-        try:
+    try:
+        if out_path:
             with open(out_path, "w") as fh:
-                fh.write(text)
-        except OSError as e:  # a missing directory, a directory, a full disk
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.write(text)
+                fh.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+    except OSError as e:  # a missing directory, a directory, a full disk, a closed pipe
+        if isinstance(e, BrokenPipeError) and not out_path:
+            _discard_stdout()
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     return code
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at os.devnull, so that the flush at
+    interpreter exit does not fail again on the closed pipe (the recipe in
+    the signal module's documentation).  A stream without a descriptor
+    (StringIO, a test capture) is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

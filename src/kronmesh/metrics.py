@@ -30,6 +30,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .contfrac import (
@@ -50,8 +51,8 @@ from .sequences import (
     _KroneckerRun,
     working_scale_bits,
 )
-from .threegap import (GapStructure, LinearForm, _form_rung, _gap_structure,
-                       decompose, gap_structure)
+from .threegap import (Decomposition, GapStructure, LinearForm, _form_rung,
+                       _gap_structure, decompose, gap_structure)
 
 INF = math.inf
 
@@ -144,11 +145,11 @@ def _gap_roles(gs: GapStructure) -> Tuple[LinearForm, List[LinearForm]]:
     return last_form, present
 
 
-def _lattice_gaps(exp: CFExpansion, n: int, A: int, M: int) -> Tuple[int, int, int, int]:
-    """The gap forms of the first n points evaluated at alpha0 = A / M, in
-    units of 1 / M: (largest interior, smallest interior, gap touching 1,
+def _lattice_gaps(gs: GapStructure, A: int, M: int) -> Tuple[int, int, int, int]:
+    """The gap forms of the first gs.n points evaluated at alpha0 = A / M,
+    in units of 1 / M: (largest interior, smallest interior, gap touching 1,
     index of the point nearest 1)."""
-    last, present = _gap_roles(_gap_structure(exp, n))
+    last, present = _gap_roles(gs)
     units = [f.u * A + f.v * M for f in present]
     return max(units), min(units), last.u * A + last.v * M, -last.u
 
@@ -162,15 +163,17 @@ def _kronecker_lattice(exp: CFExpansion, n: int, ctx: PrecisionContext,
     1 can straddle before the smallest gap fails, and gaps only shrink as
     points arrive, so the lattice serves every shorter prefix too.
     """
+    try:
+        gs = _gap_structure(exp, n, decompose(exp, n))
+    except PrecisionUnresolvedError:
+        gs = None  # a digit prefix too short to decompose n
+
     def attempt(bits):
         A, U = exp.alpha0_scaled(bits)
         M = 1 << bits
-        try:
-            _, ming, last, i = _lattice_gaps(exp, n, A, M)
-        except PrecisionUnresolvedError:
-            # a digit prefix too short to decompose n: its bracket, not the
-            # scale, limits the error
+        if gs is None:  # the prefix's bracket, not the scale, limits the error
             return None, Fraction(U, M)
+        _, ming, last, i = _lattice_gaps(gs, A, M)
         if ming > 2 * (n - 1) * U and last > i * U:
             return (A, U, M), None
         return None, Fraction((n - 1) * U, M)
@@ -178,11 +181,12 @@ def _kronecker_lattice(exp: CFExpansion, n: int, ctx: PrecisionContext,
     return ctx.escalate(attempt, start_bits, f"point order at n={n}")
 
 
-def _kronecker_metrics(exp: CFExpansion, n: int, A: int, U: int, M: int) -> QUMetrics:
-    """Metrics of the first n points on a lattice from _kronecker_lattice
-    (or p mod q, 0, q for alpha = p/q); each point is within (n - 1)*U / M
-    of the true one."""
-    maxg, ming, last, _ = _lattice_gaps(exp, n, A, M)
+def _kronecker_metrics(gs: GapStructure, A: int, U: int, M: int) -> QUMetrics:
+    """Metrics of the first n = gs.n points on a lattice from
+    _kronecker_lattice (or p mod q, 0, q for alpha = p/q); each point is
+    within (n - 1)*U / M of the true one."""
+    n = gs.n
+    maxg, ming, last, _ = _lattice_gaps(gs, A, M)
     return _lattice_metrics(n, max(2 * last, maxg), ming, M, Fraction((n - 1) * U, M))
 
 
@@ -195,7 +199,8 @@ def mesh_ratio(ps: PointSet) -> QUMetrics:
     cfg = ps.config
     if isinstance(cfg, _KroneckerRun):
         lattice = _kronecker_lattice(cfg.exp, ps.n, cfg.ctx, cfg.scale_bits)
-        return _kronecker_metrics(cfg.exp, ps.n, *lattice)
+        gs = _gap_structure(cfg.exp, ps.n, decompose(cfg.exp, ps.n))
+        return _kronecker_metrics(gs, *lattice)
     return _lattice_metrics(len(ps.xs), *_stored_units(ps), ps.modulus, ps.error_bound)
 
 
@@ -220,7 +225,11 @@ def kronecker_bounds(
     exp = _as_expansion(exp)
     if exp.finite:
         raise UnsupportedAlphaError("mesh-ratio bounds need irrational alpha")
-    d = decompose(exp, n)
+    return _bounds(exp, n, decompose(exp, n), ctx)
+
+
+def _bounds(exp: CFExpansion, n: int, d: Decomposition, ctx: PrecisionContext) -> BoundReport:
+    """kronecker_bounds of an irrational expansion, from n's decomposition d."""
     h = d.h
 
     def attempt(bits):
@@ -268,7 +277,13 @@ def mesh_ratio_structural(
     if n < 2:
         raise ValueError("mesh ratio needs n >= 2")
     exp = _as_expansion(exp)
-    last_form, present = _gap_roles(gap_structure(exp, n))
+    return _structural(exp, gap_structure(exp, n), ctx)
+
+
+def _structural(exp: CFExpansion, gs: GapStructure, ctx: PrecisionContext) -> QUMetrics:
+    """mesh_ratio_structural of the first gs.n points, from their gap structure."""
+    n = gs.n
+    last_form, present = _gap_roles(gs)
     ordered = _order_forms(exp, present, ctx)
     rungs = [_form_rung(exp, form, ctx, True)
              for form in (ordered[-1], last_form.scale(2), ordered[0])]
@@ -363,10 +378,10 @@ def _form_segments(exp: CFExpansion, n_lo: int, n_hi: int, A: int, U: int, M: in
     segs, key, n = [], None, n_lo
     while n <= n_hi:
         d = decompose(exp, n)
-        qm, br = _kronecker_metrics(exp, n, A, U, M), None
+        qm, br = _kronecker_metrics(_gap_structure(exp, n, d), A, U, M), None
         if with_bounds:
             if key != (d.m, d.h, d.k == 0):
-                key, b = (d.m, d.h, d.k == 0), kronecker_bounds(exp, n, ctx)
+                key, b = (d.m, d.h, d.k == 0), _bounds(exp, n, d, ctx)
             br = b._replace(n=n, k=d.k)
         hi = n if d.k < 2 else min(n + exp.s_at(d.m) - 1 - d.k, n_hi)
         segs.append(Segment(n, hi, qm, br))
@@ -419,6 +434,11 @@ def _greedy_run(n: int) -> Tuple[int, QUMetrics]:
 # serialization
 
 
+# the most rows in one chunk of sweep text, and the most segments that one
+# formatter memo and one json.dumps serve: the writers hold this much text
+# at a time, however many rows they write
+CHUNK = 1024
+
 SWEEP_COLUMNS = (
     "n,h_n,q_n,rho_n,upper_bound_lo,upper_bound_hi,"
     "lower_bound_lo,lower_bound_hi,global_upper"
@@ -450,8 +470,70 @@ def _interval_str(iv: Interval, fmt) -> List[str]:
 
 def sweep_to_csv(segments, digits: int = 40) -> str:
     """CSV of sweep segments (or rows): cells formatted once, a line per n."""
-    fmt, lines = _formatter(digits), [SWEEP_COLUMNS + "\n"]
-    for seg in segments:
+    return "".join(_csv_chunks(segments, digits))
+
+
+def sweep_to_json(segments, digits: int = 40) -> str:
+    """json.dumps({"rows": rows}, indent=2) + "\\n" of sweep segments (or
+    rows), without running json.dumps once per n."""
+    return "".join(_json_chunks(segments, digits))
+
+
+def _csv_chunks(segments, digits: int):
+    """sweep_to_csv in chunks of at most CHUNK lines."""
+    yield SWEEP_COLUMNS + "\n"
+    for block in _row_blocks(segments, _csv_templates, digits):
+        yield "".join(block)
+
+
+def _json_chunks(segments, digits: int):
+    """sweep_to_json in chunks of at most CHUNK rows."""
+    sep = '{\n  "rows": [\n' + _JSON_ROW
+    for block in _row_blocks(segments, _json_templates, digits):
+        yield sep
+        yield (",\n" + _JSON_ROW).join(block)
+        sep = ",\n" + _JSON_ROW
+    yield "\n  ]\n}\n" if sep[0] == "," else '{\n  "rows": []\n}\n'
+
+
+def _row_blocks(segments, templates, digits: int):
+    """The rows of the segments (a JSON row from its n on), in lists of at
+    most CHUNK rows.  templates renders a batch of at most CHUNK segments,
+    with one formatter at `digits`, into each segment's row: a str (a one-n
+    row, whole), or the row after its n split where it repeats n: [after n],
+    or [after n, after bounds.n, after bounds.k] with bounds.k = n +
+    bounds.k - n_lo."""
+    segs, block = iter(segments), []
+    while batch := list(islice(segs, CHUNK)):
+        for seg, parts in zip(batch, templates(batch, _formatter(digits))):
+            if isinstance(parts, str):
+                block.append(parts)
+                if len(block) == CHUNK:
+                    yield block
+                    block = []
+                continue
+            n = seg.n_lo
+            while n <= seg.n_hi:
+                stop = min(seg.n_hi + 1, n + CHUNK - len(block))
+                if len(parts) == 1:
+                    b, = parts
+                    block += [f"{i}{b}" for i in range(n, stop)]
+                else:
+                    b, c, d = parts
+                    dk = seg.bounds.k - seg.n_lo
+                    block += [f"{i}{b}{i}{c}{i + dk}{d}" for i in range(n, stop)]
+                n = stop
+                if len(block) == CHUNK:
+                    yield block
+                    block = []
+    if block:
+        yield block
+
+
+def _csv_templates(segs: List[Segment], fmt) -> List[Union[str, Tuple[str]]]:
+    """Each segment's CSV line: whole for one n, else the part after n."""
+    out = []
+    for seg in segs:
         qm, br = seg.metrics, seg.bounds
         cells = ["", fmt(qm.fill), fmt(qm.separation), _rho_str(qm, fmt)]
         if br is None:
@@ -462,15 +544,19 @@ def sweep_to_csv(segments, digits: int = 40) -> str:
             cells += ["", ""] if lower is None else _interval_str(lower, fmt)
             cells.append("" if br.global_upper is None else str(br.global_upper))
         tail = ",".join(cells) + "\n"
-        lines += [f"{n}{tail}" for n in range(seg.n_lo, seg.n_hi + 1)]
-    return "".join(lines)
+        out.append(f"{seg.n_lo}{tail}" if seg.n_hi == seg.n_lo else (tail,))
+    return out
 
 
-def sweep_to_json(segments, digits: int = 40) -> str:
-    """json.dumps({"rows": rows}, indent=2) + "\n" of sweep segments (or rows),
-    from one json.dumps of each segment's row: where a segment spans several
-    n, its n, bounds.n and bounds.k are "\\0" (written "\\u0000", in no cell)."""
-    fmt, segs, rows = _formatter(digits), list(segments), []
+# how json.dumps(..., indent=2) opens a sweep row: "n" is its first key
+_JSON_ROW = '    {\n      "n": '
+
+
+def _json_templates(segs: List[Segment], fmt) -> List[Union[str, List[str]]]:
+    """Each segment's JSON row from n on, from one json.dumps of them all.
+    A segment of several n holds the mark "\\0" (written "\\u0000", in no
+    cell) in place of n, bounds.n and bounds.k, and its row is split there."""
+    rows = []
     for seg in segs:
         rows.append(_metrics_json(seg.metrics, seg.bounds, fmt))
         if seg.n_hi > seg.n_lo:
@@ -478,16 +564,9 @@ def sweep_to_json(segments, digits: int = 40) -> str:
             if seg.bounds is not None:
                 rows[-1]["bounds"]["n"] = rows[-1]["bounds"]["k"] = "\0"
     text = json.dumps({"rows": rows}, indent=2)
-    if all(seg.n_hi == seg.n_lo for seg in segs):
-        return text + "\n"
-    # a row starts with the only "{" on a line indented by four spaces
-    first, *rest = text[len('{\n  "rows": [\n'):-len('\n  ]\n}')].split(",\n    {")
-    out = []
-    for seg, row in zip(segs, [first] + ["    {" + t for t in rest]):
-        row = row.replace("{", "{{").replace("}", "}}").replace('"\\u0000"', "{}")
-        dk = 0 if seg.bounds is None else seg.bounds.k - seg.n_lo
-        out += [row.format(n, n, n + dk) for n in range(seg.n_lo, seg.n_hi + 1)]
-    return '{\n  "rows": [\n' + ",\n".join(out) + "\n  ]\n}\n"
+    rows = text[len('{\n  "rows": [\n' + _JSON_ROW):-len('\n  ]\n}')].split(",\n" + _JSON_ROW)
+    return [row.split('"\\u0000"')[1:] if seg.n_hi > seg.n_lo else row
+            for seg, row in zip(segs, rows)]
 
 
 def metrics_to_json(qm: QUMetrics, br: Optional[BoundReport], digits: int = 40) -> dict:

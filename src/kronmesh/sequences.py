@@ -11,6 +11,7 @@ exact rationals (precision_bits = None, error_units = 0).
 """
 from __future__ import annotations
 
+import json
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -25,6 +26,9 @@ from .contfrac import (
 )
 from .errors import PrecisionUnresolvedError
 from .intervals import decimal_context
+
+# the most points one chunk of a dump renders and holds as text
+BLOCK = 1024
 
 
 class KroneckerGen(NamedTuple):
@@ -236,9 +240,9 @@ def generate(gen: GeneratorSpec, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT
     raise ValueError(f"unknown generator spec {gen!r}")
 
 
-def _point_strings(ps: PointSet, digits: int) -> list:
+def _point_strings(xs, M: int, digits: int) -> list:
     """str(Decimal(x) / Decimal(M)) at d = digits significant digits,
-    rounded half even, for each x in ps.xs (0 <= x <= M).  Two kinds of
+    rounded half even, for each x in xs (0 <= x <= M).  Two kinds of
     modulus render in integers where cheap tests on x prove the Decimal text:
 
     - M = 2**B with B > d + 1 (irrational Kronecker).  For x in
@@ -254,7 +258,6 @@ def _point_strings(ps: PointSet, digits: int) -> list:
     on the second, other moduli, d too wide for the modulus) is a Decimal
     division.
     """
-    xs, M = ps.xs, ps.modulus
     a = (M & -M).bit_length() - 1
     b, odd = 0, M >> a
     while odd % 5 == 0:
@@ -274,21 +277,41 @@ def _point_strings(ps: PointSet, digits: int) -> list:
         return [str(Decimal(x) / DM) for x in xs]
 
 
+def _point_blocks(ps: PointSet, digits: int):
+    """(i, _point_strings of xs[i:i + BLOCK]) for i = 0, BLOCK, 2*BLOCK, ..."""
+    for i in range(0, len(ps.xs), BLOCK):
+        yield i, _point_strings(ps.xs[i:i + BLOCK], ps.modulus, digits)
+
+
 def points_to_csv(ps: PointSet, digits: int = 40) -> str:
-    lines = _point_strings(ps, digits)
-    # in place, so the values and the lines are never both alive
-    for i, v in enumerate(lines):
-        lines[i] = f"{i},{v}"
-    lines.insert(0, "index,value")
-    lines.append("")  # the final newline, without copying the text again
-    return "\n".join(lines)
+    return "".join(_csv_point_chunks(ps, digits))
+
+
+def _csv_point_chunks(ps: PointSet, digits: int):
+    """points_to_csv in chunks of at most BLOCK lines."""
+    yield "index,value\n"
+    for i, values in _point_blocks(ps, digits):
+        yield "".join([f"{j},{v}\n" for j, v in enumerate(values, i)])
 
 
 def points_to_json(ps: PointSet, digits: int = 40) -> dict:
-    points = _point_strings(ps, digits)
-    return {
-        "generator": ps.generator_tag,
-        "n": ps.n,
-        "precision_bits": ps.precision_bits,
-        "points": points,
-    }
+    return {**_json_point_fields(ps), "points": _point_strings(ps.xs, ps.modulus, digits)}
+
+
+def _json_point_fields(ps: PointSet) -> dict:
+    return {"generator": ps.generator_tag, "n": ps.n, "precision_bits": ps.precision_bits}
+
+
+def _json_point_chunks(ps: PointSet, digits: int):
+    """json.dumps(points_to_json(ps, digits), indent=2) + "\\n" in chunks of
+    at most BLOCK points.  With indent set, json.dumps runs its pure-Python
+    encoder on every point string, so the array is joined here: a point
+    string has digits, ".", "E" and "-" only (nothing to escape), the list
+    is never empty (n >= 1), and it is the last key."""
+    head = json.dumps(_json_point_fields(ps), indent=2)[:-2]  # drop the closing "\n}"
+    sep = f'{head},\n  "points": [\n    "'
+    for _, values in _point_blocks(ps, digits):
+        yield sep
+        yield '",\n    "'.join(values)
+        sep = '",\n    "'
+    yield '"\n  ]\n}\n'

@@ -153,13 +153,13 @@ def gap_structure(exp: CFExpansion, n: int) -> GapStructure:
             "gap structure needs irrational alpha; rational rotations "
             "degenerate (duplicate points) and are handled by the metrics path"
         )
-    return _gap_structure(exp, n)
+    return _gap_structure(exp, n, decompose(exp, n))
 
 
-def _gap_structure(exp: CFExpansion, n: int) -> GapStructure:
-    """gap_structure for any alpha: p/q has these gaps while n <= q."""
-    d = decompose(exp, n)
-    m, h, k = d.m, d.h, d.k
+def _gap_structure(exp: CFExpansion, n: int, d: Decomposition) -> GapStructure:
+    """gap_structure for any alpha, from n's decomposition d: p/q has these
+    gaps while n <= q."""
+    m, h, k = d
     e_m = eta(exp, m)
     e_prev = eta(exp, m - 1)
     lengths = (e_m, e_prev - e_m.scale(h), e_prev - e_m.scale(h + 1))

@@ -720,13 +720,14 @@ def form_rows(exp, n_lo: int, n_hi: int, A: int, U: int, M: int, ctx, with_bound
     the forms per key (m, h, min(k, 2)) and of the bounds per (m, h, k == 0)."""
     from kronmesh import BoundReport, QUMetrics, SweepRow, decompose, kronecker_bounds
     from kronmesh.metrics import _kronecker_metrics
+    from kronmesh.threegap import _gap_structure
 
     rows, memo, bounds_memo = [], {}, {}
     for n in range(n_lo, n_hi + 1):
         d = decompose(exp, n)
         key = (d.m, d.h, min(d.k, 2))
         if key not in memo:
-            memo[key] = _kronecker_metrics(exp, n, A, U, M)
+            memo[key] = _kronecker_metrics(_gap_structure(exp, n, d), A, U, M)
         qm = memo[key]
         qm = QUMetrics(n, qm.fill, qm.separation, qm.mesh_ratio, qm.provenance,
                        Fraction((n - 1) * U, M))
@@ -849,8 +850,8 @@ def sweep_command_rows(args):
         except ValueError as e:
             raise cli._UsageError(str(e))
     if args.format == "csv":
-        return sweep_rows_csv(rows, args.digits), 0
-    return json.dumps(sweep_rows_json(rows, args.digits), indent=2) + "\n", 0
+        return [sweep_rows_csv(rows, args.digits)], 0
+    return [json.dumps(sweep_rows_json(rows, args.digits), indent=2) + "\n"], 0
 
 
 # -- random generators for property-style suites -----------------------------

@@ -350,7 +350,7 @@ def test_sweep_cap_refuses_before_evaluating(capsys, monkeypatch, argv):
 
     metrics = importlib.import_module("kronmesh.metrics")
     for module in (cli, metrics):
-        for name in ("sweep", "sweep_segments", "mesh_ratio_structural", "kronecker_bounds"):
+        for name in ("sweep", "sweep_segments", "_structural", "_bounds"):
             monkeypatch.setattr(module, name, fail)
     start = time.perf_counter()
     code, out, err = run(capsys, "sweep", *argv)
@@ -384,7 +384,7 @@ def test_nm_cap_admits_the_largest_fitting_m(capsys, monkeypatch, spec):
     m = 1
     while exp.n_at(m + 1).bit_length() <= cli.MAX_NM_BITS:
         m += 1
-    monkeypatch.setattr(cli, "mesh_ratio_structural", stop)
+    monkeypatch.setattr(cli, "_structural", stop)
     with pytest.raises(Evaluated):
         main(["sweep", "--alpha", spec, "--n-at", "nm", "--m", f"1..{m}"])
     code, out, err = run(capsys, "sweep", "--alpha", spec, "--n-at", "nm",
@@ -411,7 +411,7 @@ def test_bits_cap_refuses_before_any_work(capsys, monkeypatch, argv, flags):
 
     metrics = importlib.import_module("kronmesh.metrics")
     for module in (cli, metrics):
-        for name in ("sweep", "sweep_segments", "mesh_ratio_structural", "kronecker_bounds"):
+        for name in ("sweep", "sweep_segments", "_structural", "_bounds"):
             monkeypatch.setattr(module, name, fail)
     for name in ("CFExpansion", "gap_structure", "generate"):
         monkeypatch.setattr(cli, name, fail)
@@ -662,6 +662,84 @@ def test_unwritable_out_exits_1_with_one_error_line(tmp_path, capsys, where):
     assert "Traceback" not in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("points", "--alpha", "golden", "--n", "50000"),
+    ("points", "--gen", "vdc", "--base", "3", "--n", "50000", "--format", "json"),
+    ("sweep", "--alpha", "golden", "--n", "2..20000"),
+    ("sweep", "--gen", "greedy", "--n", "2..20000", "--format", "json"),
+])
+def test_out_write_failing_after_the_first_chunk_exits_1(capsys, argv):
+    # the output is written a chunk at a time, so a full disk surfaces after
+    # some chunks have gone out (a partial file), still as one error line
+    code, out, err = run(capsys, *argv, "--out", "/dev/full")
+    assert (code, out) == (1, "")
+    assert err == "error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("argv,lines", [
+    (("points", "--alpha", "golden", "--n", "200000"), 1),
+    (("sweep", "--alpha", "golden", "--n", "2..200000", "--format", "json"), 1),
+    (("points", "--gen", "vdc", "--n", "100"), 0),
+])
+def test_closed_stdout_pipe_exits_1_with_one_error_line(argv, lines):
+    # a reader that stops early (`| head -1`) closes the pipe while chunks
+    # are still being written, or before a short output leaves the stdout
+    # buffer: then the final flush must fail inside main, and must not fail
+    # again at interpreter exit ("Exception ignored", exit 120)
+    env = {k: v for k, v in SUBPROCESS_ENV.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "kronmesh", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        for _ in range(lines):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("points", "--gen", "vdc", "--n", "3"),
+    ("points", "--alpha", "golden", "--n", "3", "--format", "json"),
+    ("sweep", "--gen", "vdc", "--n", "2..5"),
+    ("sweep", "--alpha", "golden", "--n", "2..5", "--format", "json"),
+    ("analyze", "--gen", "vdc", "--n", "3"),
+    ("gaps", "--alpha", "golden", "--n", "30"),
+])
+def test_digits_below_one_exit_1_before_any_output(capsys, argv):
+    # the renderers refuse --digits 0; the chunk writers render after the
+    # first byte could go out, so sweep and points refuse it first
+    code, out, err = run(capsys, *argv, "--digits", "0")
+    assert (code, out, err) == (1, "", "error: digits must be >= 1\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
+def test_sweep_memory_does_not_grow_with_rows():
+    # a 1000-digit golden sweep writes about 3.5 kB a row; streamed, its
+    # peak RSS stays flat from 2*10**4 to 2*10**5 rows (whole, 2..20000
+    # peaked at 149 MB).  The peak is VmHWM, the child's own since exec:
+    # ru_maxrss also counts the forking test process
+    code = ("import os, sys; from kronmesh import cli; "
+            "code = cli.main(['sweep', '--alpha', 'golden', '--n', sys.argv[1], "
+            "'--digits', '1000', '--out', os.devnull]); "
+            "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]; "
+            "print(code, hwm[0].split()[1])")
+    peaks = []
+    for rows in ("2..20000", "2..200000"):
+        proc = subprocess.run([sys.executable, "-c", code, rows], capture_output=True,
+                              text=True, env=SUBPROCESS_ENV, timeout=120)
+        exit_code, kb = map(int, proc.stdout.split())
+        assert exit_code == 0, proc.stderr
+        peaks.append(kb / 1024)
+    assert abs(peaks[1] - peaks[0]) < 10, peaks
+    assert max(peaks) < 75, peaks
+
+
 def test_digits_flag_truncates(capsys):
     _, p1, _ = run_json(capsys, "analyze", "--alpha", "sqrt:2", "--n", "7",
                         "--digits", "8")
@@ -750,8 +828,10 @@ def test_every_export_has_a_package_caller_or_is_documented():
     # README's `## Library` text before its first subsection is the contract
     readme = Path(__file__).resolve().parent.parent / "README.md"
     section = re.split(r"\n##+ ", readme.read_text().split("\n## Library\n", 1)[1], 1)[0]
-    documented = {name for span in re.findall(r"`([^`]+)`", section)
-                  for name in re.findall(r"[A-Za-z_]\w*", span)}
+    # a fenced block and an inline span both show names; reading a fence
+    # as three backticks would pair every later span the wrong way round
+    spans = re.findall(r"```(.*?)```|`([^`]+)`", section, re.S)
+    documented = {name for span in spans for name in re.findall(r"[A-Za-z_]\w*", "".join(span))}
     trees = _package_trees()
     exported = {alias.asname or alias.name for node in trees.pop("__init__.py").body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}

@@ -142,10 +142,9 @@ def _render_cases(draw):
 @given(_render_cases())
 def test_point_strings_match_decimal_division(case):
     xs, M, digits = case
-    ps = km.PointSet.lattice(tuple(xs), M, 0, None, "test")
     with decimal.localcontext(decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN)):
         want = [str(decimal.Decimal(x) / decimal.Decimal(M)) for x in xs]
-    assert _point_strings(ps, digits) == want
+    assert _point_strings(xs, M, digits) == want
 
 
 def test_working_scale_bits_margin():
@@ -328,3 +327,30 @@ def test_greedy_points_distinct_in_closed_interval(n):
     ps = km.greedy_packing(n)
     assert all(0 <= x <= 1 for x in ps.points)
     assert len(set(ps.points)) == n
+
+
+BLOCK = km.sequences.BLOCK
+
+
+@pytest.mark.parametrize("gen", [KroneckerGen(km.parse_alpha("golden")), VdcGen(3),
+                                 GreedyGen("rightmost")], ids=str)
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK - 1, 3 * BLOCK,
+                               3 * BLOCK + 1])
+def test_point_writers_at_block_edges(gen, n):
+    # the writers render BLOCK points per chunk; their text is the one the
+    # whole dump rendered at once gave
+    ps = km.generate(gen, n)
+    digits = 17
+    with decimal.localcontext(decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN)):
+        values = [str(decimal.Decimal(x) / decimal.Decimal(ps.modulus)) for x in ps.xs]
+    chunks = list(km.sequences._csv_point_chunks(ps, digits))
+    assert "".join(chunks) == "index,value\n" + "".join(
+        f"{i},{v}\n" for i, v in enumerate(values))
+    assert km.points_to_csv(ps, digits) == "".join(chunks)
+    assert len(chunks) == 1 + -(-n // BLOCK)
+    assert max(chunk.count("\n") for chunk in chunks) <= BLOCK
+    payload = km.points_to_json(ps, digits)
+    assert payload["points"] == values
+    chunks = list(km.sequences._json_point_chunks(ps, digits))
+    assert "".join(chunks) == json.dumps(payload, indent=2) + "\n"
+    assert max(chunk.count("\n") for chunk in chunks) <= BLOCK

@@ -250,7 +250,8 @@ def test_cli_output_equals_interval_path(capsys, monkeypatch):
     monkeypatch.setattr(CFExpansion, "alpha0_scaled", oracles.alpha0_scaled_window)
     monkeypatch.setattr(metrics, "_tail_ends", _window_loop_ends)
     monkeypatch.setattr(threegap, "form_interval", oracles.form_interval_interval)
-    monkeypatch.setattr(cli, "mesh_ratio_structural", oracles.mesh_ratio_structural_interval)
+    monkeypatch.setattr(cli, "_structural", lambda exp, gs, ctx:
+                        oracles.mesh_ratio_structural_interval(exp, gs.n, ctx))
     old = run_all()
     assert [code for code, _, _ in new] == [0, 0, 0, 3, 0, 0, 0, 0, 3, 0, 0, 0, 0]
     for argv, a, b in zip(CLI_COMMANDS, new, old):

@@ -2,7 +2,9 @@
 tests/oracles.py): `kronmesh sweep` prints the same bytes, exit code and
 error line as the old command, which built one row per n and formatted
 every cell of every row, and `sweep()` returns the same rows."""
+import json
 import math
+import os
 import random
 
 import pytest
@@ -170,18 +172,29 @@ def test_segments_cover_the_range_once():
 
 
 def test_golden_sweep_evaluates_each_segment_once(monkeypatch):
-    # three segments per (m, h) at most: k = 0, k = 1 and k = 2..s_m - 1
+    # three segments per (m, h) at most: k = 0, k = 1 and k = 2..s_m - 1.
+    # decompose runs once for the lattice of n_hi and once per segment, and
+    # the bounds once per key (m, h, k == 0)
     metrics = km.metrics
-    calls = []
-    original = metrics._kronecker_metrics
+    calls = {"decompose": [], "_kronecker_metrics": [], "_bounds": []}
 
-    def counting(exp, n, *lattice):
-        calls.append(n)
-        return original(exp, n, *lattice)
+    def counting(name, n_of):
+        original = getattr(metrics, name)
 
-    monkeypatch.setattr(metrics, "_kronecker_metrics", counting)
+        def call(*args):
+            calls[name].append(n_of(*args))
+            return original(*args)
+        monkeypatch.setattr(metrics, name, call)
+
+    counting("decompose", lambda exp, n: n)
+    counting("_kronecker_metrics", lambda gs, *lattice: gs.n)
+    counting("_bounds", lambda exp, n, d, ctx: n)
     segs = km.sweep_segments(km.KroneckerGen(km.parse_alpha("golden")), 2, 20000)
-    assert calls == [s.n_lo for s in segs]
+    assert calls["decompose"] == [20000] + [s.n_lo for s in segs]
+    assert calls["_kronecker_metrics"] == [s.n_lo for s in segs]
+    keys = [None] + [(s.bounds.m, s.bounds.h, s.bounds.k == 0) for s in segs]
+    assert calls["_bounds"] == [s.n_lo for s, prev, key in zip(segs, keys, keys[1:])
+                                if key != prev]
     assert len(segs) < 3 * 22
 
 
@@ -194,3 +207,92 @@ def test_writers_take_rows_and_segments_alike():
         for digits in (5, 40):
             assert write(segs, digits) == write(rows, digits)
     assert km.sweep_to_json([]) == '{\n  "rows": []\n}\n'
+
+
+# -- the chunked writers against the per-row text, at the chunk edges ---------
+
+CHUNK = km.metrics.CHUNK
+
+
+def _long_golden_segment():
+    """The first golden k >= 2 segment of more than CHUNK + 1 rows."""
+    gen = km.KroneckerGen(km.parse_alpha("golden"))
+    seg = next(s for s in km.sweep_segments(gen, 2, 5000) if s.n_hi - s.n_lo > CHUNK + 1)
+    return gen, seg.n_lo
+
+
+def _edge_sweeps():
+    """(gen, n_lo, n_hi, with_bounds, digits): together they hold segments
+    of CHUNK - 1, CHUNK and CHUNK + 1 rows, and sweeps longer than a chunk
+    in every generator."""
+    golden, start = _long_golden_segment()
+    alpha = lambda spec: km.KroneckerGen(km.parse_alpha(spec))  # noqa: E731
+    return [
+        (km.VdcGen(2), 2, 3073, False, 40),  # 1025..2047 and 2049..3071
+        (km.VdcGen(3), 2, 2200, False, 5),
+        (km.VdcGen(5), 2, 3200, False, 40),
+        (km.VdcGen(10), 95, 2100, False, 1000),
+        (km.GreedyGen("leftmost"), 2, 2100, False, 40),  # 1026..2048
+        (km.GreedyGen("rightmost"), 1000, 3000, False, 5),
+        (alpha("rat:1/3"), 2, CHUNK + 3, False, 40),  # 4..CHUNK + 3 repeats
+        (alpha("rat:2/5"), 2, CHUNK + 5, False, 5),  # 6..CHUNK + 5 repeats
+        (alpha("rat:7/200"), 150, 1400, False, 40),
+        (golden, start, start + CHUNK - 2, True, 40),
+        (golden, start, start + CHUNK - 1, True, 5),
+        (golden, start, start + CHUNK, True, 1000),
+        (golden, start - 3, start + CHUNK, False, 40),
+        (golden, 2, 3000, False, 1000),
+        (golden, 2, 5000, True, 40),  # k >= 2 segments of 1595 and 2582 rows
+        (alpha("sqrt:150"), 25666, 27291, False, 40),
+        (alpha("cf:1;6(2,5,9,5)"), 5570, 5857, True, 40),
+        (alpha("cf:0;2000(1)"), 2, 2300, True, 40),  # a segment per n below 2001
+        (alpha(RANDOM_PERIODIC[1]), 2, 2500, True, 5),
+    ]
+
+
+def test_edge_sweeps_hit_the_chunk_edges():
+    lengths = {s.n_hi - s.n_lo + 1 for gen, lo, hi, _, _ in _edge_sweeps()
+               for s in km.sweep_segments(gen, lo, hi)}
+    assert {CHUNK - 1, CHUNK, CHUNK + 1} <= lengths
+
+
+@pytest.mark.parametrize("gen,lo,hi,with_bounds,digits", _edge_sweeps(),
+                         ids=lambda v: str(v))
+def test_chunked_writers_equal_per_row_text(gen, lo, hi, with_bounds, digits):
+    segs = km.sweep_segments(gen, lo, hi, with_bounds=with_bounds)
+    rows = km.sweep(gen, lo, hi, with_bounds=with_bounds)
+    csv = list(km.metrics._csv_chunks(segs, digits))
+    assert "".join(csv) == oracles.sweep_rows_csv(rows, digits)
+    assert km.sweep_to_csv(segs, digits) == "".join(csv)
+    assert csv[0] == km.metrics.SWEEP_COLUMNS + "\n"
+    assert [chunk.count("\n") for chunk in csv[1:]] == _block_sizes(len(rows))
+    payload = {"rows": [km.metrics_to_json(r.metrics, r.bounds, digits) for r in rows]}
+    chunks = list(km.metrics._json_chunks(segs, digits))
+    assert "".join(chunks) == json.dumps(payload, indent=2) + "\n"
+    assert km.sweep_to_json(segs, digits) == "".join(chunks)
+    blocks = km.metrics._row_blocks(segs, km.metrics._json_templates, digits)
+    assert [len(block) for block in blocks] == _block_sizes(len(rows))
+
+
+def _block_sizes(rows):
+    """CHUNK rows to a chunk, the rest in the last."""
+    return [CHUNK] * (rows // CHUNK) + [rows % CHUNK] * (rows % CHUNK > 0)
+
+
+def test_json_writer_dumps_once_per_chunk_of_segments(monkeypatch):
+    # an --n-at nm sweep (one segment per row, at most 24 in the benchmark)
+    # is one json.dumps; a key-dense sweep is one per CHUNK segments
+    dumps = []
+
+    def counting(obj, **kwargs):
+        dumps.append(len(obj["rows"]))
+        return json.dumps(obj, **kwargs)
+
+    monkeypatch.setattr(km.metrics, "json", type("J", (), {"dumps": staticmethod(counting)}))
+    assert main(["sweep", "--alpha", "golden", "--n-at", "nm", "--m", "1..24",
+                 "--format", "json", "--out", os.devnull]) == 0
+    assert dumps == [24]
+    dumps.clear()
+    gen = km.KroneckerGen(km.parse_alpha("cf:0;3000(1)"))
+    km.sweep_to_json(km.sweep_segments(gen, 2, 2 * CHUNK + 2))
+    assert dumps == [CHUNK, CHUNK, 1]
