@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import json
 import os
@@ -543,6 +544,30 @@ def test_points_json_is_json_dumps(capsys, argv, gen):
             assert (code, err) == (0, ""), (n, digits)
             assert out == json.dumps(payload, indent=2) + "\n", (n, digits)
             assert json.loads(out) == payload, (n, digits)
+
+
+# sha256 of the stdout of `kronmesh [<command>] --help` at 80 columns: the
+# help text argparse prints is part of the interface, however the parser is
+# declared
+_HELP_SHA256 = {
+    (): "9784bf56432f338318ceda9bbbf78001a21df479641b981a17ec3be541171303",
+    ("gaps",): "9cecdb2c7cdc2deff726023f0e152ff934929abc6f549e2f94c18efdc69ee9cc",
+    ("analyze",): "bc80555d936e71e30e7fc894067c84f7cae3a81bab3c8f5bb98d957e9cd2da9a",
+    ("sweep",): "4086ebf28a1c205e9d17ecf741f16f82a7fe8d96f34b55c52b1f98dabcdfa467",
+    ("classify",): "cd4a7658c1f67cb6eaabd4ba984287b0c1b1f49da062b0971fe58f891feb7b63",
+    ("points",): "233540998e73af857e017d533c05d135e1118289f19637ad5e40f1650bfbace3",
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP_SHA256), ids=lambda c: " ".join(c) or "top")
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    cap = capsys.readouterr()
+    assert cap.err == ""
+    assert hashlib.sha256(cap.out.encode()).hexdigest() == _HELP_SHA256[command], cap.out
 
 
 def test_main_builds_one_parser(capsys, monkeypatch):
