@@ -28,12 +28,12 @@ Output is deterministic: the same arguments produce byte-identical output.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
-from typing import Iterable, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .contfrac import (
     CFExpansion,
@@ -96,88 +96,120 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; the exit-code contract
-    # reserves 2 for unsupported input classes, so route through exceptions
-    def error(self, message):
-        raise _UsageError(message)
+class _Opt(NamedTuple):
+    # one option of a subcommand; `type` is int, str, or bool for a switch
+    flag: str
+    default: object = None
+    type: type = str
+    choices: Optional[Tuple[str, ...]] = None
+    required: bool = False
+    help: Optional[str] = None
 
 
-def _add_precision(sp) -> None:
-    sp.add_argument("--bits", type=int, default=192,
-                    help="working precision in bits (default 192)")
-    sp.add_argument("--max-bits", type=int, default=MAX_BITS,
-                    help=f"escalation ceiling in bits (default and cap {MAX_BITS})")
+_GENERATOR = (
+    _Opt("--alpha", help="alpha spec: golden | sqrt:D | quad:P,D,Q | rat:p/q "
+                         "| cf:a0;a1,...[(period)]"),
+    _Opt("--gen", choices=("kronecker", "vdc", "greedy"),
+         help="generator (default kronecker when --alpha is given)"),
+    _Opt("--base", 2, int, help="van der Corput base (default 2)"),
+    _Opt("--tie-break", "leftmost", choices=("leftmost", "rightmost"),
+         help="greedy packing tie rule"),
+)
+_PRECISION = (
+    _Opt("--bits", 192, int, help="working precision in bits (default 192)"),
+    _Opt("--max-bits", MAX_BITS, int,
+         help=f"escalation ceiling in bits (default and cap {MAX_BITS})"),
+)
 
 
-def _add_output(sp, fmt_default: str, fmt_choices=("csv", "json")) -> None:
-    sp.add_argument("--format", choices=list(fmt_choices), default=fmt_default,
-                    help=f"output format (default {fmt_default})")
-    sp.add_argument("--digits", type=int, default=40,
-                    help=f"significant decimal digits in output (default 40, cap {MAX_DIGITS})")
-    sp.add_argument("--out", default=None, help="output path (default stdout)")
+def _output(fmt_default: str, fmt_choices=("csv", "json")) -> Tuple[_Opt, ...]:
+    return (_Opt("--format", fmt_default, choices=fmt_choices,
+                 help=f"output format (default {fmt_default})"),
+            _Opt("--digits", 40, int,
+                 help=f"significant decimal digits in output (default 40, cap {MAX_DIGITS})"),
+            _Opt("--out", help="output path (default stdout)"))
 
 
-def _add_generator(sp) -> None:
-    sp.add_argument("--alpha", default=None,
-                    help="alpha spec: golden | sqrt:D | quad:P,D,Q | rat:p/q "
-                         "| cf:a0;a1,...[(period)]")
-    sp.add_argument("--gen", choices=["kronecker", "vdc", "greedy"], default=None,
-                    help="generator (default kronecker when --alpha is given)")
-    sp.add_argument("--base", type=int, default=2,
-                    help="van der Corput base (default 2)")
-    sp.add_argument("--tie-break", choices=["leftmost", "rightmost"],
-                    default="leftmost", help="greedy packing tie rule")
+_ALPHA, _N = _Opt("--alpha", required=True), _Opt("--n", required=True)
+_JSON = _output("json", ("json",))
+# command -> (help, options in --help order), declared to argparse by
+# build_parser and read without argparse by _walk
+_TABLE = {
+    "gaps": ("three-gap structure for one n", (_ALPHA, _N, *_PRECISION, *_JSON)),
+    "analyze": ("quasi-uniformity metrics for one n", (*_GENERATOR, _N, *_PRECISION, *_JSON)),
+    "sweep": ("metrics over an n range", (
+        *_GENERATOR, _Opt("--n", help="range a..b"),
+        _Opt("--n-range", help="range a..b (alias of --n)"),
+        _Opt("--n-at", choices=("nm",), help="evaluate at n = n_m instead of a contiguous range"),
+        _Opt("--m", help="m range a..b for --n-at nm"),
+        _Opt("--no-bounds", False, bool, help="skip closed-form bound columns"),
+        *_PRECISION, *_output("csv"))),
+    "classify": ("badly-approximable verdict", (
+        _ALPHA, _Opt("--probe", 64, int, help="digit probe depth for non-periodic specs"), *_JSON)),
+    "points": ("dump generated points", (*_GENERATOR, _N, *_PRECISION, *_output("csv"))),
+}
+_FLAGS = {name: {o.flag: o for o in opts} for name, (_, opts) in _TABLE.items()}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    # argparse is imported here: main needs it only for an argv _walk declines
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with status 2 on bad usage; the exit-code contract
+        # reserves 2 for unsupported input classes, so route through exceptions
+        def error(self, message):
+            raise _UsageError(message)
+
     p = _Parser(prog="kronmesh", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("gaps", help="three-gap structure for one n")
-    sp.add_argument("--alpha", required=True)
-    sp.add_argument("--n", required=True)
-    _add_precision(sp)
-    _add_output(sp, "json", fmt_choices=("json",))
-
-    sp = sub.add_parser("analyze", help="quasi-uniformity metrics for one n")
-    _add_generator(sp)
-    sp.add_argument("--n", required=True)
-    _add_precision(sp)
-    _add_output(sp, "json", fmt_choices=("json",))
-
-    sp = sub.add_parser("sweep", help="metrics over an n range")
-    _add_generator(sp)
-    sp.add_argument("--n", default=None, help="range a..b")
-    sp.add_argument("--n-range", default=None, help="range a..b (alias of --n)")
-    sp.add_argument("--n-at", choices=["nm"], default=None,
-                    help="evaluate at n = n_m instead of a contiguous range")
-    sp.add_argument("--m", default=None, help="m range a..b for --n-at nm")
-    sp.add_argument("--no-bounds", action="store_true",
-                    help="skip closed-form bound columns")
-    _add_precision(sp)
-    _add_output(sp, "csv")
-
-    sp = sub.add_parser("classify", help="badly-approximable verdict")
-    sp.add_argument("--alpha", required=True)
-    sp.add_argument("--probe", type=int, default=64,
-                    help="digit probe depth for non-periodic specs")
-    _add_output(sp, "json", fmt_choices=("json",))
-
-    sp = sub.add_parser("points", help="dump generated points")
-    _add_generator(sp)
-    sp.add_argument("--n", required=True)
-    _add_precision(sp)
-    _add_output(sp, "csv")
+    for name, (help_text, opts) in _TABLE.items():
+        sp = sub.add_parser(name, help=help_text)
+        for o in opts:
+            kw = (dict(action="store_true") if o.type is bool else
+                  dict(type=int if o.type is int else None, choices=o.choices,
+                       default=o.default, required=o.required))
+            sp.add_argument(o.flag, help=o.help, **kw)
     return p
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     # parsing never mutates the parser (defaults are immutable, no append
     # actions, and errors raise _UsageError), so main shares one
     return build_parser()
+
+
+def _walk(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse gives a well-formed argv: a known command, then
+    only exact `--flag value`, `--flag=value` and switch tokens, valid ints
+    and choices, and every required flag.  Any other argv (help, abbreviations,
+    values starting with "-", unknown, missing or bad flags) gives None."""
+    opts = _FLAGS.get(argv[0]) if argv else None
+    if opts is None:
+        return None
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        opt = opts.get(flag)
+        if opt is None or (eq and opt.type is bool):
+            return None
+        if opt.type is not bool and not eq:
+            value = next(tokens, "-")  # no value at all is declined like "-..."
+            if value.startswith("-"):
+                return None
+        try:
+            given[flag] = True if opt.type is bool else opt.type(value)
+        except ValueError:
+            return None
+        if opt.choices and given[flag] not in opt.choices:
+            return None
+    if any(o.required and o.flag not in given for o in opts.values()):
+        return None
+    args = {o.flag[2:].replace("-", "_"): given.get(o.flag, o.default) for o in opts.values()}
+    return SimpleNamespace(command=argv[0], **args)
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -264,6 +296,12 @@ def _check_nm(exp: CFExpansion, m_hi: int) -> None:
 
 
 def _sweep_segments(args, ctx) -> List[Segment]:
+    given = {"--n": args.n, "--n-range": args.n_range, "--m": args.m}
+    ranges = [flag for flag, spec in given.items() if spec is not None]
+    if len(ranges) > 1:
+        raise _UsageError(f"{' and '.join(ranges)} conflict: give one range")
+    if args.m is not None and args.n_at is None:
+        raise _UsageError("--m applies to --n-at nm only")
     gen = _generator(args)
     want_bounds = not args.no_bounds
     if args.n_at is not None:
@@ -347,9 +385,11 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one command and return its exit code.  Safe to call repeatedly
-    in one process: every call parses with the same parser."""
+    in one process: a well-formed argv is read off the option table, and
+    any other is parsed by one argparse parser, built on first need."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _walk(argv) or _parser().parse_args(argv)
         if args.digits > MAX_DIGITS:
             raise _UsageError(f"--digits {args.digits} exceeds the output cap of {MAX_DIGITS}")
         chunks, code = _COMMANDS[args.command](args)

@@ -571,6 +571,8 @@ def test_help_text_is_pinned(capsys, monkeypatch, command):
 
 
 def test_main_builds_one_parser(capsys, monkeypatch):
+    # a well-formed argv is read off the option table; argparse is built on
+    # the first argv that needs it, and that one parser serves every later one
     builds = []
     original = cli.build_parser
 
@@ -581,8 +583,13 @@ def test_main_builds_one_parser(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_parser", counting)
     cli._parser.cache_clear()
     assert main(["analyze", "--gen", "vdc", "--n", "9"]) == 0
-    assert main(["analyze", "--gen", "vdc", "--n", "9", "--format", "xml"]) == 1
     assert main(["classify", "--alpha", "golden"]) == 0
+    assert builds == []
+    assert main(["analyze", "--gen", "vdc", "--n", "9", "--format", "xml"]) == 1
+    assert len(builds) == 1
+    assert main(["classify", "--alpha", "golden", "--probe", "x"]) == 1
+    assert main(["analyze", "--gen", "vdc", "--n", "9"]) == 0
+    assert main(["sweep", "--gen", "vdc", "--n", "2..5", "--dig", "5"]) == 0
     capsys.readouterr()
     assert len(builds) == 1
     assert original() is not original()
@@ -639,11 +646,33 @@ def test_usage_errors_exit1(capsys):
         ["analyze", "--alpha", "golden", "--n", "5", "--bits", "-3"],
         ["gaps", "--alpha", "golden", "--n", "0"],
         ["classify", "--alpha", "golden", "--probe", "0"],
+        # two range flags: neither is silently ignored
+        ["sweep", "--alpha", "golden", "--n", "2..5", "--n-range", "7..9"],
+        ["sweep", "--alpha", "golden", "--n-at", "nm", "--m", "1..3", "--n", "2..5"],
+        ["sweep", "--alpha", "golden", "--n", "2..4", "--m", "1..3"],
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
         assert "error" in err, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "2..5", "--n-range", "7..9"),
+    ("--n-at", "nm", "--m", "1..3", "--n", "2..5"),
+    ("--n-at", "nm", "--m", "1..3", "--n-range", "2..5"),
+    ("--n", "2..4", "--m", "1..3"),
+    ("--m", "1..3"),
+])
+def test_conflicting_range_flags_refuse_before_evaluating(capsys, monkeypatch, argv):
+    def fail(*args, **kwargs):
+        raise AssertionError("rows evaluated")
+
+    for name in ("sweep_segments", "gap_structure", "_structural", "_bounds"):
+        monkeypatch.setattr(cli, name, fail)
+    code, out, err = run(capsys, "sweep", "--alpha", "golden", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_argparse_failures_exit1(capsys):
@@ -827,6 +856,19 @@ def test_cli_start_up_loads_no_dataclasses_machinery():
                           text=True, env=SUBPROCESS_ENV, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_well_formed_cli_call_loads_no_argparse():
+    # a well-formed argv is read off the option table, so a one-shot call
+    # imports neither argparse nor the gettext and locale it pulls in
+    heavy = ("argparse", "gettext", "locale")
+    code = ("import sys, kronmesh.cli; "
+            "code = kronmesh.cli.main(['classify', '--alpha', 'golden']); "
+            f"print(code, [m for m in {heavy!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=SUBPROCESS_ENV, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_no_package_module_imports_dataclasses():
