@@ -622,8 +622,8 @@ def _fresh_run(capsys, *argv):
      ("gaps", "--alpha", "golden", "--n", "5")),
 ])
 def test_reused_parser_keeps_no_state(capsys, tmp_path, with_flag, code, without):
-    # main parses every call with one cached parser: a flag given in one
-    # call must not carry into the next
+    # main reads every call off one option table, or one cached parser: a
+    # flag given in one call must not carry into the next
     target = tmp_path / "out.txt"
     with_flag = [a.format(tmp=target) for a in with_flag]
     want = _fresh_run(capsys, *without)
