@@ -28,6 +28,7 @@ Output is deterministic: the same arguments produce byte-identical output.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import os
@@ -82,7 +83,7 @@ MAX_ROWS = 10 ** 6
 MAX_NM_BITS = 2048
 
 # the largest --bits and --max-bits: at 65536 a golden analyze at n = 1000
-# peaks near 240 MB (its alpha_m window holds about 49k convergents, whose
+# peaks near 220 MB (its alpha_m window holds about 47k convergents, whose
 # sizes grow linearly, so memory is quadratic in the digits)
 MAX_BITS = 65536
 
@@ -271,6 +272,8 @@ def _cmd_analyze(args) -> Tuple[Iterable[str], int]:
     ctx = _context(args)
     n = _parse_int(args.n, "--n")
     gen = _generator(args)
+    if n < 2:
+        raise _UsageError(f"analyze needs --n >= 2 (a mesh ratio needs two points), got {n}")
     (row,) = sweep(gen, n, n, ctx)
     payload = metrics_to_json(row.metrics, row.bounds, args.digits)
     return _dumps(payload), EXIT_INFINITE if row.metrics.is_infinite else EXIT_OK
@@ -284,13 +287,15 @@ def _check_rows(lo: int, hi: int, what: str) -> None:
 
 
 def _check_nm(exp: CFExpansion, m_hi: int) -> None:
-    """Refuse n_{m_hi} above MAX_NM_BITS, extending digits only until n_m
-    passes it (a prefix that ends first is reported by the row loop)."""
-    m = min(exp.depth, m_hi)
-    while exp.n_at(m).bit_length() <= MAX_NM_BITS:
-        if m == m_hi or not exp.ensure(m + 1):
-            return
-        m += 1
+    """Refuse n_{m_hi} above MAX_NM_BITS, extending digits in bulk only
+    until q_m passes it (a prefix that ends first is reported by the row
+    loop); the first n_m over the cap is then found by bisection."""
+    m_lo, cap = min(exp.depth, m_hi), 1 << MAX_NM_BITS
+    exp.ensure_q(cap, m_hi)
+    top = min(exp.depth, m_hi)
+    m = m_lo + bisect.bisect_left(range(m_lo, top + 1), cap, key=exp.n_at)
+    if m > top:
+        return
     raise _UsageError(f"--m reaches n_{m} of {exp.n_at(m).bit_length()} bits, "
                       f"above the n_m cap of {MAX_NM_BITS} bits")
 

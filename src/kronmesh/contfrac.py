@@ -16,12 +16,14 @@ never enters.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import re
 import threading
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, count, cycle, islice
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Tuple, Union
 
 from .errors import (
@@ -84,7 +86,9 @@ class PrecisionContext(NamedTuple("PrecisionContext", [("bits", int), ("max_bits
 
 
 DEFAULT_CONTEXT = PrecisionContext()
-GUARD = 8  # the slack of the tail enclosures: _tail_ends meets width 2**-(bits - GUARD)
+# the slack of the tail enclosures: _tail_ends takes the shortest window of
+# width at most 2**-(bits - GUARD), so their tightness depends on bits alone
+GUARD = 8
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +269,7 @@ def _digit_source(spec: AlphaSpec) -> Iterator[Tuple[int, Optional[Period]]]:
 
 
 Ends = Tuple[int, int, int, int]  # bracket ends (x1, y1, x2, y2): [x1/y1, x2/y2], y > 0
+_Q = itemgetter(1)  # q of a convergent (p, q)
 
 
 class CFExpansion:
@@ -313,6 +318,22 @@ class CFExpansion:
         if m < len(self.digits):
             return True
         return self._extend_locked(m)
+
+    def ensure_q(self, q_min: int, m_max: int = 10 ** 9) -> bool:
+        """Extend until q_depth >= q_min, but not past a_{m_max}; False if
+        the expansion or m_max comes first.  Digits come in chunks sized by
+        the bits per digit so far, each at most doubling the depth, so a
+        call extends no more than about twice the digits it needs."""
+        cv = self.convergents
+        while cv[-1][1] < q_min:
+            depth = len(cv) - 1
+            if depth >= m_max:
+                return False
+            q_bits = cv[-1][1].bit_length()
+            chunk = max(1, min(depth, -(-(q_min.bit_length() - q_bits) * depth // q_bits)))
+            if not self.ensure(min(depth + chunk, m_max)):
+                return cv[-1][1] >= q_min
+        return True
 
     @property
     def depth(self) -> int:
@@ -414,23 +435,25 @@ def _window_bracket(exp: CFExpansion, m: int, e: int) -> Ends:
     return (x1, y1, x2, y2) if x1 * y2 < x2 * y1 else (x2, y2, x1, y1)
 
 
-def _tail_ends(exp: CFExpansion, m: int, bits: int) -> Tuple[Ends, int]:
-    """The alpha_m bracket for the width target 2**(GUARD - bits), and its
-    window w: the bracket of a_{m+1}..a_{m+w}, w from max(16, 3 (bits -
-    GUARD) / 4) doubling until the target is met, or of every digit there
-    is when they run out first (exact for a terminating expansion, perhaps
-    too wide for a prefix).  Raises when no digit beyond a_m exists."""
+def _tail_ends(exp: CFExpansion, m: int, bits: int) -> Ends:
+    """The alpha_m bracket for the width target 2**(GUARD - bits): that of
+    the shortest window a_{m+1}..a_e whose width meets the target, or of
+    every digit there is when no window does (exact for a terminating
+    expansion, perhaps too wide for a prefix).  The window's ends have
+    denominators y in [q_e / (2 q_m), 2 q_e / q_m] and its width is
+    1 / (y1 y2), so the first e with q_e of bit_length(q_m) + (bits -
+    GUARD) // 2 + 3 bits meets the target; the brackets are nested, so the
+    shortest window is found by stepping back from there while the next
+    shorter one still meets it.  Raises when no digit beyond a_m exists."""
     if m < 0:
         raise OutOfRangeError("alpha_m defined for m >= 0")
+    width_bits, cv, e = bits - GUARD, exp.convergents, None
     if exp.finite:
         exp.ensure(10 ** 9)  # rational digits are finite; materialize all
-    width_bits = bits - GUARD
-    w = max(16, (3 * width_bits) // 4)
-    while not exp.finite and exp.ensure(m + w):
-        x1, y1, x2, y2 = ends = _window_bracket(exp, m, m + w)
-        if (x2 * y1 - x1 * y2) << width_bits <= y1 * y2:
-            return ends, w
-        w *= 2
+    elif exp.ensure(m):
+        q_min = 1 << (cv[m][1].bit_length() + width_bits // 2 + 2)
+        if exp.ensure_q(q_min):
+            e = bisect.bisect_left(cv, q_min, m + 1, key=_Q)
     M = exp.depth
     if M <= m and exp.finite:
         raise UnsupportedAlphaError(
@@ -440,7 +463,14 @@ def _tail_ends(exp: CFExpansion, m: int, bits: int) -> Tuple[Ends, int]:
         raise PrecisionUnresolvedError(
             f"alpha_{m} needs digits beyond a_{M}; the known prefix is too short"
         )
-    return _window_bracket(exp, m, M), w
+    e = M if e is None else e
+    ends = _window_bracket(exp, m, e)
+    while not exp.finite and e > m + 1:
+        x1, y1, x2, y2 = shorter = _window_bracket(exp, m, e - 1)
+        if (x2 * y1 - x1 * y2) << width_bits > y1 * y2:
+            break
+        ends, e = shorter, e - 1
+    return ends
 
 
 # the most digits digit_supremum walks for a surd's period (60 MB RSS, 0.1 s)

@@ -61,7 +61,8 @@ def decimal_context(digits: int, mode: str = "nearest"):
 def fraction_to_decimal(x: Rat, digits: int, mode: str = "nearest") -> str:
     """Render an exact rational as a decimal string with `digits` significant
     digits, rounded in the requested direction."""
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     with decimal_context(digits, mode):
         return str(Decimal(x.numerator) / Decimal(x.denominator))
 

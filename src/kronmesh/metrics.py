@@ -235,7 +235,7 @@ def _bounds(exp: CFExpansion, n: int, d: Decomposition, ctx: PrecisionContext) -
     def attempt(bits):
         # _tail_ends: a digit prefix too short for the width
         # target still yields the bracket of every known digit
-        x1, y1, x2, y2 = ends = _tail_ends(exp, d.m, bits)[0]
+        x1, y1, x2, y2 = ends = _tail_ends(exp, d.m, bits)
         c1, c2 = y1 - (h + 1) * x1, y2 - (h + 1) * x2
         lo = (x1, y1) if x1 * y2 <= c2 * y1 else (c2, y2)
         hi = (x2, y2) if x2 * y1 <= c1 * y2 else (c1, y1)

@@ -19,15 +19,12 @@ from __future__ import annotations
 
 import bisect
 from fractions import Fraction
-from operator import itemgetter
 from typing import NamedTuple, Tuple
 
-from .contfrac import CFExpansion, DEFAULT_CONTEXT, PrecisionContext
+from .contfrac import _Q, CFExpansion, DEFAULT_CONTEXT, PrecisionContext
 from .errors import KronmeshError, OutOfRangeError
 from .errors import PrecisionUnresolvedError, UnsupportedAlphaError
 from .intervals import Interval, interval_to_decimal
-
-_Q = itemgetter(1)  # q of a convergent (p, q)
 
 
 class LinearForm(NamedTuple):
@@ -119,19 +116,18 @@ def decompose(exp: CFExpansion, n: int) -> Decomposition:
     if n < 1:
         raise ValueError("n must be >= 1")
     cv = exp.convergents  # s_m = q_m, n_m = q_m + q_{m-1}
-    # extend until n_{m+1} > n (q_{m+1} > n settles it at one lookup),
-    # minding finite and prefix-only expansions
-    while cv[-1][1] <= n and cv[-1][1] + (cv[-2][1] if len(cv) > 1 else 0) <= n:
-        if not exp.ensure(len(cv)):
-            if exp.finite:
-                raise UnsupportedAlphaError(
-                    f"n = {n} reaches the periodic regime of a rational alpha "
-                    f"(expansion ends at n_{exp.depth} = {exp.n_at(exp.depth)})"
-                )
-            raise PrecisionUnresolvedError(
-                f"digit prefix through a_{exp.depth} only brackets n < {exp.n_at(exp.depth)}; "
-                f"cannot decompose n = {n}"
+    # extend in bulk until q_{m+1} > n (so n_{m+1} > n), minding finite and
+    # prefix-only expansions, whose n_{m+1} may pass n at their last digit
+    if not exp.ensure_q(n + 1) and cv[-1][1] + (cv[-2][1] if len(cv) > 1 else 0) <= n:
+        if exp.finite:
+            raise UnsupportedAlphaError(
+                f"n = {n} reaches the periodic regime of a rational alpha "
+                f"(expansion ends at n_{exp.depth} = {exp.n_at(exp.depth)})"
             )
+        raise PrecisionUnresolvedError(
+            f"digit prefix through a_{exp.depth} only brackets n < {exp.n_at(exp.depth)}; "
+            f"cannot decompose n = {n}"
+        )
     # q_m <= n_m <= q_{m+1}: the last q_j <= n has j = m or j = m + 1
     m = bisect.bisect_right(cv, n, key=_Q) - 1
     s, prev = cv[m][1], cv[m - 1][1] if m else 0

@@ -23,12 +23,14 @@ writers and the sweep command) builds and prints one row per n, where the
 package evaluates and formats each run of n once.
 """
 import bisect
+import functools
 import heapq
 import math
 import operator
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import count, takewhile
 
 import mpmath
 
@@ -182,20 +184,26 @@ def eta_product_interval(digits, m: int):
 
 # -- the window loops and Interval arithmetic the structure path replaced ----
 
-def tail_bracket(window):
-    """Enclosure of [0; d_1, ..., d_W + x] over x in [0, 1] for the window
-    (d_1, ..., d_W), by the forward convergent loop over the window: the
-    value (p + x p') / (q + x q') runs from the convergent p/q to the
-    mediant (p + p') / (q + q'), the ends the backward recurrence
-    x -> 1/(d_j + x) gives from the seeds 0 and 1."""
+def tail_brackets(digits):
+    """The enclosure of [0; d_1, ..., d_W + x] over x in [0, 1] for each
+    leading window (d_1, ..., d_W), W = 1, 2, ..., of an iterable of digits,
+    by the forward convergent loop: the value (p + x p') / (q + x q') runs
+    from the convergent p/q to the mediant (p + p') / (q + q'), the ends the
+    backward recurrence x -> 1/(d_j + x) gives from the seeds 0 and 1."""
     from kronmesh.intervals import Interval
 
     p_prev, p, q_prev, q = 1, 0, 0, 1
-    for a in window:
+    for a in digits:
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
-    end, mediant = Fraction(p, q), Fraction(p + p_prev, q + q_prev)
-    return Interval(end, mediant) if end < mediant else Interval(mediant, end)
+        end, mediant = Fraction(p, q), Fraction(p + p_prev, q + q_prev)
+        yield Interval(end, mediant) if end < mediant else Interval(mediant, end)
+
+
+def tail_bracket(window):
+    """The enclosure of tail_brackets for the whole (nonempty) window."""
+    *_, last = tail_brackets(window)
+    return last
 
 
 def alpha0_scaled_window(exp, bits: int):
@@ -211,18 +219,27 @@ def alpha0_scaled_window(exp, bits: int):
 
 
 def alpha_tail_best_window(exp, m: int, ctx):
-    """contfrac._tail_ends by brackets of the digit window a_{m+1}..a_{m+w},
-    w from max(16, 3 (bits - GUARD) / 4) doubling until the width target is
-    met, or of every known digit when a prefix runs out first; the same
-    errors for a short prefix or a terminating expansion."""
+    """contfrac._tail_ends by brute force: the bracket of the shortest digit
+    window a_{m+1}..a_{m+w}, w = 1, 2, ..., whose width is at most
+    2**-(bits - GUARD), or of every known digit when a prefix runs out
+    first; the exact value of a terminating expansion; the same errors for
+    a short prefix or a terminating expansion.  Memoized per (alpha, m,
+    bits), on which alone the bracket depends."""
+    return _best_window(exp.spec, m, ctx.bits)
+
+
+@functools.lru_cache(maxsize=4096)
+def _best_window(spec, m: int, bits: int):
+    from kronmesh import CFExpansion
     from kronmesh.contfrac import GUARD
     from kronmesh.errors import OutOfRangeError, PrecisionUnresolvedError
     from kronmesh.errors import UnsupportedAlphaError
     from kronmesh.intervals import Interval
 
+    exp = CFExpansion(spec)
     if m < 0:
         raise OutOfRangeError("alpha_m defined for m >= 0")
-    target = Fraction(1, 1 << (ctx.bits - GUARD))
+    target = Fraction(1, 1 << (bits - GUARD))
     if exp.finite:
         exp.ensure(10 ** 9)
         M = exp.depth
@@ -234,17 +251,64 @@ def alpha_tail_best_window(exp, m: int, ctx):
         for a in reversed(exp.digits[m + 1:]):
             x = 1 / (a + x)
         return Interval(x, x)
-    w = max(16, (3 * (ctx.bits - GUARD)) // 4)
-    while exp.ensure(m + w):
-        iv = tail_bracket(exp.digits[m + 1:m + w + 1])
+    iv = None
+    for iv in tail_brackets(exp.digits[j] for j in takewhile(exp.ensure, count(m + 1))):
         if iv.width <= target:
             return iv
-        w *= 2
-    if exp.depth <= m:
+    if iv is None:
         raise PrecisionUnresolvedError(
             f"alpha_{m} needs digits beyond a_{exp.depth}; the known prefix is too short"
         )
-    return tail_bracket(exp.digits[m + 1:])
+    return iv
+
+
+def decompose_stepwise(exp, n: int):
+    """threegap.decompose by one ensure per digit until n_{m+1} > n, as the
+    package once extended: the same (m, h, k), or the same error."""
+    import bisect
+    from kronmesh.errors import KronmeshError, PrecisionUnresolvedError
+    from kronmesh.errors import UnsupportedAlphaError
+    from kronmesh.threegap import Decomposition
+
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    cv = exp.convergents
+    while cv[-1][1] <= n and cv[-1][1] + (cv[-2][1] if len(cv) > 1 else 0) <= n:
+        if not exp.ensure(len(cv)):
+            if exp.finite:
+                raise UnsupportedAlphaError(
+                    f"n = {n} reaches the periodic regime of a rational alpha "
+                    f"(expansion ends at n_{exp.depth} = {exp.n_at(exp.depth)})"
+                )
+            raise PrecisionUnresolvedError(
+                f"digit prefix through a_{exp.depth} only brackets n < {exp.n_at(exp.depth)}; "
+                f"cannot decompose n = {n}"
+            )
+    m = bisect.bisect_right(cv, n, key=operator.itemgetter(1)) - 1
+    s, prev = cv[m][1], cv[m - 1][1] if m else 0
+    if s + prev > n:
+        m, s, prev = m - 1, prev, cv[m - 2][1] if m > 1 else 0
+    h, k = divmod(n - s - prev, s)
+    if not 0 <= h < exp.digit(m + 1):
+        raise KronmeshError(
+            f"decomposition out of range at n={n}: (m, h, k) = ({m}, {h}, {k}) "
+            f"with a_{m + 1} = {exp.digit(m + 1)}"
+        )
+    return Decomposition(m, h, k)
+
+
+def check_nm_stepwise(exp, m_hi: int) -> None:
+    """cli._check_nm by one ensure per digit from n_{min(depth, m_hi)}
+    until n_m passes the cap, m_hi is reached or the expansion ends."""
+    from kronmesh import cli
+
+    m = min(exp.depth, m_hi)
+    while exp.n_at(m).bit_length() <= cli.MAX_NM_BITS:
+        if m == m_hi or not exp.ensure(m + 1):
+            return
+        m += 1
+    raise cli._UsageError(f"--m reaches n_{m} of {exp.n_at(m).bit_length()} bits, "
+                          f"above the n_m cap of {cli.MAX_NM_BITS} bits")
 
 
 def iv_scale(iv, c):

@@ -395,6 +395,31 @@ def test_nm_cap_admits_the_largest_fitting_m(capsys, monkeypatch, spec):
                    f"bits, above the n_m cap of {cli.MAX_NM_BITS} bits\n")
 
 
+def test_nm_sweep_extends_only_the_digits_its_windows_need(capsys, monkeypatch):
+    # each alpha_m window is sized to its width target, and the digits come
+    # in bulk: 191 digits here, where a fixed 282-digit window took 351
+    made = []
+
+    class Recorded(cli.CFExpansion):
+        def __init__(self, spec):
+            super().__init__(spec)
+            made.append(self)
+
+    monkeypatch.setattr(cli, "CFExpansion", Recorded)
+    code, out, err = run(capsys, "sweep", "--alpha", "sqrt:103", "--n-at", "nm",
+                         "--m", "46..69", "--bits", "384")
+    assert (code, err, out.count("\n")) == (0, "", 25)
+    assert [exp.depth for exp in made] == [191]
+
+
+@pytest.mark.parametrize("n", ["0", "-1", "1"])
+@pytest.mark.parametrize("gen", [("--gen", "greedy"), ("--alpha", "golden")])
+def test_analyze_refuses_n_below_2_naming_its_flag(capsys, gen, n):
+    code, out, err = run(capsys, "analyze", *gen, "--n", n)
+    assert (code, out) == (1, "")
+    assert err == f"error: analyze needs --n >= 2 (a mesh ratio needs two points), got {n}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze", "--alpha", "golden", "--n", "1000"),
     ("sweep", "--alpha", "golden", "--n", "2..100"),

@@ -34,7 +34,7 @@ def expansion(spec: str, depth: int) -> CFExpansion:
 
 def tail(exp: CFExpansion, m: int, bits: int = 192):
     """The ends of _tail_ends as Fractions."""
-    x1, y1, x2, y2 = _tail_ends(exp, m, bits)[0]
+    x1, y1, x2, y2 = _tail_ends(exp, m, bits)
     return Fraction(x1, y1), Fraction(x2, y2)
 
 
@@ -300,7 +300,8 @@ def test_tail_ends_prefix_equals_oracle(spec):
     for m in range(exp.depth):
         lo, hi = tail(exp, m)
         too_wide += hi - lo > Fraction(1, 1 << (192 - GUARD))
-        assert (lo, hi) == oracles.tail_interval_from_digits(exp.digits, m), (spec, m)
+        iv = oracles.alpha_tail_best_window(exp, m, PrecisionContext(192))
+        assert (lo, hi) == (iv.lo, iv.hi), (spec, m)
     assert too_wide > 0  # the bracket of every known digit, short of the target
     with pytest.raises(PrecisionUnresolvedError):
         tail(exp, exp.depth)

@@ -12,7 +12,7 @@ import pytest
 import kronmesh as km
 from kronmesh import CFExpansion, PrecisionContext
 from kronmesh.cli import main
-from kronmesh.contfrac import _tail_ends, _window_bracket
+from kronmesh.contfrac import GUARD, _tail_ends, _window_bracket
 from kronmesh.intervals import Interval
 from kronmesh.threegap import form_interval
 from conftest import ALPHA_SPECS, PREFIX_60_DIGITS, PREFIX_SPEC
@@ -80,8 +80,130 @@ def test_tail_ends_equal_window_loop(spec, bits):
     for m in list(range(0, 301, 13)) + [exp.depth - 1, exp.depth, exp.depth + 1]:
         if m < 0:
             continue
-        assert outcome(lambda: bracket(_tail_ends(exp, m, bits)[0])) == outcome(
+        assert outcome(lambda: bracket(_tail_ends(exp, m, bits))) == outcome(
             lambda: oracles.alpha_tail_best_window(exp, m, ctx)), (spec, m)
+
+
+def _tail_surd(exp, m):
+    """(P, D, Q) with alpha_m = (P + sqrt(D)) / Q, from the exact surd of
+    alpha mod 1 by alpha_j = 1/alpha_{j-1} - a_j; each alpha_j is checked
+    to lie in (0, 1), which pins the digit a_j subtracted."""
+    P, D, Q = exp._alpha0_surd
+    for j in range(m + 1):
+        if j:  # 1/alpha = (-P + sqrt(D)) / ((D - P*P) / Q), still in normal form
+            P, Q = -P, (D - P * P) // Q
+            P -= exp.digit(j) * Q
+        sign = 1 if Q > 0 else -1
+        assert oracles.surd_sign(P, 1, D) == sign and oracles.surd_sign(P - Q, 1, D) == -sign
+    return P, D, Q
+
+
+def _window_length(digits, iv):
+    """The w whose window bracket (d_1, ..., d_w) has iv's convergent end,
+    the end with the smaller denominator, q_w."""
+    q_prev, q, w = 0, 1, 0
+    while q < min(iv.lo.denominator, iv.hi.denominator):
+        q_prev, q, w = q, digits[w] * q + q_prev, w + 1
+    return w
+
+
+@pytest.mark.parametrize("spec", SURDS + PERIODIC + PREFIXES + (PREFIX_60_DIGITS,) + RATIONALS)
+@pytest.mark.parametrize("bits", [64, 192, 576])
+def test_tail_ends_shortest_window_encloses_alpha_m(spec, bits):
+    # the shortest window meeting 2**-(bits - GUARD), per the brute-force
+    # oracle; its bracket holds alpha_m; the window one digit shorter misses
+    exp = expansion(spec, 0)
+    ctx, target = PrecisionContext(bits), Fraction(1, 1 << (bits - GUARD))
+    rng = random.Random(f"{spec} {bits}")
+    ms = sorted({0, 1, 299, 300} | {rng.randint(0, 300) for _ in range(12)})
+    met = 0
+    for m in ms:
+        new = outcome(lambda: bracket(_tail_ends(exp, m, bits)))
+        assert new == outcome(lambda: oracles.alpha_tail_best_window(exp, m, ctx)), (spec, m)
+        iv = new[0]
+        if iv is None:
+            assert not exp.ensure(m + 1), (spec, m)  # only where the digits end
+            continue
+        if exp.finite:
+            x = Fraction(0)
+            for a in reversed(exp.digits[m + 1:]):
+                x = 1 / (a + x)
+            assert iv.lo == iv.hi == x, (spec, m)
+            continue
+        if exp._alpha0_surd is not None:
+            P, D, Q = _tail_surd(exp, m)
+            sign = 1 if Q > 0 else -1
+            for end, side in ((iv.lo, 1), (iv.hi, -1)):
+                y, x = end.denominator, end.numerator
+                assert oracles.surd_sign(y * P - x * Q, y, D) == side * sign, (spec, m)
+        else:  # a prefix: every continuation of it lies in the bracket
+            exp.ensure(10 ** 6)
+            lo, hi = oracles.tail_interval_from_digits(exp.digits, m)
+            assert iv.lo <= lo and hi <= iv.hi, (spec, m)
+        w = _window_length(exp.digits[m + 1:], iv)
+        shorter = oracles.tail_bracket(exp.digits[m + 1:m + w]) if w > 1 else Interval(0, 1)
+        assert shorter.width > target, (spec, m, w)
+        met += iv.width <= target
+        assert iv.width <= target or m + w == exp.depth, (spec, m, w)
+    if exp._alpha0_surd is not None:
+        assert met == len(ms)  # an infinite expansion always meets the target
+    if spec == PREFIXES[-1] and bits > 64:
+        assert 0 < met < len(ms)  # the 320-digit prefix meets it at some m only
+
+
+def _decompose_sizes(spec):
+    """n_depth - 1, n_depth and n_depth + 1 where a prefix or a rational
+    ends (with q_depth +- 1 and n past it), else n_m - 1, n_m and n_m + 1
+    at sampled m <= 300 and n of up to 400 digits."""
+    full, rng = expansion(spec, 400), random.Random(spec)
+    if full.depth < 400:
+        n, q = full.n_at(full.depth), full.s_at(full.depth)
+        return sorted({2, q - 1, q, q + 1, n - 1, n, n + 1, 2 * n, 10 ** 40} - {0})
+    sizes = {rng.randrange(1, 10 ** rng.randint(1, 400)) for _ in range(20)}
+    for m in {1, 2, 300} | {rng.randint(1, 300) for _ in range(10)}:
+        sizes |= {full.n_at(m) - 1, full.n_at(m), full.n_at(m) + 1}
+    return sorted(sizes)
+
+
+@pytest.mark.parametrize("spec", SURDS[:3] + PERIODIC + PREFIXES + RATIONALS)
+def test_decompose_in_bulk_equals_stepwise(spec):
+    # the same (m, h, k), or the same error and message, as one ensure per
+    # digit, on fresh expansions, extending at most about twice the digits
+    extended = expansion(spec, 400)
+    for n in _decompose_sizes(spec):
+        new, old = expansion(spec, 0), expansion(spec, 0)
+        got = outcome(lambda: km.decompose(new, n))
+        assert got == outcome(lambda: oracles.decompose_stepwise(old, n)), (spec, n)
+        assert got == outcome(lambda: km.decompose(extended, n)), (spec, n)
+        assert new.depth <= 2 * old.depth + 1, (spec, n, new.depth, old.depth)
+
+
+@pytest.mark.parametrize("spec", ("golden", "cf:0;9(9)", "sqrt:94", "cf:0;20000(1)",
+                                  PREFIXES[-1], PREFIX_SPEC))
+def test_check_nm_in_bulk_equals_stepwise(spec):
+    # the same refusal and message as one ensure per digit from m = depth,
+    # extending at most about twice the digits
+    cli = importlib.import_module("kronmesh.cli")
+
+    def refusal(f):
+        try:
+            return f()
+        except cli._UsageError as e:
+            return str(e)
+
+    probe, first = expansion(spec, 0), 1
+    while probe.ensure(first) and probe.n_at(first).bit_length() <= cli.MAX_NM_BITS:
+        first += 1
+    for m_hi in sorted({1, 2, 30, 319, 320, 321, first - 1, first, first + 1, 10 ** 6}):
+        new, old = expansion(spec, 0), expansion(spec, 0)
+        got = refusal(lambda: cli._check_nm(new, m_hi))
+        assert got == refusal(lambda: oracles.check_nm_stepwise(old, m_hi)), (spec, m_hi)
+        assert (got is None) == (m_hi < first or not probe.ensure(first)), (spec, m_hi)
+        # never past a_{m_hi}; at most about twice the digits to a refusal
+        assert new.depth <= (m_hi if got is None else 2 * old.depth + 1), (spec, m_hi)
+        deep, deep_old = expansion(spec, 400), expansion(spec, 400)
+        assert refusal(lambda: cli._check_nm(deep, m_hi)) == refusal(
+            lambda: oracles.check_nm_stepwise(deep_old, m_hi)), (spec, m_hi)
 
 
 def _sample_sizes(exp, m_max, rng):
@@ -150,9 +272,9 @@ def _bounds_against_interval_path(spec, monkeypatch):
     original, brackets = metrics._tail_ends, []
 
     def recording(exp, m, bits):
-        ends, w = original(exp, m, bits)
+        ends = original(exp, m, bits)
         brackets.append(bracket(ends))
-        return ends, w
+        return ends
 
     monkeypatch.setattr(metrics, "_tail_ends", recording)
     branches, stalls = set(), 0
@@ -226,10 +348,10 @@ CLI_COMMANDS = [
 
 
 def _window_loop_ends(exp, m, bits):
-    """metrics._tail_ends by the old window loop: the ends of
+    """metrics._tail_ends by the brute-force window search: the ends of
     oracles.alpha_tail_best_window at bits."""
     iv = oracles.alpha_tail_best_window(exp, m, PrecisionContext(bits, max(bits, 65536)))
-    return (iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator), None
+    return (iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator)
 
 
 def test_cli_output_equals_interval_path(capsys, monkeypatch):
