@@ -292,6 +292,7 @@ class CFExpansion:
         self.periodic: Optional[Period] = None
         self._source = _digit_source(spec)
         self._scaled: dict = {}  # bits -> alpha0_scaled(bits)
+        self._tails: dict = {}  # (m, bits) -> _tail_ends(self, m, bits)
         self._sup: dict = {}  # probe_depth -> digit_supremum(self, probe_depth)
         self._extend_locked(0)
 
@@ -444,7 +445,17 @@ def _tail_ends(exp: CFExpansion, m: int, bits: int) -> Ends:
     1 / (y1 y2), so the first e with q_e of bit_length(q_m) + (bits -
     GUARD) // 2 + 3 bits meets the target; the brackets are nested, so the
     shortest window is found by stepping back from there while the next
-    shorter one still meets it.  Raises when no digit beyond a_m exists."""
+    shorter one still meets it.  A step needs no bracket: with Y_j =
+    P_{m-1} Q_j - Q_{m-1} P_j (of one sign for j >= m, and Y_{m-1} = 0),
+    window j has ends over |Y_j| and |Y_j| + |Y_{j-1}| whose cross
+    difference is 1, so its width is 1 / (|Y_j| (|Y_j| + |Y_{j-1}|)), and
+    |Y_{j-2}| = |Y_j| - a_j |Y_{j-1}|.  Raises when no digit beyond a_m
+    exists.  Memoized per (m, bits) without a lock, as alpha0_scaled is:
+    the bracket depends only on (spec, m, bits), and every key of one m
+    reads the same ends."""
+    hit = exp._tails.get((m, bits))
+    if hit is not None:
+        return hit
     if m < 0:
         raise OutOfRangeError("alpha_m defined for m >= 0")
     width_bits, cv, e = bits - GUARD, exp.convergents, None
@@ -464,12 +475,18 @@ def _tail_ends(exp: CFExpansion, m: int, bits: int) -> Ends:
             f"alpha_{m} needs digits beyond a_{M}; the known prefix is too short"
         )
     e = M if e is None else e
-    ends = _window_bracket(exp, m, e)
-    while not exp.finite and e > m + 1:
-        x1, y1, x2, y2 = shorter = _window_bracket(exp, m, e - 1)
-        if (x2 * y1 - x1 * y2) << width_bits > y1 * y2:
-            break
-        ends, e = shorter, e - 1
+    if not exp.finite:
+        a0, digits = exp.digits[0], exp.digits
+        pl, ql = cv[m - 1] if m else (1, 0)
+        Pl = pl - a0 * ql
+        y, y_prev = (abs(Pl * q - ql * (p - a0 * q)) for p, q in (cv[e], cv[e - 1]))
+        target = 1 << width_bits
+        while e > m + 1:
+            y_pp = y - digits[e] * y_prev
+            if y_prev * (y_prev + y_pp) < target:  # window e - 1 is too wide
+                break
+            y, y_prev, e = y_prev, y_pp, e - 1
+    ends = exp._tails[m, bits] = _window_bracket(exp, m, e)
     return ends
 
 

@@ -1,17 +1,21 @@
-"""Closed intervals with Fraction endpoints, and their decimal rendering.
+"""Closed intervals with Fraction endpoints, and decimal rendering.
 
 An Interval is an enclosure container: one produced by the library always
 contains the mathematical value it stands for.  It does no arithmetic.
 Certified comparisons are integer work on scaled enclosure ends (u*A + v*2**B,
 a bracket's numerators and denominators), so a comparison they decide is a
 proof, and an overlap means "escalate precision and retry".
+
+Every printed value is an integer ratio num / den rendered by one decimal
+division (decimal_renderer); fraction_to_decimal renders a Fraction by its
+numerator and denominator.
 """
 from __future__ import annotations
 
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN
-from decimal import Decimal, getcontext, localcontext
+from decimal import Context, Decimal, getcontext, localcontext
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -46,16 +50,40 @@ _ROUNDING = {
 }
 
 
-def decimal_context(digits: int, mode: str = "nearest"):
-    """A local decimal context in which a division rounds to `digits`
-    significant digits in the requested direction.  Decimal(a) / Decimal(b)
-    then renders a / b the same whether or not the ratio is reduced."""
+def _context(digits: int, mode: str) -> Context:
+    """A copy of the current decimal context rounding to `digits`
+    significant digits in the requested direction."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
     dctx = getcontext().copy()
     dctx.prec = digits
     dctx.rounding = _ROUNDING[mode]
-    return localcontext(dctx)
+    return dctx
+
+
+def decimal_context(digits: int, mode: str = "nearest"):
+    """A local decimal context in which a division rounds to `digits`
+    significant digits in the requested direction.  Decimal(a) / Decimal(b)
+    then renders a / b the same whether or not the ratio is reduced."""
+    return localcontext(_context(digits, mode))
+
+
+def decimal_renderer(digits: int) -> Callable[..., str]:
+    """render(num, den, mode="nearest"): num / den (den > 0) as a decimal
+    string of `digits` significant digits, rounded in the requested
+    direction.  The text depends on the value alone, not on whether the
+    ratio is reduced: both operands are integers, so an exact quotient
+    takes exponent 0 and drops its trailing zeros either way.  Each mode's
+    context is made once, on its first use, so a bad `digits` raises there."""
+    contexts = {}
+
+    def render(num: int, den: int, mode: str = "nearest") -> str:
+        ctx = contexts.get(mode)
+        if ctx is None:
+            ctx = contexts[mode] = _context(digits, mode)
+        return str(ctx.divide(Decimal(num), Decimal(den)))
+
+    return render
 
 
 def fraction_to_decimal(x: Rat, digits: int, mode: str = "nearest") -> str:
@@ -63,8 +91,7 @@ def fraction_to_decimal(x: Rat, digits: int, mode: str = "nearest") -> str:
     digits, rounded in the requested direction."""
     if type(x) is not Fraction:
         x = Fraction(x)
-    with decimal_context(digits, mode):
-        return str(Decimal(x.numerator) / Decimal(x.denominator))
+    return decimal_renderer(digits)(x.numerator, x.denominator, mode)
 
 
 def interval_to_decimal(iv: Interval, digits: int) -> tuple:

@@ -22,6 +22,11 @@ For Kronecker prefixes the module also evaluates the closed-form bounds
 
 as certified intervals, and rho_n at huge n = n_m from enclosures of the
 forms (provenance "structure-exact").
+
+Every value is born as integers (lattice units over 2 M, rung ends over
+2**B, bracket ends), and the records keep it so, as unreduced ratios
+(num, den) with den > 0, which the writers render by one decimal division
+each; a Fraction is built only when a record's property is read.
 """
 from __future__ import annotations
 
@@ -36,12 +41,13 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 from .contfrac import (
     CFExpansion,
     DEFAULT_CONTEXT,
+    Ends,
     PrecisionContext,
     _tail_ends,
     digit_supremum,
 )
 from .errors import KronmeshError, PrecisionUnresolvedError, UnsupportedAlphaError
-from .intervals import Interval, fraction_to_decimal
+from .intervals import Interval, decimal_renderer
 from .sequences import (
     GeneratorSpec,
     GreedyGen,
@@ -57,51 +63,72 @@ from .threegap import (Decomposition, GapStructure, LinearForm, _form_rung,
 INF = math.inf
 
 
-class QUMetrics(NamedTuple):
-    n: int
-    fill: Fraction
-    separation: Fraction
-    mesh_ratio: Union[Fraction, float]  # math.inf marks duplicate points
-    provenance: str                     # oracle-exact | formula-bound | structure-exact
-    error_bound: Fraction = Fraction(0)
+Ratio = Tuple[int, int]  # the value num / den, den > 0, not reduced
 
-    @property
-    def is_infinite(self) -> bool:
-        return isinstance(self.mesh_ratio, float) and math.isinf(self.mesh_ratio)
+
+class QUMetrics(NamedTuple):
+    """Fill h_n, separation q_n, mesh ratio rho_n and an error bound on
+    them, each an unreduced integer ratio (num, den); the properties fill,
+    separation, mesh_ratio and error_bound build the Fractions on access."""
+    n: int
+    fill_nd: Ratio
+    separation_nd: Ratio
+    rho_nd: Optional[Ratio]             # None marks duplicate points (mesh_ratio inf)
+    provenance: str                     # oracle-exact | formula-bound | structure-exact
+    error_nd: Ratio = (0, 1)
+
+    fill = property(lambda self: Fraction(*self.fill_nd))
+    separation = property(lambda self: Fraction(*self.separation_nd))
+    mesh_ratio = property(lambda self: INF if self.rho_nd is None else Fraction(*self.rho_nd))
+    error_bound = property(lambda self: Fraction(*self.error_nd))
+    is_infinite = property(lambda self: self.rho_nd is None)
 
     def rho_interval(self) -> Optional[Interval]:
         """Certified enclosure of the true mesh ratio, None when infinite."""
         if self.is_infinite:
             return None
-        e = self.error_bound
-        lo_num = max(self.fill - e, Fraction(0))
-        den_hi = self.separation + e
-        den_lo = self.separation - e
+        fill, sep, e = self.fill, self.separation, self.error_bound
+        lo_num = max(fill - e, Fraction(0))
+        den_hi = sep + e
+        den_lo = sep - e
         if den_lo <= 0:
             raise PrecisionUnresolvedError(
-                f"separation {self.separation} not resolved beyond error {e}"
+                f"separation {sep} not resolved beyond error {e}"
             )
-        return Interval(lo_num / den_hi, (self.fill + e) / den_lo)
+        return Interval(lo_num / den_hi, (fill + e) / den_lo)
+
+
+def _interval(ends: Ends) -> Interval:
+    x1, y1, x2, y2 = ends
+    return Interval(Fraction(x1, y1), Fraction(x2, y2))
 
 
 class BoundReport(NamedTuple):
+    """The bounds of one n: the upper bound and the lower bound at n_m as
+    unreduced ends (x1, y1, x2, y2) of [x1/y1, x2/y2] with y > 0, and the
+    digit form as a ratio; upper, lower_at_nm and lower_digit_form build
+    the Interval or Fraction on access."""
     n: int
     m: int
     h: int
     k: int
-    upper: Interval
-    lower_at_nm: Optional[Interval]
-    lower_digit_form: Optional[Fraction]  # a lower bound on lower_at_nm, from two digits
+    upper_ends: Ends
+    lower_ends: Optional[Ends]
+    digit_form_nd: Optional[Ratio]  # a lower bound on lower_at_nm, from two digits
     global_upper: Optional[int]
+
+    upper = property(lambda self: _interval(self.upper_ends))
+    lower_at_nm = property(lambda self: _interval(self.lower_ends) if self.lower_ends else None)
+    lower_digit_form = property(lambda self: Fraction(*self.digit_form_nd)
+                                if self.digit_form_nd else None)
 
 
 def _lattice_metrics(n: int, fill: int, ming: int, modulus: int,
-                     err: Fraction = Fraction(0)) -> QUMetrics:
+                     err: Ratio = (0, 1)) -> QUMetrics:
     """QUMetrics from twice the fill and the smallest interior gap, both in
     units of 1 / modulus."""
     scale = 2 * modulus
-    rho = INF if ming == 0 else Fraction(fill, ming)
-    return QUMetrics(n, Fraction(fill, scale), Fraction(ming, scale), rho,
+    return QUMetrics(n, (fill, scale), (ming, scale), None if ming == 0 else (fill, ming),
                      "oracle-exact", err)
 
 
@@ -187,7 +214,7 @@ def _kronecker_metrics(gs: GapStructure, A: int, U: int, M: int) -> QUMetrics:
     within (n - 1)*U / M of the true one."""
     n = gs.n
     maxg, ming, last, _ = _lattice_gaps(gs, A, M)
-    return _lattice_metrics(n, max(2 * last, maxg), ming, M, Fraction((n - 1) * U, M))
+    return _lattice_metrics(n, max(2 * last, maxg), ming, M, ((n - 1) * U, M))
 
 
 def mesh_ratio(ps: PointSet) -> QUMetrics:
@@ -201,7 +228,8 @@ def mesh_ratio(ps: PointSet) -> QUMetrics:
         lattice = _kronecker_lattice(cfg.exp, ps.n, cfg.ctx, cfg.scale_bits)
         gs = _gap_structure(cfg.exp, ps.n, decompose(cfg.exp, ps.n))
         return _kronecker_metrics(gs, *lattice)
-    return _lattice_metrics(len(ps.xs), *_stored_units(ps), ps.modulus, ps.error_bound)
+    return _lattice_metrics(len(ps.xs), *_stored_units(ps), ps.modulus,
+                            (ps.error_units, ps.modulus))
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +273,16 @@ def _bounds(exp: CFExpansion, n: int, d: Decomposition, ctx: PrecisionContext) -
 
     (x1, y1, x2, y2), (p_lo, q_lo), (p_hi, q_hi) = ctx.escalate(
         attempt, ctx.bits, f"bound denominator sign (n={n})")
-    upper = Interval(Fraction(2 * (y2 - h * x2) * q_hi, y2 * p_hi),
-                     Fraction(2 * (y1 - h * x1) * q_lo, y1 * p_lo))
+    upper = (2 * (y2 - h * x2) * q_hi, y2 * p_hi, 2 * (y1 - h * x1) * q_lo, y1 * p_lo)
 
     lower = None
     digit_form = None
     if d.m >= 3 and h == 0 and d.k == 0:
-        lower = Interval(Fraction(y2, x2), Fraction(y1, x1))
+        lower = (y2, x2, y1, x1)
         # a prefix may end before a_{m+2}; lower_at_nm does not need it
         if exp.ensure(d.m + 2):
-            digit_form = Fraction(exp.digit(d.m + 1)) + Fraction(1, exp.digit(d.m + 2) + 1)
+            b = exp.digit(d.m + 2) + 1
+            digit_form = (exp.digit(d.m + 1) * b + 1, b)  # a_{m+1} + 1 / (a_{m+2} + 1)
 
     sup, certainty = digit_supremum(exp)
     global_upper = 2 + 2 * sup if certainty == "exact" else None
@@ -291,13 +319,12 @@ def _structural(exp: CFExpansion, gs: GapStructure, ctx: PrecisionContext) -> QU
     (maxlo, maxhi), (lastlo, lasthi), (S_lo, S_hi) = (
         (lo << (B - bits), hi << (B - bits)) for lo, hi, bits in rungs)
     F_lo, F_hi = max(maxlo, lastlo), max(maxhi, lasthi)
-    den = S_lo * S_hi
-    half_widths = (Fraction(max(F_hi - F_lo, S_hi - S_lo), 1 << (B + 2)),
-                   Fraction(F_hi * S_hi - F_lo * S_lo, 2 * den))
-    return QUMetrics(n, Fraction(F_lo + F_hi, 1 << (B + 2)),
-                     Fraction(S_lo + S_hi, 1 << (B + 2)),
-                     Fraction(F_lo * S_lo + F_hi * S_hi, 2 * den),
-                     "structure-exact", max(half_widths))
+    quarter, den = 1 << (B + 2), 2 * S_lo * S_hi
+    # the larger half width: of fill or separation, or of rho
+    width, rho_width = max(F_hi - F_lo, S_hi - S_lo), F_hi * S_hi - F_lo * S_lo
+    err = (width, quarter) if width * den >= rho_width * quarter else (rho_width, den)
+    return QUMetrics(n, (F_lo + F_hi, quarter), (S_lo + S_hi, quarter),
+                     (F_lo * S_lo + F_hi * S_hi, den), "structure-exact", err)
 
 
 def _order_forms(exp, forms, ctx) -> List[LinearForm]:
@@ -334,9 +361,10 @@ def sweep(gen: GeneratorSpec, n_lo: int, n_hi: int, ctx: PrecisionContext = DEFA
     """sweep_segments as one row per n, with its n, bounds k and drift error."""
     rows = []
     for lo, hi, qm, br in sweep_segments(gen, n_lo, n_hi, ctx, with_bounds):
-        unit = qm.error_bound / (lo - 1)  # the drift is linear in n - 1
-        rows += [SweepRow(QUMetrics(n, qm.fill, qm.separation, qm.mesh_ratio,
-                                    qm.provenance, unit * (n - 1) if unit else unit),
+        num, den = qm.error_nd
+        den *= lo - 1  # the drift is linear in n - 1
+        rows += [SweepRow(QUMetrics(n, qm.fill_nd, qm.separation_nd, qm.rho_nd,
+                                    qm.provenance, (num * (n - 1), den)),
                           None if br is None else br._replace(n=n, k=br.k + n - lo))
                  for n in range(lo, hi + 1)]
     return rows
@@ -367,8 +395,8 @@ def sweep_segments(gen: GeneratorSpec, n_lo: int, n_hi: int, ctx: PrecisionConte
     # every multiple of 1/q is a point and one repeats
     q = exp.spec.den
     segs = _form_segments(exp, n_lo, min(n_hi, q), exp.spec.num % q, 0, q, ctx, False)
-    repeat = partial(QUMetrics, fill=Fraction(1, q), separation=Fraction(0),
-                     mesh_ratio=INF, provenance="oracle-exact")
+    repeat = partial(QUMetrics, fill_nd=(1, q), separation_nd=(0, 1), rho_nd=None,
+                     provenance="oracle-exact")
     return segs + _run_segments(lambda n: (n_hi, repeat(n)), max(n_lo, q + 1), n_hi)
 
 
@@ -446,26 +474,28 @@ SWEEP_COLUMNS = (
 
 
 def _formatter(digits: int):
-    """fraction_to_decimal at `digits`, once per distinct (value, rounding
-    mode): the rows of a sweep repeat few distinct values."""
-    done = {}
+    """fmt(num, den, mode): decimal_renderer at `digits`, once per distinct
+    (num, den, mode), as the rows of a sweep repeat few distinct values."""
+    render, done = decimal_renderer(digits), {}
 
-    def fmt(x, mode: str = "nearest") -> str:
-        key = (x.numerator, x.denominator, mode)  # cheaper than hashing a Fraction
-        if key not in done:
-            done[key] = fraction_to_decimal(x, digits, mode)
-        return done[key]
+    def fmt(num: int, den: int, mode: str = "nearest") -> str:
+        key = (num, den, mode)
+        text = done.get(key)
+        if text is None:
+            text = done[key] = render(num, den, mode)
+        return text
 
     return fmt
 
 
 def _rho_str(qm: QUMetrics, fmt) -> str:
-    return "inf" if qm.is_infinite else fmt(qm.mesh_ratio)
+    return "inf" if qm.is_infinite else fmt(*qm.rho_nd)
 
 
-def _interval_str(iv: Interval, fmt) -> List[str]:
+def _interval_str(ends: Ends, fmt) -> List[str]:
     """Outward-rounded endpoints, as interval_to_decimal renders them."""
-    return [fmt(iv.lo, "floor"), fmt(iv.hi, "ceil")]
+    x1, y1, x2, y2 = ends
+    return [fmt(x1, y1, "floor"), fmt(x2, y2, "ceil")]
 
 
 def sweep_to_csv(segments, digits: int = 40) -> str:
@@ -535,12 +565,12 @@ def _csv_templates(segs: List[Segment], fmt) -> List[Union[str, Tuple[str]]]:
     out = []
     for seg in segs:
         qm, br = seg.metrics, seg.bounds
-        cells = ["", fmt(qm.fill), fmt(qm.separation), _rho_str(qm, fmt)]
+        cells = ["", fmt(*qm.fill_nd), fmt(*qm.separation_nd), _rho_str(qm, fmt)]
         if br is None:
             cells += [""] * 5
         else:
-            lower = br.lower_at_nm
-            cells += _interval_str(br.upper, fmt)
+            lower = br.lower_ends
+            cells += _interval_str(br.upper_ends, fmt)
             cells += ["", ""] if lower is None else _interval_str(lower, fmt)
             cells.append("" if br.global_upper is None else str(br.global_upper))
         tail = ",".join(cells) + "\n"
@@ -576,8 +606,8 @@ def metrics_to_json(qm: QUMetrics, br: Optional[BoundReport], digits: int = 40) 
 def _metrics_json(qm: QUMetrics, br: Optional[BoundReport], fmt) -> dict:
     out = {
         "n": qm.n,
-        "fill": fmt(qm.fill),
-        "separation": fmt(qm.separation),
+        "fill": fmt(*qm.fill_nd),
+        "separation": fmt(*qm.separation_nd),
         "mesh_ratio": _rho_str(qm, fmt),
         "provenance": qm.provenance,
     }
@@ -592,8 +622,8 @@ def _bounds_json(br: BoundReport, fmt) -> dict:
         "m": br.m,
         "h": br.h,
         "k": br.k,
-        "upper": _interval_str(br.upper, fmt),
-        "lower_at_nm": None if br.lower_at_nm is None else _interval_str(br.lower_at_nm, fmt),
-        "lower_digit_form": None if br.lower_digit_form is None else fmt(br.lower_digit_form),
+        "upper": _interval_str(br.upper_ends, fmt),
+        "lower_at_nm": None if br.lower_ends is None else _interval_str(br.lower_ends, fmt),
+        "lower_digit_form": None if br.digit_form_nd is None else fmt(*br.digit_form_nd),
         "global_upper": br.global_upper,
     }

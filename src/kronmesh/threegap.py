@@ -24,7 +24,7 @@ from typing import NamedTuple, Tuple
 from .contfrac import _Q, CFExpansion, DEFAULT_CONTEXT, PrecisionContext
 from .errors import KronmeshError, OutOfRangeError
 from .errors import PrecisionUnresolvedError, UnsupportedAlphaError
-from .intervals import Interval, interval_to_decimal
+from .intervals import Interval, decimal_renderer
 
 
 class LinearForm(NamedTuple):
@@ -200,13 +200,13 @@ def gap_structure_json(
     ctx: PrecisionContext = DEFAULT_CONTEXT,
     digits: int = 40,
 ) -> dict:
-    """JSON-ready dict with decimal interval strings for each length."""
-    entries = []
+    """JSON-ready dict with decimal interval strings for each length: the
+    ends of its enclosure over 2**bits, rounded outward."""
+    render, entries = decimal_renderer(digits), []
     for form, count in gs.entries:
-        iv = form_interval(exp, form, ctx, require_positive=True)
-        lo, hi = interval_to_decimal(iv, digits)
-        entries.append(
-            {"u": form.u, "v": form.v, "multiplicity": count, "interval": [lo, hi]}
-        )
+        lo, hi, bits = _form_rung(exp, form, ctx, True)
+        entries.append({"u": form.u, "v": form.v, "multiplicity": count,
+                        "interval": [render(lo, 1 << bits, "floor"),
+                                     render(hi, 1 << bits, "ceil")]})
     d = gs.decomposition
     return {"n": gs.n, "m": d.m, "h": d.h, "k": d.k, "entries": entries}

@@ -182,6 +182,66 @@ def eta_product_interval(digits, m: int):
     return lo, hi
 
 
+# -- the package's records, to and from Fractions ----------------------------
+# QUMetrics and BoundReport store unreduced integer ratios.  The oracles build
+# them from Fractions, and tests compare records by their ratios in lowest
+# terms, so that equal values built from different ratios compare equal.
+
+def ratio(x):
+    """A rational as the (num, den) pair the records store."""
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def interval_ends(iv):
+    """An Interval as the ends (x1, y1, x2, y2) the records store."""
+    return (*ratio(iv.lo), *ratio(iv.hi))
+
+
+def qumetrics(n, fill, sep, rho, provenance, err=0):
+    """QUMetrics from Fractions; rho math.inf marks duplicate points."""
+    from kronmesh import QUMetrics
+
+    return QUMetrics(n, ratio(fill), ratio(sep), None if rho == math.inf else ratio(rho),
+                     provenance, ratio(err))
+
+
+def bound_report(n, m, h, k, upper, lower, digit_form, global_upper):
+    """BoundReport from an Interval upper bound, an Interval or None lower
+    bound at n_m and a Fraction or None digit form."""
+    from kronmesh import BoundReport
+
+    return BoundReport(n, m, h, k, interval_ends(upper),
+                       None if lower is None else interval_ends(lower),
+                       None if digit_form is None else ratio(digit_form), global_upper)
+
+
+def _lowest(num, den):
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def record_values(x):
+    """A record, a SweepRow or Segment, or a list of them, with every
+    stored ratio in lowest terms: records of equal values compare equal."""
+    from kronmesh import BoundReport, QUMetrics
+
+    def one(r):
+        if isinstance(r, QUMetrics):
+            return (r.n, _lowest(*r.fill_nd), _lowest(*r.separation_nd),
+                    r.rho_nd and _lowest(*r.rho_nd), r.provenance, _lowest(*r.error_nd))
+        if isinstance(r, BoundReport):
+            ends = [e and (_lowest(*e[:2]), _lowest(*e[2:])) for e in (r.upper_ends, r.lower_ends)]
+            return (r.n, r.m, r.h, r.k, *ends, r.digit_form_nd and _lowest(*r.digit_form_nd),
+                    r.global_upper)
+        if isinstance(r, tuple):  # SweepRow, Segment, an (outcome, error) pair
+            return tuple(map(one, r))
+        return r
+
+    return list(map(one, x)) if isinstance(x, list) else one(x)
+
+
 # -- the window loops and Interval arithmetic the structure path replaced ----
 
 def tail_brackets(digits):
@@ -373,13 +433,25 @@ def form_interval_interval(exp, form, ctx, require_positive: bool = False):
     return ctx.escalate(attempt, ctx.bits, f"sign of {form.u}*alpha+{form.v}")
 
 
+def gap_structure_json_interval(gs, exp, ctx, digits: int = 40) -> dict:
+    """gap_structure_json from form_interval_interval, each enclosure
+    rendered by interval_to_decimal."""
+    from kronmesh import interval_to_decimal
+
+    entries = []
+    for form, count in gs.entries:
+        lo, hi = interval_to_decimal(form_interval_interval(exp, form, ctx, True), digits)
+        entries.append({"u": form.u, "v": form.v, "multiplicity": count, "interval": [lo, hi]})
+    d = gs.decomposition
+    return {"n": gs.n, "m": d.m, "h": d.h, "k": d.k, "entries": entries}
+
+
 def mesh_ratio_structural_interval(exp, n: int, ctx):
     """mesh_ratio_structural by Interval arithmetic: the gap forms ordered on
     their enclosures, then fill = max(largest interior, twice the gap
     touching 1) / 2, separation = smallest interior / 2 and rho = fill /
     separation as intervals, each reported by its midpoint, with half the
     largest width as the error."""
-    from kronmesh import QUMetrics
     from kronmesh.intervals import Interval
     from kronmesh.metrics import _gap_roles
     from kronmesh.threegap import gap_structure
@@ -402,7 +474,7 @@ def mesh_ratio_structural_interval(exp, n: int, ctx):
     sep_iv = iv_scale(form_interval_interval(exp, ordered[0], ctx, True), Fraction(1, 2))
     rho_iv = iv_divide(fill_iv, sep_iv)
     err = max(fill_iv.width, sep_iv.width, rho_iv.width) / 2
-    return QUMetrics(n, fill_iv.mid, sep_iv.mid, rho_iv.mid, "structure-exact", err)
+    return qumetrics(n, fill_iv.mid, sep_iv.mid, rho_iv.mid, "structure-exact", err)
 
 
 def kronecker_bounds_interval(exp, n: int, ctx=None):
@@ -411,7 +483,7 @@ def kronecker_bounds_interval(exp, n: int, ctx=None):
     2 (1 - h alpha_m), their quotient, and 1 / alpha_m at n_m."""
     from kronmesh.contfrac import DEFAULT_CONTEXT, digit_supremum
     from kronmesh.errors import UnsupportedAlphaError
-    from kronmesh.metrics import BoundReport, _as_expansion
+    from kronmesh.metrics import _as_expansion
     from kronmesh.threegap import decompose
 
     ctx = DEFAULT_CONTEXT if ctx is None else ctx
@@ -441,7 +513,7 @@ def kronecker_bounds_interval(exp, n: int, ctx=None):
 
     sup, certainty = digit_supremum(exp)
     global_upper = 2 + 2 * sup if certainty == "exact" else None
-    return BoundReport(n, d.m, d.h, d.k, upper, lower, digit_form, global_upper)
+    return bound_report(n, d.m, d.h, d.k, upper, lower, digit_form, global_upper)
 
 
 # -- brute-force prefix machinery -------------------------------------------
@@ -658,11 +730,9 @@ def kronecker_point_lattice(exp, n: int, ctx, start_bits=None):
 def kronecker_point_metrics(exp, n: int, ctx, start_bits=None):
     """QUMetrics of the first n >= 2 Kronecker points from their sorted
     lattice values (kronecker_point_lattice), error bound (n - 1)*U / M."""
-    from kronmesh import QUMetrics
-
     xs, M, U = kronecker_point_lattice(exp, n, ctx, start_bits)
     fill, sep, rho = scaled_prefix_metrics(xs, M, U)
-    return QUMetrics(n, fill, sep, rho, "oracle-exact", Fraction((n - 1) * U, M))
+    return qumetrics(n, fill, sep, rho, "oracle-exact", Fraction((n - 1) * U, M))
 
 
 # -- the incremental sorted-point kernel ---------------------------------------
@@ -728,7 +798,7 @@ def exact_sweep_metrics(gen, n_lo: int, n_hi: int):
     """QUMetrics for every n in [n_lo, n_hi] of an exact generator (van der
     Corput, greedy or a rational Kronecker alpha), by sorting its points:
     the first n_lo - 1 enter the mesh in bulk, then one insert per row."""
-    from kronmesh import QUMetrics, generate
+    from kronmesh import generate
 
     ps = generate(gen, n_hi)
     scale = 2 * ps.modulus
@@ -739,8 +809,9 @@ def exact_sweep_metrics(gen, n_lo: int, n_hi: int):
         fill, ming = key = mesh.units()
         if key not in values:
             rho = math.inf if ming == 0 else Fraction(fill, ming)
-            values[key] = Fraction(fill, scale), Fraction(ming, scale), rho
-        rows.append(QUMetrics(len(mesh.pts), *values[key], "oracle-exact", Fraction(0)))
+            values[key] = qumetrics(0, Fraction(fill, scale), Fraction(ming, scale), rho,
+                                    "oracle-exact")
+        rows.append(values[key]._replace(n=len(mesh.pts)))
     return rows
 
 
@@ -753,7 +824,7 @@ def exact_sweep_metrics(gen, n_lo: int, n_hi: int):
 def sweep_rows(gen, n_lo: int, n_hi: int, ctx=None, with_bounds: bool = True):
     """The SweepRow of every n in [n_lo, n_hi], one n at a time."""
     from functools import partial
-    from kronmesh import GreedyGen, KroneckerGen, QUMetrics, VdcGen
+    from kronmesh import GreedyGen, KroneckerGen, VdcGen
     from kronmesh.contfrac import DEFAULT_CONTEXT
     from kronmesh.metrics import _as_expansion, _greedy_run, _kronecker_lattice, _vdc_run
     from kronmesh.sequences import working_scale_bits
@@ -775,14 +846,14 @@ def sweep_rows(gen, n_lo: int, n_hi: int, ctx=None, with_bounds: bool = True):
         return form_rows(exp, n_lo, n_hi, *lattice, ctx, with_bounds)
     q = exp.spec.den
     rows = form_rows(exp, n_lo, min(n_hi, q), exp.spec.num % q, 0, q, ctx, False)
-    repeat = QUMetrics(q + 1, Fraction(1, q), Fraction(0), math.inf, "oracle-exact")
+    repeat = qumetrics(q + 1, Fraction(1, q), Fraction(0), math.inf, "oracle-exact")
     return rows + run_rows(lambda n: (n_hi, repeat), max(n_lo, q + 1), n_hi)
 
 
 def form_rows(exp, n_lo: int, n_hi: int, A: int, U: int, M: int, ctx, with_bounds: bool):
     """Rows of a Kronecker sweep on the lattice (A, U, M), one evaluation of
     the forms per key (m, h, min(k, 2)) and of the bounds per (m, h, k == 0)."""
-    from kronmesh import BoundReport, QUMetrics, SweepRow, decompose, kronecker_bounds
+    from kronmesh import SweepRow, decompose, kronecker_bounds
     from kronmesh.metrics import _kronecker_metrics
     from kronmesh.threegap import _gap_structure
 
@@ -793,7 +864,7 @@ def form_rows(exp, n_lo: int, n_hi: int, A: int, U: int, M: int, ctx, with_bound
         if key not in memo:
             memo[key] = _kronecker_metrics(_gap_structure(exp, n, d), A, U, M)
         qm = memo[key]
-        qm = QUMetrics(n, qm.fill, qm.separation, qm.mesh_ratio, qm.provenance,
+        qm = qumetrics(n, qm.fill, qm.separation, qm.mesh_ratio, qm.provenance,
                        Fraction((n - 1) * U, M))
         br = None
         if with_bounds:
@@ -801,8 +872,8 @@ def form_rows(exp, n_lo: int, n_hi: int, A: int, U: int, M: int, ctx, with_bound
             if key not in bounds_memo:
                 bounds_memo[key] = kronecker_bounds(exp, n, ctx)
             b = bounds_memo[key]
-            br = BoundReport(n, b.m, b.h, d.k, b.upper, b.lower_at_nm,
-                             b.lower_digit_form, b.global_upper)
+            br = bound_report(n, b.m, b.h, d.k, b.upper, b.lower_at_nm,
+                              b.lower_digit_form, b.global_upper)
         rows.append(SweepRow(qm, br))
     return rows
 
@@ -810,12 +881,12 @@ def form_rows(exp, n_lo: int, n_hi: int, A: int, U: int, M: int, ctx, with_bound
 def run_rows(run, n_lo: int, n_hi: int):
     """Rows of an exact generator: run(n) gives the last n' >= n whose
     prefix shares the metrics of the first n points, and those metrics."""
-    from kronmesh import QUMetrics, SweepRow
+    from kronmesh import SweepRow
 
     rows, n = [], n_lo
     while n <= n_hi:
         last, qm = run(n)
-        rows += [SweepRow(QUMetrics(i, qm.fill, qm.separation, qm.mesh_ratio,
+        rows += [SweepRow(qumetrics(i, qm.fill, qm.separation, qm.mesh_ratio,
                                     qm.provenance), None)
                  for i in range(n, min(last, n_hi) + 1)]
         n = last + 1

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,35 @@ def test_kronecker_metrics_build_no_points(capsys, monkeypatch):
     qm = kronmesh.mesh_ratio(coarse)
     assert qm.separation > qm.error_bound
     assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--alpha", "sqrt:103", "--n-at", "nm", "--m", "46..69", "--bits", "384"),
+    ("sweep", "--alpha", "golden", "--n", "2..2000"),
+    ("analyze", "--alpha", "golden", "--n", "1000"),
+], ids=["nm-sweep", "bounded-sweep", "analyze"])
+def test_irrational_rows_build_no_fraction(capsys, monkeypatch, argv):
+    # an irrational alpha's rows are integers from the ladder to the text:
+    # no Fraction is constructed, nor made by Fraction arithmetic (which
+    # builds its results through _from_coprime_ints where it exists)
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    if "_from_coprime_ints" in vars(Fraction):
+        coprime = Fraction._from_coprime_ints.__func__
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
+            lambda cls, num, den: built.append((num, den)) or coprime(cls, num, den)))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    assert built == []
+    # the counter sees a Fraction that is built
+    Fraction(1, 3) + 1
+    assert built
 
 
 @pytest.mark.parametrize("argv, want, rho", [

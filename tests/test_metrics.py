@@ -21,6 +21,7 @@ from kronmesh.metrics import SWEEP_COLUMNS
 from kronmesh.sequences import kronecker_scaled, working_scale_bits
 from conftest import ALPHA_SPECS, PREFIX_60_DIGITS, assert_rho_close
 import oracles
+from oracles import record_values as V
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +61,7 @@ def test_rational_duplicates_infinite():
 
 
 def test_rho_interval_unresolved_separation():
-    qm = QUMetrics(2, Fraction(1, 2), Fraction(1, 100), Fraction(50),
-                   "oracle-exact", Fraction(1, 50))
+    qm = QUMetrics(2, (1, 2), (1, 100), (50, 1), "oracle-exact", (1, 50))
     with pytest.raises(PrecisionUnresolvedError):
         qm.rho_interval()
 
@@ -230,9 +230,8 @@ def test_sweep_to_csv_shape(golden):
 
 def test_output_rounds_a_repeated_value_per_mode():
     # one value printed rounded to nearest, down and up in the same output
-    third = Fraction(1, 3)
-    qm = QUMetrics(2, third, third, Fraction(1), "oracle-exact")
-    br = km.BoundReport(2, 1, 0, 0, km.Interval(third, third), None, None, None)
+    qm = QUMetrics(2, (1, 3), (1, 3), (1, 1), "oracle-exact")
+    br = km.BoundReport(2, 1, 0, 0, (1, 3, 1, 3), None, None, None)
     cells = km.sweep_to_csv([km.SweepRow(qm, br)], digits=5).splitlines()[1].split(",")
     assert cells[1:6] == ["0.33333", "0.33333", "1", "0.33333", "0.33334"]
     assert km.metrics_to_json(qm, br, 5)["bounds"]["upper"] == ["0.33333", "0.33334"]
@@ -281,7 +280,7 @@ def test_kronecker_kernel_matches_scaled_oracle(spec):
         want = _scaled_oracle_row(xs, M, U, n)
         assert _as_tuple(row.metrics) == want, (spec, n)
         oneshot = km.mesh_ratio(km.kronecker(exp, n, ctx, scale_bits=bits))
-        assert oneshot == row.metrics, (spec, n)
+        assert V(oneshot) == V(row.metrics), (spec, n)
     # the one-shot default scale gives the oracle on its own lattice too
     ps = km.kronecker(exp, n_hi, ctx)
     unit = ps.error_units // (n_hi - 1)
@@ -300,11 +299,11 @@ def test_sweep_edges_match_full_sweep(spec):
         rows = km.sweep(gen, n_lo, n_hi)
         assert [row.metrics.n for row in rows] == list(range(n_lo, n_hi + 1))
         for row in rows:
-            assert row == full[row.metrics.n], (spec, n_lo, row.metrics.n)
+            assert V(row) == V(full[row.metrics.n]), (spec, n_lo, row.metrics.n)
     # a one-row sweep works at the scale a one-shot analysis of n_m uses
     one = km.sweep(gen, nm, nm)
     assert len(one) == 1
-    assert one[0].metrics == km.mesh_ratio(km.kronecker(exp, nm))
+    assert V(one[0].metrics) == V(km.mesh_ratio(km.kronecker(exp, nm)))
     assert one[0].bounds == km.kronecker_bounds(exp, nm)
     assert one[0].bounds.lower_at_nm is not None
 
@@ -338,7 +337,7 @@ def test_exact_kernel_matches_brute(gen, points):
         assert (row.metrics.fill, row.metrics.separation, row.metrics.mesh_ratio) \
             == (fill, sep, rho), (gen, n)
         assert row.metrics.error_bound == 0
-        assert km.mesh_ratio(km.generate(gen, n)) == row.metrics, (gen, n)
+        assert V(km.mesh_ratio(km.generate(gen, n))) == V(row.metrics), (gen, n)
     if isinstance(gen, KroneckerGen):
         # past q the rotation repeats a point: rho is infinite (CLI exit 4)
         assert rows[-1].metrics.is_infinite and rho == math.inf
@@ -429,13 +428,13 @@ def test_kronecker_forms_match_sorted_points(spec):
         for n in ns:
             want = _outcome(lambda: oracles.kronecker_point_metrics(exp, n, ctx))
             got = _outcome(lambda: km.sweep(gen, n, n, ctx, with_bounds=False)[0].metrics)
-            assert got == want, (spec, bits, n)
+            assert V(got) == V(want), (spec, bits, n)
     # a coarse start climbs the ladder on both paths
     ctx = PrecisionContext(64)
     for n in range(2, 121):
         want = _outcome(lambda: oracles.kronecker_point_metrics(exp, n, ctx, 12))
         got = _outcome(lambda: km.mesh_ratio(km.kronecker(exp, n, ctx, scale_bits=12)))
-        assert got == want, (spec, n)
+        assert V(got) == V(want), (spec, n)
 
 
 @pytest.mark.parametrize("spec", DIFF_SPECS)
@@ -458,8 +457,8 @@ def test_sweep_rows_across_memo_keys_match_oneshot(spec):
             n = row.metrics.n
             assert _as_tuple(row.metrics) == _scaled_oracle_row(xs, M, U, n), (spec, n)
             oneshot = km.mesh_ratio(km.kronecker(exp, n, ctx, scale_bits=M.bit_length() - 1))
-            assert oneshot == row.metrics, (spec, n)
-            assert row.bounds == km.kronecker_bounds(exp, n, ctx), (spec, n)
+            assert V(oneshot) == V(row.metrics), (spec, n)
+            assert V(row.bounds) == V(km.kronecker_bounds(exp, n, ctx)), (spec, n)
 
 
 @pytest.mark.parametrize("spec, bits, n", [
@@ -479,7 +478,7 @@ def test_lattice_climbs_past_a_straddle_at_the_point_nearest_1(spec, bits, n):
 
 def _brute_qm(points):
     fill, sep, rho = oracles.brute_metrics(points)
-    return QUMetrics(len(points), fill, sep, rho, "oracle-exact", Fraction(0))
+    return oracles.qumetrics(len(points), fill, sep, rho, "oracle-exact")
 
 
 def _runs_edges(steps, n_max):
@@ -494,22 +493,22 @@ def test_vdc_closed_form_matches_kernel(base):
     # brute force at every n <= 150 and at the edges of the runs c*b**K
     gen = VdcGen(base)
     rows = km.sweep(gen, 2, 3000)
-    assert [row.metrics for row in rows] == oracles.exact_sweep_metrics(gen, 2, 3000)
+    assert V([row.metrics for row in rows]) == V(oracles.exact_sweep_metrics(gen, 2, 3000))
     assert all(row.bounds is None for row in rows)
     pts = [oracles.radical_inverse_reference(i, base) for i in range(3000)]
     powers = [base ** k for k in range(8) if base ** k <= 3000]
     for n in sorted(set(range(2, 151)) | set(_runs_edges(powers, 1200))):
-        assert rows[n - 2].metrics == _brute_qm(pts[:n]), (base, n)
+        assert V(rows[n - 2].metrics) == V(_brute_qm(pts[:n])), (base, n)
     # a sweep may start inside a run
     for lo in (3, base ** 2 + 1, 2 * base ** 3 - 1):
-        assert km.sweep(gen, lo, 3000) == rows[lo - 2:]
+        assert V(km.sweep(gen, lo, 3000)) == V(rows[lo - 2:])
 
 
 @pytest.mark.parametrize("tie_break", ["leftmost", "rightmost"])
 def test_greedy_closed_form_matches_kernel(tie_break):
     gen = GreedyGen(tie_break)
     rows = km.sweep(gen, 2, 4100)
-    assert [row.metrics for row in rows] == oracles.exact_sweep_metrics(gen, 2, 4100)
+    assert V([row.metrics for row in rows]) == V(oracles.exact_sweep_metrics(gen, 2, 4100))
     # rho is 1 at n = 2**k + 1 and 2 everywhere else
     assert [row.metrics.n for row in rows if row.metrics.mesh_ratio == 1] \
         == [2 ** k + 1 for k in range(1, 13)]
@@ -517,9 +516,9 @@ def test_greedy_closed_form_matches_kernel(tie_break):
     pts = km.greedy_packing(1100, tie_break).points
     assert pts[:300] == tuple(oracles.greedy_reference(300, tie_break))
     for n in sorted(set(range(2, 101)) | set(_runs_edges([2 ** k for k in range(11)], 1100))):
-        assert rows[n - 2].metrics == _brute_qm(pts[:n]), (tie_break, n)
+        assert V(rows[n - 2].metrics) == V(_brute_qm(pts[:n])), (tie_break, n)
     for lo in (3, 4, 1000):
-        assert km.sweep(gen, lo, 4100) == rows[lo - 2:]
+        assert V(km.sweep(gen, lo, 4100)) == V(rows[lo - 2:])
 
 
 def _rational_specs(q_max):
@@ -539,13 +538,14 @@ def test_rational_forms_match_kernel():
     for p, q in _rational_specs(120):
         gen = KroneckerGen(Rational(p, q))
         rows = km.sweep(gen, 2, q + 3)
-        assert [row.metrics for row in rows] == oracles.exact_sweep_metrics(gen, 2, q + 3), (p, q)
+        assert V([row.metrics for row in rows]) == V(oracles.exact_sweep_metrics(gen, 2, q + 3)), \
+            (p, q)
         assert all(row.bounds is None for row in rows)
         assert [row.metrics.is_infinite for row in rows] == [n > q for n in range(2, q + 4)]
         if q <= 20:
             pts = [Fraction(i * p % q, q) for i in range(q + 3)]
             for row in rows:
-                assert row.metrics == _brute_qm(pts[:row.metrics.n]), (p, q, row.metrics.n)
+                assert V(row.metrics) == V(_brute_qm(pts[:row.metrics.n])), (p, q, row.metrics.n)
         for lo in (q - 1, q + 1):
             if lo >= 2:
-                assert km.sweep(gen, lo, q + 3) == rows[lo - 2:], (p, q, lo)
+                assert V(km.sweep(gen, lo, q + 3)) == V(rows[lo - 2:]), (p, q, lo)

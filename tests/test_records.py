@@ -2,6 +2,7 @@
 construction, defaults, validation, immutability, equality and hash it had
 as a frozen dataclass, and a validating record validates on _replace too."""
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -32,12 +33,12 @@ from kronmesh.threegap import IdentityCheck, LengthsReport
 
 
 def _qumetrics():
-    return QUMetrics(n=5, fill=Fraction(1, 4), separation=Fraction(1, 16),
-                     mesh_ratio=Fraction(4), provenance="oracle-exact")
+    return QUMetrics(n=5, fill_nd=(1, 4), separation_nd=(1, 16), rho_nd=(4, 1),
+                     provenance="oracle-exact")
 
 
-_QUM = ("QUMetrics(n=5, fill=Fraction(1, 4), separation=Fraction(1, 16), "
-        "mesh_ratio=Fraction(4, 1), provenance='oracle-exact', error_bound=Fraction(0, 1))")
+_QUM = ("QUMetrics(n=5, fill_nd=(1, 4), separation_nd=(1, 16), rho_nd=(4, 1), "
+        "provenance='oracle-exact', error_nd=(0, 1))")
 _CHECK = "IdentityCheck(name='tiles', passed=True, detail='(0,1)')"
 
 # one fixed example of each of the 18 records, with its repr as a frozen
@@ -54,10 +55,10 @@ RECORDS = [
     (lambda: Interval(lo=Fraction(1, 3), hi=1),
      "Interval(lo=Fraction(1, 3), hi=Fraction(1, 1))"),
     (_qumetrics, _QUM),
-    (lambda: BoundReport(n=10, m=4, h=0, k=2, upper=Interval(5, 6), lower_at_nm=None,
-                         lower_digit_form=Fraction(3, 2), global_upper=4),
-     "BoundReport(n=10, m=4, h=0, k=2, upper=Interval(lo=Fraction(5, 1), hi=Fraction(6, 1)), "
-     "lower_at_nm=None, lower_digit_form=Fraction(3, 2), global_upper=4)"),
+    (lambda: BoundReport(n=10, m=4, h=0, k=2, upper_ends=(5, 1, 6, 1), lower_ends=None,
+                         digit_form_nd=(3, 2), global_upper=4),
+     "BoundReport(n=10, m=4, h=0, k=2, upper_ends=(5, 1, 6, 1), lower_ends=None, "
+     "digit_form_nd=(3, 2), global_upper=4)"),
     (lambda: SweepRow(metrics=_qumetrics(), bounds=None), f"SweepRow(metrics={_QUM}, bounds=None)"),
     (lambda: KroneckerGen(alpha=Rational(1, 3)), "KroneckerGen(alpha=Rational(num=1, den=3))"),
     (lambda: VdcGen(base=3), "VdcGen(base=3)"),
@@ -94,7 +95,7 @@ def test_record_defaults():
     assert PrecisionContext(bits=256).max_bits == 65536
     assert ExplicitCF((1,)).period == ()
     assert GreedyGen().tie_break == "leftmost"
-    assert _qumetrics().error_bound == 0
+    assert _qumetrics().error_nd == (0, 1) and _qumetrics().error_bound == 0
     assert hash(QuadraticSurd(-1, 5, 2)) == hash((-1, 5, 2))
 
 
@@ -126,6 +127,23 @@ def test_record_validation(make, error, message):
     with pytest.raises(error) as info:
         make()
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_metric_records_build_fractions_on_access():
+    # the stored ratios are not reduced; each property is the reduced value
+    qm = QUMetrics(7, (2, 8), (6, 96), (8, 2), "structure-exact", (10, 40))
+    assert (qm.fill, qm.separation, qm.mesh_ratio, qm.error_bound) == (
+        Fraction(1, 4), Fraction(1, 16), Fraction(4), Fraction(1, 4))
+    assert all(type(v) is Fraction for v in (qm.fill, qm.mesh_ratio, qm.error_bound))
+    assert not qm.is_infinite
+    repeat = QUMetrics(4, (1, 3), (0, 1), None, "oracle-exact")
+    assert repeat.is_infinite and repeat.mesh_ratio == math.inf and repeat.separation == 0
+    br = BoundReport(53, 4, 0, 0, (10, 2, 12, 2), (3, 2, 9, 4), (4, 3), None)
+    assert br.upper == Interval(5, 6) and type(br.upper.lo) is Fraction
+    assert br.lower_at_nm == Interval(Fraction(3, 2), Fraction(9, 4))
+    assert br.lower_digit_form == Fraction(4, 3)
+    bare = br._replace(lower_ends=None, digit_form_nd=None)
+    assert bare.lower_at_nm is None and bare.lower_digit_form is None
 
 
 def test_replace_keeps_the_normal_form():

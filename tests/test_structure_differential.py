@@ -4,6 +4,7 @@ brackets, enclosures, metrics, bound reports and errors, and the same CLI
 output."""
 import importlib
 import random
+import sys
 import threading
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from kronmesh.intervals import Interval
 from kronmesh.threegap import form_interval
 from conftest import ALPHA_SPECS, PREFIX_60_DIGITS, PREFIX_SPEC
 import oracles
+from oracles import record_values as V
 
 SURDS = ("golden", "sqrt:2", "sqrt:13", "quad:3,7,2", "sqrt:94")
 PERIODIC = ("cf:0;(1,2)", "cf:1;9,3(9)", "cf:0;5,1(2,7,1,1)", "cf:2;(50)")
@@ -99,23 +101,28 @@ def _tail_surd(exp, m):
 
 
 def _window_length(digits, iv):
-    """The w whose window bracket (d_1, ..., d_w) has iv's convergent end,
-    the end with the smaller denominator, q_w."""
+    """The w whose window bracket (d_1, ..., d_w) has iv's mediant end, the
+    end with the larger denominator, q_w + q_{w-1} (which grows with w even
+    where q_1 = q_0 = 1, unlike the convergent end's q_w)."""
     q_prev, q, w = 0, 1, 0
-    while q < min(iv.lo.denominator, iv.hi.denominator):
+    while q + q_prev < max(iv.lo.denominator, iv.hi.denominator):
         q_prev, q, w = q, digits[w] * q + q_prev, w + 1
     return w
 
 
-@pytest.mark.parametrize("spec", SURDS + PERIODIC + PREFIXES + (PREFIX_60_DIGITS,) + RATIONALS)
+@pytest.mark.parametrize("spec", SURDS + PERIODIC + PREFIXES + (PREFIX_60_DIGITS,) + RATIONALS
+                         + ("cf:0;20000(1)",))
 @pytest.mark.parametrize("bits", [64, 192, 576])
 def test_tail_ends_shortest_window_encloses_alpha_m(spec, bits):
     # the shortest window meeting 2**-(bits - GUARD), per the brute-force
-    # oracle; its bracket holds alpha_m; the window one digit shorter misses
+    # oracle; its bracket holds alpha_m; the window one digit shorter
+    # misses.  Every m <= 40 and a sample to 300: the step back reads each
+    # window's width off the continuants alone, so every bracket of an
+    # infinite expansion or a prefix must have x2*y1 - x1*y2 = 1
     exp = expansion(spec, 0)
     ctx, target = PrecisionContext(bits), Fraction(1, 1 << (bits - GUARD))
     rng = random.Random(f"{spec} {bits}")
-    ms = sorted({0, 1, 299, 300} | {rng.randint(0, 300) for _ in range(12)})
+    ms = sorted(set(range(41)) | {299, 300} | {rng.randint(0, 300) for _ in range(12)})
     met = 0
     for m in ms:
         new = outcome(lambda: bracket(_tail_ends(exp, m, bits)))
@@ -124,6 +131,9 @@ def test_tail_ends_shortest_window_encloses_alpha_m(spec, bits):
         if iv is None:
             assert not exp.ensure(m + 1), (spec, m)  # only where the digits end
             continue
+        if not exp.finite:
+            x1, y1, x2, y2 = _tail_ends(exp, m, bits)
+            assert x2 * y1 - x1 * y2 == 1, (spec, m)
         if exp.finite:
             x = Fraction(0)
             for a in reversed(exp.digits[m + 1:]):
@@ -231,7 +241,7 @@ def test_mesh_ratio_structural_equals_interval_path(bits):
         for n in _sample_sizes(exp, 200, rng):
             new = outcome(lambda: km.mesh_ratio_structural(exp, n, ctx))
             old = outcome(lambda: oracles.mesh_ratio_structural_interval(exp, n, ctx))
-            assert new == old, (spec, n)
+            assert V(new) == V(old), (spec, n)
 
 
 @pytest.mark.parametrize("spec,n", [("cf:0;1,1,1,1,1,1", 13), ("cf:0;1,1,1,1,1,1", 14),
@@ -284,7 +294,7 @@ def _bounds_against_interval_path(spec, monkeypatch):
         for n in _bound_sizes(exp):
             new = outcome(lambda: km.kronecker_bounds(exp, n, ctx))
             old = outcome(lambda: oracles.kronecker_bounds_interval(exp, n, ctx))
-            assert new == old, (spec, bits, n)
+            assert V(new) == V(old), (spec, bits, n)
             if new[1] is not None:
                 stalls += "cannot reduce" in new[1][1]
                 continue
@@ -365,13 +375,13 @@ def test_cli_output_equals_interval_path(capsys, monkeypatch):
 
     new = run_all()
     # the old code: no alpha0 memo, window loops for the tails and a
-    # prefix's alpha0, Interval arithmetic for the forms and the metrics
+    # prefix's alpha0, Interval arithmetic for the forms and the metrics,
+    # and the gaps entries rendered from Fraction intervals
     metrics = importlib.import_module("kronmesh.metrics")
-    threegap = importlib.import_module("kronmesh.threegap")
     cli = importlib.import_module("kronmesh.cli")
     monkeypatch.setattr(CFExpansion, "alpha0_scaled", oracles.alpha0_scaled_window)
     monkeypatch.setattr(metrics, "_tail_ends", _window_loop_ends)
-    monkeypatch.setattr(threegap, "form_interval", oracles.form_interval_interval)
+    monkeypatch.setattr(cli, "gap_structure_json", oracles.gap_structure_json_interval)
     monkeypatch.setattr(cli, "_structural", lambda exp, gs, ctx:
                         oracles.mesh_ratio_structural_interval(exp, gs.n, ctx))
     old = run_all()
@@ -423,3 +433,56 @@ def test_alpha0_memo_two_threads_agree():
     assert results[0] == results[1]
     fresh = CFExpansion(km.parse_alpha("sqrt:94"))
     assert results[0][:-1] == [fresh.alpha0_scaled(bits) for bits in range(64, 1200, 7)]
+
+
+def _tail_workout(exp):
+    """Fill the _tail_ends memo as the CLI does: the bound columns of a
+    bounded sweep (one bracket per m, read by every key of that m) and of
+    rows at n_m."""
+    ctx = PrecisionContext(64)
+    outcome(lambda: km.sweep_segments(km.KroneckerGen(exp), 2, 3000, ctx))
+    for m in (3, 20, 60):
+        if exp.ensure(m + 1):
+            outcome(lambda: km.kronecker_bounds(exp, exp.n_at(m), ctx))
+
+
+@pytest.mark.parametrize("spec", ("cf:0;20000(1)",) + SURDS[:2] + PERIODIC[:2] + PREFIXES[:2])
+def test_tail_memo_equals_fresh_computation(spec):
+    exp = CFExpansion(km.parse_alpha(spec))
+    _tail_workout(exp)
+    memo = dict(exp._tails)
+    assert memo  # the six-digit prefix reaches one bound column, at m = 3
+    for (m, bits), ends in memo.items():
+        assert _tail_ends(exp, m, bits) is ends  # a hit returns the stored ends
+        assert ends == _tail_ends(CFExpansion(km.parse_alpha(spec)), m, bits), (spec, m, bits)
+        assert ends == _window_loop_ends(exp, m, bits), (spec, m, bits)
+
+
+def test_tail_memo_many_threads_agree():
+    # the memo takes no lock: threads racing on a miss store equal ends.
+    # More threads than cores, switching often, all start at one barrier
+    exp = CFExpansion(km.parse_alpha("cf:0;20000(1)"))
+    keys = [(m, bits) for m in range(0, 60, 3) for bits in (64, 128, 192, 384)]
+    workers = 6
+    barrier = threading.Barrier(workers)
+    results = [None] * workers
+
+    def read(slot):
+        barrier.wait()
+        results[slot] = [_tail_ends(exp, m, bits) for m, bits in keys]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    fresh = CFExpansion(km.parse_alpha("cf:0;20000(1)"))
+    want = [_tail_ends(fresh, m, bits) for m, bits in keys]
+    assert all(got == want for got in results)
+    assert set(exp._tails) == set(keys)
