@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import bisect
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
@@ -48,6 +48,8 @@ from .metrics import (
     _bounds,
     _csv_chunks,
     _json_chunks,
+    _pair_json,
+    _row_document,
     _structural,
     metrics_to_json,
     sweep,
@@ -265,7 +267,7 @@ def _cmd_gaps(args) -> Tuple[Iterable[str], int]:
     payload["checks"] = [c._asdict() for c in report.checks]
     payload["all_passed"] = report.all_passed
     code = EXIT_OK if report.all_passed else EXIT_PRECISION
-    return _dumps(payload), code
+    return (_gaps_document(payload),), code
 
 
 def _cmd_analyze(args) -> Tuple[Iterable[str], int]:
@@ -276,7 +278,7 @@ def _cmd_analyze(args) -> Tuple[Iterable[str], int]:
         raise _UsageError(f"analyze needs --n >= 2 (a mesh ratio needs two points), got {n}")
     (row,) = sweep(gen, n, n, ctx)
     payload = metrics_to_json(row.metrics, row.bounds, args.digits)
-    return _dumps(payload), EXIT_INFINITE if row.metrics.is_infinite else EXIT_OK
+    return (_row_document(payload),), EXIT_INFINITE if row.metrics.is_infinite else EXIT_OK
 
 
 def _check_rows(lo: int, hi: int, what: str) -> None:
@@ -352,7 +354,7 @@ def _cmd_classify(args) -> Tuple[Iterable[str], int]:
         raise _UsageError("--probe must be >= 1")
     # the JSON keys are the Classification fields, in order
     verdict = is_badly_approximable(parse_alpha(args.alpha), args.probe)
-    return _dumps(verdict._asdict()), EXIT_OK
+    return (_classify_document(verdict._asdict()),), EXIT_OK
 
 
 def _cmd_points(args) -> Tuple[Iterable[str], int]:
@@ -375,8 +377,38 @@ def _check_digits(digits: int) -> None:
         raise _UsageError("digits must be >= 1")
 
 
-def _dumps(payload) -> Tuple[str]:
-    return (json.dumps(payload, indent=2) + "\n",)
+# the documents below are json.dumps(doc, indent=2) + "\n" of their dicts,
+# written from templates of their fixed shapes; strings go through json's
+# own escaper, so the text is the same for any value
+
+
+def _gaps_document(doc: dict) -> str:
+    """The gaps document: gap_structure_json with "checks" and "all_passed"."""
+    s = encode_basestring_ascii
+    entries = ",\n".join([
+        f'    {{\n      "u": {e["u"]},\n      "v": {e["v"]},\n'
+        f'      "multiplicity": {e["multiplicity"]},\n'
+        f'      "interval": {_pair_json(e["interval"], "      ")}\n    }}'
+        for e in doc["entries"]])
+    checks = ",\n".join([
+        f'    {{\n      "name": {s(c["name"])},\n      "passed": {_bool(c["passed"])},\n'
+        f'      "detail": {s(c["detail"])}\n    }}'
+        for c in doc["checks"]])
+    return (f'{{\n  "n": {doc["n"]},\n  "m": {doc["m"]},\n  "h": {doc["h"]},\n'
+            f'  "k": {doc["k"]},\n  "entries": [\n{entries}\n  ],\n'
+            f'  "checks": [\n{checks}\n  ],\n  "all_passed": {_bool(doc["all_passed"])}\n}}\n')
+
+
+def _classify_document(doc: dict) -> str:
+    """The classify document: the Classification fields, in order."""
+    s, c_bound = encode_basestring_ascii, doc["c_bound"]
+    return (f'{{\n  "verdict": {s(doc["verdict"])},\n  "digit_sup": {doc["digit_sup"]},\n'
+            f'  "certainty": {s(doc["certainty"])},\n'
+            f'  "c_bound": {"null" if c_bound is None else c_bound}\n}}\n')
+
+
+def _bool(value: bool) -> str:
+    return "true" if value else "false"
 
 
 _COMMANDS = {

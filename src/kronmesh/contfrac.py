@@ -22,7 +22,7 @@ import re
 import threading
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, count, cycle, islice
+from itertools import chain, count, cycle, islice, repeat
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Tuple, Union
 
@@ -56,7 +56,8 @@ class PrecisionContext(NamedTuple("PrecisionContext", [("bits", int), ("max_bits
             raise ValueError("PrecisionContext.max_bits must be >= bits")
         return tuple.__new__(cls, (bits, max_bits))
 
-    def escalate(self, attempt: Callable[[int], tuple], start_bits: int, what: str):
+    def escalate(self, attempt: Callable[[int], tuple], start_bits: int,
+                 what: Union[str, Callable[[], str]]):
         """The precision ladder shared by every certified comparison.
 
         Calls attempt(bits) at start_bits, then at doubled bits up to
@@ -67,6 +68,8 @@ class PrecisionContext(NamedTuple("PrecisionContext", [("bits", int), ("max_bits
         above max_bits still gets its one attempt), or as soon as a doubling
         fails to halve the error: a digit prefix, not the precision, then
         limits the enclosure, and more bits cannot decide the comparison.
+        what names the comparison in that error: a str, or a callable that
+        builds it, called only when raising.
         """
         bits, last = start_bits, None
         while True:
@@ -75,14 +78,18 @@ class PrecisionContext(NamedTuple("PrecisionContext", [("bits", int), ("max_bits
                 return result
             if last is not None and 2 * error > last:
                 raise PrecisionUnresolvedError(
-                    f"{what} unresolved at {bits} bits; doubling the precision "
+                    f"{_text(what)} unresolved at {bits} bits; doubling the precision "
                     "cannot reduce the error (digit prefix exhausted?)"
                 )
             if bits >= self.max_bits:
                 raise PrecisionUnresolvedError(
-                    f"{what} unresolved at the ceiling of {bits} bits"
+                    f"{_text(what)} unresolved at the ceiling of {bits} bits"
                 )
             bits, last = min(2 * bits, self.max_bits), error
+
+
+def _text(what: Union[str, Callable[[], str]]) -> str:
+    return what if isinstance(what, str) else what()
 
 
 DEFAULT_CONTEXT = PrecisionContext()
@@ -255,17 +262,20 @@ def _digit_source(spec: AlphaSpec) -> Iterator[Tuple[int, Optional[Period]]]:
         for a in chain(pre[1:], cycle(per)):
             yield a, None
     else:
-        P, D, Q, seen = spec.P, spec.D, spec.Q, {}
+        P, D, Q, seen, digits = spec.P, spec.D, spec.Q, {}, []
         for j in count():
-            period = None
-            if seen is not None:
-                i = seen.setdefault((P, Q), j)
-                if i < j:
-                    period, seen = (i, j - i), None
+            i = seen.setdefault((P, Q), j)
+            if i < j:
+                break
             a = _floor_surd(P, D, Q)
-            yield a, period
+            digits.append(a)
+            yield a, None
             P = a * Q - P
             Q = (D - P * P) // Q
+        # the state at j is that at i, so a_j, a_{j+1}, ... repeat a_i..a_{j-1}
+        period = digits[i:]
+        del seen, digits
+        yield from zip(cycle(period), chain([(i, j - i)], repeat(None)))
 
 
 Ends = Tuple[int, int, int, int]  # bracket ends (x1, y1, x2, y2): [x1/y1, x2/y2], y > 0
@@ -300,15 +310,17 @@ class CFExpansion:
         with self._lock:
             cv, digits = self.convergents, self.digits
             # a thread that lost the race to extend finds nothing left to take
-            for a, period in islice(self._source, max(0, m_target + 1 - len(digits))):
+            new = list(islice(self._source, max(0, m_target + 1 - len(digits))))
+            # the last two convergents, after (p_{-2}, q_{-2}) = (0, 1), (p_{-1}, q_{-1}) = (1, 0)
+            (p2, q2), (p1, q1) = ([(0, 1), (1, 0)] + cv[-2:])[-2:]
+            out = []
+            for a, period in new:
                 if period:
                     self.periodic = period
-                if cv:  # (p_{-1}, q_{-1}) = (1, 0)
-                    (p1, q1), (p2, q2) = cv[-1], cv[-2] if len(cv) > 1 else (1, 0)
-                    cv.append((a * p1 + p2, a * q1 + q2))
-                else:
-                    cv.append((a, 1))
-                digits.append(a)
+                p1, p2, q1, q2 = a * p1 + p2, p1, a * q1 + q2, q1
+                out.append((p1, q1))
+            cv.extend(out)
+            digits.extend([a for a, _ in new])
             return len(digits) > m_target
 
     # -- accessors ---------------------------------------------------------

@@ -30,12 +30,12 @@ each; a Fraction is built only when a record's property is read.
 """
 from __future__ import annotations
 
-import json
 import math
 import operator
 from fractions import Fraction
 from functools import partial
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .contfrac import (
@@ -205,7 +205,7 @@ def _kronecker_lattice(exp: CFExpansion, n: int, ctx: PrecisionContext,
             return (A, U, M), None
         return None, Fraction((n - 1) * U, M)
 
-    return ctx.escalate(attempt, start_bits, f"point order at n={n}")
+    return ctx.escalate(attempt, start_bits, lambda: f"point order at n={n}")
 
 
 def _kronecker_metrics(gs: GapStructure, A: int, U: int, M: int) -> QUMetrics:
@@ -272,7 +272,7 @@ def _bounds(exp: CFExpansion, n: int, d: Decomposition, ctx: PrecisionContext) -
         return None, Fraction(x2 * y1 - x1 * y2, y1 * y2)  # the bracket width
 
     (x1, y1, x2, y2), (p_lo, q_lo), (p_hi, q_hi) = ctx.escalate(
-        attempt, ctx.bits, f"bound denominator sign (n={n})")
+        attempt, ctx.bits, lambda: f"bound denominator sign (n={n})")
     upper = (2 * (y2 - h * x2) * q_hi, y2 * p_hi, 2 * (y1 - h * x1) * q_lo, y1 * p_lo)
 
     lower = None
@@ -463,8 +463,8 @@ def _greedy_run(n: int) -> Tuple[int, QUMetrics]:
 
 
 # the most rows in one chunk of sweep text, and the most segments that one
-# formatter memo and one json.dumps serve: the writers hold this much text
-# at a time, however many rows they write
+# formatter memo serves: the writers hold this much text at a time, however
+# many rows they write
 CHUNK = 1024
 
 SWEEP_COLUMNS = (
@@ -505,7 +505,7 @@ def sweep_to_csv(segments, digits: int = 40) -> str:
 
 def sweep_to_json(segments, digits: int = 40) -> str:
     """json.dumps({"rows": rows}, indent=2) + "\\n" of sweep segments (or
-    rows), without running json.dumps once per n."""
+    rows), each segment's row written once from a template of its shape."""
     return "".join(_json_chunks(segments, digits))
 
 
@@ -518,11 +518,12 @@ def _csv_chunks(segments, digits: int):
 
 def _json_chunks(segments, digits: int):
     """sweep_to_json in chunks of at most CHUNK rows."""
-    sep = '{\n  "rows": [\n' + _JSON_ROW
+    head = _row_head("    ")
+    sep = '{\n  "rows": [\n' + head
     for block in _row_blocks(segments, _json_templates, digits):
         yield sep
-        yield (",\n" + _JSON_ROW).join(block)
-        sep = ",\n" + _JSON_ROW
+        yield (",\n" + head).join(block)
+        sep = ",\n" + head
     yield "\n  ]\n}\n" if sep[0] == "," else '{\n  "rows": []\n}\n'
 
 
@@ -578,25 +579,63 @@ def _csv_templates(segs: List[Segment], fmt) -> List[Union[str, Tuple[str]]]:
     return out
 
 
-# how json.dumps(..., indent=2) opens a sweep row: "n" is its first key
-_JSON_ROW = '    {\n      "n": '
-
-
 def _json_templates(segs: List[Segment], fmt) -> List[Union[str, List[str]]]:
-    """Each segment's JSON row from n on, from one json.dumps of them all.
-    A segment of several n holds the mark "\\0" (written "\\u0000", in no
-    cell) in place of n, bounds.n and bounds.k, and its row is split there."""
-    rows = []
+    """Each segment's JSON row from n on (after _row_head("    ")): whole
+    for one n, else the pieces of _row_pieces that follow n, bounds.n and
+    bounds.k."""
+    out = []
     for seg in segs:
-        rows.append(_metrics_json(seg.metrics, seg.bounds, fmt))
-        if seg.n_hi > seg.n_lo:
-            rows[-1]["n"] = "\0"
-            if seg.bounds is not None:
-                rows[-1]["bounds"]["n"] = rows[-1]["bounds"]["k"] = "\0"
-    text = json.dumps({"rows": rows}, indent=2)
-    rows = text[len('{\n  "rows": [\n' + _JSON_ROW):-len('\n  ]\n}')].split(",\n" + _JSON_ROW)
-    return [row.split('"\\u0000"')[1:] if seg.n_hi > seg.n_lo else row
-            for seg, row in zip(segs, rows)]
+        row = _metrics_json(seg.metrics, seg.bounds, fmt)
+        parts = _row_pieces(row, "    ")
+        out.append(_splice(row, parts) if seg.n_hi == seg.n_lo else parts)
+    return out
+
+
+def _row_head(pad: str) -> str:
+    """How json.dumps(row, indent=2), indented by pad, opens a row: "n" is
+    its first key."""
+    return f'{pad}{{\n{pad}  "n": '
+
+
+def _row_pieces(row: dict, pad: str) -> List[str]:
+    """The text of json.dumps(row, indent=2), indented by pad, after its n,
+    split where the rows of a segment differ: [after n], or [after n,
+    after bounds.n, after bounds.k] when the row has bounds."""
+    s = encode_basestring_ascii
+    head = (f',\n{pad}  "fill": {s(row["fill"])},\n{pad}  "separation": {s(row["separation"])}'
+            f',\n{pad}  "mesh_ratio": {s(row["mesh_ratio"])}'
+            f',\n{pad}  "provenance": {s(row["provenance"])}')
+    b = row.get("bounds")
+    if b is None:
+        return [f"{head}\n{pad}}}"]
+    bp = pad + "    "
+    lower, digit_form, top = b["lower_at_nm"], b["lower_digit_form"], b["global_upper"]
+    return [
+        f'{head},\n{pad}  "bounds": {{\n{bp}"n": ',
+        f',\n{bp}"m": {b["m"]},\n{bp}"h": {b["h"]},\n{bp}"k": ',
+        f',\n{bp}"upper": {_pair_json(b["upper"], bp)}'
+        f',\n{bp}"lower_at_nm": {"null" if lower is None else _pair_json(lower, bp)}'
+        f',\n{bp}"lower_digit_form": {"null" if digit_form is None else s(digit_form)}'
+        f',\n{bp}"global_upper": {"null" if top is None else top}\n{pad}  }}\n{pad}}}',
+    ]
+
+
+def _pair_json(pair: List[str], pad: str) -> str:
+    """json.dumps of a list of two strings at indent pad."""
+    lo, hi = map(encode_basestring_ascii, pair)
+    return f"[\n{pad}  {lo},\n{pad}  {hi}\n{pad}]"
+
+
+def _splice(row: dict, parts: List[str]) -> str:
+    """A row's text from n on: its n, bounds.n and bounds.k before the pieces."""
+    b = row.get("bounds")
+    ns = (row["n"],) if b is None else (row["n"], b["n"], b["k"])
+    return "".join([f"{n}{part}" for n, part in zip(ns, parts)])
+
+
+def _row_document(row: dict) -> str:
+    """json.dumps(row, indent=2) + "\\n" of a row dict: what analyze prints."""
+    return _row_head("") + _splice(row, _row_pieces(row, "")) + "\n"
 
 
 def metrics_to_json(qm: QUMetrics, br: Optional[BoundReport], digits: int = 40) -> dict:

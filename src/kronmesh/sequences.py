@@ -11,10 +11,10 @@ exact rationals (precision_bits = None, error_units = 0).
 """
 from __future__ import annotations
 
-import json
 import math
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, NamedTuple, Optional, Tuple, Union
 
 from .contfrac import (
@@ -166,7 +166,8 @@ def kronecker(
             return None, Fraction(exp.alpha0_scaled(bits)[1], 1 << bits)
 
     start = scale_bits if scale_bits is not None else working_scale_bits(ctx, n)
-    xs, M, U = ctx.escalate(attempt, start, f"integer straddles of the first {n} points")
+    xs, M, U = ctx.escalate(attempt, start,
+                            lambda: f"integer straddles of the first {n} points")
     bits = M.bit_length() - 1
     err_units = max(n - 1, 1) * U
     err = Fraction(err_units, M)
@@ -304,12 +305,15 @@ def _json_point_fields(ps: PointSet) -> dict:
 
 def _json_point_chunks(ps: PointSet, digits: int):
     """json.dumps(points_to_json(ps, digits), indent=2) + "\\n" in chunks of
-    at most BLOCK points.  With indent set, json.dumps runs its pure-Python
-    encoder on every point string, so the array is joined here: a point
-    string has digits, ".", "E" and "-" only (nothing to escape), the list
-    is never empty (n >= 1), and it is the last key."""
-    head = json.dumps(_json_point_fields(ps), indent=2)[:-2]  # drop the closing "\n}"
-    sep = f'{head},\n  "points": [\n    "'
+    at most BLOCK points, written from a template of its shape: the header
+    fields, then the array joined here, as a point string has digits, ".",
+    "E" and "-" only (nothing to escape), the list is never empty (n >= 1),
+    and it is the last key."""
+    head = _json_point_fields(ps)
+    bits = head["precision_bits"]
+    sep = (f'{{\n  "generator": {encode_basestring_ascii(head["generator"])},\n'
+           f'  "n": {head["n"]},\n  "precision_bits": {"null" if bits is None else bits},\n'
+           '  "points": [\n    "')
     for _, values in _point_blocks(ps, digits):
         yield sep
         yield '",\n    "'.join(values)

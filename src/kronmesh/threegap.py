@@ -99,7 +99,7 @@ def _form_rung(exp: CFExpansion, form: LinearForm, ctx: PrecisionContext,
         signed = lo > 0 or hi < 0
         return ((lo, hi, bits), None) if signed else (None, Fraction(hi - lo, 1 << bits))
 
-    return ctx.escalate(attempt, ctx.bits, f"sign of {form.u}*alpha+{form.v}")
+    return ctx.escalate(attempt, ctx.bits, lambda: f"sign of {form.u}*alpha+{form.v}")
 
 
 Decomposition = NamedTuple("Decomposition", [("m", int), ("h", int), ("k", int)])

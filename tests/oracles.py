@@ -113,6 +113,25 @@ def surd_period_walk(a: int, b: int, c: int, d: int, limit: int = 10 ** 4):
     return digits, None
 
 
+def gauss_map_digits(P: int, D: int, Q: int, depth: int):
+    """(digits a_0..a_depth, period) of (P + sqrt(D)) / Q, D not a square,
+    in the normal form Q | D - P*P, by the Gauss map on (P, Q) run for every
+    digit, never cycled: period is (i, j - i) for the first j whose state
+    equals that at an earlier i, or None when none does by depth."""
+    r, digits, seen, period = math.isqrt(D), [], {}, None
+    for j in range(depth + 1):
+        if period is None:
+            i = seen.setdefault((P, Q), j)
+            if i < j:
+                period = (i, j - i)
+        # floor(P + sqrt(D)) = P + r, and sqrt(D) is irrational
+        a = (P + r) // Q if Q > 0 else -((P + r) // -Q) - 1
+        digits.append(a)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+    return digits, period
+
+
 def mp_value(spec: str, prec: int = 400) -> mpmath.mpf:
     """Big-float value of an alpha spec string (test-side parser)."""
     with mpmath.workprec(prec):

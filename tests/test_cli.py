@@ -978,6 +978,17 @@ def test_no_package_module_keeps_an_unused_import():
     assert found == []
 
 
+def test_no_package_module_dumps_json_with_indent():
+    # with indent set, json.dumps runs its pure-Python encoder on every key;
+    # the documents are written from templates of their shapes instead
+    found = [f"{name}:{node.lineno}" for name, tree in _package_trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps"
+             and any(kw.arg in ("indent", None) for kw in node.keywords)]
+    assert found == []
+
+
 def test_metrics_sort_no_points():
     # the incremental sorted-point kernel lives in tests/oracles.py: the
     # metrics module imports no heap or bisection and calls no generator
@@ -1086,3 +1097,28 @@ def test_prefix_ladder_stops_after_two_rungs(capsys, monkeypatch, argv, site, st
     assert out == ""
     assert site in err and "cannot reduce" in err
     assert max(scales) <= 2 * start_bits, sorted(set(scales))
+
+
+def test_ladder_deciding_at_its_first_rung_builds_no_message(capsys, monkeypatch):
+    # the sites that run once per gap form or per row name their comparison
+    # by a callable, which the ladder calls only when it raises
+    contfrac = importlib.import_module("kronmesh.contfrac")
+    original = contfrac.PrecisionContext.escalate
+    passed, built = [], []
+
+    def recording(self, attempt, start_bits, what):
+        if isinstance(what, str):
+            return original(self, attempt, start_bits, what)
+        passed.append(what)
+        return original(self, attempt, start_bits, lambda: built.append(what) or what())
+
+    monkeypatch.setattr(contfrac.PrecisionContext, "escalate", recording)
+    for argv in (("gaps", "--alpha", "golden", "--n", str(10 ** 30)),
+                 ("sweep", "--alpha", "sqrt:7", "--n-at", "nm", "--m", "3..12"),
+                 ("analyze", "--alpha", "cf:1;7(2)", "--n", "1000"),
+                 ("points", "--alpha", "golden", "--n", "20")):
+        assert run(capsys, *argv)[0] == 0
+    assert built == []
+    # each of the four sites: "sign of ...", "bound denominator sign (n=...)",
+    # "point order at n=...", "integer straddles of the first ... points"
+    assert {what().split()[0] for what in passed} == {"sign", "bound", "point", "integer"}

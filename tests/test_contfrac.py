@@ -21,7 +21,7 @@ from kronmesh import (
     Rational,
     UnsupportedAlphaError,
 )
-from kronmesh.contfrac import GUARD, _tail_ends, _window_bracket
+from kronmesh.contfrac import GUARD, _periodic_tail_surd, _tail_ends, _window_bracket
 from conftest import ALPHA_SPECS, PREFIX_SPEC, mpf_to_fraction
 import oracles
 
@@ -503,6 +503,52 @@ def test_surd_digit_source_matches_period_walk():
         mp = oracles.mp_cf_digits(oracles.mp_value(spec, 1200), 40, 1200)
         assert exp.digits[:41] == mp, spec
         assert exp.convergents == oracles.convergents_from_digits(exp.digits), spec
+
+
+def _gauss_surds():
+    """Surds periodic from a_0 (r + sqrt(D) with r = isqrt(D), the golden
+    ratio) and with preperiods (sqrt(D), cf: tails, random triples)."""
+    rng = random.Random(22)
+    surds = [QuadraticSurd(1, 5, 2)]
+    for _ in range(12):
+        D = rng.randint(2, 10 ** 6)
+        if math.isqrt(D) ** 2 != D:
+            surds += [QuadraticSurd(math.isqrt(D), D, 1), QuadraticSurd(0, D, 1)]
+    for _ in range(12):
+        pre = tuple(rng.randint(1, 9) for _ in range(rng.randint(0, 3)))
+        per = tuple(rng.randint(1, 30) for _ in range(rng.randint(1, 5)))
+        surds.append(_periodic_tail_surd(pre, per))
+    while len(surds) < 60:
+        D = rng.randint(2, 10 ** 7)
+        if math.isqrt(D) ** 2 != D:
+            Q = rng.choice((1, -1)) * rng.randint(1, 500)
+            surds.append(QuadraticSurd(rng.randint(-10 ** 4, 10 ** 4), D, Q))
+    return surds
+
+
+def test_surd_digits_equal_plain_gauss_map():
+    # the digit source cycles the recorded period once the Gauss map state
+    # recurs; a plain walk that never cycles gives the same digits to depth
+    # 2000, and the period at the same j
+    starts = set()
+    for surd in _gauss_surds():
+        want, period = oracles.gauss_map_digits(*surd, 2000)
+        exp = CFExpansion(surd)
+        assert exp.ensure(2000) and exp.digits == want, surd
+        assert exp.periodic == period, surd
+        assert exp.convergents == oracles.convergents_from_digits(want), surd
+        stepped = CFExpansion(surd)
+        for m in range(0, 2001, 7):
+            stepped.ensure(m)
+        assert stepped.digits[:1996] == want[:1996], surd
+        assert stepped.convergents == exp.convergents[:len(stepped.convergents)], surd
+        if period is not None:
+            j = sum(period)
+            fresh = CFExpansion(surd)
+            assert fresh.ensure(j - 1) and fresh.periodic is None, surd
+            assert fresh.ensure(j) and fresh.periodic == period, surd
+            starts.add(min(period[0], 1))
+    assert starts == {0, 1}  # with and without a preperiod
 
 
 def test_rational_digit_source_matches_euclid():

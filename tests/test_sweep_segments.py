@@ -4,7 +4,6 @@ error line as the old command, which built one row per n and formatted
 every cell of every row, and `sweep()` returns the same rows."""
 import json
 import math
-import os
 import random
 
 import pytest
@@ -278,22 +277,3 @@ def test_chunked_writers_equal_per_row_text(gen, lo, hi, with_bounds, digits):
 def _block_sizes(rows):
     """CHUNK rows to a chunk, the rest in the last."""
     return [CHUNK] * (rows // CHUNK) + [rows % CHUNK] * (rows % CHUNK > 0)
-
-
-def test_json_writer_dumps_once_per_chunk_of_segments(monkeypatch):
-    # an --n-at nm sweep (one segment per row, at most 24 in the benchmark)
-    # is one json.dumps; a key-dense sweep is one per CHUNK segments
-    dumps = []
-
-    def counting(obj, **kwargs):
-        dumps.append(len(obj["rows"]))
-        return json.dumps(obj, **kwargs)
-
-    monkeypatch.setattr(km.metrics, "json", type("J", (), {"dumps": staticmethod(counting)}))
-    assert main(["sweep", "--alpha", "golden", "--n-at", "nm", "--m", "1..24",
-                 "--format", "json", "--out", os.devnull]) == 0
-    assert dumps == [24]
-    dumps.clear()
-    gen = km.KroneckerGen(km.parse_alpha("cf:0;3000(1)"))
-    km.sweep_to_json(km.sweep_segments(gen, 2, 2 * CHUNK + 2))
-    assert dumps == [CHUNK, CHUNK, 1]
