@@ -63,7 +63,8 @@ from .sequences import (
     _json_point_chunks,
     generate,
 )
-from .threegap import gap_structure, gap_structure_json, lengths_check
+from .threegap import (Decomposition, _gap_structure, gap_structure, gap_structure_json,
+                       lengths_check)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -328,7 +329,11 @@ def _sweep_segments(args, ctx) -> List[Segment]:
         for m in range(m_lo, m_hi + 1):
             if not exp.ensure(m):
                 raise _UsageError(f"--m reaches m={m} but the expansion ends at a_{exp.depth}")
-            gs = gap_structure(exp, exp.n_at(m))
+            # n_m = q_m + q_{m-1} is (m, 0, 0) once a_{m+1} bounds h; a
+            # prefix ending at a_m leaves gap_structure to refuse it
+            n = exp.n_at(m)
+            gs = (_gap_structure(exp, n, Decomposition(m, 0, 0)) if exp.ensure(m + 1)
+                  else gap_structure(exp, n))
             segments.append(Segment(gs.n, gs.n, _structural(exp, gs, ctx),
                                     _bounds(exp, gs.n, gs.decomposition, ctx)
                                     if want_bounds else None))

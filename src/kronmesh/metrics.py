@@ -312,9 +312,11 @@ def _structural(exp: CFExpansion, gs: GapStructure, ctx: PrecisionContext) -> QU
     """mesh_ratio_structural of the first gs.n points, from their gap structure."""
     n = gs.n
     last_form, present = _gap_roles(gs)
-    ordered = _order_forms(exp, present, ctx)
-    rungs = [_form_rung(exp, form, ctx, True)
-             for form in (ordered[-1], last_form.scale(2), ordered[0])]
+    rungs = _first_rung(exp, last_form, present, ctx.bits)
+    if rungs is None:  # the ladders below read the same first rung, then climb
+        ordered = _order_forms(exp, present, ctx)
+        rungs = [_form_rung(exp, form, ctx, True)
+                 for form in (ordered[-1], last_form.scale(2), ordered[0])]
     B = max(bits for _, _, bits in rungs)
     (maxlo, maxhi), (lastlo, lasthi), (S_lo, S_hi) = (
         (lo << (B - bits), hi << (B - bits)) for lo, hi, bits in rungs)
@@ -325,6 +327,23 @@ def _structural(exp: CFExpansion, gs: GapStructure, ctx: PrecisionContext) -> QU
     err = (width, quarter) if width * den >= rho_width * quarter else (rho_width, den)
     return QUMetrics(n, (F_lo + F_hi, quarter), (S_lo + S_hi, quarter),
                      (F_lo * S_lo + F_hi * S_hi, den), "structure-exact", err)
+
+
+def _first_rung(exp: CFExpansion, last_form: LinearForm, present: List[LinearForm],
+                bits: int) -> Optional[List[Tuple[int, int, int]]]:
+    """The rungs (lo, hi, bits) of the largest present form, twice the gap
+    touching 1 and the smallest present form, all read off one
+    alpha0_scaled(bits), when that rung decides what _order_forms and the
+    three _form_rung ladders would: the present forms' enclosures pairwise
+    disjoint and the three signed.  None otherwise."""
+    A, U = exp.alpha0_scaled(bits)
+    ends = sorted([form.at(A, U, bits) for form in present])
+    lo, hi = last_form.at(A, U, bits)
+    rungs = [(*ends[-1], bits), (2 * lo, 2 * hi, bits), (*ends[0], bits)]
+    if (all(a[1] < b[0] for a, b in zip(ends, ends[1:]))
+            and all(lo > 0 or hi < 0 for lo, hi, _ in rungs)):
+        return rungs
+    return None
 
 
 def _order_forms(exp, forms, ctx) -> List[LinearForm]:

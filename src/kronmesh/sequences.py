@@ -243,7 +243,7 @@ def generate(gen: GeneratorSpec, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT
 
 def _point_strings(xs, M: int, digits: int) -> list:
     """str(Decimal(x) / Decimal(M)) at d = digits significant digits,
-    rounded half even, for each x in xs (0 <= x <= M).  Two kinds of
+    rounded half even, for each x in xs (0 <= x <= M).  Three kinds of
     modulus render in integers where cheap tests on x prove the Decimal text:
 
     - M = 2**B with B > d + 1 (irrational Kronecker).  For x in
@@ -255,9 +255,13 @@ def _point_strings(xs, M: int, digits: int) -> list:
       M//10**6 < x < M it prints without an exponent and without the
       trailing zeros an exact quotient drops.
 
-    Every other x (0, M, values below 0.1 on the first path and below 1e-6
-    on the second, other moduli, d too wide for the modulus) is a Decimal
-    division.
+    - M prime to 10 (van der Corput in base 3, rat:p/q with such a q).  No
+      x/M in (0, 1) terminates or is a tie, so for x in (M//10, M -
+      ceil(M/2 / 10**d)) its text is d digits of round(x * 10**d / M).
+
+    Every other x (0, M, values below 0.1 on the first and third paths and
+    below 1e-6 on the second, other moduli, d too wide for the modulus) is
+    a Decimal division.
     """
     a = (M & -M).bit_length() - 1
     b, odd = 0, M >> a
@@ -269,6 +273,10 @@ def _point_strings(xs, M: int, digits: int) -> list:
             P, H, mask = 10 ** digits, M >> 1, (1 << (a - 1 - digits)) - 1
             lo, hi = M // 10, M + (-H // P)
             return ["0." + str((x * P + H) >> a) if lo < x < hi and x & mask
+                    else str(Decimal(x) / DM) for x in xs]
+        if odd == M:  # a = b = 0
+            P, lo, hi = 2 * 10 ** digits, M // 10, M + (-M // (2 * 10 ** digits))
+            return ["0." + str((x * P + M) // (2 * M)) if lo < x < hi
                     else str(Decimal(x) / DM) for x in xs]
         K = max(a, b)
         if odd == 1 and K <= digits:

@@ -46,7 +46,10 @@ class LinearForm(NamedTuple):
         """(lo, hi), the form in [lo, hi] / 2**bits: u*A + v*2**bits and that
         plus u*U for alpha0 * 2**bits in [A, A + U] (always valid; callers
         needing a width promise check it themselves)."""
-        A, U = exp.alpha0_scaled(bits)
+        return self.at(*exp.alpha0_scaled(bits), bits)
+
+    def at(self, A: int, U: int, bits: int) -> Tuple[int, int]:
+        """units for alpha0 * 2**bits in [A, A + U]."""
         lo = self.u * A + (self.v << bits)
         return (lo + self.u * U, lo) if self.u < 0 else (lo, lo + self.u * U)
 

@@ -442,6 +442,34 @@ def test_nm_sweep_extends_only_the_digits_its_windows_need(capsys, monkeypatch):
     assert [exp.depth for exp in made] == [191]
 
 
+def test_nm_sweep_reads_each_row_off_one_rung(capsys, monkeypatch):
+    # a row's gap forms share their first rung, and n_m decomposes as
+    # (m, 0, 0) without decompose: the only ladders left are the bounds'
+    threegap = importlib.import_module("kronmesh.threegap")
+    contfrac = importlib.import_module("kronmesh.contfrac")
+    decompose, escalate = threegap.decompose, contfrac.PrecisionContext.escalate
+    decomposed, ladders = [], []
+
+    def counting(*args):
+        decomposed.append(args)
+        return decompose(*args)
+
+    def recording(self, attempt, start_bits, what):
+        ladders.append(contfrac._text(what))
+        return escalate(self, attempt, start_bits, what)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("kronmesh")]:
+        if getattr(module, "decompose", None) is decompose:
+            monkeypatch.setattr(module, "decompose", counting)
+    monkeypatch.setattr(contfrac.PrecisionContext, "escalate", recording)
+    code, out, err = run(capsys, "sweep", "--alpha", "sqrt:103", "--n-at", "nm",
+                         "--m", "46..69", "--bits", "384")
+    assert (code, err, out.count("\n")) == (0, "", 25)
+    assert decomposed == []
+    assert len(ladders) == 24
+    assert all(what.startswith("bound denominator sign (n=") for what in ladders), ladders
+
+
 @pytest.mark.parametrize("n", ["0", "-1", "1"])
 @pytest.mark.parametrize("gen", [("--gen", "greedy"), ("--alpha", "golden")])
 def test_analyze_refuses_n_below_2_naming_its_flag(capsys, gen, n):

@@ -15,7 +15,8 @@ from kronmesh import CFExpansion, PrecisionContext
 from kronmesh.cli import main
 from kronmesh.contfrac import GUARD, _tail_ends, _window_bracket
 from kronmesh.intervals import Interval
-from kronmesh.threegap import form_interval
+from kronmesh.metrics import _first_rung, _gap_roles, _structural
+from kronmesh.threegap import Decomposition, _gap_structure, decompose, form_interval
 from conftest import ALPHA_SPECS, PREFIX_60_DIGITS, PREFIX_SPEC
 import oracles
 from oracles import record_values as V
@@ -254,6 +255,87 @@ def test_stalling_prefix_raises_the_same_error(spec, n):
         assert new[1] is not None and new[1][0] is km.PrecisionUnresolvedError
         assert "cannot reduce" in new[1][1]
         assert new == old
+
+
+def _first_rung_leaves(exp, gs, bits):
+    """What one rung at bits leaves undecided for the structure path, by
+    Interval arithmetic: "order" (two present forms overlap), "sign" (a role
+    form straddles 0) or nothing ("decided")."""
+    last, present = _gap_roles(gs)
+    ivs = sorted((oracles.form_enclosure_interval(exp, f, bits) for f in present),
+                 key=lambda iv: iv.lo)
+    if any(a.hi >= b.lo for a, b in zip(ivs, ivs[1:])):
+        return "order"
+    roles = (ivs[-1], oracles.form_enclosure_interval(exp, last.scale(2), bits), ivs[0])
+    return "decided" if all(iv.lo > 0 or iv.hi < 0 for iv in roles) else "sign"
+
+
+@pytest.mark.parametrize("bits", [64, 128, 192])
+def test_structural_first_rung_equals_interval_path(bits):
+    # every n_m row, m <= 200, as the --n-at nm loop builds it: the rows one
+    # rung decides and the rows it hands to the ladders, whose order or a
+    # sign it left open, give the same values or the same error
+    ctx, leaves = PrecisionContext(bits), set()
+    for spec in SURDS + PERIODIC + PREFIXES[:3]:
+        exp = expansion(spec, 0)
+        for m in range(1, 201):
+            if not exp.ensure(m + 1):
+                break
+            n = exp.n_at(m)
+            gs = _gap_structure(exp, n, Decomposition(m, 0, 0))
+            left = _first_rung_leaves(exp, gs, bits)
+            leaves.add(left)
+            assert (_first_rung(exp, *_gap_roles(gs), bits) is None) == (left != "decided")
+            new = outcome(lambda: _structural(exp, gs, ctx))
+            old = outcome(lambda: oracles.mesh_ratio_structural_interval(exp, n, ctx))
+            assert V(new) == V(old), (spec, m)
+    assert leaves == {"decided", "order", "sign"}
+
+
+@pytest.mark.parametrize("spec", SURDS + PERIODIC + PREFIXES)
+def test_nm_decomposes_as_m_0_0(spec):
+    # the --n-at nm loop reads n_m's decomposition off m once a_{m+1} is known
+    exp, checked = expansion(spec, 0), 0
+    for m in range(1, 301):
+        if not exp.ensure(m + 1):
+            break
+        assert decompose(exp, exp.n_at(m)) == Decomposition(m, 0, 0), (spec, m)
+        checked += 1
+    assert checked >= min(300, exp.depth - 1)
+
+
+# the stderr of exit-3 commands as the separate ladders printed it before
+# the shared first rung: the ordering before the signs, and the signs in
+# role order
+EXIT_3_STDERR = [
+    (("gaps", "--alpha", "cf:0;1,2,3,4,5", "--n", "226"),
+     "error: sign of -225*alpha+157 unresolved at 384 bits; doubling the precision "
+     "cannot reduce the error (digit prefix exhausted?)\n"),
+    (("sweep", "--alpha", "cf:0;1,1,1,1,1,1", "--n-at", "nm", "--m", "5..5"),
+     "error: gap-length ordering unresolved at 384 bits; doubling the precision "
+     "cannot reduce the error (digit prefix exhausted?)\n"),
+    (("analyze", "--alpha", "cf:0;1,2,3,4,5", "--n", "114"),
+     "error: point order at n=114 unresolved at 430 bits; doubling the precision "
+     "cannot reduce the error (digit prefix exhausted?)\n"),
+    (("sweep", "--alpha", "golden", "--n-at", "nm", "--m", "90..92", "--bits", "64",
+      "--max-bits", "128"),
+     "error: gap-length ordering unresolved at the ceiling of 128 bits\n"),
+    (("sweep", "--alpha", "cf:2;(50)", "--n-at", "nm", "--m", "9..11", "--bits", "64",
+      "--max-bits", "128"),
+     "error: sign of -9804743785008750600*alpha+196016500437575002 unresolved at the "
+     "ceiling of 128 bits\n"),
+    # a prefix ending at a_m: n_m is not read off m
+    (("sweep", "--alpha", "cf:0;1", "--n-at", "nm", "--m", "1..1"),
+     "error: digit prefix through a_1 only brackets n < 2; cannot decompose n = 2\n"),
+    (("sweep", "--alpha", "cf:0;2", "--n-at", "nm", "--m", "1..1", "--no-bounds"),
+     "error: digit prefix through a_1 only brackets n < 3; cannot decompose n = 3\n"),
+]
+
+
+@pytest.mark.parametrize("argv, err", EXIT_3_STDERR)
+def test_exit_3_stderr_is_unchanged(capsys, argv, err):
+    assert main(list(argv)) == 3
+    assert capsys.readouterr() == ("", err)
 
 
 BOUND_SPECS = ("golden", "sqrt:2", "sqrt:213", "quad:3,37,5", "cf:1;7(2)", "cf:0;20000(1)",
