@@ -28,7 +28,6 @@ Output is deterministic: the same arguments produce byte-identical output.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import os
 import sys
@@ -36,12 +35,8 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
-from .contfrac import (
-    CFExpansion,
-    PrecisionContext,
-    is_badly_approximable,
-    parse_alpha,
-)
+from .contfrac import (CFExpansion, PrecisionContext, _too_long, _window_q,
+                       is_badly_approximable, parse_alpha)
 from .errors import KronmeshError, PrecisionUnresolvedError, UnsupportedAlphaError
 from .metrics import (
     Segment,
@@ -82,7 +77,7 @@ MAX_ROWS = 10 ** 6
 
 # the largest n_m, in bits, an --n-at nm sweep evaluates: n_m grows
 # exponentially in m, so the row cap alone does not bound its time (the
-# slowest sweep admitted, golden --m 1..2949, takes about 4 s)
+# slowest sweep admitted, golden --m 1..2949, takes about 1.5 s)
 MAX_NM_BITS = 2048
 
 # the largest --bits and --max-bits: at 65536 a golden analyze at n = 1000
@@ -220,7 +215,7 @@ def _parse_int(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise _UsageError(f"{what} must be an integer, got {text!r}")
+        raise _UsageError(_too_long(text, what) or f"{what} must be an integer, got {text!r}")
 
 
 def _parse_range(text: str, what: str) -> Tuple[int, int]:
@@ -290,17 +285,17 @@ def _check_rows(lo: int, hi: int, what: str) -> None:
 
 
 def _check_nm(exp: CFExpansion, m_hi: int) -> None:
-    """Refuse n_{m_hi} above MAX_NM_BITS, extending digits in bulk only
-    until q_m passes it (a prefix that ends first is reported by the row
-    loop); the first n_m over the cap is then found by bisection."""
-    m_lo, cap = min(exp.depth, m_hi), 1 << MAX_NM_BITS
+    """Refuse n_{m_hi} above MAX_NM_BITS, drawing the digits of a fresh
+    expansion only until q_m passes it (a prefix that ends first is reported
+    by the row loop).  n_{m-1} <= q_m, so the first n_m over the cap is at
+    one of the last two depths."""
+    cap = 1 << MAX_NM_BITS
     exp.ensure_q(cap, m_hi)
     top = min(exp.depth, m_hi)
-    m = m_lo + bisect.bisect_left(range(m_lo, top + 1), cap, key=exp.n_at)
-    if m > top:
-        return
-    raise _UsageError(f"--m reaches n_{m} of {exp.n_at(m).bit_length()} bits, "
-                      f"above the n_m cap of {MAX_NM_BITS} bits")
+    for m in (max(top - 1, 0), top):
+        if exp.n_at(m) >= cap:
+            raise _UsageError(f"--m reaches n_{m} of {exp.n_at(m).bit_length()} bits, "
+                              f"above the n_m cap of {MAX_NM_BITS} bits")
 
 
 def _sweep_segments(args, ctx) -> List[Segment]:
@@ -325,13 +320,15 @@ def _sweep_segments(args, ctx) -> List[Segment]:
             raise _UsageError("--m range must start at m >= 1")
         _check_rows(m_lo, m_hi, "--m")
         _check_nm(exp, m_hi)
-        segments = []
+        if want_bounds and exp.ensure(m_hi):  # every row's window at ctx.bits, in one pass
+            exp.ensure_q(_window_q(exp, m_hi, ctx.bits))  # False, not an error, if digits run out
+        segments, cv = [], exp.convergents
         for m in range(m_lo, m_hi + 1):
             if not exp.ensure(m):
                 raise _UsageError(f"--m reaches m={m} but the expansion ends at a_{exp.depth}")
             # n_m = q_m + q_{m-1} is (m, 0, 0) once a_{m+1} bounds h; a
             # prefix ending at a_m leaves gap_structure to refuse it
-            n = exp.n_at(m)
+            n = cv[m][1] + cv[m - 1][1]
             gs = (_gap_structure(exp, n, Decomposition(m, 0, 0)) if exp.ensure(m + 1)
                   else gap_structure(exp, n))
             segments.append(Segment(gs.n, gs.n, _structural(exp, gs, ctx),

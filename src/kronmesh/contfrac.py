@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import math
 import re
+import sys
 import threading
 from fractions import Fraction
 from functools import cached_property
@@ -304,49 +305,38 @@ class CFExpansion:
         self._scaled: dict = {}  # bits -> alpha0_scaled(bits)
         self._tails: dict = {}  # (m, bits) -> _tail_ends(self, m, bits)
         self._sup: dict = {}  # probe_depth -> digit_supremum(self, probe_depth)
-        self._extend_locked(0)
+        self._extend(0)
 
-    def _extend_locked(self, m_target: int) -> bool:
+    def _extend(self, m: int, q_min: Optional[int] = None) -> bool:
+        """The one extension loop: draw digits under the lock until a_m
+        exists or, given q_min, q_depth >= q_min (never past a_m); True when
+        the target is met, which a thread that lost the race finds at once."""
         with self._lock:
             cv, digits = self.convergents, self.digits
-            # a thread that lost the race to extend finds nothing left to take
-            new = list(islice(self._source, max(0, m_target + 1 - len(digits))))
             # the last two convergents, after (p_{-2}, q_{-2}) = (0, 1), (p_{-1}, q_{-1}) = (1, 0)
             (p2, q2), (p1, q1) = ([(0, 1), (1, 0)] + cv[-2:])[-2:]
-            out = []
-            for a, period in new:
-                if period:
-                    self.periodic = period
-                p1, p2, q1, q2 = a * p1 + p2, p1, a * q1 + q2, q1
-                out.append((p1, q1))
-            cv.extend(out)
-            digits.extend([a for a, _ in new])
-            return len(digits) > m_target
+            if q_min is None or q1 < q_min:
+                for a, period in islice(self._source, max(0, m + 1 - len(digits))):
+                    if period:
+                        self.periodic = period
+                    p1, p2, q1, q2 = a * p1 + p2, p1, a * q1 + q2, q1
+                    cv.append((p1, q1))
+                    digits.append(a)
+                    if q_min is not None and q1 >= q_min:
+                        break
+            return len(digits) > m if q_min is None else q1 >= q_min
 
     # -- accessors ---------------------------------------------------------
 
     def ensure(self, m: int) -> bool:
         """Try to make digits a_0..a_m available; False if the expansion
         ends (rational) or the known prefix runs out first."""
-        if m < len(self.digits):
-            return True
-        return self._extend_locked(m)
+        return m < len(self.digits) or self._extend(m)
 
     def ensure_q(self, q_min: int, m_max: int = 10 ** 9) -> bool:
-        """Extend until q_depth >= q_min, but not past a_{m_max}; False if
-        the expansion or m_max comes first.  Digits come in chunks sized by
-        the bits per digit so far, each at most doubling the depth, so a
-        call extends no more than about twice the digits it needs."""
-        cv = self.convergents
-        while cv[-1][1] < q_min:
-            depth = len(cv) - 1
-            if depth >= m_max:
-                return False
-            q_bits = cv[-1][1].bit_length()
-            chunk = max(1, min(depth, -(-(q_min.bit_length() - q_bits) * depth // q_bits)))
-            if not self.ensure(min(depth + chunk, m_max)):
-                return cv[-1][1] >= q_min
-        return True
+        """Extend to the first depth j with q_j >= q_min and no further, but
+        not past a_{m_max}; False if the expansion or m_max comes first."""
+        return self.convergents[-1][1] >= q_min or self._extend(m_max, q_min)
 
     @property
     def depth(self) -> int:
@@ -430,22 +420,25 @@ def _window_bracket(exp: CFExpansion, m: int, e: int) -> Ends:
     """Unreduced ends of the enclosure of alpha_m = [0; a_{m+1}, ..., a_e +
     x] over x in [0, 1] for known digits m < e: the window's convergent
     (x = 0) and mediant (x = 1), exact when a terminating expansion ends at
-    a_e.  With P_j = p_j - a_0 q_j and Q_j = q_j read off the stored
-    convergents ((p_-1, q_-1) = (1, 0)), alpha0 = (P_e + x P_{e-1}) / (Q_e +
-    x Q_{e-1}) and alpha_m is its unimodular image (Q_m P - P_m Q) /
-    (P_{m-1} Q - Q_{m-1} P), O(1) in the window; the pole P_{m-1} / Q_{m-1}
-    is outside the alpha0 bracket, so both denominators share one sign."""
-    a0 = exp.digits[0]
-    (Pl, Ql), (Pm, Qm), (Pf, Qf), (Pe, Qe) = (
-        (p - a0 * q, q) for p, q in (exp.convergents[j] if j >= 0 else (1, 0)
-                                     for j in (m - 1, m, e - 1, e)))
-    (x1, y1), (x2, y2) = ((Qm * P - Pm * Q, Pl * Q - Ql * P)
-                          for P, Q in ((Pe, Qe), (Pe + Pf, Qe + Qf)))
+    a_e.  alpha = (p_e + x p_{e-1}) / (q_e + x q_{e-1}) with (p_-1, q_-1) =
+    (1, 0), and alpha_m is its unimodular image (q_m p - p_m q) / (p_{m-1} q
+    - q_{m-1} p), O(1) in the window; the pole p_{m-1} / q_{m-1} is outside
+    the bracket, so both denominators share one sign."""
+    cv = exp.convergents
+    (pl, ql), (pm, qm) = cv[m - 1] if m else (1, 0), cv[m]
+    (pf, qf), (pe, qe) = cv[e - 1] if e else (1, 0), cv[e]
+    x1, y1 = qm * pe - pm * qe, pl * qe - ql * pe
+    x2, y2 = x1 + qm * pf - pm * qf, y1 + pl * qf - ql * pf
     if y1 < 0:
         x1, y1, x2, y2 = -x1, -y1, -x2, -y2
     if exp.finite and e == exp.depth:
         return (x1, y1, x1, y1)
     return (x1, y1, x2, y2) if x1 * y2 < x2 * y1 else (x2, y2, x1, y1)
+
+
+def _window_q(exp: CFExpansion, m: int, bits: int) -> int:
+    """The q_e that ends alpha_m's window at bits (see _tail_ends); a_m known."""
+    return 1 << (exp.convergents[m][1].bit_length() + (bits - GUARD) // 2 + 2)
 
 
 def _tail_ends(exp: CFExpansion, m: int, bits: int) -> Ends:
@@ -455,13 +448,13 @@ def _tail_ends(exp: CFExpansion, m: int, bits: int) -> Ends:
     expansion, perhaps too wide for a prefix).  The window's ends have
     denominators y in [q_e / (2 q_m), 2 q_e / q_m] and its width is
     1 / (y1 y2), so the first e with q_e of bit_length(q_m) + (bits -
-    GUARD) // 2 + 3 bits meets the target; the brackets are nested, so the
-    shortest window is found by stepping back from there while the next
-    shorter one still meets it.  A step needs no bracket: with Y_j =
-    P_{m-1} Q_j - Q_{m-1} P_j (of one sign for j >= m, and Y_{m-1} = 0),
-    window j has ends over |Y_j| and |Y_j| + |Y_{j-1}| whose cross
-    difference is 1, so its width is 1 / (|Y_j| (|Y_j| + |Y_{j-1}|)), and
-    |Y_{j-2}| = |Y_j| - a_j |Y_{j-1}|.  Raises when no digit beyond a_m
+    GUARD) // 2 + 3 bits (_window_q) meets the target; the brackets are
+    nested, so the shortest window is found by stepping back from there
+    while the next shorter one still meets it.  A step needs no bracket:
+    with Y_j = p_{m-1} q_j - q_{m-1} p_j (of one sign for j >= m, and
+    Y_{m-1} = 0), window j has ends over |Y_j| and |Y_j| + |Y_{j-1}| whose
+    cross difference is 1, so its width is 1 / (|Y_j| (|Y_j| + |Y_{j-1}|)),
+    and |Y_{j-2}| = |Y_j| - a_j |Y_{j-1}|.  Raises when no digit beyond a_m
     exists.  Memoized per (m, bits) without a lock, as alpha0_scaled is:
     the bracket depends only on (spec, m, bits), and every key of one m
     reads the same ends."""
@@ -470,29 +463,25 @@ def _tail_ends(exp: CFExpansion, m: int, bits: int) -> Ends:
         return hit
     if m < 0:
         raise OutOfRangeError("alpha_m defined for m >= 0")
-    width_bits, cv, e = bits - GUARD, exp.convergents, None
+    cv, e = exp.convergents, None
     if exp.finite:
         exp.ensure(10 ** 9)  # rational digits are finite; materialize all
     elif exp.ensure(m):
-        q_min = 1 << (cv[m][1].bit_length() + width_bits // 2 + 2)
+        q_min = _window_q(exp, m, bits)
         if exp.ensure_q(q_min):
             e = bisect.bisect_left(cv, q_min, m + 1, key=_Q)
     M = exp.depth
     if M <= m and exp.finite:
         raise UnsupportedAlphaError(
-            f"alpha_{m} needs digits beyond a_{M}, but the expansion terminates"
-        )
+            f"alpha_{m} needs digits beyond a_{M}, but the expansion terminates")
     if M <= m:
         raise PrecisionUnresolvedError(
-            f"alpha_{m} needs digits beyond a_{M}; the known prefix is too short"
-        )
+            f"alpha_{m} needs digits beyond a_{M}; the known prefix is too short")
     e = M if e is None else e
     if not exp.finite:
-        a0, digits = exp.digits[0], exp.digits
-        pl, ql = cv[m - 1] if m else (1, 0)
-        Pl = pl - a0 * ql
-        y, y_prev = (abs(Pl * q - ql * (p - a0 * q)) for p, q in (cv[e], cv[e - 1]))
-        target = 1 << width_bits
+        digits, target = exp.digits, 1 << (bits - GUARD)
+        (pl, ql), (p, q), (pf, qf) = cv[m - 1] if m else (1, 0), cv[e], cv[e - 1]
+        y, y_prev = abs(pl * q - ql * p), abs(pl * qf - ql * pf)
         while e > m + 1:
             y_pp = y - digits[e] * y_prev
             if y_prev * (y_prev + y_pp) < target:  # window e - 1 is too wide
@@ -562,12 +551,24 @@ def is_badly_approximable(alpha: AlphaSpec, probe_depth: int = 64) -> Classifica
 
 
 _CF_RE = re.compile(r"^(\-?\d+);([0-9,]*)(?:\(([0-9,]+)\))?$")
+_INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")  # the integer text int() reads
+
+
+def _too_long(text: str, what: str) -> Optional[str]:
+    """For integer text that int() refuses for its length alone, past
+    sys.get_int_max_str_digits(), the error naming what, the digit count and
+    the limit, not the text; None for any other text."""
+    digits, limit = sum(map(str.isdigit, text)), sys.get_int_max_str_digits()
+    if 0 < limit < digits and _INT_TEXT.fullmatch(text):
+        return f"{what} has {digits} digits, above the limit of {limit} digits for an integer"
 
 
 def _parse_int(tok: str, what: str) -> int:
     tok = tok.strip()
     if not re.fullmatch(r"-?\d+", tok):
         raise AlphaSpecError(f"{what}: expected an integer, got {tok!r}")
+    if 0 < sys.get_int_max_str_digits() < len(tok.lstrip("-")):
+        raise AlphaSpecError(_too_long(tok, what))
     return int(tok)
 
 

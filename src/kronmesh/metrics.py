@@ -281,8 +281,8 @@ def _bounds(exp: CFExpansion, n: int, d: Decomposition, ctx: PrecisionContext) -
         lower = (y2, x2, y1, x1)
         # a prefix may end before a_{m+2}; lower_at_nm does not need it
         if exp.ensure(d.m + 2):
-            b = exp.digit(d.m + 2) + 1
-            digit_form = (exp.digit(d.m + 1) * b + 1, b)  # a_{m+1} + 1 / (a_{m+2} + 1)
+            b = exp.digits[d.m + 2] + 1
+            digit_form = (exp.digits[d.m + 1] * b + 1, b)  # a_{m+1} + 1 / (a_{m+2} + 1)
 
     sup, certainty = digit_supremum(exp)
     global_upper = 2 + 2 * sup if certainty == "exact" else None
@@ -317,9 +317,9 @@ def _structural(exp: CFExpansion, gs: GapStructure, ctx: PrecisionContext) -> QU
         ordered = _order_forms(exp, present, ctx)
         rungs = [_form_rung(exp, form, ctx, True)
                  for form in (ordered[-1], last_form.scale(2), ordered[0])]
-    B = max(bits for _, _, bits in rungs)
-    (maxlo, maxhi), (lastlo, lasthi), (S_lo, S_hi) = (
-        (lo << (B - bits), hi << (B - bits)) for lo, hi, bits in rungs)
+        B = max(bits for _, _, bits in rungs)  # shift each to the finest rung
+        rungs = [(lo << (B - bits), hi << (B - bits), B) for lo, hi, bits in rungs]
+    (maxlo, maxhi, B), (lastlo, lasthi, _), (S_lo, S_hi, _) = rungs
     F_lo, F_hi = max(maxlo, lastlo), max(maxhi, lasthi)
     quarter, den = 1 << (B + 2), 2 * S_lo * S_hi
     # the larger half width: of fill or separation, or of rho

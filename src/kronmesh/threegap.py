@@ -59,23 +59,25 @@ ZERO = LinearForm(0, 0)
 
 
 def eta(exp: CFExpansion, m: int) -> LinearForm:
-    """eta_m as an exact linear form; m >= -1.
-
-    Read in O(1) from the convergent p_m/q_m of alpha (stored with a_0):
-    eta_m = (-1)^m (q_m alpha0 - p'_m) with p'_m = p_m - a_0 q_m, the
-    numerator of the convergent of alpha0 = [0; a_1, a_2, ...].
-    """
+    """eta_m as an exact linear form; m >= -1."""
     if m < -1:
         raise OutOfRangeError("eta_m defined for m >= -1")
-    if m == -1:
-        return LinearForm(0, 1)
+    return ONE if m == -1 else LinearForm(*_etas(exp, m)[:2])
+
+
+def _etas(exp: CFExpansion, m: int) -> Tuple[int, int, int, int]:
+    """(u, v, u', v'): eta_m = u alpha0 + v and eta_{m-1} = u' alpha0 + v',
+    m >= 0, in O(1) off the stored convergents p_j/q_j of alpha: eta_j =
+    (-1)^j (q_j alpha0 - p'_j) with p'_j = p_j - a_0 q_j, the numerator of
+    the convergent of alpha0, and (p_-1, q_-1) = (1, 0) gives eta_-1 = 1."""
     if not exp.ensure(m):
-        raise OutOfRangeError(
-            f"eta_{m} needs digit a_{m}; expansion ends at a_{exp.depth}"
-        )
-    p, q = exp.convergents[m]
-    u, v = q, exp.digits[0] * q - p
-    return LinearForm(-u, -v) if m % 2 else LinearForm(u, v)
+        raise OutOfRangeError(f"eta_{m} needs digit a_{m}; expansion ends at a_{exp.depth}")
+    a0, cv = exp.digits[0], exp.convergents
+    p, q = cv[m]
+    pl, ql = cv[m - 1] if m else (1, 0)
+    if m % 2:
+        return -q, p - a0 * q, ql, a0 * ql - pl
+    return q, a0 * q - p, -ql, pl - a0 * ql
 
 
 def form_interval(
@@ -119,7 +121,7 @@ def decompose(exp: CFExpansion, n: int) -> Decomposition:
     if n < 1:
         raise ValueError("n must be >= 1")
     cv = exp.convergents  # s_m = q_m, n_m = q_m + q_{m-1}
-    # extend in bulk until q_{m+1} > n (so n_{m+1} > n), minding finite and
+    # extend to the first q_{m+1} > n (so n_{m+1} > n), minding finite and
     # prefix-only expansions, whose n_{m+1} may pass n at their last digit
     if not exp.ensure_q(n + 1) and cv[-1][1] + (cv[-2][1] if len(cv) > 1 else 0) <= n:
         if exp.finite:
@@ -159,11 +161,11 @@ def _gap_structure(exp: CFExpansion, n: int, d: Decomposition) -> GapStructure:
     """gap_structure for any alpha, from n's decomposition d: p/q has these
     gaps while n <= q."""
     m, h, k = d
-    e_m = eta(exp, m)
-    e_prev = eta(exp, m - 1)
-    lengths = (e_m, e_prev - e_m.scale(h), e_prev - e_m.scale(h + 1))
-    counts = (exp.s_at(m - 1) + h * exp.s_at(m) + k, exp.s_at(m) - k, k)
-    return GapStructure(n, d, tuple(zip(lengths, counts)))
+    u, v, ul, vl = _etas(exp, m)
+    s, sl = abs(u), abs(ul)  # s_m = q_m and s_{m-1} = q_{m-1}
+    ul, vl = ul - h * u, vl - h * v  # eta_{m-1} - h eta_m
+    return GapStructure(n, d, ((LinearForm(u, v), sl + h * s + k), (LinearForm(ul, vl), s - k),
+                               (LinearForm(ul - u, vl - v), k)))
 
 
 class IdentityCheck(NamedTuple):

@@ -442,6 +442,47 @@ def test_nm_sweep_extends_only_the_digits_its_windows_need(capsys, monkeypatch):
     assert [exp.depth for exp in made] == [191]
 
 
+def _record_passes(monkeypatch):
+    """The (depth before, depth after) of every call of the extension loop
+    that draws a digit, on the expansions the CLI builds; the first is the
+    constructor's, which draws a_0."""
+    passes = []
+
+    class Recorded(cli.CFExpansion):
+        def _extend(self, m, q_min=None):
+            before = len(self.digits) - 1
+            met = super()._extend(m, q_min)
+            if self.depth > before:
+                passes.append((before, self.depth))
+            return met
+
+    monkeypatch.setattr(cli, "CFExpansion", Recorded)
+    return passes
+
+
+def test_gaps_extends_in_one_pass(capsys, monkeypatch):
+    # decompose draws digits up to the first q_j > n and no further, in one
+    # pass: the chunked extension took about 9 here
+    passes = _record_passes(monkeypatch)
+    n = 10 ** 39 + 12345
+    code, out, err = run(capsys, "gaps", "--alpha", "golden", "--n", str(n))
+    assert (code, err) == (0, "")
+    exp = kronmesh.CFExpansion(kronmesh.parse_alpha("golden"))
+    exp.ensure(300)
+    j = next(j for j, (_, q) in enumerate(exp.convergents) if q > n)
+    assert passes == [(-1, 0), (0, j)]
+
+
+def test_bounded_nm_sweep_extends_in_two_passes(capsys, monkeypatch):
+    # the n_m cap check draws digits to a_69, and one pass before the rows
+    # draws every digit the last row's alpha_m window needs
+    passes = _record_passes(monkeypatch)
+    code, out, err = run(capsys, "sweep", "--alpha", "sqrt:103", "--n-at", "nm",
+                         "--m", "46..69", "--bits", "384")
+    assert (code, err, out.count("\n")) == (0, "", 25)
+    assert passes == [(-1, 0), (0, 69), (69, 191)]
+
+
 def test_nm_sweep_reads_each_row_off_one_rung(capsys, monkeypatch):
     # a row's gap forms share their first rung, and n_m decomposes as
     # (m, 0, 0) without decompose: the only ladders left are the bounds'
@@ -738,6 +779,33 @@ def test_usage_errors_exit1(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
         assert "error" in err, argv
+
+
+@pytest.mark.parametrize("argv, what, digits", [
+    (("gaps", "--alpha", "golden", "--n", "1" + "0" * 5000), "--n", 5001),
+    (("analyze", "--alpha", "golden", "--n", " -" + "7" * 4301 + " "), "--n", 4301),
+    (("sweep", "--alpha", "golden", "--n-at", "nm", "--m", "1.." + "9" * 4400), "--m", 4400),
+    (("classify", "--alpha", "sqrt:" + "1" * 4501), "sqrt:D", 4501),
+    (("classify", "--alpha", "rat:1/" + "3" * 4302), "rat:q", 4302),
+    (("gaps", "--alpha", "cf:0;1,2," + "2" * 4400, "--n", "5"), "cf digit", 4400),
+])
+def test_integers_past_the_parsing_limit_are_named_not_echoed(capsys, argv, what, digits):
+    # int() refuses more than sys.get_int_max_str_digits() digits; both
+    # integer readers say which value, how many digits and the limit
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (f"error: {what} has {digits} digits, above the limit of {limit} "
+                   "digits for an integer\n")
+
+
+def test_integers_within_the_parsing_limit_still_parse(capsys):
+    # the limit counts leading zeros too, as int() does
+    code, out, err = run(capsys, "sweep", "--alpha", "golden", "--n-at", "nm",
+                         "--m", "1.." + "0" * 4298 + "12", "--no-bounds")
+    assert (code, err, out.count("\n")) == (0, "", 13)
+    code, out, err = run(capsys, "gaps", "--alpha", "golden", "--n", "1" * 4301 + "x")
+    assert (code, out) == (1, "") and err.startswith("error: --n must be an integer, got '111")
 
 
 @pytest.mark.parametrize("argv", [
@@ -1072,6 +1140,27 @@ def test_only_the_ladder_escalates_precision():
             if _doubles_bits(node):
                 found.append(f"{path.name}:{node.lineno} doubles bits")
     assert found == []
+
+
+def test_only_the_extension_loop_draws_digits():
+    # CFExpansion._extend is the one loop that advances the digit source:
+    # the constructor builds the source and no other code touches it
+    package = Path(kronmesh.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        # the innermost def holding each node (ast.walk visits outer defs first)
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            site = (path.name, owner.get(id(node)))
+            if isinstance(node, ast.Attribute) and node.attr == "_source":
+                found.append((*site, type(node.ctx).__name__))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_digit_source":
+                found.append((*site, "call"))
+    assert sorted(found) == [("contfrac.py", "__init__", "Store"),
+                             ("contfrac.py", "__init__", "call"),
+                             ("contfrac.py", "_extend", "Load")]
 
 
 def test_ladder_rungs_pass_bits_not_contexts():

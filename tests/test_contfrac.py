@@ -2,6 +2,7 @@ import gc
 import importlib
 import math
 import random
+import sys
 import threading
 import weakref
 from fractions import Fraction
@@ -633,3 +634,141 @@ def test_expansion_is_freed_without_the_cycle_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+def _cf_text(a0: int, pre, per) -> str:
+    body = f"cf:{a0};" + ",".join(map(str, pre))
+    return body + ("(" + ",".join(map(str, per)) + ")" if per else "")
+
+
+def _nonsquare(D: int) -> bool:
+    return math.isqrt(D) ** 2 != D
+
+
+_DIGIT = st.integers(min_value=1, max_value=10 ** 4)
+# one alpha of each digit source: surds, periodic cf:, bare prefixes, rat:
+_EXTENSION_SPECS = st.one_of(
+    st.sampled_from(["golden", "sqrt:2", "sqrt:103", "quad:5,13,7", "quad:-3,11,-4"]),
+    st.integers(2, 10 ** 7).filter(_nonsquare).map(lambda D: f"sqrt:{D}"),
+    st.builds(_cf_text, st.integers(0, 10 ** 4), st.lists(_DIGIT, max_size=4),
+              st.lists(_DIGIT, min_size=1, max_size=4)),
+    st.builds(_cf_text, st.integers(0, 10 ** 4), st.lists(_DIGIT, max_size=40), st.just(())),
+    st.builds(lambda p, q: f"rat:{p}/{q}", st.integers(-10 ** 40, 10 ** 40),
+              st.integers(1, 10 ** 40)),
+)
+_EXTENSION_CALLS = st.lists(st.one_of(
+    st.tuples(st.just("ensure"), st.integers(0, 150)),
+    st.tuples(st.just("ensure_q"),
+              st.integers(1, 500).flatmap(lambda b: st.integers(1 << (b - 1), 1 << b)),
+              st.integers(0, 150) | st.just(10 ** 9)),
+), min_size=1, max_size=8)
+# q_j grows at least like the Fibonacci numbers, so q_j > 2**500 by j = 720
+_ONE_SHOT_DEPTH = 800
+
+
+def _one_shot_oracle(spec: str):
+    """(digits, period) of a spec to _ONE_SHOT_DEPTH, from a plain Gauss map
+    walk for a surd, Euclid for a rational and the spec's text for a cf:
+    (whose period is the declared one, from a_0 on)."""
+    alpha = km.parse_alpha(spec)
+    if isinstance(alpha, QuadraticSurd):
+        return oracles.gauss_map_digits(*alpha, _ONE_SHOT_DEPTH)
+    if isinstance(alpha, Rational):
+        return oracles.cf_digits_euclid(alpha.num, alpha.den), None
+    pre, per = alpha
+    digits = list(pre) + list(per) * (_ONE_SHOT_DEPTH // len(per) + 1) if per else list(pre)
+    return digits[:_ONE_SHOT_DEPTH + 1], (len(pre), len(per)) if per else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXTENSION_SPECS, _EXTENSION_CALLS)
+def test_extension_is_exact(spec, calls):
+    # each call draws exactly the digits its target needs: ensure(m) stops
+    # at a_m, ensure_q(q_min, m_max) at the first q_j >= q_min, never past
+    # a_{m_max} or the end of the expansion, and says whether q_min was met
+    want, period = _one_shot_oracle(spec)
+    one_shot = expansion(spec, _ONE_SHOT_DEPTH)
+    assert one_shot.digits == want
+    qs = [q for _, q in one_shot.convergents]
+    end = len(want) - 1 if len(want) <= _ONE_SHOT_DEPTH else 10 ** 9
+    exp = CFExpansion(km.parse_alpha(spec))
+    for call in calls:
+        before = exp.depth
+        if call[0] == "ensure":
+            m = call[1]
+            got, depth, met = exp.ensure(m), max(before, min(m, end)), m <= end
+        else:
+            q_min, m_max = call[1:]
+            got = exp.ensure_q(q_min, m_max)
+            j = next((j for j, q in enumerate(qs) if q >= q_min), None)
+            assert j is not None or end < _ONE_SHOT_DEPTH  # only an ending expansion misses
+            met = j is not None and j <= max(before, m_max)
+            depth = max(before, min(end if j is None else j, m_max))
+        assert (got, exp.depth) == (met, depth), (call, before)
+        assert exp.digits == want[:exp.depth + 1]
+        assert exp.convergents == one_shot.convergents[:exp.depth + 1]
+        known = period is not None and (not isinstance(exp.spec, QuadraticSurd)
+                                        or sum(period) <= exp.depth)
+        assert exp.periodic == (period if known else None)
+    # no digit was drawn and dropped: the rest still follows in order
+    exp.ensure(_ONE_SHOT_DEPTH)
+    assert exp.digits == want and exp.convergents == one_shot.convergents
+
+
+def test_extension_many_threads_agree():
+    # threads extend one fresh expansion to different depths and q targets
+    # at once, switching often, while a reader checks that every digit it
+    # sees already has its convergent
+    # the Gauss map runs to a_459, where the period closes; q_j reaches
+    # 2**300, 2**900 and 2**2000 at j = 173, 493 and 1111, so every call
+    # returns the same in any order
+    spec = "sqrt:1000003"
+    targets = [("ensure", 40), ("ensure_q", 1 << 900, 10 ** 9), ("ensure", 700),
+               ("ensure_q", 1 << 300, 200), ("ensure", 1500), ("ensure_q", 1 << 2000, 1300),
+               ("ensure_q", 1 << 5000, 50)]
+    exp = CFExpansion(km.parse_alpha(spec))
+    barrier = threading.Barrier(len(targets) + 1)
+    results, torn, done = [None] * len(targets), [], threading.Event()
+
+    class Digits(list):
+        # a thread switch seldom lands between the two stores, so check
+        # the order at every store too
+        def append(self, a):
+            if len(exp.convergents) <= len(self):
+                torn.append(len(self))
+            super().append(a)
+
+    exp.digits = Digits(exp.digits)
+
+    def extend(slot):
+        barrier.wait()
+        name, *args = targets[slot]
+        results[slot] = getattr(exp, name)(*args)
+
+    def read():
+        barrier.wait()
+        while not done.is_set():
+            j = len(exp.digits) - 1
+            if j >= len(exp.convergents):
+                torn.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        reader = threading.Thread(target=read)
+        threads = [threading.Thread(target=extend, args=(i,)) for i in range(len(targets))]
+        for t in [reader] + threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        done.set()
+        reader.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads + [reader])
+    assert torn == []
+    serial = CFExpansion(km.parse_alpha(spec))
+    want = [getattr(serial, name)(*args) for name, *args in targets]
+    assert results == want == [True] * 6 + [False]
+    assert (exp.digits, exp.convergents, exp.periodic) == (
+        serial.digits, serial.convergents, serial.periodic)
