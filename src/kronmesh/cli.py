@@ -35,7 +35,7 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
-from .contfrac import (CFExpansion, PrecisionContext, _too_long, _window_q,
+from .contfrac import (CFExpansion, PrecisionContext, _phase, _too_long, _window_q,
                        is_badly_approximable, parse_alpha)
 from .errors import KronmeshError, PrecisionUnresolvedError, UnsupportedAlphaError
 from .metrics import (
@@ -167,10 +167,23 @@ def build_parser():
         sp = sub.add_parser(name, help=help_text)
         for o in opts:
             kw = (dict(action="store_true") if o.type is bool else
-                  dict(type=int if o.type is int else None, choices=o.choices,
+                  dict(type=_int_type(o.flag) if o.type is int else None, choices=o.choices,
                        default=o.default, required=o.required))
             sp.add_argument(o.flag, help=o.help, **kw)
     return p
+
+
+def _int_type(flag: str):
+    """int for an argparse flag, but integer text past int()'s digit limit
+    is refused with one line naming the flag, as _parse_int does, instead of
+    argparse's "invalid int value" quoting every digit."""
+    def parse(text: str) -> int:
+        message = _too_long(text, flag)
+        if message:
+            raise _UsageError(message)  # argparse lets it through to main
+        return int(text)
+    parse.__name__ = "int"  # argparse names the type in its other errors
+    return parse
 
 
 @functools.cache
@@ -320,8 +333,10 @@ def _sweep_segments(args, ctx) -> List[Segment]:
             raise _UsageError("--m range must start at m >= 1")
         _check_rows(m_lo, m_hi, "--m")
         _check_nm(exp, m_hi)
-        if want_bounds and exp.ensure(m_hi):  # every row's window at ctx.bits, in one pass
-            exp.ensure_q(_window_q(exp, m_hi, ctx.bits))  # False, not an error, if digits run out
+        if want_bounds and exp.ensure(m_hi):  # every row's window at ctx.bits, in one pass:
+            # the rows' brackets are their phases', so the deepest phase's window holds them
+            deepest = max(_phase(exp, m) for m in range(m_lo, m_hi + 1))
+            exp.ensure_q(_window_q(exp, deepest, ctx.bits))  # False, not an error, if digits run out
         segments, cv = [], exp.convergents
         for m in range(m_lo, m_hi + 1):
             if not exp.ensure(m):

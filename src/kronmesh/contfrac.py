@@ -303,7 +303,7 @@ class CFExpansion:
         self.periodic: Optional[Period] = None
         self._source = _digit_source(spec)
         self._scaled: dict = {}  # bits -> alpha0_scaled(bits)
-        self._tails: dict = {}  # (m, bits) -> _tail_ends(self, m, bits)
+        self._tails: dict = {}  # (_phase(self, m), bits) -> _tail_ends(self, m, bits)
         self._sup: dict = {}  # probe_depth -> digit_supremum(self, probe_depth)
         self._extend(0)
 
@@ -441,6 +441,19 @@ def _window_q(exp: CFExpansion, m: int, bits: int) -> int:
     return 1 << (exp.convergents[m][1].bit_length() + (bits - GUARD) // 2 + 2)
 
 
+def _phase(exp: CFExpansion, m: int) -> int:
+    """The m' whose alpha_m' is alpha_m, read off the digit period (start, L)
+    once it is known: the digits a_{m+1}, ... repeat with period L from
+    m = max(start - 1, 0), which is 0, not -1, when the period starts at
+    a_0; m itself while no period is known (a prefix, a rational, a surd
+    whose period has not closed)."""
+    if exp.periodic is None:
+        return m
+    start, length = exp.periodic
+    base = max(start - 1, 0)
+    return m if m < base else base + (m - base) % length
+
+
 def _tail_ends(exp: CFExpansion, m: int, bits: int) -> Ends:
     """The alpha_m bracket for the width target 2**(GUARD - bits): that of
     the shortest window a_{m+1}..a_e whose width meets the target, or of
@@ -455,14 +468,17 @@ def _tail_ends(exp: CFExpansion, m: int, bits: int) -> Ends:
     Y_{m-1} = 0), window j has ends over |Y_j| and |Y_j| + |Y_{j-1}| whose
     cross difference is 1, so its width is 1 / (|Y_j| (|Y_j| + |Y_{j-1}|)),
     and |Y_{j-2}| = |Y_j| - a_j |Y_{j-1}|.  Raises when no digit beyond a_m
-    exists.  Memoized per (m, bits) without a lock, as alpha0_scaled is:
-    the bracket depends only on (spec, m, bits), and every key of one m
-    reads the same ends."""
+    exists.  Memoized per phase (_phase) and bits without a lock, as
+    alpha0_scaled is: the ends are continuants of the window digits, so
+    alpha_m and alpha_{_phase(m)} have the same ends, computed at the
+    phase, whose window is the shallower; threads racing on a miss store
+    equal ends, and every key of one m reads them."""
+    if m < 0:
+        raise OutOfRangeError("alpha_m defined for m >= 0")
+    m = _phase(exp, m)
     hit = exp._tails.get((m, bits))
     if hit is not None:
         return hit
-    if m < 0:
-        raise OutOfRangeError("alpha_m defined for m >= 0")
     cv, e = exp.convergents, None
     if exp.finite:
         exp.ensure(10 ** 9)  # rational digits are finite; materialize all
@@ -509,13 +525,14 @@ def digit_supremum(exp: CFExpansion, probe_depth: int = 64) -> Tuple[int, str]:
         return exp._sup[probe_depth]
     if exp.finite:
         exp.ensure(10 ** 9)
-    # a surd: extend until the Gauss map revisits a state (Lagrange guarantees it)
+    # a surd: extend until the Gauss map revisits a state (Lagrange guarantees
+    # it), doubling the depth, so at most twice the digits that close it
     while exp.periodic is None and isinstance(exp.spec, QuadraticSurd):
         if exp.depth >= MAX_PERIOD_WALK:
             raise PrecisionUnresolvedError(
                 f"the digit period of {alpha_to_string(exp.spec)} does not close "
                 f"within the walk cap of {MAX_PERIOD_WALK} digits")
-        exp.ensure(min(exp.depth + 64, MAX_PERIOD_WALK))
+        exp.ensure(min(2 * exp.depth + 1, MAX_PERIOD_WALK))
     hi, certainty = exp.depth, "exact"
     if exp.periodic is not None:
         hi = max(1, exp.periodic[0]) + exp.periodic[1] - 1

@@ -426,8 +426,10 @@ def test_nm_cap_admits_the_largest_fitting_m(capsys, monkeypatch, spec):
 
 
 def test_nm_sweep_extends_only_the_digits_its_windows_need(capsys, monkeypatch):
-    # each alpha_m window is sized to its width target, and the digits come
-    # in bulk: 191 digits here, where a fixed 282-digit window took 351
+    # each alpha_m window is sized to its width target and read at m's
+    # phase: sqrt(103)'s period of 12 starts at a_1, so alpha_m =
+    # alpha_{m mod 12} and the deepest window is alpha_11's.  132 digits
+    # here, 191 with one window per m, 351 with a fixed 282-digit window
     made = []
 
     class Recorded(cli.CFExpansion):
@@ -439,7 +441,7 @@ def test_nm_sweep_extends_only_the_digits_its_windows_need(capsys, monkeypatch):
     code, out, err = run(capsys, "sweep", "--alpha", "sqrt:103", "--n-at", "nm",
                          "--m", "46..69", "--bits", "384")
     assert (code, err, out.count("\n")) == (0, "", 25)
-    assert [exp.depth for exp in made] == [191]
+    assert [exp.depth for exp in made] == [132]
 
 
 def _record_passes(monkeypatch):
@@ -475,12 +477,13 @@ def test_gaps_extends_in_one_pass(capsys, monkeypatch):
 
 def test_bounded_nm_sweep_extends_in_two_passes(capsys, monkeypatch):
     # the n_m cap check draws digits to a_69, and one pass before the rows
-    # draws every digit the last row's alpha_m window needs
+    # draws every digit the deepest phase's alpha_m window needs (alpha_11's;
+    # a_69..a_191 for the last row's own window)
     passes = _record_passes(monkeypatch)
     code, out, err = run(capsys, "sweep", "--alpha", "sqrt:103", "--n-at", "nm",
                          "--m", "46..69", "--bits", "384")
     assert (code, err, out.count("\n")) == (0, "", 25)
-    assert passes == [(-1, 0), (0, 69), (69, 191)]
+    assert passes == [(-1, 0), (0, 69), (69, 132)]
 
 
 def test_nm_sweep_reads_each_row_off_one_rung(capsys, monkeypatch):
@@ -788,10 +791,16 @@ def test_usage_errors_exit1(capsys):
     (("classify", "--alpha", "sqrt:" + "1" * 4501), "sqrt:D", 4501),
     (("classify", "--alpha", "rat:1/" + "3" * 4302), "rat:q", 4302),
     (("gaps", "--alpha", "cf:0;1,2," + "2" * 4400, "--n", "5"), "cf digit", 4400),
+    # the flags argparse reads as integers
+    (("analyze", "--alpha", "golden", "--n", "5", "--bits", "1" * 4400), "--bits", 4400),
+    (("analyze", "--alpha", "golden", "--n", "5", "--max-bits=" + "1" * 4401), "--max-bits", 4401),
+    (("gaps", "--alpha", "golden", "--n", "5", "--digits", "-" + "4" * 4402), "--digits", 4402),
+    (("points", "--gen", "vdc", "--n", "5", "--base", "3" * 4403), "--base", 4403),
+    (("classify", "--alpha", "golden", "--probe", "6" * 4404), "--probe", 4404),
 ])
 def test_integers_past_the_parsing_limit_are_named_not_echoed(capsys, argv, what, digits):
-    # int() refuses more than sys.get_int_max_str_digits() digits; both
-    # integer readers say which value, how many digits and the limit
+    # int() refuses more than sys.get_int_max_str_digits() digits; every
+    # integer reader says which value, how many digits and the limit
     limit = sys.get_int_max_str_digits()
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")

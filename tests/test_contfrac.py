@@ -338,6 +338,20 @@ def test_digit_supremum_is_memoized_per_expansion_and_probe():
     assert km.digit_supremum(rule, probe_depth=20) == (20, "prefix-only")
 
 
+@pytest.mark.parametrize("spec, period, depth", [
+    ("golden", (1, 1), 3), ("sqrt:143", (1, 2), 3), ("quad:-10,275,5", (1, 2), 3),
+    ("quad:2,31,7", (0, 6), 7), ("sqrt:211", (1, 26), 31),
+])
+def test_period_walk_draws_at_most_twice_the_closing_digits(spec, period, depth):
+    # a surd's period (start, L) closes when a_{start+L} is drawn; the walk
+    # doubles the depth (1, 3, 7, 15, 31, ...), so it stops below
+    # 2 (start + L) + 1, where 64-digit steps drew a_64 for every one here
+    exp = CFExpansion(km.parse_alpha(spec))
+    km.digit_supremum(exp)
+    assert (exp.periodic, exp.depth) == (period, depth)
+    assert exp.depth <= 2 * sum(period) + 1
+
+
 def _sqrt_period(D: int) -> tuple:
     """(period length, largest digit) of sqrt(D) by the integer recurrence."""
     a0 = math.isqrt(D)

@@ -2,6 +2,7 @@
 Interval arithmetic it replaced (kept in tests/oracles.py): the same tail
 brackets, enclosures, metrics, bound reports and errors, and the same CLI
 output."""
+import hashlib
 import importlib
 import random
 import sys
@@ -101,13 +102,15 @@ def _tail_surd(exp, m):
     return P, D, Q
 
 
-def _window_length(digits, iv):
-    """The w whose window bracket (d_1, ..., d_w) has iv's mediant end, the
-    end with the larger denominator, q_w + q_{w-1} (which grows with w even
-    where q_1 = q_0 = 1, unlike the convergent end's q_w)."""
+def _window_length(exp, m, iv):
+    """The w whose window bracket (a_{m+1}, ..., a_{m+w}) has iv's mediant
+    end, the end with the larger denominator, q_w + q_{w-1} (which grows
+    with w even where q_1 = q_0 = 1, unlike the convergent end's q_w).  It
+    draws the digits it reads: a bracket computed at m's phase leaves a
+    shallower expansion than m's window."""
     q_prev, q, w = 0, 1, 0
     while q + q_prev < max(iv.lo.denominator, iv.hi.denominator):
-        q_prev, q, w = q, digits[w] * q + q_prev, w + 1
+        q_prev, q, w = q, exp.digit(m + 1 + w) * q + q_prev, w + 1
     return w
 
 
@@ -151,7 +154,7 @@ def test_tail_ends_shortest_window_encloses_alpha_m(spec, bits):
             exp.ensure(10 ** 6)
             lo, hi = oracles.tail_interval_from_digits(exp.digits, m)
             assert iv.lo <= lo and hi <= iv.hi, (spec, m)
-        w = _window_length(exp.digits[m + 1:], iv)
+        w = _window_length(exp, m, iv)
         shorter = oracles.tail_bracket(exp.digits[m + 1:m + w]) if w > 1 else Interval(0, 1)
         assert shorter.width > target, (spec, m, w)
         met += iv.width <= target
@@ -519,8 +522,8 @@ def test_alpha0_memo_two_threads_agree():
 
 def _tail_workout(exp):
     """Fill the _tail_ends memo as the CLI does: the bound columns of a
-    bounded sweep (one bracket per m, read by every key of that m) and of
-    rows at n_m."""
+    bounded sweep (one bracket per phase of m, read by every key of those
+    m) and of rows at n_m."""
     ctx = PrecisionContext(64)
     outcome(lambda: km.sweep_segments(km.KroneckerGen(exp), 2, 3000, ctx))
     for m in (3, 20, 60):
@@ -567,4 +570,53 @@ def test_tail_memo_many_threads_agree():
     fresh = CFExpansion(km.parse_alpha("cf:0;20000(1)"))
     want = [_tail_ends(fresh, m, bits) for m, bits in keys]
     assert all(got == want for got in results)
-    assert set(exp._tails) == set(keys)
+    # the period (1) starts at a_2, so alpha_m = alpha_1 for m >= 1: the
+    # memo holds one bracket per phase and bits
+    assert set(exp._tails) == {(min(m, 1), bits) for m, bits in keys}
+
+
+# a period from a_0, from a_1 and after a preperiod; a prefix and a rational
+# have no period, so their phase is m
+PHASED = ("quad:2,31,7", "golden", "sqrt:103", "quad:5,13,7", "quad:-3,11,-4",
+          "cf:1;9,3(9)", "cf:0;5,1(2,7,1,1)", PREFIX_SPEC, "rat:355/113")
+
+
+@pytest.mark.parametrize("spec", PHASED)
+@pytest.mark.parametrize("bits", [64, 192, 576])
+def test_tail_ends_at_every_phase_equal_best_window(spec, bits):
+    # alpha_m's bracket is computed at its phase; at every m through three
+    # periods past the preperiod (or through the end of a prefix or a
+    # rational, and one past) it is the brute-force shortest window of m's
+    # own digits.  Once on an expansion whose period is closed first, once
+    # on a fresh one, where a surd's first brackets precede its period
+    ctx = PrecisionContext(bits)
+    closed, fresh = (CFExpansion(km.parse_alpha(spec)) for _ in range(2))
+    km.digit_supremum(closed)
+    if closed.periodic:
+        start, length = closed.periodic
+        ms, phases = range(start + 3 * length + 1), max(start - 1, 0) + length
+    else:
+        closed.ensure(10 ** 6)
+        ms, phases = range(closed.depth + 2), closed.depth
+    for exp in (closed, fresh):
+        for m in ms:
+            assert outcome(lambda: bracket(_tail_ends(exp, m, bits))) == outcome(
+                lambda: oracles.alpha_tail_best_window(exp, m, ctx)), (spec, m)
+    assert len(closed._tails) == phases  # one bracket per phase
+
+
+def test_nm_sweep_from_a_period_at_a0_prints_the_same_bytes(capsys):
+    # quad:2,31,7 = [1; (12, 3, 25, 1, 1, 1)] repeats from a_0, so alpha_m
+    # = alpha_{m mod 6} from m = 0; a mapping from start - 1 = -1 would read
+    # alpha_{-1} at m = 5.  The sha256 of the exit code and stdout are
+    # those of one bracket per m
+    for argv, rows, want in [
+        (("--m", "1..40", "--bits", "64"), 41,
+         "baa4ef7c590e57f27eba78c1f705c178909bc9299197da9eeeda17dff9ba7355"),
+        (("--m", "3..20", "--bits", "576", "--format", "json"), 418,
+         "0df9d55009e18dec76f709b1ca9f21edefe72325f47ef9e26631f7ce8672e5d0"),
+    ]:
+        code = main(["sweep", "--alpha", "quad:2,31,7", "--n-at", "nm", *argv])
+        out, err = capsys.readouterr()
+        assert (code, err, out.count("\n")) == (0, "", rows), argv
+        assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == want, argv
