@@ -15,7 +15,7 @@ any point, and `sweep` refuses a --n or --m range of more than 10**6 rows
 (MAX_ROWS), or an --n-at nm range whose last n_m has more than 2048 bits
 (MAX_NM_BITS), with exit 1 before it evaluates any row.  --bits and
 --max-bits above 65536 (MAX_BITS) and --digits above 1000 (MAX_DIGITS) exit
-1 before any work, and a surd whose digit period does not close in 10**4
+1 before any work, and a surd whose digit period does not close in 10**6
 digits (contfrac.MAX_PERIOD_WALK) exits 3 in classify and the bound
 columns.  A bare KronmeshError (a broken internal invariant) exits 1 with an
 error line, and so does a write that fails: an --out path that cannot be

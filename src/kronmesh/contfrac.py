@@ -23,7 +23,7 @@ import sys
 import threading
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, count, cycle, islice, repeat
+from itertools import chain, cycle, islice
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Tuple, Union
 
@@ -103,21 +103,11 @@ GUARD = 8
 # alpha descriptions
 
 
-def _floor_surd(A: int, N: int, Q: int) -> int:
-    """floor((A + sqrt(N)) / Q) in exact integer arithmetic; N >= 0, Q != 0."""
-    r = math.isqrt(N)
-    if r * r == N:
-        return (A + r) // Q
-    if Q > 0:
-        t = (A + r) // Q
-        while True:
-            u = (t + 1) * Q - A
-            if u <= 0 or u * u <= N:
-                t += 1
-            else:
-                return t
-    # N not a square, so (A + sqrt(N))/|Q| is irrational: floor(-x) = -floor(x) - 1
-    return -_floor_surd(A, N, -Q) - 1
+def _floor_surd(A: int, r: int, Q: int) -> int:
+    """floor((A + sqrt(N)) / Q) for Q != 0 and a nonsquare N with isqrt(N) =
+    r: A + sqrt(N) lies strictly between the integers A + r and A + r + 1,
+    and so does no multiple of Q."""
+    return (A + r) // Q if Q > 0 else -((A + r) // -Q) - 1
 
 
 class QuadraticSurd(NamedTuple("QuadraticSurd", [("P", int), ("D", int), ("Q", int)])):
@@ -149,7 +139,7 @@ class QuadraticSurd(NamedTuple("QuadraticSurd", [("P", int), ("D", int), ("Q", i
 
     def floor_scaled(self, bits: int) -> int:
         """Exact floor(value * 2**bits)."""
-        return _floor_surd(self.P << bits, self.D << (2 * bits), self.Q)
+        return _floor_surd(self.P << bits, math.isqrt(self.D << (2 * bits)), self.Q)
 
 
 class Rational(NamedTuple("Rational", [("num", int), ("den", int)])):
@@ -243,40 +233,57 @@ def _periodic_tail_surd(preperiod_tail: Tuple[int, ...], period: Tuple[int, ...]
 Period = Tuple[int, int]  # (start, length) of the digit period
 
 
-def _digit_source(spec: AlphaSpec) -> Iterator[Tuple[int, Optional[Period]]]:
-    """The digits a_0, a_1, ... of alpha, each paired with the digit period
-    when it first becomes known (else None); it ends where the expansion
-    does.  A rational runs Euclid, an ExplicitCF cycles its period after
-    the preperiod (an empty period ends it), and a surd runs the Gauss map
-    on (P, Q), reporting (start, length) at the first j whose state recurs.
-    It holds the spec alone, never the expansion that draws on it, so an
-    expansion is freed by reference counting, without a cycle."""
+def _surd_period(spec: QuadraticSurd) -> Optional[Tuple[int, int, int]]:
+    """(start, length, sup of a_j over j >= 1) of a surd's digit period, by
+    the Gauss map on (P, Q) in O(1) memory; None past MAX_PERIOD_WALK
+    digits.  By Galois' theorem (P + sqrt(D)) / Q is purely periodic iff
+    reduced, 1 <= P <= r and r - P < Q <= r + P with r = isqrt(D), so the
+    period runs from the first reduced state to its recurrence.  One from
+    a_0 repeats it as a_L, so its sup counts a_0."""
+    P, D, Q, r = spec.P, spec.D, spec.Q, math.isqrt(spec.D)
+    start, state, top = None, None, 0
+    for j in range(MAX_PERIOD_WALK + 1):
+        if (P, Q) == state:
+            return start, j - start, top
+        if state is None and 0 < P <= r and r - P < Q <= r + P:
+            start, state = j, (P, Q)
+        a = _floor_surd(P, r, Q)
+        if a > top and (j or start == 0):
+            top = a
+        P = a * Q - P
+        Q = (D - P * P) // Q
+    return None
+
+
+def _digit_source(spec: AlphaSpec) -> Iterator[int]:
+    """The digits a_0, a_1, ... of alpha; it ends where the expansion does.
+    A rational runs Euclid, an ExplicitCF cycles its period after the
+    preperiod (an empty period ends it), and a surd runs the Gauss map on
+    (P, Q), recording the digits from its first reduced state (where its
+    period starts, see _surd_period) and cycling them once that state
+    recurs.  It holds the spec alone, never the expansion that draws on it,
+    so an expansion is freed by reference counting, without a cycle."""
     if isinstance(spec, Rational):
         num, den = spec.num, spec.den
         while den:
             a, rem = divmod(num, den)
-            yield a, None
+            yield a
             num, den = den, rem
     elif isinstance(spec, ExplicitCF):
-        pre, per = spec.preperiod, spec.period
-        yield pre[0], (len(pre), len(per)) if per else None
-        for a in chain(pre[1:], cycle(per)):
-            yield a, None
+        yield from chain(spec.preperiod, cycle(spec.period))
     else:
-        P, D, Q, seen, digits = spec.P, spec.D, spec.Q, {}, []
-        for j in count():
-            i = seen.setdefault((P, Q), j)
-            if i < j:
-                break
-            a = _floor_surd(P, D, Q)
-            digits.append(a)
-            yield a, None
+        P, D, Q, r = spec.P, spec.D, spec.Q, math.isqrt(spec.D)
+        state, period = None, []
+        while (P, Q) != state:
+            if state is None and 0 < P <= r and r - P < Q <= r + P:
+                state = (P, Q)
+            a = _floor_surd(P, r, Q)
+            if state:
+                period.append(a)
+            yield a
             P = a * Q - P
             Q = (D - P * P) // Q
-        # the state at j is that at i, so a_j, a_{j+1}, ... repeat a_i..a_{j-1}
-        period = digits[i:]
-        del seen, digits
-        yield from zip(cycle(period), chain([(i, j - i)], repeat(None)))
+        yield from cycle(period)
 
 
 Ends = Tuple[int, int, int, int]  # bracket ends (x1, y1, x2, y2): [x1/y1, x2/y2], y > 0
@@ -300,7 +307,6 @@ class CFExpansion:
         self.digits: list = []
         self.convergents: list = []
         self.finite = isinstance(spec, Rational)
-        self.periodic: Optional[Period] = None
         self._source = _digit_source(spec)
         self._scaled: dict = {}  # bits -> alpha0_scaled(bits)
         self._tails: dict = {}  # (_phase(self, m), bits) -> _tail_ends(self, m, bits)
@@ -316,9 +322,7 @@ class CFExpansion:
             # the last two convergents, after (p_{-2}, q_{-2}) = (0, 1), (p_{-1}, q_{-1}) = (1, 0)
             (p2, q2), (p1, q1) = ([(0, 1), (1, 0)] + cv[-2:])[-2:]
             if q_min is None or q1 < q_min:
-                for a, period in islice(self._source, max(0, m + 1 - len(digits))):
-                    if period:
-                        self.periodic = period
+                for a in islice(self._source, max(0, m + 1 - len(digits))):
                     p1, p2, q1, q2 = a * p1 + p2, p1, a * q1 + q2, q1
                     cv.append((p1, q1))
                     digits.append(a)
@@ -367,6 +371,21 @@ class CFExpansion:
         if not self.ensure(m):
             raise OutOfRangeError(f"n_{m} needs digit a_{m}; expansion ends at a_{self.depth}")
         return self.s_at(m) + self.s_at(m - 1)
+
+    @cached_property
+    def _period_walk(self) -> Optional[Tuple[int, int, int]]:
+        """(start, length, sup of a_j over j >= 1) of the digit period: a
+        surd's from _surd_period, an ExplicitCF's from its spec; None for a
+        rational, a prefix and a surd past the walk cap."""
+        if isinstance(self.spec, QuadraticSurd):
+            return _surd_period(self.spec)
+        pre, per = self.spec if isinstance(self.spec, ExplicitCF) else ((), ())
+        return (len(pre), len(per), max(pre[1:] + per)) if per else None
+
+    @cached_property
+    def periodic(self) -> Optional[Period]:
+        """(start, length) of _period_walk; a plain attribute once read."""
+        return self._period_walk and self._period_walk[:2]
 
     # -- certified value enclosures -----------------------------------------
 
@@ -442,11 +461,10 @@ def _window_q(exp: CFExpansion, m: int, bits: int) -> int:
 
 
 def _phase(exp: CFExpansion, m: int) -> int:
-    """The m' whose alpha_m' is alpha_m, read off the digit period (start, L)
-    once it is known: the digits a_{m+1}, ... repeat with period L from
-    m = max(start - 1, 0), which is 0, not -1, when the period starts at
-    a_0; m itself while no period is known (a prefix, a rational, a surd
-    whose period has not closed)."""
+    """The m' whose alpha_m' is alpha_m, read off the digit period (start,
+    L): the digits a_{m+1}, ... repeat with period L from m = max(start -
+    1, 0), which is 0, not -1, when the period starts at a_0; m itself with
+    no period (a prefix, a rational, a surd past the walk cap)."""
     if exp.periodic is None:
         return m
     start, length = exp.periodic
@@ -507,15 +525,16 @@ def _tail_ends(exp: CFExpansion, m: int, bits: int) -> Ends:
     return ends
 
 
-# the most digits digit_supremum walks for a surd's period (60 MB RSS, 0.1 s)
-MAX_PERIOD_WALK = 10 ** 4
+# the most digits _surd_period walks for a surd's period (O(1) memory, 0.3 s)
+MAX_PERIOD_WALK = 10 ** 6
 
 
 def digit_supremum(exp: CFExpansion, probe_depth: int = 64) -> Tuple[int, str]:
     """sup over the digits a_j, j >= 1, memoized per expansion and probe_depth.
 
     Exact for terminating and periodic expansions; otherwise the max over
-    the first probe_depth digits, flagged prefix-only.  Raises
+    the first probe_depth digits, flagged prefix-only; a periodic one's
+    comes from exp._period_walk and draws no digit.  Raises
     PrecisionUnresolvedError for a surd whose preperiod and period do not
     fit in the first MAX_PERIOD_WALK digits.
     """
@@ -523,25 +542,21 @@ def digit_supremum(exp: CFExpansion, probe_depth: int = 64) -> Tuple[int, str]:
         raise ValueError("probe_depth must be >= 1")
     if probe_depth in exp._sup:
         return exp._sup[probe_depth]
-    if exp.finite:
+    walk = exp._period_walk
+    if walk is not None:
+        sup = (walk[2], "exact")
+    elif isinstance(exp.spec, QuadraticSurd):
+        raise PrecisionUnresolvedError(
+            f"the digit period of {alpha_to_string(exp.spec)} does not close "
+            f"within the walk cap of {MAX_PERIOD_WALK} digits")
+    elif exp.finite:
         exp.ensure(10 ** 9)
-    # a surd: extend until the Gauss map revisits a state (Lagrange guarantees
-    # it), doubling the depth, so at most twice the digits that close it
-    while exp.periodic is None and isinstance(exp.spec, QuadraticSurd):
-        if exp.depth >= MAX_PERIOD_WALK:
-            raise PrecisionUnresolvedError(
-                f"the digit period of {alpha_to_string(exp.spec)} does not close "
-                f"within the walk cap of {MAX_PERIOD_WALK} digits")
-        exp.ensure(min(2 * exp.depth + 1, MAX_PERIOD_WALK))
-    hi, certainty = exp.depth, "exact"
-    if exp.periodic is not None:
-        hi = max(1, exp.periodic[0]) + exp.periodic[1] - 1
-        exp.ensure(hi)
-    elif not exp.finite:
+        sup = (max(exp.digits[1:], default=0), "exact")
+    else:
         exp.ensure(probe_depth)
-        hi, certainty = min(probe_depth, exp.depth), "prefix-only"
-    exp._sup[probe_depth] = (max(exp.digits[1:hi + 1], default=0), certainty)
-    return exp._sup[probe_depth]
+        sup = (max(exp.digits[1:probe_depth + 1], default=0), "prefix-only")
+    exp._sup[probe_depth] = sup
+    return sup
 
 
 class Classification(NamedTuple):

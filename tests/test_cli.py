@@ -608,25 +608,38 @@ def test_digits_cap_admits_exactly_the_cap(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("classify", "--alpha", "sqrt:99999999977"),
-    ("analyze", "--alpha", "sqrt:99999999977", "--n", "100"),
-    ("sweep", "--alpha", "sqrt:99999999977", "--n", "2..50", "--format", "json"),
+    ("classify", "--alpha", "sqrt:10000000000039"),
+    ("analyze", "--alpha", "sqrt:10000000000039", "--n", "100"),
+    ("sweep", "--alpha", "sqrt:10000000000039", "--n", "2..50", "--format", "json"),
 ])
 def test_period_walk_cap_exits_3(capsys, argv):
-    # the walk once ran until MemoryError; its period does not close within
+    # the walk once ran until MemoryError; this period does not close within
     # contfrac.MAX_PERIOD_WALK digits
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
-    assert err == ("error: the digit period of sqrt:99999999977 does not close within "
-                   "the walk cap of 10000 digits\n")
+    assert err == ("error: the digit period of sqrt:10000000000039 does not close within "
+                   "the walk cap of 1000000 digits\n")
 
 
-def test_period_walk_cap_spares_bound_free_sweeps(capsys):
-    code, out, err = run(capsys, "sweep", "--alpha", "sqrt:99999999977", "--n", "2..50",
+def test_period_walk_cap_spares_bound_free_sweeps(capsys, monkeypatch):
+    walks = []
+    monkeypatch.setattr(importlib.import_module("kronmesh.contfrac"), "_surd_period",
+                        walks.append)
+    code, out, err = run(capsys, "sweep", "--alpha", "sqrt:10000000000039", "--n", "2..50",
                          "--no-bounds")
     assert code == 0 and err == "" and len(out.splitlines()) == 50
+    assert walks == []  # no bound column, so no period walk
+
+
+def test_period_of_138121_digits_answers(capsys):
+    # sqrt(99999999977) has period (1, 138121), past the cap of 10**4 digits
+    # that an expansion-driven walk once had (exit 3), inside today's 10**6
+    code, payload, err = run_json(capsys, "classify", "--alpha", "sqrt:99999999977")
+    assert (code, err) == (0, "")
+    assert payload == {"verdict": "yes", "digit_sup": 632454, "certainty": "exact",
+                       "c_bound": 1264910}
 
 
 def test_nm_cap_lies_far_above_the_sizes_in_use():
@@ -677,7 +690,7 @@ def test_points_json_is_json_dumps(capsys, argv, gen):
 # help text argparse prints is part of the interface, however the parser is
 # declared
 _HELP_SHA256 = {
-    (): "9784bf56432f338318ceda9bbbf78001a21df479641b981a17ec3be541171303",
+    (): "3e7915fb5c367de4d032621f1feed31968a2767515ef51180a4b0e3e6925382c",
     ("gaps",): "9cecdb2c7cdc2deff726023f0e152ff934929abc6f549e2f94c18efdc69ee9cc",
     ("analyze",): "bc80555d936e71e30e7fc894067c84f7cae3a81bab3c8f5bb98d957e9cd2da9a",
     ("sweep",): "4086ebf28a1c205e9d17ecf741f16f82a7fe8d96f34b55c52b1f98dabcdfa467",

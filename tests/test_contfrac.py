@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -22,7 +23,8 @@ from kronmesh import (
     Rational,
     UnsupportedAlphaError,
 )
-from kronmesh.contfrac import GUARD, _periodic_tail_surd, _tail_ends, _window_bracket
+from kronmesh.contfrac import (GUARD, _periodic_tail_surd, _surd_period, _tail_ends,
+                               _window_bracket)
 from conftest import ALPHA_SPECS, PREFIX_SPEC, mpf_to_fraction
 import oracles
 
@@ -325,31 +327,45 @@ def test_digit_supremum_examples():
     assert km.digit_supremum(rule, probe_depth=50) == (50, "prefix-only")
 
 
-def test_digit_supremum_is_memoized_per_expansion_and_probe():
+def test_digit_supremum_is_memoized_per_expansion_and_probe(monkeypatch):
     # kronecker_bounds asks once per bound key; the walk and the max run once
+    contfrac = importlib.import_module("kronmesh.contfrac")
+    walks, walk = [], contfrac._surd_period
+    monkeypatch.setattr(contfrac, "_surd_period", lambda spec: walks.append(spec) or walk(spec))
     exp = CFExpansion(km.parse_alpha("sqrt:94"))
     first = km.digit_supremum(exp)
-    depth = exp.depth
-    exp.digits[1] = 10 ** 9  # a re-walk would see it
-    assert km.digit_supremum(exp) is first and exp.depth == depth
+    assert km.digit_supremum(exp) is first == (18, "exact")
+    assert km.digit_supremum(exp, probe_depth=5) == first and exp.periodic == (1, 16)
+    assert walks == [exp.spec] and exp.depth == 0
     rule = CFExpansion(ExplicitCF(tuple([0] + list(range(1, 51))), ()))
     assert km.digit_supremum(rule, probe_depth=20) == (20, "prefix-only")
     assert km.digit_supremum(rule, probe_depth=30) == (30, "prefix-only")
     assert km.digit_supremum(rule, probe_depth=20) == (20, "prefix-only")
 
 
-@pytest.mark.parametrize("spec, period, depth", [
-    ("golden", (1, 1), 3), ("sqrt:143", (1, 2), 3), ("quad:-10,275,5", (1, 2), 3),
-    ("quad:2,31,7", (0, 6), 7), ("sqrt:211", (1, 26), 31),
+@pytest.mark.parametrize("spec, period", [
+    ("golden", (1, 1)), ("sqrt:143", (1, 2)), ("quad:-10,275,5", (1, 2)),
+    ("quad:2,31,7", (0, 6)), ("sqrt:211", (1, 26)), ("quad:0,181039,29", (1, 11244)),
+    ("cf:0;1,2(3,4)", (3, 2)), ("cf:5;(1,2,3)", (1, 3)),
 ])
-def test_period_walk_draws_at_most_twice_the_closing_digits(spec, period, depth):
-    # a surd's period (start, L) closes when a_{start+L} is drawn; the walk
-    # doubles the depth (1, 3, 7, 15, 31, ...), so it stops below
-    # 2 (start + L) + 1, where 64-digit steps drew a_64 for every one here
+def test_digit_supremum_and_classify_draw_no_digit(monkeypatch, spec, period):
+    # a periodic alpha's sup and verdict come from its period walk or its
+    # spec: the expansion keeps a_0 alone, however far its period closes
+    contfrac = importlib.import_module("kronmesh.contfrac")
     exp = CFExpansion(km.parse_alpha(spec))
-    km.digit_supremum(exp)
-    assert (exp.periodic, exp.depth) == (period, depth)
-    assert exp.depth <= 2 * sum(period) + 1
+    sup = km.digit_supremum(exp)
+    assert (exp.periodic, exp.depth, sup[1]) == (period, 0, "exact")
+    made = []
+
+    class Recorded(CFExpansion):
+        def __init__(self, alpha):
+            super().__init__(alpha)
+            made.append(self)
+
+    monkeypatch.setattr(contfrac, "CFExpansion", Recorded)
+    v = km.is_badly_approximable(km.parse_alpha(spec))
+    assert (v.verdict, v.digit_sup) == ("yes", sup[0])
+    assert [e.depth for e in made] == [0]
 
 
 def _sqrt_period(D: int) -> tuple:
@@ -380,7 +396,8 @@ def test_period_walk_cap_is_exact(monkeypatch, spec):
 
 
 def test_surd_just_inside_the_walk_cap_answers():
-    # sqrt(20001019) has period 9714 (preperiod a_0): 9715 of the 10**4 digits
+    # sqrt(20001019) has period 9714 (preperiod a_0): 9715 digits, just
+    # inside the cap of 10**4 that an expansion-driven walk once had
     length, top = _sqrt_period(20001019)
     assert length == 9714 and 1 + length <= km.contfrac.MAX_PERIOD_WALK
     v = km.is_badly_approximable(km.parse_alpha("sqrt:20001019"))
@@ -388,9 +405,10 @@ def test_surd_just_inside_the_walk_cap_answers():
 
 
 def test_surds_in_use_lie_far_inside_the_walk_cap():
+    assert km.contfrac.MAX_PERIOD_WALK >= 100 * 100
     for D in (2, 3, 5, 7, 11, 13, 94, 213) + tuple(range(2, 301)):
         if math.isqrt(D) ** 2 != D:
-            assert 1 + _sqrt_period(D)[0] <= km.contfrac.MAX_PERIOD_WALK // 100
+            assert 1 + _sqrt_period(D)[0] <= 100
 
 
 def test_is_badly_approximable():
@@ -505,14 +523,14 @@ SURD_SPECS = (["golden", "quad:1,5,-3", "quad:2,7,-5", "quad:-3,11,-4", "quad:0,
 
 def test_surd_digit_source_matches_period_walk():
     # digits, convergents and the digit period against an independent walk
-    # over reduced triples (a + b sqrt(d)) / c, and the digits against mpmath
+    # over reduced triples (a + b sqrt(d)) / c, and the digits against
+    # mpmath; the period is known before its closing digit a_j is drawn
     for spec in SURD_SPECS:
         want, period = oracles.surd_period_walk(*_surd_triple(spec))
         j = len(want) - 1           # the digit at which the period closes
         exp = CFExpansion(km.parse_alpha(spec))
-        assert exp.ensure(j - 1) and exp.periodic is None, spec
-        assert exp.ensure(j) and exp.periodic == period, spec
-        assert exp.digits == want and not exp.finite, spec
+        assert (exp.periodic, exp.depth) == (period, 0), spec
+        assert exp.ensure(j) and exp.digits == want and not exp.finite, spec
         exp.ensure(j + 40)
         assert exp.periodic == period, spec
         mp = oracles.mp_cf_digits(oracles.mp_value(spec, 1200), 40, 1200)
@@ -544,10 +562,14 @@ def _gauss_surds():
 def test_surd_digits_equal_plain_gauss_map():
     # the digit source cycles the recorded period once the Gauss map state
     # recurs; a plain walk that never cycles gives the same digits to depth
-    # 2000, and the period at the same j
+    # 2000, and the period, which the expansion knows before a_1 is drawn
     starts = set()
     for surd in _gauss_surds():
         want, period = oracles.gauss_map_digits(*surd, 2000)
+        # a period that closes past a_2000, from the reduced-triple walk
+        period = period or oracles.surd_period_walk(surd.P, 1, surd.Q, surd.D, 10 ** 6)[1]
+        fresh = CFExpansion(surd)
+        assert (fresh.periodic, fresh.depth) == (period, 0), surd
         exp = CFExpansion(surd)
         assert exp.ensure(2000) and exp.digits == want, surd
         assert exp.periodic == period, surd
@@ -557,13 +579,46 @@ def test_surd_digits_equal_plain_gauss_map():
             stepped.ensure(m)
         assert stepped.digits[:1996] == want[:1996], surd
         assert stepped.convergents == exp.convergents[:len(stepped.convergents)], surd
-        if period is not None:
-            j = sum(period)
-            fresh = CFExpansion(surd)
-            assert fresh.ensure(j - 1) and fresh.periodic is None, surd
-            assert fresh.ensure(j) and fresh.periodic == period, surd
-            starts.add(min(period[0], 1))
+        starts.add(min(period[0], 1))
     assert starts == {0, 1}  # with and without a preperiod
+
+
+def test_surd_period_equals_reduced_triple_walk():
+    # (start, length, sup) of the Galois walk and digit_supremum against the
+    # independent walk over reduced triples, whose digits end with a_start
+    # repeated (so a period from a_0 counts a_0 in the sup): the specs in
+    # use, periods from a_0 and after a preperiod (some past 10**5 digits),
+    # and random quad: surds with periods up to about 10**4
+    rng = random.Random(26)
+    surds = [km.parse_alpha(spec) for spec in SURD_SPECS] + _gauss_surds()
+    quads = []
+    while len(quads) < 40:
+        D = rng.randint(2, 10 ** 6)
+        if math.isqrt(D) ** 2 != D:
+            quads.append(QuadraticSurd(rng.randint(-100, 100), D,
+                                       rng.choice((1, -1)) * rng.randint(1, 40)))
+    starts, longest = set(), 0
+    for surd in surds + quads:
+        P, D, Q = surd
+        digits, period = oracles.surd_period_walk(P, 1, Q, D, 10 ** 6)
+        assert period is not None, surd
+        assert _surd_period(surd) == (*period, max(digits[1:])), surd
+        assert km.digit_supremum(CFExpansion(surd)) == (max(digits[1:]), "exact"), surd
+        starts.add(min(period[0], 1))
+        longest = max(longest, period[1])
+    assert starts == {0, 1} and longest > 1000
+
+
+def test_period_walk_memory_is_constant():
+    # sqrt(99999999977) has period 138121: the walk keeps one state, no digit
+    tracemalloc.start()
+    try:
+        assert km.digit_supremum(CFExpansion(km.parse_alpha("sqrt:99999999977"))) == (
+            632454, "exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_rational_digit_source_matches_euclid():
@@ -682,11 +737,14 @@ _ONE_SHOT_DEPTH = 800
 
 def _one_shot_oracle(spec: str):
     """(digits, period) of a spec to _ONE_SHOT_DEPTH, from a plain Gauss map
-    walk for a surd, Euclid for a rational and the spec's text for a cf:
+    walk for a surd (its period from the reduced-triple walk when it closes
+    past that depth), Euclid for a rational and the spec's text for a cf:
     (whose period is the declared one, from a_0 on)."""
     alpha = km.parse_alpha(spec)
     if isinstance(alpha, QuadraticSurd):
-        return oracles.gauss_map_digits(*alpha, _ONE_SHOT_DEPTH)
+        digits, period = oracles.gauss_map_digits(*alpha, _ONE_SHOT_DEPTH)
+        P, D, Q = alpha
+        return digits, period or oracles.surd_period_walk(P, 1, Q, D, 10 ** 5)[1]
     if isinstance(alpha, Rational):
         return oracles.cf_digits_euclid(alpha.num, alpha.den), None
     pre, per = alpha
@@ -721,9 +779,7 @@ def test_extension_is_exact(spec, calls):
         assert (got, exp.depth) == (met, depth), (call, before)
         assert exp.digits == want[:exp.depth + 1]
         assert exp.convergents == one_shot.convergents[:exp.depth + 1]
-        known = period is not None and (not isinstance(exp.spec, QuadraticSurd)
-                                        or sum(period) <= exp.depth)
-        assert exp.periodic == (period if known else None)
+        assert exp.periodic == period
     # no digit was drawn and dropped: the rest still follows in order
     exp.ensure(_ONE_SHOT_DEPTH)
     assert exp.digits == want and exp.convergents == one_shot.convergents

@@ -69,6 +69,7 @@ GENERATORS = st.one_of(
 @example(("--alpha", "rat:3/7"), 9, 7)  # n > q: rho inf, exit 4
 @example(("--alpha", "golden"), 34, 41)  # n = n_8: a lower bound at n_m
 @example(("--alpha", "cf:0;1,2,3,4,5"), 60, 3)  # prefix-only: global_upper null
+@example(("--alpha", "quad:0,181039,29"), 2, 1)  # period (1, 11244), past a 10**4 walk cap
 def test_analyze_document_equals_dumps(generator, n, digits):
     args = cli._walk(["analyze", *map(str, generator), "--n", str(n)])
     (row,) = km.sweep(cli._generator(args), n, n, CTX)

@@ -587,8 +587,8 @@ def test_tail_ends_at_every_phase_equal_best_window(spec, bits):
     # alpha_m's bracket is computed at its phase; at every m through three
     # periods past the preperiod (or through the end of a prefix or a
     # rational, and one past) it is the brute-force shortest window of m's
-    # own digits.  Once on an expansion whose period is closed first, once
-    # on a fresh one, where a surd's first brackets precede its period
+    # own digits.  Once on an expansion whose sup is read first, once on a
+    # fresh one, whose first bracket reads the period
     ctx = PrecisionContext(bits)
     closed, fresh = (CFExpansion(km.parse_alpha(spec)) for _ in range(2))
     km.digit_supremum(closed)
