@@ -35,8 +35,7 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
-from .contfrac import (CFExpansion, PrecisionContext, _phase, _too_long, _window_q,
-                       is_badly_approximable, parse_alpha)
+from .contfrac import CFExpansion, PrecisionContext, _too_long, is_badly_approximable, parse_alpha
 from .errors import KronmeshError, PrecisionUnresolvedError, UnsupportedAlphaError
 from .metrics import (
     Segment,
@@ -115,9 +114,11 @@ _GENERATOR = (
          help="greedy packing tie rule"),
 )
 _PRECISION = (
-    _Opt("--bits", 192, int, help="working precision in bits (default 192)"),
+    _Opt("--bits", 192, int, help="working precision in bits (default 192) of the point "
+                                  "lattice and of digit-prefix enclosures; a quadratic "
+                                  "surd's n_m rows, bounds and gaps are exact"),
     _Opt("--max-bits", MAX_BITS, int,
-         help=f"escalation ceiling in bits (default and cap {MAX_BITS})"),
+         help=f"escalation ceiling in bits (default and cap {MAX_BITS}) of the same"),
 )
 
 
@@ -333,10 +334,7 @@ def _sweep_segments(args, ctx) -> List[Segment]:
             raise _UsageError("--m range must start at m >= 1")
         _check_rows(m_lo, m_hi, "--m")
         _check_nm(exp, m_hi)
-        if want_bounds and exp.ensure(m_hi):  # every row's window at ctx.bits, in one pass:
-            # the rows' brackets are their phases', so the deepest phase's window holds them
-            deepest = max(_phase(exp, m) for m in range(m_lo, m_hi + 1))
-            exp.ensure_q(_window_q(exp, deepest, ctx.bits))  # False, not an error, if digits run out
+        exp.ensure(m_hi + 1 + want_bounds)  # each row's a_{m+1}, and a_{m+2} for its digit form
         segments, cv = [], exp.convergents
         for m in range(m_lo, m_hi + 1):
             if not exp.ensure(m):

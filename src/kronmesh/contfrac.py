@@ -110,6 +110,21 @@ def _floor_surd(A: int, r: int, Q: int) -> int:
     return (A + r) // Q if Q > 0 else -((A + r) // -Q) - 1
 
 
+# exact values (a + b sqrt(D)) / c over the D of one surd
+
+
+def _qmul(s: Tuple[int, int, int], t: Tuple[int, int, int], D: int) -> Tuple[int, int, int]:
+    (a, b, c), (x, y, z) = s, t
+    return a * x + b * y * D, a * y + b * x, c * z
+
+
+def _qtriple(s: Tuple[int, int, int], D: int) -> Tuple[int, int, int]:
+    """s as the record triple (P, N, Q) of (P + sqrt(N)) / Q, the fields of
+    a QuadraticSurd; N = 0 for a rational."""
+    a, b, c = s
+    return (a, b * b * D, c) if b >= 0 else (-a, b * b * D, -c)
+
+
 class QuadraticSurd(NamedTuple("QuadraticSurd", [("P", int), ("D", int), ("Q", int)])):
     """The real number (P + sqrt(D)) / Q with integer P, Q != 0 and D > 0
     not a perfect square.
@@ -309,8 +324,9 @@ class CFExpansion:
         self.finite = isinstance(spec, Rational)
         self._source = _digit_source(spec)
         self._scaled: dict = {}  # bits -> alpha0_scaled(bits)
-        self._tails: dict = {}  # (_phase(self, m), bits) -> _tail_ends(self, m, bits)
+        self._tails: dict = {}  # (m, bits) -> _tail_ends(self, m, bits)
         self._sup: dict = {}  # probe_depth -> digit_supremum(self, probe_depth)
+        self._states: list = []  # quotient(j) at j - 1
         self._extend(0)
 
     def _extend(self, m: int, q_min: Optional[int] = None) -> bool:
@@ -403,6 +419,25 @@ class CFExpansion:
             return _periodic_tail_surd(spec.preperiod[1:], spec.period)
         return None
 
+    def quotient(self, j: int) -> Tuple[int, int]:
+        """(P_j, Q_j) of the complete quotient x_j = (P_j + sqrt(D)) / Q_j, j
+        >= 1, over the D of _alpha0_surd: the Gauss map from alpha mod 1,
+        walked once under the lock through the preperiod and one period
+        (x_j repeats from j = max(start, 1)), which a later j reads at its
+        phase."""
+        states, period = self._states, self.periodic
+        if period and j >= max(period[0], 1) + period[1]:
+            j = max(period[0], 1) + (j - max(period[0], 1)) % period[1]
+        if j > len(states):
+            with self._lock:
+                P, D, Q = self._alpha0_surd
+                P, Q, r = *(states[-1] if states else (P, Q)), math.isqrt(D)
+                while len(states) < j:
+                    P = _floor_surd(P, r, Q) * Q - P
+                    Q = (D - P * P) // Q
+                    states.append((P, Q))
+        return states[j - 1]
+
     @cached_property
     def _prefix_bracket(self) -> Ends:
         """Bracket ends of alpha mod 1 from every digit there is, when no surd
@@ -460,18 +495,6 @@ def _window_q(exp: CFExpansion, m: int, bits: int) -> int:
     return 1 << (exp.convergents[m][1].bit_length() + (bits - GUARD) // 2 + 2)
 
 
-def _phase(exp: CFExpansion, m: int) -> int:
-    """The m' whose alpha_m' is alpha_m, read off the digit period (start,
-    L): the digits a_{m+1}, ... repeat with period L from m = max(start -
-    1, 0), which is 0, not -1, when the period starts at a_0; m itself with
-    no period (a prefix, a rational, a surd past the walk cap)."""
-    if exp.periodic is None:
-        return m
-    start, length = exp.periodic
-    base = max(start - 1, 0)
-    return m if m < base else base + (m - base) % length
-
-
 def _tail_ends(exp: CFExpansion, m: int, bits: int) -> Ends:
     """The alpha_m bracket for the width target 2**(GUARD - bits): that of
     the shortest window a_{m+1}..a_e whose width meets the target, or of
@@ -486,14 +509,12 @@ def _tail_ends(exp: CFExpansion, m: int, bits: int) -> Ends:
     Y_{m-1} = 0), window j has ends over |Y_j| and |Y_j| + |Y_{j-1}| whose
     cross difference is 1, so its width is 1 / (|Y_j| (|Y_j| + |Y_{j-1}|)),
     and |Y_{j-2}| = |Y_j| - a_j |Y_{j-1}|.  Raises when no digit beyond a_m
-    exists.  Memoized per phase (_phase) and bits without a lock, as
-    alpha0_scaled is: the ends are continuants of the window digits, so
-    alpha_m and alpha_{_phase(m)} have the same ends, computed at the
-    phase, whose window is the shallower; threads racing on a miss store
-    equal ends, and every key of one m reads them."""
+    exists.  Memoized per m and bits without a lock, as alpha0_scaled is:
+    threads racing on a miss store equal ends, and every key of one m reads
+    them.  A surd's bound columns are exact (metrics._bounds) and never
+    come here."""
     if m < 0:
         raise OutOfRangeError("alpha_m defined for m >= 0")
-    m = _phase(exp, m)
     hit = exp._tails.get((m, bits))
     if hit is not None:
         return hit

@@ -7,15 +7,20 @@ a bracket's numerators and denominators), so a comparison they decide is a
 proof, and an overlap means "escalate precision and retry".
 
 Every printed value is an integer ratio num / den rendered by one decimal
-division (decimal_renderer); fraction_to_decimal renders a Fraction by its
-numerator and denominator.
+division (decimal_renderer), or an exact surd (P + sqrt(N)) / Q rendered
+from one integer floor (surd_digits, surd_text); fraction_to_decimal
+renders a Fraction by its numerator and denominator.
 """
 from __future__ import annotations
 
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN
 from decimal import Context, Decimal, getcontext, localcontext
 from fractions import Fraction
-from typing import Callable, NamedTuple, Union
+from functools import lru_cache
+from math import isqrt
+from typing import Callable, NamedTuple, Tuple, Union
+
+from .contfrac import _floor_surd
 
 Rat = Union[int, Fraction]
 
@@ -101,3 +106,57 @@ def interval_to_decimal(iv: Interval, digits: int) -> tuple:
         fraction_to_decimal(iv.lo, digits, "floor"),
         fraction_to_decimal(iv.hi, digits, "ceil"),
     )
+
+
+def surd_digits(P: int, N: int, Q: int, digits: int) -> Tuple[int, int, bool]:
+    """(F, k, exact): F = floor(x * 10**(k + 1)) has digits + 1 digits, for
+    x = (P + sqrt(N)) / Q > 0, N nonsquare (or N = 0 for x = P / Q), and
+    exact says no fraction was cut off.  The bit lengths bound log2 x from
+    below, which puts the floor's exponent K at most a few digits too fine.
+    Where P < 0 cancels sqrt(N), x = T / (|Q| (sqrt(N) + p)) for T = |N -
+    P^2| and p = -P, with p (sqrt(N) + p) within T of W = 2 p^2: the floors
+    of T p 10**K / (|Q| (W -+ T)) agree, and are x's, unless x * 10**K is
+    within about T / p^2 of an integer; else sqrt(N * 100**K) gives it."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    if N and P < 0:
+        T, W, Q_abs = abs(N - P * P), 2 * P * P, abs(Q)
+        lo2 = T.bit_length() - Q.bit_length() - max((N.bit_length() + 1) >> 1, P.bit_length()) - 2
+    else:
+        W = T = 0
+        lo2 = max(P.bit_length() - 1, (N.bit_length() - 1) >> 1) - Q.bit_length()
+    # x * 10**K >= 10**(digits + 1 - lo2 (0.30103 - log10 2)) > 10**digits
+    K = digits + 1 - lo2 * 30103 // 100000
+    num, den = (_ten(K), 1) if K >= 0 else (1, _ten(-K))
+    F, rem = divmod(P * num, Q * den) if not N else (None, 1)
+    if W > T:  # the floor of the upper end, if it is that of the lower end
+        F, part = divmod(-P * T * num, (W - T) * Q_abs * den)
+        F = F if part >= 2 * F * T * Q_abs * den else None
+    if F is None:
+        F = _floor_surd(P * num, isqrt(N * num * num), Q * den)
+    cut = len(str(F)) - digits - 1
+    if cut:
+        F, part = divmod(F, _ten(cut))
+        rem = rem or part
+    return F, K - cut - 1, not rem
+
+
+def surd_text(F: int, k: int, exact: bool, digits: int, mode: str = "nearest") -> str:
+    """surd_digits' value rounded by mode to `digits` digits, F // 10 or one
+    more, at exponent -k: the text a Decimal division at that precision
+    gives an inexact quotient."""
+    D, last = divmod(F, 10)
+    if mode == "nearest":
+        D += last > 5 or last == 5 and (not exact or D % 2 == 1)
+    elif mode == "ceil":
+        D += last > 0 or not exact
+    elif mode != "floor":
+        raise KeyError(mode)
+    if D == _ten(digits):  # rounded up to the next power of ten
+        D, k = D // 10, k - 1
+    return str(Decimal(f"{D}E{-k}"))
+
+
+@lru_cache(maxsize=4096)
+def _ten(k: int) -> int:
+    return 10 ** k

@@ -20,20 +20,23 @@ For Kronecker prefixes the module also evaluates the closed-form bounds
     lower:  1 / alpha_m   at n = n_m, m >= 3
             a_{m+1} + 1/(a_{m+2} + 1) <= 1 / alpha_m   (digit form)
 
-as certified intervals, and rho_n at huge n = n_m from enclosures of the
-forms (provenance "structure-exact").
+and rho_n at huge n = n_m from the gap forms (provenance
+"structure-exact"): exact for a quadratic surd, whose forms are eta_m *
+{1, x - h, x - h - 1} with x = x_{m+1} = 1 / alpha_m, and certified
+intervals for a digit prefix.
 
 Every value is born as integers (lattice units over 2 M, rung ends over
-2**B, bracket ends), and the records keep it so, as unreduced ratios
-(num, den) with den > 0, which the writers render by one decimal division
-each; a Fraction is built only when a record's property is read.
+2**B, bracket ends, surds), and the records keep it so, as unreduced
+ratios (num, den) with den > 0, rendered by one decimal division each, or
+as triples (P, N, Q) of (P + sqrt(N)) / Q; a Fraction or QuadraticSurd is
+built only when a record's property is read.
 """
 from __future__ import annotations
 
 import math
 import operator
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import List, NamedTuple, Optional, Tuple, Union
@@ -41,13 +44,15 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 from .contfrac import (
     CFExpansion,
     DEFAULT_CONTEXT,
-    Ends,
     PrecisionContext,
+    QuadraticSurd,
+    _qmul,
+    _qtriple,
     _tail_ends,
     digit_supremum,
 )
 from .errors import KronmeshError, PrecisionUnresolvedError, UnsupportedAlphaError
-from .intervals import Interval, decimal_renderer
+from .intervals import Interval, decimal_renderer, surd_digits, surd_text
 from .sequences import (
     GeneratorSpec,
     GreedyGen,
@@ -64,29 +69,41 @@ INF = math.inf
 
 
 Ratio = Tuple[int, int]  # the value num / den, den > 0, not reduced
+Value = Tuple[int, ...]  # a Ratio, or (P, N, Q) for (P + sqrt(N)) / Q (N = 0: P / Q)
+
+
+def _value(v: Value) -> Union[Fraction, QuadraticSurd]:
+    return QuadraticSurd(*v) if len(v) == 3 and v[1] else Fraction(v[0], v[-1])
 
 
 class QUMetrics(NamedTuple):
     """Fill h_n, separation q_n, mesh ratio rho_n and an error bound on
-    them, each an unreduced integer ratio (num, den); the properties fill,
-    separation, mesh_ratio and error_bound build the Fractions on access."""
+    them, each an unreduced integer ratio (num, den), or a surd's exact
+    triple; the properties build the Fraction or QuadraticSurd on access."""
     n: int
-    fill_nd: Ratio
-    separation_nd: Ratio
-    rho_nd: Optional[Ratio]             # None marks duplicate points (mesh_ratio inf)
+    fill_nd: Value
+    separation_nd: Value
+    rho_nd: Optional[Value]             # None marks duplicate points (mesh_ratio inf)
     provenance: str                     # oracle-exact | formula-bound | structure-exact
     error_nd: Ratio = (0, 1)
 
-    fill = property(lambda self: Fraction(*self.fill_nd))
-    separation = property(lambda self: Fraction(*self.separation_nd))
-    mesh_ratio = property(lambda self: INF if self.rho_nd is None else Fraction(*self.rho_nd))
+    fill = property(lambda self: _value(self.fill_nd))
+    separation = property(lambda self: _value(self.separation_nd))
+    mesh_ratio = property(lambda self: INF if self.rho_nd is None else _value(self.rho_nd))
     error_bound = property(lambda self: Fraction(*self.error_nd))
     is_infinite = property(lambda self: self.rho_nd is None)
 
     def rho_interval(self) -> Optional[Interval]:
-        """Certified enclosure of the true mesh ratio, None when infinite."""
+        """Certified enclosure of the true mesh ratio, None when infinite;
+        an exact surd's lies between multiples of 2**-128."""
         if self.is_infinite:
             return None
+        if len(self.rho_nd) == 3:
+            rho = self.mesh_ratio
+            if isinstance(rho, Fraction):  # exactly 1 or 2
+                return Interval(rho, rho)
+            lo = Fraction(rho.floor_scaled(128), 1 << 128)
+            return Interval(lo, lo + Fraction(1, 1 << 128))
         fill, sep, e = self.fill, self.separation, self.error_bound
         lo_num = max(fill - e, Fraction(0))
         den_hi = sep + e
@@ -98,22 +115,24 @@ class QUMetrics(NamedTuple):
         return Interval(lo_num / den_hi, (fill + e) / den_lo)
 
 
-def _interval(ends: Ends) -> Interval:
+def _interval(ends) -> Union[Interval, QuadraticSurd]:
+    if len(ends) == 3:
+        return QuadraticSurd(*ends)
     x1, y1, x2, y2 = ends
     return Interval(Fraction(x1, y1), Fraction(x2, y2))
 
 
 class BoundReport(NamedTuple):
     """The bounds of one n: the upper bound and the lower bound at n_m as
-    unreduced ends (x1, y1, x2, y2) of [x1/y1, x2/y2] with y > 0, and the
-    digit form as a ratio; upper, lower_at_nm and lower_digit_form build
-    the Interval or Fraction on access."""
+    unreduced ends (x1, y1, x2, y2) of [x1/y1, x2/y2] with y > 0, or a
+    surd's exact triple, and the digit form as a ratio; upper, lower_at_nm
+    and lower_digit_form build the Interval, QuadraticSurd or Fraction."""
     n: int
     m: int
     h: int
     k: int
-    upper_ends: Ends
-    lower_ends: Optional[Ends]
+    upper_ends: Value
+    lower_ends: Optional[Value]
     digit_form_nd: Optional[Ratio]  # a lower bound on lower_at_nm, from two digits
     global_upper: Optional[int]
 
@@ -154,22 +173,25 @@ def _stored_units(ps: PointSet) -> Tuple[int, Optional[int]]:
 
 
 def _gap_roles(gs: GapStructure) -> Tuple[LinearForm, List[LinearForm]]:
-    """The gap touching 1 and the interior gap lengths present among the
-    points, as linear forms.  The gap touching 1 follows from the parity of
-    m: for odd m it is eta_m; for even m it is eta_{m-1} - j*eta_m with
-    j = h when k = 0 and j = h + 1 otherwise.
-    """
+    """_role_indices as linear forms."""
+    last, present = _role_indices(gs)
+    return gs.entries[last][0], [gs.entries[i][0] for i in present]
+
+
+def _role_indices(gs: GapStructure) -> Tuple[int, List[int]]:
+    """The indices in gs.entries of the gap touching 1 and of the interior
+    gap lengths present among the points.  The gap touching 1 follows from
+    the parity of m: for odd m it is eta_m; for even m it is eta_{m-1} -
+    j*eta_m with j = h when k = 0 and j = h + 1 otherwise."""
     d = gs.decomposition
-    last_idx = 0 if d.m % 2 else (1 if d.k == 0 else 2)
-    last_form, last_count = gs.entries[last_idx]
-    present = [form for i, (form, count) in enumerate(gs.entries)
-               if count > (i == last_idx)]
-    if last_count <= 0 or not present:
+    last = 0 if d.m % 2 else (1 if d.k == 0 else 2)
+    present = [i for i, (_, count) in enumerate(gs.entries) if count > (i == last)]
+    if gs.entries[last][1] <= 0 or not present:
         raise KronmeshError(
             f"gap structure lacks the gap touching 1 or an interior gap at "
             f"n={gs.n}, (m, h, k) = ({d.m}, {d.h}, {d.k})"
         )
-    return last_form, present
+    return last, present
 
 
 def _lattice_gaps(gs: GapStructure, A: int, M: int) -> Tuple[int, int, int, int]:
@@ -243,8 +265,9 @@ def _as_expansion(alpha) -> CFExpansion:
 def kronecker_bounds(
     exp, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> BoundReport:
-    """Certified mesh-ratio bounds for the first n Kronecker points, from
-    the alpha_m bracket x1/y1 <= x2/y2 (y > 0) in integers: with c_i =
+    """Mesh-ratio bounds for the first n Kronecker points: for a surd exact,
+    2 (x - h) / min(1, x - h - 1) and x at n_m, x = x_{m+1} = 1 / alpha_m;
+    else certified, from the alpha_m bracket x1/y1 <= x2/y2 (y > 0) in integers: with c_i =
     y_i - (h+1) x_i, min(alpha_m, 1 - (h+1) alpha_m) is in [den_lo, den_hi]
     = [min(x1/y1, c2/y2), min(x2/y2, c1/y1)], decided when den_lo > 0, and
     the upper bound is [2 (y2 - h x2) / (y2 den_hi), 2 (y1 - h x1) / (y1
@@ -258,27 +281,36 @@ def kronecker_bounds(
 
 def _bounds(exp: CFExpansion, n: int, d: Decomposition, ctx: PrecisionContext) -> BoundReport:
     """kronecker_bounds of an irrational expansion, from n's decomposition d."""
-    h = d.h
+    h, surd = d.h, exp._alpha0_surd
+    if surd is not None:  # x = (P + sqrt(D)) / Q, x - h = (A + sqrt(D)) / Q and
+        # x - h - 1 = (B + sqrt(D)) / Q, which is below 1 just when a_{m+1} = h + 1
+        D, (P, Q) = surd.D, exp.quotient(d.m + 1)
+        A = P - h * Q
+        B = A - Q
+        upper = ((2 * A, 4 * D, Q) if exp.digits[d.m + 1] > h + 1 else
+                 _qtriple((2 * (A * B - D), -2 * Q, B * B - D), D))  # 2 (x - h) / (x - h - 1)
+        inverse = (P, D, Q)
+    else:
+        def attempt(bits):
+            # _tail_ends: a digit prefix too short for the width
+            # target still yields the bracket of every known digit
+            x1, y1, x2, y2 = ends = _tail_ends(exp, d.m, bits)
+            c1, c2 = y1 - (h + 1) * x1, y2 - (h + 1) * x2
+            lo = (x1, y1) if x1 * y2 <= c2 * y1 else (c2, y2)
+            hi = (x2, y2) if x2 * y1 <= c1 * y2 else (c1, y1)
+            if lo[0] > 0:
+                return (ends, lo, hi), None
+            return None, Fraction(x2 * y1 - x1 * y2, y1 * y2)  # the bracket width
 
-    def attempt(bits):
-        # _tail_ends: a digit prefix too short for the width
-        # target still yields the bracket of every known digit
-        x1, y1, x2, y2 = ends = _tail_ends(exp, d.m, bits)
-        c1, c2 = y1 - (h + 1) * x1, y2 - (h + 1) * x2
-        lo = (x1, y1) if x1 * y2 <= c2 * y1 else (c2, y2)
-        hi = (x2, y2) if x2 * y1 <= c1 * y2 else (c1, y1)
-        if lo[0] > 0:
-            return (ends, lo, hi), None
-        return None, Fraction(x2 * y1 - x1 * y2, y1 * y2)  # the bracket width
-
-    (x1, y1, x2, y2), (p_lo, q_lo), (p_hi, q_hi) = ctx.escalate(
-        attempt, ctx.bits, lambda: f"bound denominator sign (n={n})")
-    upper = (2 * (y2 - h * x2) * q_hi, y2 * p_hi, 2 * (y1 - h * x1) * q_lo, y1 * p_lo)
+        (x1, y1, x2, y2), (p_lo, q_lo), (p_hi, q_hi) = ctx.escalate(
+            attempt, ctx.bits, lambda: f"bound denominator sign (n={n})")
+        upper = (2 * (y2 - h * x2) * q_hi, y2 * p_hi, 2 * (y1 - h * x1) * q_lo, y1 * p_lo)
+        inverse = (y2, x2, y1, x1)
 
     lower = None
     digit_form = None
     if d.m >= 3 and h == 0 and d.k == 0:
-        lower = (y2, x2, y1, x1)
+        lower = inverse
         # a prefix may end before a_{m+2}; lower_at_nm does not need it
         if exp.ensure(d.m + 2):
             b = exp.digits[d.m + 2] + 1
@@ -309,7 +341,10 @@ def mesh_ratio_structural(
 
 
 def _structural(exp: CFExpansion, gs: GapStructure, ctx: PrecisionContext) -> QUMetrics:
-    """mesh_ratio_structural of the first gs.n points, from their gap structure."""
+    """mesh_ratio_structural of the first gs.n points, from their gap
+    structure: exact for a surd alpha (_surd_structural)."""
+    if exp._alpha0_surd is not None:
+        return _surd_structural(exp, gs)
     n = gs.n
     last_form, present = _gap_roles(gs)
     rungs = _first_rung(exp, last_form, present, ctx.bits)
@@ -327,6 +362,39 @@ def _structural(exp: CFExpansion, gs: GapStructure, ctx: PrecisionContext) -> QU
     err = (width, quarter) if width * den >= rho_width * quarter else (rho_width, den)
     return QUMetrics(n, (F_lo + F_hi, quarter), (S_lo + S_hi, quarter),
                      (F_lo * S_lo + F_hi * S_hi, den), "structure-exact", err)
+
+
+def _surd_structural(exp: CFExpansion, gs: GapStructure) -> QUMetrics:
+    """The exact metrics of a surd alpha's first gs.n points: fill eta_m *
+    F / 2, separation eta_m * S / 2 and rho F / S (_surd_cells)."""
+    (P, D, Q), (m, h, _) = exp._alpha0_surd, gs.decomposition
+    last, present = _role_indices(gs)
+    fill, small, rho = _surd_cells(*exp.quotient(m + 1), D, exp.digits[m + 1] - h, h, last,
+                                   tuple(present))
+    u, v = gs.entries[0][0]  # eta_m = u alpha0 + v, halved
+    half = (u * P + v * Q, u, 2 * Q) if Q > 0 else (-u * P - v * Q, -u, -2 * Q)
+    return QUMetrics(gs.n, _qtriple(_qmul(half, fill, D), D), _qtriple(_qmul(half, small, D), D),
+                     rho, "structure-exact")
+
+
+@lru_cache(maxsize=4096)
+def _surd_cells(a: int, c: int, D: int, t: int, h: int, last: int, present: Tuple[int, ...]):
+    """F, S and the triple of F / S for gap forms eta_m * c, c = 1, x - h and
+    x - h - 1, x = (a + sqrt(D)) / c in (h + t, h + t + 1): ranks order the
+    c, S is the smallest present one and F the larger of the largest and
+    twice the gap touching 1 (index last).  Memoized per phase, in effect."""
+    a, b, c = (a - h * c, 1, c) if c > 0 else (h * c - a, -1, -c)
+    cs, rank = ((1, 0, 1), (a, b, c), (a - c, b, c)), (2, 2 * t + 1, 2 * t - 1).__getitem__
+    big, small = max(present, key=rank), cs[min(present, key=rank)]
+    # 2 > x - h just when t = 1; 2 (x - h - 1) > x - h, the largest, when t >= 2
+    if last == 1 or last == 0 and rank(big) < 4 or last == 2 and t >= 2:
+        a, b, c = cs[last]
+        big = (2 * a, 2 * b, c)
+    else:
+        big = cs[big]
+    (a, b, c), (x, y, z) = big, small  # F / S through the conjugate of S
+    rho = (z * (a * x - b * y * D), z * (b * x - a * y), c * (x * x - y * y * D))
+    return big, small, _qtriple(rho, D)
 
 
 def _first_rung(exp: CFExpansion, last_form: LinearForm, present: List[LinearForm],
@@ -493,28 +561,33 @@ SWEEP_COLUMNS = (
 
 
 def _formatter(digits: int):
-    """fmt(num, den, mode): decimal_renderer at `digits`, once per distinct
-    (num, den, mode), as the rows of a sweep repeat few distinct values."""
+    """fmt(value, mode): a record value at `digits`, once per distinct
+    (value, mode), as the rows of a sweep repeat few distinct values: a
+    ratio by decimal_renderer, a surd triple by surd_digits and surd_text.
+    Mode "interval" gives the floor and ceiling of a triple, or of bracket
+    ends (x1, y1, x2, y2) the outward-rounded ends, as interval_to_decimal."""
     render, done = decimal_renderer(digits), {}
 
-    def fmt(num: int, den: int, mode: str = "nearest") -> str:
-        key = (num, den, mode)
+    def fmt(value, mode: str = "nearest"):
+        key = (value, mode)
         text = done.get(key)
         if text is None:
-            text = done[key] = render(num, den, mode)
+            if len(value) == 4:
+                text = (render(*value[:2], "floor"), render(*value[2:], "ceil"))
+            elif len(value) == 2:
+                text = render(*value, mode)
+            else:
+                F = surd_digits(*value, digits)
+                text = (surd_text(*F, digits, "floor"), surd_text(*F, digits, "ceil")) if (
+                    mode == "interval") else surd_text(*F, digits, mode)
+            done[key] = text
         return text
 
     return fmt
 
 
 def _rho_str(qm: QUMetrics, fmt) -> str:
-    return "inf" if qm.is_infinite else fmt(*qm.rho_nd)
-
-
-def _interval_str(ends: Ends, fmt) -> List[str]:
-    """Outward-rounded endpoints, as interval_to_decimal renders them."""
-    x1, y1, x2, y2 = ends
-    return [fmt(x1, y1, "floor"), fmt(x2, y2, "ceil")]
+    return "inf" if qm.is_infinite else fmt(qm.rho_nd)
 
 
 def sweep_to_csv(segments, digits: int = 40) -> str:
@@ -585,13 +658,13 @@ def _csv_templates(segs: List[Segment], fmt) -> List[Union[str, Tuple[str]]]:
     out = []
     for seg in segs:
         qm, br = seg.metrics, seg.bounds
-        cells = ["", fmt(*qm.fill_nd), fmt(*qm.separation_nd), _rho_str(qm, fmt)]
+        cells = ["", fmt(qm.fill_nd), fmt(qm.separation_nd), _rho_str(qm, fmt)]
         if br is None:
             cells += [""] * 5
         else:
             lower = br.lower_ends
-            cells += _interval_str(br.upper_ends, fmt)
-            cells += ["", ""] if lower is None else _interval_str(lower, fmt)
+            cells += fmt(br.upper_ends, "interval")
+            cells += ("", "") if lower is None else fmt(lower, "interval")
             cells.append("" if br.global_upper is None else str(br.global_upper))
         tail = ",".join(cells) + "\n"
         out.append(f"{seg.n_lo}{tail}" if seg.n_hi == seg.n_lo else (tail,))
@@ -664,8 +737,8 @@ def metrics_to_json(qm: QUMetrics, br: Optional[BoundReport], digits: int = 40) 
 def _metrics_json(qm: QUMetrics, br: Optional[BoundReport], fmt) -> dict:
     out = {
         "n": qm.n,
-        "fill": fmt(*qm.fill_nd),
-        "separation": fmt(*qm.separation_nd),
+        "fill": fmt(qm.fill_nd),
+        "separation": fmt(qm.separation_nd),
         "mesh_ratio": _rho_str(qm, fmt),
         "provenance": qm.provenance,
     }
@@ -680,8 +753,8 @@ def _bounds_json(br: BoundReport, fmt) -> dict:
         "m": br.m,
         "h": br.h,
         "k": br.k,
-        "upper": _interval_str(br.upper_ends, fmt),
-        "lower_at_nm": None if br.lower_ends is None else _interval_str(br.lower_ends, fmt),
-        "lower_digit_form": None if br.digit_form_nd is None else fmt(*br.digit_form_nd),
+        "upper": list(fmt(br.upper_ends, "interval")),
+        "lower_at_nm": None if br.lower_ends is None else list(fmt(br.lower_ends, "interval")),
+        "lower_digit_form": None if br.digit_form_nd is None else fmt(br.digit_form_nd),
         "global_upper": br.global_upper,
     }

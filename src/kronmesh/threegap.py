@@ -13,7 +13,9 @@ eta_{m+1} = eta_{m-1} - a_{m+1} eta_m.
 
 Every length is carried as an exact integer pair (u, v) standing for
 u*alpha0 + v; floats never appear, so the structural identities below are
-exact integer assertions.
+exact integer assertions.  For a quadratic surd alpha0 = (P + sqrt(D)) / Q
+a length is the exact (u P + v Q + u sqrt(D)) / Q, printed as its floor
+and ceiling; a digit prefix's is an enclosure from the precision ladder.
 """
 from __future__ import annotations
 
@@ -21,10 +23,10 @@ import bisect
 from fractions import Fraction
 from typing import NamedTuple, Tuple
 
-from .contfrac import _Q, CFExpansion, DEFAULT_CONTEXT, PrecisionContext
+from .contfrac import _Q, CFExpansion, DEFAULT_CONTEXT, PrecisionContext, _qtriple
 from .errors import KronmeshError, OutOfRangeError
 from .errors import PrecisionUnresolvedError, UnsupportedAlphaError
-from .intervals import Interval, decimal_renderer
+from .intervals import Interval, decimal_renderer, surd_digits, surd_text
 
 
 class LinearForm(NamedTuple):
@@ -205,13 +207,20 @@ def gap_structure_json(
     ctx: PrecisionContext = DEFAULT_CONTEXT,
     digits: int = 40,
 ) -> dict:
-    """JSON-ready dict with decimal interval strings for each length: the
-    ends of its enclosure over 2**bits, rounded outward."""
-    render, entries = decimal_renderer(digits), []
+    """JSON-ready dict with decimal interval strings for each length: for a
+    surd alpha the floor and ceiling of its exact value at `digits`, one
+    unit in the last place apart; else its enclosure rounded outward."""
+    render, surd, entries = decimal_renderer(digits), exp._alpha0_surd, []
     for form, count in gs.entries:
-        lo, hi, bits = _form_rung(exp, form, ctx, True)
-        entries.append({"u": form.u, "v": form.v, "multiplicity": count,
-                        "interval": [render(lo, 1 << bits, "floor"),
-                                     render(hi, 1 << bits, "ceil")]})
+        if surd is None:
+            lo, hi, bits = _form_rung(exp, form, ctx, True)
+            interval = [render(lo, 1 << bits, "floor"), render(hi, 1 << bits, "ceil")]
+        elif not form.u:  # the integer v, which a ladder rung renders as itself
+            interval = [render(form.v, 1, "floor"), render(form.v, 1, "ceil")]
+        else:
+            P, D, Q = surd
+            F = surd_digits(*_qtriple((form.u * P + form.v * Q, form.u, Q), D), digits)
+            interval = [surd_text(*F, digits, "floor"), surd_text(*F, digits, "ceil")]
+        entries.append({"u": form.u, "v": form.v, "multiplicity": count, "interval": interval})
     d = gs.decomposition
     return {"n": gs.n, "m": d.m, "h": d.h, "k": d.k, "entries": entries}

@@ -55,6 +55,23 @@ def surd_sign(a: int, b: int, d: int) -> int:
     return (1 if a > 0 else -1) if big_is_a else (1 if b > 0 else -1)
 
 
+def exact_in(stored, lo, hi) -> bool:
+    """lo <= x <= hi for a record's exact value x, stored as a triple (P, N,
+    Q) of (P + sqrt(N)) / Q (N = 0 for the rational P / Q) or a
+    QuadraticSurd, decided by surd_sign on x - r = (P b - a Q + b sqrt(N)) /
+    (Q b) for r = a / b."""
+    P, N, Q = stored
+    if not N:
+        return lo <= Fraction(P, Q) <= hi
+
+    def sign_above(r):
+        r = Fraction(r)
+        a, b = r.numerator, r.denominator
+        return surd_sign(P * b - a * Q, b, N) * (1 if Q > 0 else -1)
+
+    return sign_above(lo) >= 0 >= sign_above(hi)
+
+
 # -- continued fractions, the long way --------------------------------------
 
 def cf_digits_euclid(p: int, q: int):
@@ -148,6 +165,23 @@ def mp_value(spec: str, prec: int = 400) -> mpmath.mpf:
         raise ValueError(spec)
 
 
+def enclose(x, bits: int = 256):
+    """An Interval holding a record's value x: an Interval as it is, a
+    rational as a point, and a QuadraticSurd (P + sqrt(D)) / Q between
+    consecutive multiples of 2**-bits, from an mpmath floor at a precision
+    past the cancellation of P and sqrt(D)."""
+    from kronmesh import Interval, QuadraticSurd
+
+    if isinstance(x, Interval):
+        return x
+    if not isinstance(x, QuadraticSurd):
+        return Interval(x, x)
+    P, D, Q = x
+    with mpmath.workprec(2 * bits + 2 * D.bit_length() + abs(P).bit_length() + 64):
+        lo = int(mpmath.floor((P + mpmath.sqrt(D)) / Q * 2 ** bits))
+    return Interval(Fraction(lo, 1 << bits), Fraction(lo + 1, 1 << bits))
+
+
 def mp_cf_digits(x: mpmath.mpf, depth: int, prec: int = 400):
     """CF digits of a big-float by the naive floor loop."""
     digits = []
@@ -202,20 +236,30 @@ def eta_product_interval(digits, m: int):
 
 
 # -- the package's records, to and from Fractions ----------------------------
-# QUMetrics and BoundReport store unreduced integer ratios.  The oracles build
-# them from Fractions, and tests compare records by their ratios in lowest
-# terms, so that equal values built from different ratios compare equal.
+# QUMetrics and BoundReport store unreduced integer ratios, and exact surd
+# values as triples (P, N, Q) standing for (P + sqrt(N)) / Q.  The oracles
+# build them from Fractions and QuadraticSurds, and tests compare records by
+# their values in a canonical form, so that equal values built from
+# different integers compare equal.
 
 def ratio(x):
-    """A rational as the (num, den) pair the records store."""
+    """A rational as the (num, den) pair the records store; a QuadraticSurd
+    as its triple."""
+    from kronmesh import QuadraticSurd
+
+    if isinstance(x, QuadraticSurd):
+        return tuple(x)
     if type(x) is not Fraction:
         x = Fraction(x)
     return x.numerator, x.denominator
 
 
 def interval_ends(iv):
-    """An Interval as the ends (x1, y1, x2, y2) the records store."""
-    return (*ratio(iv.lo), *ratio(iv.hi))
+    """An Interval as the ends (x1, y1, x2, y2) the records store; an exact
+    QuadraticSurd as its triple."""
+    from kronmesh import QuadraticSurd
+
+    return tuple(iv) if isinstance(iv, QuadraticSurd) else (*ratio(iv.lo), *ratio(iv.hi))
 
 
 def qumetrics(n, fill, sep, rho, provenance, err=0):
@@ -236,14 +280,19 @@ def bound_report(n, m, h, k, upper, lower, digit_form, global_upper):
                        None if digit_form is None else ratio(digit_form), global_upper)
 
 
-def _lowest(num, den):
+def _lowest(num, den, *rest):
+    """A stored value in a canonical form: a ratio in lowest terms, and a
+    triple (P, N, Q) as (P / Q, N / Q^2, Q > 0), which a value r + s sqrt(t)
+    with rational r and t and s = +-1 determines."""
+    if rest:
+        return Fraction(num, rest[0]), Fraction(den, rest[0] ** 2), rest[0] > 0
     g = math.gcd(num, den)
     return num // g, den // g
 
 
 def record_values(x):
     """A record, a SweepRow or Segment, or a list of them, with every
-    stored ratio in lowest terms: records of equal values compare equal."""
+    stored value canonical (_lowest): records of equal values compare equal."""
     from kronmesh import BoundReport, QUMetrics
 
     def one(r):
@@ -251,7 +300,8 @@ def record_values(x):
             return (r.n, _lowest(*r.fill_nd), _lowest(*r.separation_nd),
                     r.rho_nd and _lowest(*r.rho_nd), r.provenance, _lowest(*r.error_nd))
         if isinstance(r, BoundReport):
-            ends = [e and (_lowest(*e[:2]), _lowest(*e[2:])) for e in (r.upper_ends, r.lower_ends)]
+            ends = [e and (_lowest(*e) if len(e) == 3 else (_lowest(*e[:2]), _lowest(*e[2:])))
+                    for e in (r.upper_ends, r.lower_ends)]
             return (r.n, r.m, r.h, r.k, *ends, r.digit_form_nd and _lowest(*r.digit_form_nd),
                     r.global_upper)
         if isinstance(r, tuple):  # SweepRow, Segment, an (outcome, error) pair
@@ -914,16 +964,26 @@ def run_rows(run, n_lo: int, n_hi: int):
 
 def _row_cells(row, digits: int):
     """(fill, separation, rho, bounds or None) of a row as printed, each
-    value rounded from scratch: nearest, and intervals outward."""
-    from kronmesh import fraction_to_decimal
+    value rounded from scratch: nearest, and intervals outward; an exact
+    surd value (a stored triple, the structure path's exact rho 1 or 2 too)
+    by the package's surd renderer."""
+    from kronmesh import QuadraticSurd, fraction_to_decimal
+    from kronmesh.intervals import surd_digits, surd_text
+
+    def text(stored, mode="nearest"):
+        if len(stored) == 3:
+            return surd_text(*surd_digits(*stored, digits), digits, mode)
+        return fraction_to_decimal(Fraction(*stored), digits, mode)
 
     def iv(x):
+        if isinstance(x, QuadraticSurd):
+            return [text(x, "floor"), text(x, "ceil")]
         return [fraction_to_decimal(x.lo, digits, "floor"),
                 fraction_to_decimal(x.hi, digits, "ceil")]
 
     qm, br = row.metrics, row.bounds
-    cells = [fraction_to_decimal(v, digits) for v in (qm.fill, qm.separation)]
-    cells.append("inf" if qm.is_infinite else fraction_to_decimal(qm.mesh_ratio, digits))
+    cells = [text(qm.fill_nd), text(qm.separation_nd)]
+    cells.append("inf" if qm.is_infinite else text(qm.rho_nd))
     if br is None:
         return cells, None
     return cells, {

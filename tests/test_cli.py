@@ -426,10 +426,9 @@ def test_nm_cap_admits_the_largest_fitting_m(capsys, monkeypatch, spec):
 
 
 def test_nm_sweep_extends_only_the_digits_its_windows_need(capsys, monkeypatch):
-    # each alpha_m window is sized to its width target and read at m's
-    # phase: sqrt(103)'s period of 12 starts at a_1, so alpha_m =
-    # alpha_{m mod 12} and the deepest window is alpha_11's.  132 digits
-    # here, 191 with one window per m, 351 with a fixed 282-digit window
+    # a surd's rows are exact: each reads a_{m+1} and, for its digit form,
+    # a_{m+2}, so the sweep draws digits to a_71 at any --bits (an alpha_m
+    # window per phase drew 132 at --bits 384, one window per m 191)
     made = []
 
     class Recorded(cli.CFExpansion):
@@ -438,10 +437,11 @@ def test_nm_sweep_extends_only_the_digits_its_windows_need(capsys, monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(cli, "CFExpansion", Recorded)
-    code, out, err = run(capsys, "sweep", "--alpha", "sqrt:103", "--n-at", "nm",
-                         "--m", "46..69", "--bits", "384")
-    assert (code, err, out.count("\n")) == (0, "", 25)
-    assert [exp.depth for exp in made] == [132]
+    for bits in ("64", "384", "4096"):
+        code, out, err = run(capsys, "sweep", "--alpha", "sqrt:103", "--n-at", "nm",
+                             "--m", "46..69", "--bits", bits)
+        assert (code, err, out.count("\n")) == (0, "", 25)
+    assert [exp.depth for exp in made] == [71, 71, 71]
 
 
 def _record_passes(monkeypatch):
@@ -477,18 +477,23 @@ def test_gaps_extends_in_one_pass(capsys, monkeypatch):
 
 def test_bounded_nm_sweep_extends_in_two_passes(capsys, monkeypatch):
     # the n_m cap check draws digits to a_69, and one pass before the rows
-    # draws every digit the deepest phase's alpha_m window needs (alpha_11's;
-    # a_69..a_191 for the last row's own window)
+    # draws a_70 and a_71, the last row's a_{m+1} and a_{m+2} (a_70 alone
+    # without bounds); no alpha_m window is drawn
     passes = _record_passes(monkeypatch)
     code, out, err = run(capsys, "sweep", "--alpha", "sqrt:103", "--n-at", "nm",
                          "--m", "46..69", "--bits", "384")
     assert (code, err, out.count("\n")) == (0, "", 25)
-    assert passes == [(-1, 0), (0, 69), (69, 132)]
+    assert passes == [(-1, 0), (0, 69), (69, 71)]
+    passes.clear()
+    code, out, err = run(capsys, "sweep", "--alpha", "sqrt:103", "--n-at", "nm",
+                         "--m", "46..69", "--no-bounds")
+    assert (code, err, out.count("\n")) == (0, "", 25)
+    assert passes == [(-1, 0), (0, 69), (69, 70)]
 
 
 def test_nm_sweep_reads_each_row_off_one_rung(capsys, monkeypatch):
-    # a row's gap forms share their first rung, and n_m decomposes as
-    # (m, 0, 0) without decompose: the only ladders left are the bounds'
+    # n_m decomposes as (m, 0, 0) without decompose, and a surd's rows and
+    # bounds are exact: no ladder runs (the bounds climbed one per row)
     threegap = importlib.import_module("kronmesh.threegap")
     contfrac = importlib.import_module("kronmesh.contfrac")
     decompose, escalate = threegap.decompose, contfrac.PrecisionContext.escalate
@@ -510,8 +515,7 @@ def test_nm_sweep_reads_each_row_off_one_rung(capsys, monkeypatch):
                          "--m", "46..69", "--bits", "384")
     assert (code, err, out.count("\n")) == (0, "", 25)
     assert decomposed == []
-    assert len(ladders) == 24
-    assert all(what.startswith("bound denominator sign (n=") for what in ladders), ladders
+    assert ladders == []
 
 
 @pytest.mark.parametrize("n", ["0", "-1", "1"])
@@ -691,11 +695,11 @@ def test_points_json_is_json_dumps(capsys, argv, gen):
 # declared
 _HELP_SHA256 = {
     (): "3e7915fb5c367de4d032621f1feed31968a2767515ef51180a4b0e3e6925382c",
-    ("gaps",): "9cecdb2c7cdc2deff726023f0e152ff934929abc6f549e2f94c18efdc69ee9cc",
-    ("analyze",): "bc80555d936e71e30e7fc894067c84f7cae3a81bab3c8f5bb98d957e9cd2da9a",
-    ("sweep",): "4086ebf28a1c205e9d17ecf741f16f82a7fe8d96f34b55c52b1f98dabcdfa467",
+    ("gaps",): "e5740c360bdf3d1a47de6fff5edb6a5b41f90431a9f9a7fd1d298fd53c92a773",
+    ("analyze",): "2757d40d4f39c9f85c0d993811211a036d55b5a8bc8edf18973b3ca760c053e5",
+    ("sweep",): "33fea48d071dec7d83efe04a13f642aa3cb755a53f08de448d50bbf33d2f50b8",
     ("classify",): "cd4a7658c1f67cb6eaabd4ba984287b0c1b1f49da062b0971fe58f891feb7b63",
-    ("points",): "233540998e73af857e017d533c05d135e1118289f19637ad5e40f1650bfbace3",
+    ("points",): "6b5c59fd1deda38d9cc8b8071429fec18c1b68ce7844b1112659d76072c5e088",
 }
 
 
@@ -1252,9 +1256,11 @@ def test_ladder_deciding_at_its_first_rung_builds_no_message(capsys, monkeypatch
         return original(self, attempt, start_bits, lambda: built.append(what) or what())
 
     monkeypatch.setattr(contfrac.PrecisionContext, "escalate", recording)
-    for argv in (("gaps", "--alpha", "golden", "--n", str(10 ** 30)),
-                 ("sweep", "--alpha", "sqrt:7", "--n-at", "nm", "--m", "3..12"),
-                 ("analyze", "--alpha", "cf:1;7(2)", "--n", "1000"),
+    # a surd's gap forms and bounds are exact: the sign and bound ladders
+    # run on a digit prefix (of sqrt:7 and of cf:1;7(2))
+    for argv in (("gaps", "--alpha", "cf:2;" + "1,1,1,4," * 20, "--n", str(10 ** 20)),
+                 ("sweep", "--alpha", "cf:2;" + "1,1,1,4," * 20, "--n-at", "nm", "--m", "3..12"),
+                 ("analyze", "--alpha", "cf:1;7" + ",2" * 40, "--n", "1000"),
                  ("points", "--alpha", "golden", "--n", "20")):
         assert run(capsys, *argv)[0] == 0
     assert built == []

@@ -51,12 +51,16 @@ def test_expand_golden():
 def test_expansion_stores_only_digits_and_convergents():
     # s_m = q_m and n_m = q_m + q_{m-1} are read off the convergents: two
     # lists of big integers per expansion, not four
+    # lists of big integers per expansion, not four; the third list holds
+    # the small complete-quotient states (P_j, Q_j), one period of them
     exp = CFExpansion(km.parse_alpha("golden"))
     exp.ensure(500)
     assert sorted(k for k, v in vars(exp).items() if isinstance(v, list)) == [
-        "convergents", "digits"]
+        "_states", "convergents", "digits"]
     assert len(exp.convergents) == len(exp.digits) == 501
     assert exp.n_at(500) == exp.s_at(500) + exp.s_at(499) == exp.s_at(501)
+    assert exp._states == []  # drawing digits walks no complete quotient
+    assert exp.quotient(500) == (1, 2) and exp._states == [(1, 2)]  # x_j = phi
 
 
 def test_expand_sqrt2():

@@ -46,7 +46,7 @@ def test_renderer_text_does_not_depend_on_reduction(ratio, g, digits):
         want = fraction_to_decimal(x, digits, mode)
         assert want == _division(x, digits, mode), (x, digits, mode)
         assert render(g * num, g * den, mode) == want, (num, den, g, digits, mode)
-        assert fmt(g * num, g * den, mode) == want, (num, den, g, digits, mode)
+        assert fmt((g * num, g * den), mode) == want, (num, den, g, digits, mode)
 
 
 def test_renderer_pins_exact_values():

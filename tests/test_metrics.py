@@ -107,8 +107,12 @@ def test_kronecker_bounds_golden_n5(golden):
     # a_4 + 1/(a_5 + 1) <= 1/alpha_3 <= rho_5: 3/2 <= phi = 1.618 <= 2
     assert br.lower_digit_form == Fraction(3, 2)
     assert br.lower_at_nm is not None
-    assert abs(float(br.lower_at_nm.mid) - 1.6180339887) < 1e-9
-    assert float(br.upper.mid) == pytest.approx(2 / (1 - 0.61803398875), rel=1e-9)
+    # exact for a surd alpha: 1/alpha_3 = phi and 2 / min(alpha_3, 1 - alpha_3) = 2 phi^2
+    assert br.lower_at_nm == km.QuadraticSurd(1, 5, 2)
+    assert oracles._lowest(*br.upper) == oracles._lowest(3, 5, 1)  # 3 + sqrt(5) = 2 phi^2
+    assert abs(float(oracles.enclose(br.lower_at_nm).mid) - 1.6180339887) < 1e-9
+    assert float(oracles.enclose(br.upper).mid) == pytest.approx(2 / (1 - 0.61803398875),
+                                                                 rel=1e-9)
 
 
 def test_kronecker_bounds_rejects_rational():
@@ -124,9 +128,9 @@ def test_bounds_contain_true_rho_golden():
         br = row.bounds
         assert br is not None
         # not certified above the upper bound
-        assert rho_iv.lo <= br.upper.hi, row.metrics.n
+        assert rho_iv.lo <= oracles.enclose(br.upper).hi, row.metrics.n
         if br.lower_at_nm is not None:
-            assert rho_iv.hi >= br.lower_at_nm.lo, row.metrics.n
+            assert rho_iv.hi >= oracles.enclose(br.lower_at_nm).lo, row.metrics.n
         assert br.global_upper == 4
         assert rho_iv.lo <= br.global_upper
 

@@ -234,9 +234,20 @@ def _sample_sizes(exp, m_max, rng):
     return sorted(s for s in sizes if s >= 2)
 
 
+def assert_exact_within(new, old, where):
+    """The exact QUMetrics of a surd alpha lies in the Interval path's: each
+    of fill, separation and rho within the old midpoint -+ the old error."""
+    assert new.provenance == old.provenance == "structure-exact" and new.error_nd == (0, 1)
+    e = old.error_bound
+    for got, mid in ((new.fill_nd, old.fill), (new.separation_nd, old.separation),
+                     (new.rho_nd, old.mesh_ratio)):
+        assert len(got) == 3 and oracles.exact_in(got, mid - e, mid + e), where
+
+
 @pytest.mark.parametrize("bits", [64, 192, 576])
 def test_mesh_ratio_structural_equals_interval_path(bits):
-    # exact Fractions, field for field, or the same exception and message
+    # a prefix: exact Fractions, field for field, or the same exception and
+    # message; a surd: the exact values lie in the Interval path's enclosures
     rng = random.Random(bits)
     specs = oracles.random_periodic_alpha_specs(4, seed=bits) + ["golden", "sqrt:7"]
     ctx = PrecisionContext(bits)
@@ -245,7 +256,10 @@ def test_mesh_ratio_structural_equals_interval_path(bits):
         for n in _sample_sizes(exp, 200, rng):
             new = outcome(lambda: km.mesh_ratio_structural(exp, n, ctx))
             old = outcome(lambda: oracles.mesh_ratio_structural_interval(exp, n, ctx))
-            assert V(new) == V(old), (spec, n)
+            if exp._alpha0_surd is None:
+                assert V(new) == V(old), (spec, n)
+            else:
+                assert_exact_within(new[0], old[0], (spec, n))
 
 
 @pytest.mark.parametrize("spec,n", [("cf:0;1,1,1,1,1,1", 13), ("cf:0;1,1,1,1,1,1", 14),
@@ -291,7 +305,10 @@ def test_structural_first_rung_equals_interval_path(bits):
             assert (_first_rung(exp, *_gap_roles(gs), bits) is None) == (left != "decided")
             new = outcome(lambda: _structural(exp, gs, ctx))
             old = outcome(lambda: oracles.mesh_ratio_structural_interval(exp, n, ctx))
-            assert V(new) == V(old), (spec, m)
+            if exp._alpha0_surd is None:
+                assert V(new) == V(old), (spec, m)
+            else:  # exact, whatever the rung leaves
+                assert_exact_within(new[0], old[0], (spec, m))
     assert leaves == {"decided", "order", "sign"}
 
 
@@ -320,11 +337,13 @@ EXIT_3_STDERR = [
     (("analyze", "--alpha", "cf:0;1,2,3,4,5", "--n", "114"),
      "error: point order at n=114 unresolved at 430 bits; doubling the precision "
      "cannot reduce the error (digit prefix exhausted?)\n"),
-    (("sweep", "--alpha", "golden", "--n-at", "nm", "--m", "90..92", "--bits", "64",
-      "--max-bits", "128"),
+    # 300 and 40 digits of golden and cf:2;(50), whose exact rows now answer
+    # at this ceiling (test_surd_nm_sweep_answers_at_any_ceiling)
+    (("sweep", "--alpha", "cf:0;" + ",".join(["1"] * 300), "--n-at", "nm", "--m", "90..92",
+      "--bits", "64", "--max-bits", "128"),
      "error: gap-length ordering unresolved at the ceiling of 128 bits\n"),
-    (("sweep", "--alpha", "cf:2;(50)", "--n-at", "nm", "--m", "9..11", "--bits", "64",
-      "--max-bits", "128"),
+    (("sweep", "--alpha", "cf:2;" + ",".join(["50"] * 40), "--n-at", "nm", "--m", "9..11",
+      "--bits", "64", "--max-bits", "128"),
      "error: sign of -9804743785008750600*alpha+196016500437575002 unresolved at the "
      "ceiling of 128 bits\n"),
     # a prefix ending at a_m: n_m is not read off m
@@ -339,6 +358,19 @@ EXIT_3_STDERR = [
 def test_exit_3_stderr_is_unchanged(capsys, argv, err):
     assert main(list(argv)) == 3
     assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("spec, m", [("golden", "90..92"), ("cf:2;(50)", "9..11")])
+def test_surd_nm_sweep_answers_at_any_ceiling(capsys, spec, m):
+    # these exited 3 at --bits 64 --max-bits 128 on the ladder; the exact
+    # rows print the same bytes at every --bits and --max-bits
+    outs = []
+    for flags in (("--bits", "64", "--max-bits", "128"), (), ("--bits", "8192")):
+        assert main(["sweep", "--alpha", spec, "--n-at", "nm", "--m", m, *flags]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("\n") == 4
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
 
 
 BOUND_SPECS = ("golden", "sqrt:2", "sqrt:213", "quad:3,37,5", "cf:1;7(2)", "cf:0;20000(1)",
@@ -360,9 +392,11 @@ def _bound_sizes(exp, m_max=60):
 
 def _bounds_against_interval_path(spec, monkeypatch):
     """Hold kronecker_bounds to the Interval path at bits 64, 192 and 576
-    over _bound_sizes: the same BoundReport field for field (exact
-    Fractions), or the same exception and message.  Returns the ends each
-    min took on the deciding bracket and the count of stalled ladders."""
+    over _bound_sizes: for a digit prefix the same BoundReport field for
+    field (exact Fractions), or the same exception and message; for a surd
+    the exact upper and lower bounds inside the Interval path's, and every
+    other field equal.  Returns the ends each min took on the deciding
+    bracket and the count of stalled ladders."""
     metrics = importlib.import_module("kronmesh.metrics")
     original, brackets = metrics._tail_ends, []
 
@@ -379,6 +413,15 @@ def _bounds_against_interval_path(spec, monkeypatch):
         for n in _bound_sizes(exp):
             new = outcome(lambda: km.kronecker_bounds(exp, n, ctx))
             old = outcome(lambda: oracles.kronecker_bounds_interval(exp, n, ctx))
+            if exp._alpha0_surd is not None:
+                (new, _), (old, _) = new, old
+                fields, old_fields = V(new), V(old)  # all but the two bounds
+                assert fields[:4] + fields[6:] == old_fields[:4] + old_fields[6:], (spec, bits, n)
+                assert oracles.exact_in(new.upper_ends, *old.upper), (spec, bits, n)
+                assert (new.lower_ends is None) == (old.lower_at_nm is None), (spec, bits, n)
+                assert new.lower_ends is None or oracles.exact_in(
+                    new.lower_ends, *old.lower_at_nm), (spec, bits, n)
+                continue
             assert V(new) == V(old), (spec, bits, n)
             if new[1] is not None:
                 stalls += "cannot reduce" in new[1][1]
@@ -396,10 +439,18 @@ def test_kronecker_bounds_equal_interval_path(spec, monkeypatch):
         assert stalls > 0
 
 
+def _prefix_of(spec, digits=160):
+    """The cf: digit prefix of a periodic alpha's first `digits` digits."""
+    exp = expansion(spec, digits)
+    return f"cf:{exp.digits[0]};" + ",".join(map(str, exp.digits[1:]))
+
+
 def test_kronecker_bounds_take_both_ends_of_each_min():
-    # the alpha_m end at small h, the 1 - (h+1) alpha_m end at h = a_{m+1} - 1
+    # the alpha_m end at small h, the 1 - (h+1) alpha_m end at h = a_{m+1} - 1,
+    # on the brackets of digit prefixes of sqrt:2, sqrt:213 and cf:1;7(2)
+    # (their own bounds are exact)
     branches = set()
-    for spec in ("sqrt:2", "sqrt:213", "cf:1;7(2)"):
+    for spec in map(_prefix_of, ("sqrt:2", "sqrt:213", "cf:1;7(2)")):
         with pytest.MonkeyPatch.context() as mp:
             branches |= _bounds_against_interval_path(spec, mp)[0]
     assert branches == {(which, end) for which in ("den_lo", "den_hi")
@@ -449,16 +500,27 @@ def _window_loop_ends(exp, m, bits):
     return (iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator)
 
 
+def _exact_at(argv, bits):
+    """argv at --bits `bits` when it evaluates a surd's gap forms (gaps, an
+    --n-at nm sweep), which are exact now: the Interval path prints the
+    same digits, and the same one-unit gaps intervals, from 8192 bits on."""
+    if argv[0] == "analyze" or CFExpansion(km.parse_alpha(argv[2]))._alpha0_surd is None:
+        return argv
+    i = argv.index("--bits") if "--bits" in argv else len(argv)
+    return (*argv[:i], "--bits", str(bits), *argv[i + 2:])
+
+
 def test_cli_output_equals_interval_path(capsys, monkeypatch):
-    def run_all():
+    def run_all(bits=None):
         runs = []
         for argv in CLI_COMMANDS:
-            code = main(list(argv))
+            code = main(list(argv if bits is None else _exact_at(argv, bits)))
             cap = capsys.readouterr()
             runs.append((code, cap.out, cap.err))
         return runs
 
     new = run_all()
+    assert run_all(8192) == new  # --bits steers no surd row, bound or gaps end
     # the old code: no alpha0 memo, window loops for the tails and a
     # prefix's alpha0, Interval arithmetic for the forms and the metrics,
     # and the gaps entries rendered from Fraction intervals
@@ -469,7 +531,7 @@ def test_cli_output_equals_interval_path(capsys, monkeypatch):
     monkeypatch.setattr(cli, "gap_structure_json", oracles.gap_structure_json_interval)
     monkeypatch.setattr(cli, "_structural", lambda exp, gs, ctx:
                         oracles.mesh_ratio_structural_interval(exp, gs.n, ctx))
-    old = run_all()
+    old = run_all(8192)
     assert [code for code, _, _ in new] == [0, 0, 0, 3, 0, 0, 0, 0, 3, 0, 0, 0, 0]
     for argv, a, b in zip(CLI_COMMANDS, new, old):
         assert a == b, argv
@@ -522,8 +584,8 @@ def test_alpha0_memo_two_threads_agree():
 
 def _tail_workout(exp):
     """Fill the _tail_ends memo as the CLI does: the bound columns of a
-    bounded sweep (one bracket per phase of m, read by every key of those
-    m) and of rows at n_m."""
+    bounded sweep (one bracket per m, read by every key of that m) and of
+    rows at n_m; a surd's bound columns are exact and read none."""
     ctx = PrecisionContext(64)
     outcome(lambda: km.sweep_segments(km.KroneckerGen(exp), 2, 3000, ctx))
     for m in (3, 20, 60):
@@ -535,6 +597,10 @@ def _tail_workout(exp):
 def test_tail_memo_equals_fresh_computation(spec):
     exp = CFExpansion(km.parse_alpha(spec))
     _tail_workout(exp)
+    if exp._alpha0_surd is not None:
+        assert exp._tails == {}  # exact bounds: no bracket was read
+        for m, bits in ((3, 64), (20, 192), (60, 576)):
+            _tail_ends(exp, m, bits)
     memo = dict(exp._tails)
     assert memo  # the six-digit prefix reaches one bound column, at m = 3
     for (m, bits), ends in memo.items():
@@ -570,9 +636,9 @@ def test_tail_memo_many_threads_agree():
     fresh = CFExpansion(km.parse_alpha("cf:0;20000(1)"))
     want = [_tail_ends(fresh, m, bits) for m, bits in keys]
     assert all(got == want for got in results)
-    # the period (1) starts at a_2, so alpha_m = alpha_1 for m >= 1: the
-    # memo holds one bracket per phase and bits
-    assert set(exp._tails) == {(min(m, 1), bits) for m, bits in keys}
+    # one bracket per m and bits (the period (1) from a_2 made alpha_m =
+    # alpha_1 for m >= 1, which a memo keyed by phase shared)
+    assert set(exp._tails) == set(keys)
 
 
 # a period from a_0, from a_1 and after a preperiod; a prefix and a rational
@@ -584,35 +650,35 @@ PHASED = ("quad:2,31,7", "golden", "sqrt:103", "quad:5,13,7", "quad:-3,11,-4",
 @pytest.mark.parametrize("spec", PHASED)
 @pytest.mark.parametrize("bits", [64, 192, 576])
 def test_tail_ends_at_every_phase_equal_best_window(spec, bits):
-    # alpha_m's bracket is computed at its phase; at every m through three
-    # periods past the preperiod (or through the end of a prefix or a
-    # rational, and one past) it is the brute-force shortest window of m's
-    # own digits.  Once on an expansion whose sup is read first, once on a
-    # fresh one, whose first bracket reads the period
+    # at every m through three periods past the preperiod (or through the
+    # end of a prefix or a rational, and one past) alpha_m's bracket is the
+    # brute-force shortest window of m's own digits, once memoized per m.
+    # Once on an expansion whose sup is read first, once on a fresh one
     ctx = PrecisionContext(bits)
     closed, fresh = (CFExpansion(km.parse_alpha(spec)) for _ in range(2))
     km.digit_supremum(closed)
     if closed.periodic:
         start, length = closed.periodic
-        ms, phases = range(start + 3 * length + 1), max(start - 1, 0) + length
+        ms, brackets = range(start + 3 * length + 1), start + 3 * length + 1
     else:
         closed.ensure(10 ** 6)
-        ms, phases = range(closed.depth + 2), closed.depth
+        ms, brackets = range(closed.depth + 2), closed.depth
     for exp in (closed, fresh):
         for m in ms:
             assert outcome(lambda: bracket(_tail_ends(exp, m, bits))) == outcome(
                 lambda: oracles.alpha_tail_best_window(exp, m, ctx)), (spec, m)
-    assert len(closed._tails) == phases  # one bracket per phase
+    assert len(closed._tails) == brackets  # one bracket per m that has one
 
 
 def test_nm_sweep_from_a_period_at_a0_prints_the_same_bytes(capsys):
     # quad:2,31,7 = [1; (12, 3, 25, 1, 1, 1)] repeats from a_0, so alpha_m
     # = alpha_{m mod 6} from m = 0; a mapping from start - 1 = -1 would read
     # alpha_{-1} at m = 5.  The sha256 of the exit code and stdout are
-    # those of one bracket per m
+    # those of the exact rows, which the ladder printed at --bits 8192 (at
+    # --bits 64 it printed baa4ef7c..., digits that the 64 bits did not fix)
     for argv, rows, want in [
         (("--m", "1..40", "--bits", "64"), 41,
-         "baa4ef7c590e57f27eba78c1f705c178909bc9299197da9eeeda17dff9ba7355"),
+         "274c3e84ac33280ddc3d4b05446a2c15a4e3ca107be27c2e8a183ce5e2f1fdd5"),
         (("--m", "3..20", "--bits", "576", "--format", "json"), 418,
          "0df9d55009e18dec76f709b1ca9f21edefe72325f47ef9e26631f7ce8672e5d0"),
     ]:
