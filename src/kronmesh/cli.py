@@ -75,13 +75,13 @@ MAX_POINTS = 10 ** 6
 MAX_ROWS = 10 ** 6
 
 # the largest n_m, in bits, an --n-at nm sweep evaluates: n_m grows
-# exponentially in m, so the row cap alone does not bound its time (the
-# slowest sweep admitted, golden --m 1..2949, takes about 1.5 s)
+# exponentially in m, so the row cap alone does not bound its time (golden
+# --m 1..2949, the longest sweep admitted, takes about 0.2 s)
 MAX_NM_BITS = 2048
 
-# the largest --bits and --max-bits: at 65536 a golden analyze at n = 1000
-# peaks near 220 MB (its alpha_m window holds about 47k convergents, whose
-# sizes grow linearly, so memory is quadratic in the digits)
+# the largest --bits and --max-bits: at 65536 an analyze at n = 1000 of a
+# 47000-digit cf: prefix peaks near 220 MB (its alpha_m bracket holds 47k
+# convergents, whose sizes grow linearly, so memory is quadratic in digits)
 MAX_BITS = 65536
 
 # the most significant digits a printed value gets: each value is rendered

@@ -326,7 +326,9 @@ class CFExpansion:
         self._scaled: dict = {}  # bits -> alpha0_scaled(bits)
         self._tails: dict = {}  # (m, bits) -> _tail_ends(self, m, bits)
         self._sup: dict = {}  # probe_depth -> digit_supremum(self, probe_depth)
-        self._states: list = []  # quotient(j) at j - 1
+        # quotient(j) at j - 1, the index of its first reduced state, and
+        # whether that state has recurred
+        self._states, self._reduced, self._closed = [], None, False
         self._extend(0)
 
     def _extend(self, m: int, q_min: Optional[int] = None) -> bool:
@@ -422,20 +424,25 @@ class CFExpansion:
     def quotient(self, j: int) -> Tuple[int, int]:
         """(P_j, Q_j) of the complete quotient x_j = (P_j + sqrt(D)) / Q_j, j
         >= 1, over the D of _alpha0_surd: the Gauss map from alpha mod 1,
-        walked once under the lock through the preperiod and one period
-        (x_j repeats from j = max(start, 1)), which a later j reads at its
-        phase."""
-        states, period = self._states, self.periodic
-        if period and j >= max(period[0], 1) + period[1]:
-            j = max(period[0], 1) + (j - max(period[0], 1)) % period[1]
-        if j > len(states):
+        walked once under the lock to x_j or to the recurrence of its first
+        reduced state (Galois, see _surd_period), after which j is read at
+        its phase: it holds at most the preperiod and one period."""
+        states = self._states
+        if j > len(states) and not self._closed:
             with self._lock:
                 P, D, Q = self._alpha0_surd
                 P, Q, r = *(states[-1] if states else (P, Q)), math.isqrt(D)
-                while len(states) < j:
+                while len(states) < j and not self._closed:
                     P = _floor_surd(P, r, Q) * Q - P
                     Q = (D - P * P) // Q
+                    if self._reduced is None and 0 < P <= r and r - P < Q <= r + P:
+                        self._reduced = len(states)
+                    elif self._reduced is not None and (P, Q) == states[self._reduced]:
+                        self._closed = True
+                        break
                     states.append((P, Q))
+        if j > len(states):
+            j = self._reduced + 1 + (j - 1 - self._reduced) % (len(states) - self._reduced)
         return states[j - 1]
 
     @cached_property
