@@ -193,7 +193,7 @@ def test_surd_paths_climb_no_ladder_but_the_lattice(monkeypatch, argv):
 
     monkeypatch.setattr(contfrac.PrecisionContext, "escalate", counting)
     assert _run(*argv)[0] == 0
-    if argv[0] in ("gaps",) or "--n-at" in argv:
+    if argv[0] == "gaps" or "--n-at" in argv:
         assert ladders == []
     else:
         assert len(ladders) == 1 and ladders[0].startswith("point order at n="), ladders

@@ -636,9 +636,7 @@ def test_tail_memo_many_threads_agree():
     fresh = CFExpansion(km.parse_alpha("cf:0;20000(1)"))
     want = [_tail_ends(fresh, m, bits) for m, bits in keys]
     assert all(got == want for got in results)
-    # one bracket per m and bits (the period (1) from a_2 made alpha_m =
-    # alpha_1 for m >= 1, which a memo keyed by phase shared)
-    assert set(exp._tails) == set(keys)
+    assert set(exp._tails) == set(keys)  # one bracket per m and bits
 
 
 # a period from a_0, from a_1 and after a preperiod; a prefix and a rational
@@ -674,8 +672,7 @@ def test_nm_sweep_from_a_period_at_a0_prints_the_same_bytes(capsys):
     # quad:2,31,7 = [1; (12, 3, 25, 1, 1, 1)] repeats from a_0, so alpha_m
     # = alpha_{m mod 6} from m = 0; a mapping from start - 1 = -1 would read
     # alpha_{-1} at m = 5.  The sha256 of the exit code and stdout are
-    # those of the exact rows, which the ladder printed at --bits 8192 (at
-    # --bits 64 it printed baa4ef7c..., digits that the 64 bits did not fix)
+    # those of the exact rows, which the ladder printed at --bits 8192
     for argv, rows, want in [
         (("--m", "1..40", "--bits", "64"), 41,
          "274c3e84ac33280ddc3d4b05446a2c15a4e3ca107be27c2e8a183ce5e2f1fdd5"),
