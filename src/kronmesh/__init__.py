@@ -24,16 +24,14 @@ from .errors import (
     PrecisionUnresolvedError,
     UnsupportedAlphaError,
 )
-from .intervals import Interval, fraction_to_decimal, interval_to_decimal
+from .intervals import Interval
 from .metrics import (
     BoundReport,
     QUMetrics,
-    SweepRow,
     kronecker_bounds,
     mesh_ratio,
     mesh_ratio_structural,
     metrics_to_json,
-    sweep,
     sweep_segments,
     sweep_to_csv,
     sweep_to_json,

@@ -46,7 +46,6 @@ from .metrics import (
     _row_document,
     _structural,
     metrics_to_json,
-    sweep,
     sweep_segments,
 )
 from .sequences import (
@@ -286,9 +285,9 @@ def _cmd_analyze(args) -> Tuple[Iterable[str], int]:
     gen = _generator(args)
     if n < 2:
         raise _UsageError(f"analyze needs --n >= 2 (a mesh ratio needs two points), got {n}")
-    (row,) = sweep(gen, n, n, ctx)
-    payload = metrics_to_json(row.metrics, row.bounds, args.digits)
-    return (_row_document(payload),), EXIT_INFINITE if row.metrics.is_infinite else EXIT_OK
+    (seg,) = sweep_segments(gen, n, n, ctx)
+    payload = metrics_to_json(seg.metrics, seg.bounds, args.digits)
+    return (_row_document(payload),), EXIT_INFINITE if seg.metrics.is_infinite else EXIT_OK
 
 
 def _check_rows(lo: int, hi: int, what: str) -> None:

@@ -31,7 +31,6 @@ from .errors import (
     AlphaSpecError,
     OutOfRangeError,
     PrecisionUnresolvedError,
-    UnsupportedAlphaError,
 )
 
 
@@ -505,8 +504,8 @@ def _window_q(exp: CFExpansion, m: int, bits: int) -> int:
 def _tail_ends(exp: CFExpansion, m: int, bits: int) -> Ends:
     """The alpha_m bracket for the width target 2**(GUARD - bits): that of
     the shortest window a_{m+1}..a_e whose width meets the target, or of
-    every digit there is when no window does (exact for a terminating
-    expansion, perhaps too wide for a prefix).  The window's ends have
+    every digit there is when no window does (perhaps too wide for a digit
+    prefix, the only expansion that comes here).  The window's ends have
     denominators y in [q_e / (2 q_m), 2 q_e / q_m] and its width is
     1 / (y1 y2), so the first e with q_e of bit_length(q_m) + (bits -
     GUARD) // 2 + 3 bits (_window_q) meets the target; the brackets are
@@ -526,29 +525,23 @@ def _tail_ends(exp: CFExpansion, m: int, bits: int) -> Ends:
     if hit is not None:
         return hit
     cv, e = exp.convergents, None
-    if exp.finite:
-        exp.ensure(10 ** 9)  # rational digits are finite; materialize all
-    elif exp.ensure(m):
+    if exp.ensure(m):
         q_min = _window_q(exp, m, bits)
         if exp.ensure_q(q_min):
             e = bisect.bisect_left(cv, q_min, m + 1, key=_Q)
     M = exp.depth
-    if M <= m and exp.finite:
-        raise UnsupportedAlphaError(
-            f"alpha_{m} needs digits beyond a_{M}, but the expansion terminates")
     if M <= m:
         raise PrecisionUnresolvedError(
             f"alpha_{m} needs digits beyond a_{M}; the known prefix is too short")
     e = M if e is None else e
-    if not exp.finite:
-        digits, target = exp.digits, 1 << (bits - GUARD)
-        (pl, ql), (p, q), (pf, qf) = cv[m - 1] if m else (1, 0), cv[e], cv[e - 1]
-        y, y_prev = abs(pl * q - ql * p), abs(pl * qf - ql * pf)
-        while e > m + 1:
-            y_pp = y - digits[e] * y_prev
-            if y_prev * (y_prev + y_pp) < target:  # window e - 1 is too wide
-                break
-            y, y_prev, e = y_prev, y_pp, e - 1
+    digits, target = exp.digits, 1 << (bits - GUARD)
+    (pl, ql), (p, q), (pf, qf) = cv[m - 1] if m else (1, 0), cv[e], cv[e - 1]
+    y, y_prev = abs(pl * q - ql * p), abs(pl * qf - ql * pf)
+    while e > m + 1:
+        y_pp = y - digits[e] * y_prev
+        if y_prev * (y_prev + y_pp) < target:  # window e - 1 is too wide
+            break
+        y, y_prev, e = y_prev, y_pp, e - 1
     ends = exp._tails[m, bits] = _window_bracket(exp, m, e)
     return ends
 

@@ -8,8 +8,7 @@ proof, and an overlap means "escalate precision and retry".
 
 Every printed value is an integer ratio num / den rendered by one decimal
 division (decimal_renderer), or an exact surd (P + sqrt(N)) / Q rendered
-from one integer floor (surd_digits, surd_text); fraction_to_decimal
-renders a Fraction by its numerator and denominator.
+from one integer floor (surd_digits, surd_text).
 """
 from __future__ import annotations
 
@@ -89,23 +88,6 @@ def decimal_renderer(digits: int) -> Callable[..., str]:
         return str(ctx.divide(Decimal(num), Decimal(den)))
 
     return render
-
-
-def fraction_to_decimal(x: Rat, digits: int, mode: str = "nearest") -> str:
-    """Render an exact rational as a decimal string with `digits` significant
-    digits, rounded in the requested direction."""
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    return decimal_renderer(digits)(x.numerator, x.denominator, mode)
-
-
-def interval_to_decimal(iv: Interval, digits: int) -> tuple:
-    """Outward-rounded decimal endpoints, so the printed pair still encloses
-    the true value."""
-    return (
-        fraction_to_decimal(iv.lo, digits, "floor"),
-        fraction_to_decimal(iv.hi, digits, "ceil"),
-    )
 
 
 def surd_digits(P: int, N: int, Q: int, digits: int) -> Tuple[int, int, bool]:

@@ -431,30 +431,9 @@ def _order_forms(exp, forms, ctx) -> List[LinearForm]:
 # sweeps
 
 
-class SweepRow(NamedTuple):
-    metrics: QUMetrics
-    bounds: Optional[BoundReport]
-
-    n_lo = n_hi = property(lambda self: self.metrics.n)  # the writers take rows too
-
-
 # sweep rows n_lo..n_hi, which print the cells of n_lo's metrics and bounds
 Segment = NamedTuple("Segment", [("n_lo", int), ("n_hi", int), ("metrics", QUMetrics),
                                  ("bounds", Optional[BoundReport])])
-
-
-def sweep(gen: GeneratorSpec, n_lo: int, n_hi: int, ctx: PrecisionContext = DEFAULT_CONTEXT,
-          with_bounds: bool = True) -> List[SweepRow]:
-    """sweep_segments as one row per n, with its n, bounds k and drift error."""
-    rows = []
-    for lo, hi, qm, br in sweep_segments(gen, n_lo, n_hi, ctx, with_bounds):
-        num, den = qm.error_nd
-        den *= lo - 1  # the drift is linear in n - 1
-        rows += [SweepRow(QUMetrics(n, qm.fill_nd, qm.separation_nd, qm.rho_nd,
-                                    qm.provenance, (num * (n - 1), den)),
-                          None if br is None else br._replace(n=n, k=br.k + n - lo))
-                 for n in range(lo, hi + 1)]
-    return rows
 
 
 def sweep_segments(gen: GeneratorSpec, n_lo: int, n_hi: int, ctx: PrecisionContext = DEFAULT_CONTEXT,
@@ -565,7 +544,7 @@ def _formatter(digits: int):
     (value, mode), as the rows of a sweep repeat few distinct values: a
     ratio by decimal_renderer, a surd triple by surd_digits and surd_text.
     Mode "interval" gives the floor and ceiling of a triple, or of bracket
-    ends (x1, y1, x2, y2) the outward-rounded ends, as interval_to_decimal."""
+    ends (x1, y1, x2, y2) the ends rounded outward."""
     render, done = decimal_renderer(digits), {}
 
     def fmt(value, mode: str = "nearest"):
@@ -591,13 +570,13 @@ def _rho_str(qm: QUMetrics, fmt) -> str:
 
 
 def sweep_to_csv(segments, digits: int = 40) -> str:
-    """CSV of sweep segments (or rows): cells formatted once, a line per n."""
+    """CSV of sweep segments: cells formatted once, a line per n."""
     return "".join(_csv_chunks(segments, digits))
 
 
 def sweep_to_json(segments, digits: int = 40) -> str:
-    """json.dumps({"rows": rows}, indent=2) + "\\n" of sweep segments (or
-    rows), each segment's row written once from a template of its shape."""
+    """json.dumps({"rows": rows}, indent=2) + "\\n" of sweep segments, each
+    segment's row written once from a template of its shape."""
     return "".join(_json_chunks(segments, digits))
 
 

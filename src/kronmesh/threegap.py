@@ -26,7 +26,7 @@ from typing import NamedTuple, Tuple
 from .contfrac import _Q, CFExpansion, DEFAULT_CONTEXT, PrecisionContext, _qtriple
 from .errors import KronmeshError, OutOfRangeError
 from .errors import PrecisionUnresolvedError, UnsupportedAlphaError
-from .intervals import Interval, decimal_renderer, surd_digits, surd_text
+from .intervals import decimal_renderer, surd_digits, surd_text
 
 
 class LinearForm(NamedTuple):
@@ -82,22 +82,10 @@ def _etas(exp: CFExpansion, m: int) -> Tuple[int, int, int, int]:
     return q, a0 * q - p, -ql, pl - a0 * ql
 
 
-def form_interval(
-    exp: CFExpansion,
-    form: LinearForm,
-    ctx: PrecisionContext = DEFAULT_CONTEXT,
-    require_positive: bool = False,
-) -> Interval:
-    """Evaluate a linear form, escalating precision until the enclosure is
-    strictly signed when asked to."""
-    *ends, bits = _form_rung(exp, form, ctx, require_positive)
-    return Interval(*(Fraction(x, 1 << bits) for x in ends))
-
-
 def _form_rung(exp: CFExpansion, form: LinearForm, ctx: PrecisionContext,
                require_positive: bool) -> Tuple[int, int, int]:
-    """form_interval as (lo, hi, bits): the enclosure [lo, hi] / 2**bits at
-    the rung that decides it."""
+    """The form's enclosure [lo, hi] / 2**bits as (lo, hi, bits), at ctx.bits,
+    or, when require_positive, at the first rung where it is strictly signed."""
     if not require_positive or form == ZERO:
         return (*form.units(exp, ctx.bits), ctx.bits)
 

@@ -20,7 +20,8 @@ kernel (LatticeMesh, exact_sweep_metrics) grows the package's van der
 Corput, greedy and rational points one insert at a time, where the package
 reads closed forms.  The per-row sweep (sweep_rows, its CSV and JSON
 writers and the sweep command) builds and prints one row per n, where the
-package evaluates and formats each run of n once.
+package evaluates and formats each run of n once; segment_rows expands the
+package's segments to those rows.
 """
 import bisect
 import functools
@@ -31,6 +32,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import count, takewhile
+from typing import NamedTuple
 
 import mpmath
 
@@ -291,7 +293,7 @@ def _lowest(num, den, *rest):
 
 
 def record_values(x):
-    """A record, a SweepRow or Segment, or a list of them, with every
+    """A record, a Row or Segment, or a list of them, with every
     stored value canonical (_lowest): records of equal values compare equal."""
     from kronmesh import BoundReport, QUMetrics
 
@@ -304,7 +306,7 @@ def record_values(x):
                     for e in (r.upper_ends, r.lower_ends)]
             return (r.n, r.m, r.h, r.k, *ends, r.digit_form_nd and _lowest(*r.digit_form_nd),
                     r.global_upper)
-        if isinstance(r, tuple):  # SweepRow, Segment, an (outcome, error) pair
+        if isinstance(r, tuple):  # Row, Segment, an (outcome, error) pair
             return tuple(map(one, r))
         return r
 
@@ -351,9 +353,9 @@ def alpha_tail_best_window(exp, m: int, ctx):
     """contfrac._tail_ends by brute force: the bracket of the shortest digit
     window a_{m+1}..a_{m+w}, w = 1, 2, ..., whose width is at most
     2**-(bits - GUARD), or of every known digit when a prefix runs out
-    first; the exact value of a terminating expansion; the same errors for
-    a short prefix or a terminating expansion.  Memoized per (alpha, m,
-    bits), on which alone the bracket depends."""
+    first; the exact value when the window reaches the last digit of a
+    terminating expansion; the same error when no digit follows a_m.
+    Memoized per (alpha, m, bits), on which alone the bracket depends."""
     return _best_window(exp.spec, m, ctx.bits)
 
 
@@ -362,26 +364,20 @@ def _best_window(spec, m: int, bits: int):
     from kronmesh import CFExpansion
     from kronmesh.contfrac import GUARD
     from kronmesh.errors import OutOfRangeError, PrecisionUnresolvedError
-    from kronmesh.errors import UnsupportedAlphaError
     from kronmesh.intervals import Interval
 
     exp = CFExpansion(spec)
     if m < 0:
         raise OutOfRangeError("alpha_m defined for m >= 0")
     target = Fraction(1, 1 << (bits - GUARD))
-    if exp.finite:
-        exp.ensure(10 ** 9)
-        M = exp.depth
-        if m >= M:
-            raise UnsupportedAlphaError(
-                f"alpha_{m} needs digits beyond a_{M}, but the expansion terminates"
-            )
-        x = Fraction(0)  # [0; a_{m+1}, ..., a_M], evaluated backwards
-        for a in reversed(exp.digits[m + 1:]):
-            x = 1 / (a + x)
-        return Interval(x, x)
     iv = None
-    for iv in tail_brackets(exp.digits[j] for j in takewhile(exp.ensure, count(m + 1))):
+    digits = (exp.digits[j] for j in takewhile(exp.ensure, count(m + 1)))
+    for w, iv in enumerate(tail_brackets(digits)):
+        if exp.finite and not exp.ensure(m + w + 2):
+            x = Fraction(0)  # [0; a_{m+1}, ..., a_M], evaluated backwards
+            for a in reversed(exp.digits[m + 1:]):
+                x = 1 / (a + x)
+            return Interval(x, x)
         if iv.width <= target:
             return iv
     if iv is None:
@@ -502,14 +498,31 @@ def form_interval_interval(exp, form, ctx, require_positive: bool = False):
     return ctx.escalate(attempt, ctx.bits, f"sign of {form.u}*alpha+{form.v}")
 
 
+def form_rung_interval(exp, form, ctx, require_positive: bool = False):
+    """The package's enclosure of a form (threegap._form_rung) as an Interval."""
+    from kronmesh.intervals import Interval
+    from kronmesh.threegap import _form_rung
+
+    *ends, bits = _form_rung(exp, form, ctx, require_positive)
+    return Interval(*(Fraction(x, 1 << bits) for x in ends))
+
+
+def fraction_text(x, digits: int, mode: str = "nearest") -> str:
+    """A rational as the package prints a ratio: decimal_renderer on its
+    numerator and denominator."""
+    from kronmesh.intervals import decimal_renderer
+
+    x = Fraction(x)
+    return decimal_renderer(digits)(x.numerator, x.denominator, mode)
+
+
 def gap_structure_json_interval(gs, exp, ctx, digits: int = 40) -> dict:
     """gap_structure_json from form_interval_interval, each enclosure
-    rendered by interval_to_decimal."""
-    from kronmesh import interval_to_decimal
-
+    rendered outward by fraction_text."""
     entries = []
     for form, count in gs.entries:
-        lo, hi = interval_to_decimal(form_interval_interval(exp, form, ctx, True), digits)
+        iv = form_interval_interval(exp, form, ctx, True)
+        lo, hi = fraction_text(iv.lo, digits, "floor"), fraction_text(iv.hi, digits, "ceil")
         entries.append({"u": form.u, "v": form.v, "multiplicity": count, "interval": [lo, hi]})
     d = gs.decomposition
     return {"n": gs.n, "m": d.m, "h": d.h, "k": d.k, "entries": entries}
@@ -885,13 +898,36 @@ def exact_sweep_metrics(gen, n_lo: int, n_hi: int):
 
 
 # -- the per-row sweep -----------------------------------------------------------
-# The package once built one SweepRow per n (memoizing the forms per key) and
+# The package once built one row per n (memoizing the forms per key) and
 # formatted every cell of every row; a JSON sweep went through json.dumps.
 # It now evaluates and formats each run of n once.  These are the old rows,
 # writers and sweep command.
 
+class Row(NamedTuple):
+    """One n of a sweep: its metrics and its bound report (or None)."""
+    metrics: object
+    bounds: object
+
+
+def segment_rows(gen, n_lo: int, n_hi: int, ctx=None, with_bounds: bool = True):
+    """sweep_segments as one Row per n, with its own n, bounds k and drift
+    error (n - 1) * U / M."""
+    from kronmesh import QUMetrics, sweep_segments
+    from kronmesh.contfrac import DEFAULT_CONTEXT
+
+    rows = []
+    for lo, hi, qm, br in sweep_segments(gen, n_lo, n_hi, ctx or DEFAULT_CONTEXT, with_bounds):
+        num, den = qm.error_nd
+        den *= lo - 1  # the drift is linear in n - 1
+        rows += [Row(QUMetrics(n, qm.fill_nd, qm.separation_nd, qm.rho_nd, qm.provenance,
+                               (num * (n - 1), den)),
+                     None if br is None else br._replace(n=n, k=br.k + n - lo))
+                 for n in range(lo, hi + 1)]
+    return rows
+
+
 def sweep_rows(gen, n_lo: int, n_hi: int, ctx=None, with_bounds: bool = True):
-    """The SweepRow of every n in [n_lo, n_hi], one n at a time."""
+    """The Row of every n in [n_lo, n_hi], one n at a time."""
     from functools import partial
     from kronmesh import GreedyGen, KroneckerGen, VdcGen
     from kronmesh.contfrac import DEFAULT_CONTEXT
@@ -922,7 +958,7 @@ def sweep_rows(gen, n_lo: int, n_hi: int, ctx=None, with_bounds: bool = True):
 def form_rows(exp, n_lo: int, n_hi: int, A: int, U: int, M: int, ctx, with_bounds: bool):
     """Rows of a Kronecker sweep on the lattice (A, U, M), one evaluation of
     the forms per key (m, h, min(k, 2)) and of the bounds per (m, h, k == 0)."""
-    from kronmesh import SweepRow, decompose, kronecker_bounds
+    from kronmesh import decompose, kronecker_bounds
     from kronmesh.metrics import _kronecker_metrics
     from kronmesh.threegap import _gap_structure
 
@@ -943,19 +979,17 @@ def form_rows(exp, n_lo: int, n_hi: int, A: int, U: int, M: int, ctx, with_bound
             b = bounds_memo[key]
             br = bound_report(n, b.m, b.h, d.k, b.upper, b.lower_at_nm,
                               b.lower_digit_form, b.global_upper)
-        rows.append(SweepRow(qm, br))
+        rows.append(Row(qm, br))
     return rows
 
 
 def run_rows(run, n_lo: int, n_hi: int):
     """Rows of an exact generator: run(n) gives the last n' >= n whose
     prefix shares the metrics of the first n points, and those metrics."""
-    from kronmesh import SweepRow
-
     rows, n = [], n_lo
     while n <= n_hi:
         last, qm = run(n)
-        rows += [SweepRow(qumetrics(i, qm.fill, qm.separation, qm.mesh_ratio,
+        rows += [Row(qumetrics(i, qm.fill, qm.separation, qm.mesh_ratio,
                                     qm.provenance), None)
                  for i in range(n, min(last, n_hi) + 1)]
         n = last + 1
@@ -967,19 +1001,18 @@ def _row_cells(row, digits: int):
     value rounded from scratch: nearest, and intervals outward; an exact
     surd value (a stored triple, the structure path's exact rho 1 or 2 too)
     by the package's surd renderer."""
-    from kronmesh import QuadraticSurd, fraction_to_decimal
+    from kronmesh import QuadraticSurd
     from kronmesh.intervals import surd_digits, surd_text
 
     def text(stored, mode="nearest"):
         if len(stored) == 3:
             return surd_text(*surd_digits(*stored, digits), digits, mode)
-        return fraction_to_decimal(Fraction(*stored), digits, mode)
+        return fraction_text(Fraction(*stored), digits, mode)
 
     def iv(x):
         if isinstance(x, QuadraticSurd):
             return [text(x, "floor"), text(x, "ceil")]
-        return [fraction_to_decimal(x.lo, digits, "floor"),
-                fraction_to_decimal(x.hi, digits, "ceil")]
+        return [fraction_text(x.lo, digits, "floor"), fraction_text(x.hi, digits, "ceil")]
 
     qm, br = row.metrics, row.bounds
     cells = [text(qm.fill_nd), text(qm.separation_nd)]
@@ -990,7 +1023,7 @@ def _row_cells(row, digits: int):
         "n": br.n, "m": br.m, "h": br.h, "k": br.k, "upper": iv(br.upper),
         "lower_at_nm": None if br.lower_at_nm is None else iv(br.lower_at_nm),
         "lower_digit_form": None if br.lower_digit_form is None
-        else fraction_to_decimal(br.lower_digit_form, digits),
+        else fraction_text(br.lower_digit_form, digits),
         "global_upper": br.global_upper,
     }
 
@@ -1026,7 +1059,7 @@ def sweep_command_rows(args):
     """The old `kronmesh sweep`: rows one n (or one m) at a time, written by
     sweep_rows_csv or by json.dumps(sweep_rows_json(...), indent=2)."""
     import json
-    from kronmesh import (CFExpansion, KroneckerGen, SweepRow, UnsupportedAlphaError,
+    from kronmesh import (CFExpansion, KroneckerGen, UnsupportedAlphaError,
                           kronecker_bounds, mesh_ratio_structural)
     from kronmesh import cli
 
@@ -1051,8 +1084,8 @@ def sweep_command_rows(args):
                 raise cli._UsageError(
                     f"--m reaches m={m} but the expansion ends at a_{exp.depth}")
             n = exp.n_at(m)
-            rows.append(SweepRow(mesh_ratio_structural(exp, n, ctx),
-                                 None if args.no_bounds else kronecker_bounds(exp, n, ctx)))
+            rows.append(Row(mesh_ratio_structural(exp, n, ctx),
+                            None if args.no_bounds else kronecker_bounds(exp, n, ctx)))
     else:
         spec = args.n if args.n is not None else args.n_range
         if spec is None:

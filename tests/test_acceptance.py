@@ -26,7 +26,6 @@ from kronmesh import (
     GreedyGen,
 )
 from kronmesh.sequences import kronecker_scaled, working_scale_bits
-from kronmesh.threegap import form_interval
 from conftest import ALPHA_SPECS, PREFIX_SPEC, mp_scaled_points
 import oracles
 
@@ -55,7 +54,7 @@ def test_criterion_1_gap_multiset_oracle(capsys):
             gaps[M - srt[-1] + srt[0]] += 1
             gs = km.gap_structure(exp, n)
             want = [
-                (form_interval(exp, form, CTX), count)
+                (oracles.form_rung_interval(exp, form, CTX), count)
                 for form, count in gs.entries if count
             ]
             drift = 2 * max(i, 1) * unit
@@ -100,7 +99,7 @@ def test_criterion_3_bounded_digit_sweeps(capsys):
     t0 = time.time()
     results = []
     for spec, cap in (("golden", 4), ("quad:-1,2,1", 6)):
-        rows = km.sweep(KroneckerGen(km.parse_alpha(spec)), 2, 10 ** 5,
+        rows = oracles.segment_rows(KroneckerGen(km.parse_alpha(spec)), 2, 10 ** 5,
                         CTX, with_bounds=False)
         rhos = [row.metrics.mesh_ratio for row in rows]
         assert all(row.metrics.provenance == "oracle-exact" for row in rows)
@@ -189,7 +188,7 @@ def test_criterion_5_bound_sandwich_random_alphas(capsys):
     lower_checks = 0
     for spec in specs:
         exp = CFExpansion(km.parse_alpha(spec))
-        rows = km.sweep(KroneckerGen(exp), 2, 2500, CTX, with_bounds=False)
+        rows = oracles.segment_rows(KroneckerGen(exp), 2, 2500, CTX, with_bounds=False)
         by_n = {row.metrics.n: row.metrics for row in rows}
         ns = {rng.randint(2, 2500) for _ in range(200)}
         for n in sorted(ns):
@@ -275,7 +274,7 @@ def test_criterion_7_gap_length_product_identity(capsys):
                 mp_prod = mp_prod * mp_tails[m]
             if m > exp.depth - 1 and spec == PREFIX_SPEC:
                 break
-            iv = form_interval(exp, km.eta(exp, m), ctx256, require_positive=True)
+            iv = oracles.form_rung_interval(exp, km.eta(exp, m), ctx256, require_positive=True)
             if spec == PREFIX_SPEC and (iv.width > width_cap or phi - plo > width_cap):
                 cap_note = f"; prefix alpha certified through m={m - 1}"
                 assert m - 1 >= 20, (spec, m)
@@ -336,7 +335,7 @@ def test_criterion_8_vdc_and_greedy(capsys):
     # 2^k < n < 2^(k+1) still lacks 1 - 2^-(k+1): the right boundary gap is
     # 2^-k while the smallest gap is 2^-(k+1), so rho_n = 4.  At n = 2^k the
     # prefix is the grid j / 2^k and rho_n = 2.
-    vdc_rows = km.sweep(VdcGen(base=2), 2, 4096)
+    vdc_rows = oracles.segment_rows(VdcGen(base=2), 2, 4096)
     vdc_off_law = [
         row.metrics.n for row in vdc_rows
         if row.metrics.mesh_ratio != (2 if row.metrics.n & (row.metrics.n - 1) == 0 else 4)
@@ -347,7 +346,7 @@ def test_criterion_8_vdc_and_greedy(capsys):
     assert _circle_max_split(points[:512]) == _circle_max_rescan(points[:512])
     circle_max = _circle_max_split(points)
 
-    greedy_rows = km.sweep(GreedyGen(tie_break="leftmost"), 2, 1024)
+    greedy_rows = oracles.segment_rows(GreedyGen(tie_break="leftmost"), 2, 1024)
     greedy_max = max(row.metrics.mesh_ratio for row in greedy_rows)
 
     findings = []

@@ -381,7 +381,7 @@ def test_sweep_cap_refuses_before_evaluating(capsys, monkeypatch, argv):
 
     metrics = importlib.import_module("kronmesh.metrics")
     for module in (cli, metrics):
-        for name in ("sweep", "sweep_segments", "_structural", "_bounds"):
+        for name in ("sweep_segments", "_structural", "_bounds"):
             monkeypatch.setattr(module, name, fail)
     start = time.perf_counter()
     code, out, err = run(capsys, "sweep", *argv)
@@ -543,7 +543,7 @@ def test_bits_cap_refuses_before_any_work(capsys, monkeypatch, argv, flags):
 
     metrics = importlib.import_module("kronmesh.metrics")
     for module in (cli, metrics):
-        for name in ("sweep", "sweep_segments", "_structural", "_bounds"):
+        for name in ("sweep_segments", "_structural", "_bounds"):
             monkeypatch.setattr(module, name, fail)
     for name in ("CFExpansion", "gap_structure", "generate"):
         monkeypatch.setattr(cli, name, fail)
@@ -564,7 +564,7 @@ def test_bits_cap_admits_exactly_the_cap(monkeypatch):
         seen.append(ctx)
         raise Evaluated
 
-    monkeypatch.setattr(cli, "sweep", stop)
+    monkeypatch.setattr(cli, "sweep_segments", stop)
     with pytest.raises(Evaluated):
         main(["analyze", "--alpha", "golden", "--n", "1000",
               "--bits", "65536", "--max-bits", "65536"])
@@ -590,7 +590,7 @@ def test_digits_cap_refuses_before_any_work(capsys, monkeypatch, argv, digits):
     def fail(*args, **kwargs):
         raise AssertionError("work done")
 
-    for name in ("sweep", "sweep_segments", "CFExpansion", "generate", "parse_alpha"):
+    for name in ("sweep_segments", "CFExpansion", "generate", "parse_alpha"):
         monkeypatch.setattr(cli, name, fail)
     start = time.perf_counter()
     code, out, err = run(capsys, *argv, "--digits", str(digits))
@@ -1082,6 +1082,57 @@ def test_every_export_has_a_package_caller_or_is_documented():
     called = {node.id for tree in trees.values() for node in ast.walk(tree)
               if isinstance(node, ast.Name)}
     assert sorted(exported - called - documented) == []
+
+
+def test_every_module_function_and_class_is_referenced_or_exported():
+    # a definition that only the tests need belongs in tests/oracles.py
+    trees = _package_trees()
+    exported = {alias.asname or alias.name for node in trees["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    referenced = {node.id for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)}
+    found = [f"{name}:{node.lineno} {node.name}" for name, tree in trees.items()
+             for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+             and node.name not in referenced | exported]
+    assert found == []
+
+
+# names the package no longer defines; tests/oracles.py holds their stand-ins
+REMOVED_NAMES = {"sweep", "SweepRow", "fraction_to_decimal", "interval_to_decimal",
+                 "form_interval"}
+
+
+def test_benchmark_oracle_calls_are_defined_in_tests_oracles():
+    # bench/checks.py imports tests/oracles.py as it is and calls functions
+    # on _oracles() or on a name bound to it; a missing one would fail the
+    # benchmark's oracle check, so every such call must resolve
+    root = Path(__file__).resolve().parent.parent
+    checks = ast.parse((root / "bench" / "checks.py").read_text())
+    handles = {target.id for node in ast.walk(checks) if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Call)
+               and getattr(node.value.func, "id", None) == "_oracles"
+               for target in node.targets if isinstance(target, ast.Name)}
+
+    def is_oracles(expr):
+        return (isinstance(expr, ast.Call) and getattr(expr.func, "id", None) == "_oracles"
+                or isinstance(expr, ast.Name) and expr.id in handles)
+
+    called = {node.func.attr for node in ast.walk(checks)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and is_oracles(node.func.value)}
+    assert {"tail_interval_from_digits", "mp_value", "scaled_prefix_metrics",
+            "brute_metrics"} <= called
+    oracles_tree = ast.parse((root / "tests" / "oracles.py").read_text())
+    defined = {node.name for node in oracles_tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert sorted(called - defined) == []
+    imported = {alias.asname or alias.name for node in ast.walk(oracles_tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert sorted(imported & REMOVED_NAMES) == []
+    oracles = importlib.import_module("oracles")
+    assert all(callable(getattr(oracles, name)) for name in called)
+    assert not any(hasattr(kronmesh, name) for name in REMOVED_NAMES)
 
 
 def test_no_package_module_keeps_an_unused_import():

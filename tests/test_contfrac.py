@@ -21,7 +21,6 @@ from kronmesh import (
     PrecisionUnresolvedError,
     QuadraticSurd,
     Rational,
-    UnsupportedAlphaError,
 )
 from kronmesh.contfrac import (GUARD, _periodic_tail_surd, _surd_period, _tail_ends,
                                _window_bracket)
@@ -178,15 +177,6 @@ def test_tail_ends_golden_self_similar():
     assert lo - eps <= phi <= hi + eps
 
 
-def test_tail_ends_terminating_exact():
-    exp = CFExpansion(Rational(3, 8))
-    assert tail(exp, 2) == (Fraction(1, 2), Fraction(1, 2))
-    # alpha_1 of [0;2,1,2] is [0;1,2] = 2/3
-    assert tail(exp, 1) == (Fraction(2, 3), Fraction(2, 3))
-    with pytest.raises(UnsupportedAlphaError):
-        tail(exp, 3)
-
-
 def test_tail_ends_sqrt2_m0():
     exp = expansion("sqrt:2", 6)
     lo, hi = tail(exp, 0)
@@ -291,12 +281,15 @@ def test_tail_bracket_equals_backward_recurrence(data):
     prefix.ensure(len(digits) - 1)
     x1, y1, x2, y2 = _window_bracket(prefix, m, len(digits) - 1)
     assert (Fraction(x1, y1), Fraction(x2, y2)) == (lo, hi)
-    # the tail of the rational with these digits is exact: one of the ends
+    # the tail of the rational with these digits is exact: the convergent end
     exp = CFExpansion(Rational(*oracles.convergents_from_digits(digits)[-1]))
     exp.ensure(10 ** 6)
     if exp.digits == digits:  # the Euclidean digits end in a_M >= 2
-        point, same = tail(exp, m)
-        assert point == same and point in (lo, hi)
+        x1, y1, _, _ = _window_bracket(exp, m, exp.depth)
+        point = Fraction(0)
+        for a in reversed(digits[m + 1:]):
+            point = 1 / (a + point)
+        assert Fraction(x1, y1) == point and point in (lo, hi)
 
 
 @pytest.mark.parametrize("spec", [PREFIX_SPEC, "cf:1;3,1,4,1,5,9,2,6,5,3,5,8,9,7,9,3,2,3,8,4,6,2,6,4"])

@@ -1,13 +1,12 @@
 """The one decimal renderer: num / den from its integers, the same text
-whether or not the ratio is reduced, as fraction_to_decimal and the sweep
-formatter give it, and as a Decimal division in a local context gave it."""
+whether or not the ratio is reduced, as the sweep formatter gives it, and
+as a Decimal division in a local context gave it."""
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kronmesh import fraction_to_decimal
 from kronmesh.intervals import decimal_context, decimal_renderer
 from kronmesh.metrics import _formatter
 
@@ -15,7 +14,7 @@ MODES = ("nearest", "floor", "ceil")
 
 
 def _division(x: Fraction, digits: int, mode: str) -> str:
-    """The former fraction_to_decimal: a division in a copied local context."""
+    """A division in a copied local context."""
     with decimal_context(digits, mode):
         return str(Decimal(x.numerator) / Decimal(x.denominator))
 
@@ -43,8 +42,7 @@ def test_renderer_text_does_not_depend_on_reduction(ratio, g, digits):
     x = Fraction(num, den)
     render, fmt = decimal_renderer(digits), _formatter(digits)
     for mode in MODES:
-        want = fraction_to_decimal(x, digits, mode)
-        assert want == _division(x, digits, mode), (x, digits, mode)
+        want = _division(x, digits, mode)
         assert render(g * num, g * den, mode) == want, (num, den, g, digits, mode)
         assert fmt((g * num, g * den), mode) == want, (num, den, g, digits, mode)
 
@@ -63,4 +61,4 @@ def test_renderer_refuses_digits_below_one_on_first_use():
     with pytest.raises(ValueError, match="digits must be >= 1"):
         render(1, 2)
     with pytest.raises(ValueError, match="digits must be >= 1"):
-        fraction_to_decimal(Fraction(1, 2), 0)
+        _formatter(0)((1, 2))

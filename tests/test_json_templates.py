@@ -72,7 +72,7 @@ GENERATORS = st.one_of(
 @example(("--alpha", "quad:0,181039,29"), 2, 1)  # period (1, 11244), past a 10**4 walk cap
 def test_analyze_document_equals_dumps(generator, n, digits):
     args = cli._walk(["analyze", *map(str, generator), "--n", str(n)])
-    (row,) = km.sweep(cli._generator(args), n, n, CTX)
+    (row,) = oracles.segment_rows(cli._generator(args), n, n, CTX)
     payload = km.metrics_to_json(row.metrics, row.bounds, digits)
     code = 4 if row.metrics.is_infinite else 0
     assert _run("analyze", *generator, "--n", n, "--digits", digits) == (_dumps(payload), code)
@@ -89,7 +89,7 @@ def test_classify_document_equals_dumps(spec, probe):
 
 def _sweep_payload(gen, lo, hi, with_bounds, digits, ctx=CTX):
     return {"rows": [km.metrics_to_json(r.metrics, r.bounds, digits)
-                     for r in km.sweep(gen, lo, hi, ctx, with_bounds)]}
+                     for r in oracles.segment_rows(gen, lo, hi, ctx, with_bounds)]}
 
 
 # contiguous sweeps and --n-at nm sweeps whose rows hold every optional cell

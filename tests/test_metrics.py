@@ -17,7 +17,7 @@ from kronmesh import (
     VdcGen,
 )
 from kronmesh import metrics
-from kronmesh.metrics import SWEEP_COLUMNS
+from kronmesh.metrics import SWEEP_COLUMNS, Segment
 from kronmesh.sequences import kronecker_scaled, working_scale_bits
 from conftest import ALPHA_SPECS, PREFIX_60_DIGITS, assert_rho_close
 import oracles
@@ -121,7 +121,7 @@ def test_kronecker_bounds_rejects_rational():
 
 
 def test_bounds_contain_true_rho_golden():
-    rows = km.sweep(KroneckerGen(km.parse_alpha("golden")), 2, 500)
+    rows = oracles.segment_rows(KroneckerGen(km.parse_alpha("golden")), 2, 500)
     assert len(rows) == 499
     for row in rows:
         rho_iv = row.metrics.rho_interval()
@@ -138,7 +138,7 @@ def test_bounds_contain_true_rho_golden():
 def test_structural_matches_points(expansions):
     ctx = PrecisionContext(160)
     for spec, exp in expansions.items():
-        rows = km.sweep(KroneckerGen(exp), 2, 400, ctx, with_bounds=False)
+        rows = oracles.segment_rows(KroneckerGen(exp), 2, 400, ctx, with_bounds=False)
         for row in rows:
             n = row.metrics.n
             st = km.mesh_ratio_structural(exp, n, ctx)
@@ -151,7 +151,7 @@ def test_structural_matches_points(expansions):
 def test_sweep_matches_oneshot_exact_generators():
     for gen, make in ((VdcGen(base=3), lambda n: km.van_der_corput(3, n)),
                       (GreedyGen(), lambda n: km.greedy_packing(n))):
-        rows = km.sweep(gen, 2, 80)
+        rows = oracles.segment_rows(gen, 2, 80)
         for row in rows:
             n = row.metrics.n
             qm = km.mesh_ratio(make(n))
@@ -162,7 +162,7 @@ def test_sweep_matches_oneshot_exact_generators():
 
 
 def test_sweep_matches_oneshot_kronecker(golden):
-    rows = km.sweep(KroneckerGen(golden), 2, 60, with_bounds=False)
+    rows = oracles.segment_rows(KroneckerGen(golden), 2, 60, with_bounds=False)
     for row in rows:
         qm = km.mesh_ratio(km.kronecker(golden, row.metrics.n))
         assert_rho_close(row.metrics.mesh_ratio, qm.mesh_ratio,
@@ -172,7 +172,7 @@ def test_sweep_matches_oneshot_kronecker(golden):
 def test_fill_sep_monotone_rho_at_least_one():
     for gen in (VdcGen(base=2), GreedyGen(),
                 KroneckerGen(km.parse_alpha("sqrt:3"))):
-        rows = km.sweep(gen, 2, 300, with_bounds=False)
+        rows = oracles.segment_rows(gen, 2, 300, with_bounds=False)
         prev = None
         for row in rows:
             m = row.metrics
@@ -186,9 +186,9 @@ def test_fill_sep_monotone_rho_at_least_one():
 
 def test_sweep_validation():
     with pytest.raises(ValueError):
-        km.sweep(GreedyGen(), 1, 10)
+        oracles.segment_rows(GreedyGen(), 1, 10)
     with pytest.raises(ValueError):
-        km.sweep(GreedyGen(), 5, 4)
+        oracles.segment_rows(GreedyGen(), 5, 4)
 
 
 def test_random_rationals_match_brute():
@@ -208,35 +208,36 @@ def test_random_rationals_match_brute():
 
 
 def test_rational_kronecker_sweep_hits_inf():
-    rows = km.sweep(KroneckerGen(Rational(1, 3)), 2, 6)
+    gen = KroneckerGen(Rational(1, 3))
+    rows = oracles.segment_rows(gen, 2, 6)
     by_n = {row.metrics.n: row.metrics for row in rows}
     assert not by_n[3].is_infinite
     assert by_n[4].is_infinite
     assert all(row.bounds is None for row in rows)
-    csv = km.sweep_to_csv(rows)
+    csv = km.sweep_to_csv(km.sweep_segments(gen, 2, 6))
     assert ",inf," in csv
 
 
 def test_sweep_to_csv_shape(golden):
-    rows = km.sweep(KroneckerGen(golden), 2, 12)
-    csv = km.sweep_to_csv(rows)
+    segs = km.sweep_segments(KroneckerGen(golden), 2, 12)
+    csv = km.sweep_to_csv(segs)
     lines = csv.strip().splitlines()
     assert lines[0] == SWEEP_COLUMNS
-    assert len(lines) == 1 + len(rows)
+    assert len(lines) == 1 + 11
     ncols = len(SWEEP_COLUMNS.split(","))
     for line in lines[1:]:
         assert len(line.split(",")) == ncols
     # lower bound empty off the n_m grid, populated at n = 5 (= n_3)
     grid = {line.split(",")[0]: line.split(",") for line in lines[1:]}
     assert grid["5"][6] != "" and grid["6"][6] == ""
-    assert csv == km.sweep_to_csv(rows)
+    assert csv == km.sweep_to_csv(segs)
 
 
 def test_output_rounds_a_repeated_value_per_mode():
     # one value printed rounded to nearest, down and up in the same output
     qm = QUMetrics(2, (1, 3), (1, 3), (1, 1), "oracle-exact")
     br = km.BoundReport(2, 1, 0, 0, (1, 3, 1, 3), None, None, None)
-    cells = km.sweep_to_csv([km.SweepRow(qm, br)], digits=5).splitlines()[1].split(",")
+    cells = km.sweep_to_csv([Segment(2, 2, qm, br)], digits=5).splitlines()[1].split(",")
     assert cells[1:6] == ["0.33333", "0.33333", "1", "0.33333", "0.33334"]
     assert km.metrics_to_json(qm, br, 5)["bounds"]["upper"] == ["0.33333", "0.33334"]
 
@@ -277,7 +278,7 @@ def test_kronecker_kernel_matches_scaled_oracle(spec):
     n_hi = 400
     bits = working_scale_bits(ctx, n_hi)
     xs, M, U = kronecker_scaled(exp, n_hi, bits)
-    rows = km.sweep(KroneckerGen(exp), 2, n_hi, ctx)
+    rows = oracles.segment_rows(KroneckerGen(exp), 2, n_hi, ctx)
     assert [row.metrics.n for row in rows] == list(range(2, n_hi + 1))
     for row in rows:
         n = row.metrics.n
@@ -297,15 +298,15 @@ def test_sweep_edges_match_full_sweep(spec):
     exp = km.CFExpansion(km.parse_alpha(spec))
     gen = KroneckerGen(exp)
     n_hi = 300
-    full = {row.metrics.n: row for row in km.sweep(gen, 2, n_hi)}
+    full = {row.metrics.n: row for row in oracles.segment_rows(gen, 2, n_hi)}
     nm = next(exp.n_at(m) for m in range(1, 40) if exp.n_at(m) > 20)
     for n_lo in (2, nm, nm + 1, n_hi):
-        rows = km.sweep(gen, n_lo, n_hi)
+        rows = oracles.segment_rows(gen, n_lo, n_hi)
         assert [row.metrics.n for row in rows] == list(range(n_lo, n_hi + 1))
         for row in rows:
             assert V(row) == V(full[row.metrics.n]), (spec, n_lo, row.metrics.n)
     # a one-row sweep works at the scale a one-shot analysis of n_m uses
-    one = km.sweep(gen, nm, nm)
+    one = oracles.segment_rows(gen, nm, nm)
     assert len(one) == 1
     assert V(one[0].metrics) == V(km.mesh_ratio(km.kronecker(exp, nm)))
     assert one[0].bounds == km.kronecker_bounds(exp, nm)
@@ -315,7 +316,7 @@ def test_sweep_edges_match_full_sweep(spec):
 @pytest.mark.parametrize("spec", KERNEL_SPECS)
 def test_memoized_bounds_equal_fresh_reports(spec):
     exp = km.CFExpansion(km.parse_alpha(spec))
-    rows = km.sweep(KroneckerGen(exp), 2, 250)
+    rows = oracles.segment_rows(KroneckerGen(exp), 2, 250)
     for row in rows:
         assert row.bounds == km.kronecker_bounds(exp, row.metrics.n), (spec, row.metrics.n)
 
@@ -334,7 +335,7 @@ EXACT_CASES = [
 @pytest.mark.parametrize("gen,points", EXACT_CASES)
 def test_exact_kernel_matches_brute(gen, points):
     n_hi = 140
-    rows = km.sweep(gen, 2, n_hi)
+    rows = oracles.segment_rows(gen, 2, n_hi)
     for row in rows:
         n = row.metrics.n
         fill, sep, rho = oracles.brute_metrics(points(n))
@@ -431,7 +432,7 @@ def test_kronecker_forms_match_sorted_points(spec):
         ctx = PrecisionContext(bits)
         for n in ns:
             want = _outcome(lambda: oracles.kronecker_point_metrics(exp, n, ctx))
-            got = _outcome(lambda: km.sweep(gen, n, n, ctx, with_bounds=False)[0].metrics)
+            got = _outcome(lambda: oracles.segment_rows(gen, n, n, ctx, False)[0].metrics)
             assert V(got) == V(want), (spec, bits, n)
     # a coarse start climbs the ladder on both paths
     ctx = PrecisionContext(64)
@@ -450,7 +451,7 @@ def test_sweep_rows_across_memo_keys_match_oneshot(spec):
     ctx = PrecisionContext(64)
     for edge in _block_edges(exp, 3000):
         lo, hi = max(2, edge - 2), edge + 3
-        rows = _outcome(lambda: km.sweep(gen, lo, hi, ctx))
+        rows = _outcome(lambda: oracles.segment_rows(gen, lo, hi, ctx))
         lattice = _outcome(lambda: oracles.kronecker_point_lattice(exp, hi, ctx))
         if isinstance(lattice, type):
             assert rows == lattice, (spec, lo, hi)
@@ -496,7 +497,7 @@ def test_vdc_closed_form_matches_kernel(base):
     # every row, error bound included, equals the sorted-point kernel, and
     # brute force at every n <= 150 and at the edges of the runs c*b**K
     gen = VdcGen(base)
-    rows = km.sweep(gen, 2, 3000)
+    rows = oracles.segment_rows(gen, 2, 3000)
     assert V([row.metrics for row in rows]) == V(oracles.exact_sweep_metrics(gen, 2, 3000))
     assert all(row.bounds is None for row in rows)
     pts = [oracles.radical_inverse_reference(i, base) for i in range(3000)]
@@ -505,13 +506,13 @@ def test_vdc_closed_form_matches_kernel(base):
         assert V(rows[n - 2].metrics) == V(_brute_qm(pts[:n])), (base, n)
     # a sweep may start inside a run
     for lo in (3, base ** 2 + 1, 2 * base ** 3 - 1):
-        assert V(km.sweep(gen, lo, 3000)) == V(rows[lo - 2:])
+        assert V(oracles.segment_rows(gen, lo, 3000)) == V(rows[lo - 2:])
 
 
 @pytest.mark.parametrize("tie_break", ["leftmost", "rightmost"])
 def test_greedy_closed_form_matches_kernel(tie_break):
     gen = GreedyGen(tie_break)
-    rows = km.sweep(gen, 2, 4100)
+    rows = oracles.segment_rows(gen, 2, 4100)
     assert V([row.metrics for row in rows]) == V(oracles.exact_sweep_metrics(gen, 2, 4100))
     # rho is 1 at n = 2**k + 1 and 2 everywhere else
     assert [row.metrics.n for row in rows if row.metrics.mesh_ratio == 1] \
@@ -522,7 +523,7 @@ def test_greedy_closed_form_matches_kernel(tie_break):
     for n in sorted(set(range(2, 101)) | set(_runs_edges([2 ** k for k in range(11)], 1100))):
         assert V(rows[n - 2].metrics) == V(_brute_qm(pts[:n])), (tie_break, n)
     for lo in (3, 4, 1000):
-        assert V(km.sweep(gen, lo, 4100)) == V(rows[lo - 2:])
+        assert V(oracles.segment_rows(gen, lo, 4100)) == V(rows[lo - 2:])
 
 
 def _rational_specs(q_max):
@@ -541,7 +542,7 @@ def test_rational_forms_match_kernel():
     # at every n for q <= 20
     for p, q in _rational_specs(120):
         gen = KroneckerGen(Rational(p, q))
-        rows = km.sweep(gen, 2, q + 3)
+        rows = oracles.segment_rows(gen, 2, q + 3)
         assert V([row.metrics for row in rows]) == V(oracles.exact_sweep_metrics(gen, 2, q + 3)), \
             (p, q)
         assert all(row.bounds is None for row in rows)
@@ -552,4 +553,4 @@ def test_rational_forms_match_kernel():
                 assert V(row.metrics) == V(_brute_qm(pts[:row.metrics.n])), (p, q, row.metrics.n)
         for lo in (q - 1, q + 1):
             if lo >= 2:
-                assert V(km.sweep(gen, lo, q + 3)) == V(rows[lo - 2:]), (p, q, lo)
+                assert V(oracles.segment_rows(gen, lo, q + 3)) == V(rows[lo - 2:]), (p, q, lo)

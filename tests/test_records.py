@@ -25,9 +25,9 @@ from kronmesh import (
     QUMetrics,
     QuadraticSurd,
     Rational,
-    SweepRow,
     VdcGen,
 )
+from kronmesh.metrics import Segment
 from kronmesh.sequences import _KroneckerRun
 from kronmesh.threegap import IdentityCheck, LengthsReport
 
@@ -42,7 +42,8 @@ _QUM = ("QUMetrics(n=5, fill_nd=(1, 4), separation_nd=(1, 16), rho_nd=(4, 1), "
 _CHECK = "IdentityCheck(name='tiles', passed=True, detail='(0,1)')"
 
 # one fixed example of each of the 18 records, with its repr as a frozen
-# dataclass printed it (PointSet no longer prints its config)
+# dataclass printed it (PointSet no longer prints its config); Segment, the
+# one sweep record, takes the place of the per-n row it replaced
 RECORDS = [
     (lambda: PrecisionContext(bits=256, max_bits=1024),
      "PrecisionContext(bits=256, max_bits=1024)"),
@@ -59,7 +60,8 @@ RECORDS = [
                          digit_form_nd=(3, 2), global_upper=4),
      "BoundReport(n=10, m=4, h=0, k=2, upper_ends=(5, 1, 6, 1), lower_ends=None, "
      "digit_form_nd=(3, 2), global_upper=4)"),
-    (lambda: SweepRow(metrics=_qumetrics(), bounds=None), f"SweepRow(metrics={_QUM}, bounds=None)"),
+    (lambda: Segment(n_lo=5, n_hi=7, metrics=_qumetrics(), bounds=None),
+     f"Segment(n_lo=5, n_hi=7, metrics={_QUM}, bounds=None)"),
     (lambda: KroneckerGen(alpha=Rational(1, 3)), "KroneckerGen(alpha=Rational(num=1, den=3))"),
     (lambda: VdcGen(base=3), "VdcGen(base=3)"),
     (lambda: GreedyGen(tie_break="rightmost"), "GreedyGen(tie_break='rightmost')"),

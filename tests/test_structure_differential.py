@@ -17,7 +17,7 @@ from kronmesh.cli import main
 from kronmesh.contfrac import GUARD, _tail_ends, _window_bracket
 from kronmesh.intervals import Interval
 from kronmesh.metrics import _first_rung, _gap_roles, _structural
-from kronmesh.threegap import Decomposition, _gap_structure, decompose, form_interval
+from kronmesh.threegap import Decomposition, _gap_structure, decompose
 from conftest import ALPHA_SPECS, PREFIX_60_DIGITS, PREFIX_SPEC
 import oracles
 from oracles import record_values as V
@@ -135,22 +135,21 @@ def test_tail_ends_shortest_window_encloses_alpha_m(spec, bits):
         if iv is None:
             assert not exp.ensure(m + 1), (spec, m)  # only where the digits end
             continue
-        if not exp.finite:
-            x1, y1, x2, y2 = _tail_ends(exp, m, bits)
-            assert x2 * y1 - x1 * y2 == 1, (spec, m)
-        if exp.finite:
+        if iv.lo == iv.hi:  # a rational's window reached a_M: its exact tail
             x = Fraction(0)
             for a in reversed(exp.digits[m + 1:]):
                 x = 1 / (a + x)
-            assert iv.lo == iv.hi == x, (spec, m)
+            assert exp.finite and iv.lo == x, (spec, m)
             continue
+        x1, y1, x2, y2 = _tail_ends(exp, m, bits)
+        assert x2 * y1 - x1 * y2 == 1, (spec, m)
         if exp._alpha0_surd is not None:
             P, D, Q = _tail_surd(exp, m)
             sign = 1 if Q > 0 else -1
             for end, side in ((iv.lo, 1), (iv.hi, -1)):
                 y, x = end.denominator, end.numerator
                 assert oracles.surd_sign(y * P - x * Q, y, D) == side * sign, (spec, m)
-        else:  # a prefix: every continuation of it lies in the bracket
+        else:  # a prefix or a rational: every continuation of its digits lies in the bracket
             exp.ensure(10 ** 6)
             lo, hi = oracles.tail_interval_from_digits(exp.digits, m)
             assert iv.lo <= lo and hi <= iv.hi, (spec, m)
@@ -463,14 +462,14 @@ def test_form_interval_equals_interval_path(spec):
     for bits in (64, 192):
         ctx = PrecisionContext(bits)
         for m in range(-1, 201, 3):
-            new = outcome(lambda: form_interval(exp, km.eta(exp, m), ctx, True))
+            new = outcome(lambda: oracles.form_rung_interval(exp, km.eta(exp, m), ctx, True))
             old = outcome(lambda: oracles.form_interval_interval(exp, km.eta(exp, m), ctx, True))
             assert new == old, (spec, m)
         for n in (2, 7, 100, 12345, 10 ** 12 + 39):
             gs = outcome(lambda: km.gap_structure(exp, n))[0]
             for form, _ in gs.entries if gs else ():
                 for positive in (False, True):
-                    new = outcome(lambda: form_interval(exp, form, ctx, positive))
+                    new = outcome(lambda: oracles.form_rung_interval(exp, form, ctx, positive))
                     old = outcome(lambda: oracles.form_interval_interval(exp, form, ctx, positive))
                     assert new == old, (spec, n, form, positive)
 
@@ -543,8 +542,8 @@ def _ladder_workout(exp):
     for m in (5, 40, 120):
         if exp.ensure(m + 1):
             outcome(lambda: km.mesh_ratio_structural(exp, exp.n_at(m), ctx))
-            outcome(lambda: form_interval(exp, km.eta(exp, m), ctx, True))
-    outcome(lambda: km.sweep(km.KroneckerGen(exp), 2, 300, ctx))
+            outcome(lambda: oracles.form_rung_interval(exp, km.eta(exp, m), ctx, True))
+    outcome(lambda: oracles.segment_rows(km.KroneckerGen(exp), 2, 300, ctx))
     outcome(lambda: km.kronecker(exp, 50, ctx))
 
 

@@ -1,7 +1,7 @@
 """Sweeps as segments against the per-row pipeline they replaced (kept in
 tests/oracles.py): `kronmesh sweep` prints the same bytes, exit code and
 error line as the old command, which built one row per n and formatted
-every cell of every row, and `sweep()` returns the same rows."""
+every cell of every row, and the segments expand to the same rows."""
 import json
 import math
 import random
@@ -157,7 +157,7 @@ def test_sweep_rows_equal_per_row_oracle(gen, lo, hi, with_bounds):
     # field for field: n, metrics, the drift error_bound and each bound report
     for bits in (64, 192):
         ctx = km.PrecisionContext(bits)
-        rows = km.sweep(gen, lo, hi, ctx, with_bounds)
+        rows = oracles.segment_rows(gen, lo, hi, ctx, with_bounds)
         assert oracles.record_values(rows) == oracles.record_values(
             oracles.sweep_rows(gen, lo, hi, ctx, with_bounds))
         assert [row.metrics.n for row in rows] == list(range(lo, hi + 1))
@@ -198,14 +198,15 @@ def test_golden_sweep_evaluates_each_segment_once(monkeypatch):
     assert len(segs) < 3 * 22
 
 
-def test_writers_take_rows_and_segments_alike():
+def test_writers_print_the_rows_of_their_segments():
     gen = km.KroneckerGen(km.parse_alpha("cf:0;(1,2)"))
     segs = km.sweep_segments(gen, 50, 400)
-    rows = km.sweep(gen, 50, 400)
+    rows = oracles.segment_rows(gen, 50, 400)
     assert len(segs) < len(rows)
-    for write in (km.sweep_to_csv, km.sweep_to_json):
-        for digits in (5, 40):
-            assert write(segs, digits) == write(rows, digits)
+    for digits in (5, 40):
+        assert km.sweep_to_csv(segs, digits) == oracles.sweep_rows_csv(rows, digits)
+        assert km.sweep_to_json(segs, digits) == json.dumps(
+            oracles.sweep_rows_json(rows, digits), indent=2) + "\n"
     assert km.sweep_to_json([]) == '{\n  "rows": []\n}\n'
 
 
@@ -260,7 +261,7 @@ def test_edge_sweeps_hit_the_chunk_edges():
                          ids=lambda v: str(v))
 def test_chunked_writers_equal_per_row_text(gen, lo, hi, with_bounds, digits):
     segs = km.sweep_segments(gen, lo, hi, with_bounds=with_bounds)
-    rows = km.sweep(gen, lo, hi, with_bounds=with_bounds)
+    rows = oracles.segment_rows(gen, lo, hi, with_bounds=with_bounds)
     csv = list(km.metrics._csv_chunks(segs, digits))
     assert "".join(csv) == oracles.sweep_rows_csv(rows, digits)
     assert km.sweep_to_csv(segs, digits) == "".join(csv)

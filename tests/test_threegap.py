@@ -16,7 +16,6 @@ from kronmesh import (
     Rational,
     UnsupportedAlphaError,
 )
-from kronmesh.threegap import form_interval
 from conftest import ALPHA_SPECS, PREFIX_60_DIGITS, PREFIX_SPEC, mp_scaled_points
 import oracles
 
@@ -85,7 +84,7 @@ def test_eta_positive_decreasing(expansions):
     for spec, exp in expansions.items():
         prev = None
         for m in range(0, 13):
-            iv = form_interval(exp, km.eta(exp, m), ctx, require_positive=True)
+            iv = oracles.form_rung_interval(exp, km.eta(exp, m), ctx, require_positive=True)
             assert iv.lo > 0, (spec, m)
             if prev is not None:
                 assert iv.hi < prev.lo, (spec, m)
@@ -255,7 +254,7 @@ def test_multiset_against_brute_force(expansions):
             gaps = oracles.circle_gap_multiset(srt, M)
             gs = km.gap_structure(exp, n)
             want = [
-                (form_interval(exp, form, PrecisionContext(160)), count)
+                (oracles.form_rung_interval(exp, form, PrecisionContext(160)), count)
                 for form, count in gs.entries if count
             ]
             drift = 2 * max(i, 1) * unit
@@ -291,5 +290,6 @@ def test_gap_structure_json_schema(golden):
 def test_form_interval_escalates_sign():
     exp = CFExpansion(km.parse_alpha("golden"))
     # eta_30 is ~ phi^-31 ~ 6e-7; still strictly positive at high m
-    iv = form_interval(exp, km.eta(exp, 30), PrecisionContext(64), require_positive=True)
+    iv = oracles.form_rung_interval(exp, km.eta(exp, 30), PrecisionContext(64),
+                                    require_positive=True)
     assert iv.lo > 0
