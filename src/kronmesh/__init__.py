@@ -24,7 +24,6 @@ from .errors import (
     PrecisionUnresolvedError,
     UnsupportedAlphaError,
 )
-from .intervals import Interval
 from .metrics import (
     BoundReport,
     QUMetrics,

@@ -21,7 +21,6 @@ import math
 import re
 import sys
 import threading
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, cycle, islice
 from operator import itemgetter
@@ -62,12 +61,14 @@ class PrecisionContext(NamedTuple("PrecisionContext", [("bits", int), ("max_bits
 
         Calls attempt(bits) at start_bits, then at doubled bits up to
         max_bits, until it returns (result, error) with a result that is not
-        None; an undecided attempt returns (None, error), where error
-        measures what kept it from deciding (an enclosure width, a per-point
-        error).  Raises PrecisionUnresolvedError at the ceiling (a start
-        above max_bits still gets its one attempt), or as soon as a doubling
-        fails to halve the error: a digit prefix, not the precision, then
-        limits the enclosure, and more bits cannot decide the comparison.
+        None; an undecided attempt returns (None, (num, den)), the error
+        num / den (den > 0, not reduced) that kept it from deciding (an
+        enclosure width, a per-point error).  Raises
+        PrecisionUnresolvedError at the ceiling (a start above max_bits
+        still gets its one attempt), or as soon as a doubling fails to halve
+        the error, a test on cross-multiplied integers: a digit prefix, not
+        the precision, then limits the enclosure, and more bits cannot
+        decide the comparison.
         what names the comparison in that error: a str, or a callable that
         builds it, called only when raising.
         """
@@ -76,7 +77,8 @@ class PrecisionContext(NamedTuple("PrecisionContext", [("bits", int), ("max_bits
             result, error = attempt(bits)
             if result is not None:
                 return result
-            if last is not None and 2 * error > last:
+            num, den = error
+            if last is not None and 2 * num * last[1] > last[0] * den:
                 raise PrecisionUnresolvedError(
                     f"{_text(what)} unresolved at {bits} bits; doubling the precision "
                     "cannot reduce the error (digit prefix exhausted?)"
@@ -167,8 +169,8 @@ class Rational(NamedTuple("Rational", [("num", int), ("den", int)])):
             raise AlphaSpecError("Rational takes integers")
         if den <= 0:
             raise AlphaSpecError("Rational.den must be positive")
-        fr = Fraction(num, den)
-        return tuple.__new__(cls, (fr.numerator, fr.denominator))
+        g = math.gcd(num, den)
+        return tuple.__new__(cls, (num // g, den // g))
 
 
 class ExplicitCF(NamedTuple("ExplicitCF", [("preperiod", Tuple[int, ...]),

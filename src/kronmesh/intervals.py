@@ -1,50 +1,20 @@
-"""Closed intervals with Fraction endpoints, and decimal rendering.
-
-An Interval is an enclosure container: one produced by the library always
-contains the mathematical value it stands for.  It does no arithmetic.
-Certified comparisons are integer work on scaled enclosure ends (u*A + v*2**B,
-a bracket's numerators and denominators), so a comparison they decide is a
-proof, and an overlap means "escalate precision and retry".
+"""Decimal rendering of the values the package prints.
 
 Every printed value is an integer ratio num / den rendered by one decimal
 division (decimal_renderer), or an exact surd (P + sqrt(N)) / Q rendered
-from one integer floor (surd_digits, surd_text).
+from one integer floor (surd_digits, surd_text).  An enclosure is printed
+as its two ends rounded outward, so the printed interval still contains
+the value.  _formatter is the one cell formatter over all of them.
 """
 from __future__ import annotations
 
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN
 from decimal import Context, Decimal, getcontext, localcontext
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Callable, NamedTuple, Tuple, Union
+from typing import Callable, Tuple
 
 from .contfrac import _floor_surd
-
-Rat = Union[int, Fraction]
-
-
-class Interval(NamedTuple("Interval", [("lo", Fraction), ("hi", Fraction)])):
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))
-
-    def __new__(cls, lo: Rat, hi: Rat):
-        # Fraction(x) of a Fraction costs a constructor call and an ABC check
-        if type(lo) is not Fraction:
-            lo = Fraction(lo)
-        if type(hi) is not Fraction:
-            hi = Fraction(hi)
-        if lo > hi:
-            raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
-        return tuple.__new__(cls, (lo, hi))
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
 
 _ROUNDING = {
@@ -88,6 +58,32 @@ def decimal_renderer(digits: int) -> Callable[..., str]:
         return str(ctx.divide(Decimal(num), Decimal(den)))
 
     return render
+
+
+def _formatter(digits: int):
+    """fmt(value, mode): a value at `digits`, once per distinct (value,
+    mode), as the rows of a sweep repeat few distinct values: a ratio (num,
+    den) by decimal_renderer, a surd triple (P, N, Q) by surd_digits and
+    surd_text.  Mode "interval" gives the floor and ceiling of a triple, or
+    of ends (x1, y1, x2, y2) of [x1/y1, x2/y2] the ends rounded outward."""
+    render, done = decimal_renderer(digits), {}
+
+    def fmt(value, mode: str = "nearest"):
+        key = (value, mode)
+        text = done.get(key)
+        if text is None:
+            if len(value) == 4:
+                text = (render(*value[:2], "floor"), render(*value[2:], "ceil"))
+            elif len(value) == 2:
+                text = render(*value, mode)
+            else:
+                F = surd_digits(*value, digits)
+                text = (surd_text(*F, digits, "floor"), surd_text(*F, digits, "ceil")) if (
+                    mode == "interval") else surd_text(*F, digits, mode)
+            done[key] = text
+        return text
+
+    return fmt
 
 
 def surd_digits(P: int, N: int, Q: int, digits: int) -> Tuple[int, int, bool]:

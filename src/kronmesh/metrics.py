@@ -52,7 +52,7 @@ from .contfrac import (
     digit_supremum,
 )
 from .errors import KronmeshError, PrecisionUnresolvedError, UnsupportedAlphaError
-from .intervals import Interval, decimal_renderer, surd_digits, surd_text
+from .intervals import _formatter
 from .sequences import (
     GeneratorSpec,
     GreedyGen,
@@ -84,7 +84,7 @@ class QUMetrics(NamedTuple):
     fill_nd: Value
     separation_nd: Value
     rho_nd: Optional[Value]             # None marks duplicate points (mesh_ratio inf)
-    provenance: str                     # oracle-exact | formula-bound | structure-exact
+    provenance: str                     # oracle-exact | structure-exact
     error_nd: Ratio = (0, 1)
 
     fill = property(lambda self: _value(self.fill_nd))
@@ -93,40 +93,20 @@ class QUMetrics(NamedTuple):
     error_bound = property(lambda self: Fraction(*self.error_nd))
     is_infinite = property(lambda self: self.rho_nd is None)
 
-    def rho_interval(self) -> Optional[Interval]:
-        """Certified enclosure of the true mesh ratio, None when infinite;
-        an exact surd's lies between multiples of 2**-128."""
-        if self.is_infinite:
-            return None
-        if len(self.rho_nd) == 3:
-            rho = self.mesh_ratio
-            if isinstance(rho, Fraction):  # exactly 1 or 2
-                return Interval(rho, rho)
-            lo = Fraction(rho.floor_scaled(128), 1 << 128)
-            return Interval(lo, lo + Fraction(1, 1 << 128))
-        fill, sep, e = self.fill, self.separation, self.error_bound
-        lo_num = max(fill - e, Fraction(0))
-        den_hi = sep + e
-        den_lo = sep - e
-        if den_lo <= 0:
-            raise PrecisionUnresolvedError(
-                f"separation {sep} not resolved beyond error {e}"
-            )
-        return Interval(lo_num / den_hi, (fill + e) / den_lo)
 
-
-def _interval(ends) -> Union[Interval, QuadraticSurd]:
+def _bound_pair(ends) -> Union[Tuple[Fraction, Fraction], QuadraticSurd]:
     if len(ends) == 3:
         return QuadraticSurd(*ends)
     x1, y1, x2, y2 = ends
-    return Interval(Fraction(x1, y1), Fraction(x2, y2))
+    return Fraction(x1, y1), Fraction(x2, y2)
 
 
 class BoundReport(NamedTuple):
     """The bounds of one n: the upper bound and the lower bound at n_m as
     unreduced ends (x1, y1, x2, y2) of [x1/y1, x2/y2] with y > 0, or a
-    surd's exact triple, and the digit form as a ratio; upper, lower_at_nm
-    and lower_digit_form build the Interval, QuadraticSurd or Fraction."""
+    surd's exact triple, and the digit form as a ratio; upper and
+    lower_at_nm build the pair (x1/y1, x2/y2) of Fractions or the
+    QuadraticSurd, and lower_digit_form the Fraction."""
     n: int
     m: int
     h: int
@@ -136,8 +116,8 @@ class BoundReport(NamedTuple):
     digit_form_nd: Optional[Ratio]  # a lower bound on lower_at_nm, from two digits
     global_upper: Optional[int]
 
-    upper = property(lambda self: _interval(self.upper_ends))
-    lower_at_nm = property(lambda self: _interval(self.lower_ends) if self.lower_ends else None)
+    upper = property(lambda self: _bound_pair(self.upper_ends))
+    lower_at_nm = property(lambda self: _bound_pair(self.lower_ends) if self.lower_ends else None)
     lower_digit_form = property(lambda self: Fraction(*self.digit_form_nd)
                                 if self.digit_form_nd else None)
 
@@ -221,11 +201,11 @@ def _kronecker_lattice(exp: CFExpansion, n: int, ctx: PrecisionContext,
         A, U = exp.alpha0_scaled(bits)
         M = 1 << bits
         if gs is None:  # the prefix's bracket, not the scale, limits the error
-            return None, Fraction(U, M)
+            return None, (U, M)
         _, ming, last, i = _lattice_gaps(gs, A, M)
         if ming > 2 * (n - 1) * U and last > i * U:
             return (A, U, M), None
-        return None, Fraction((n - 1) * U, M)
+        return None, ((n - 1) * U, M)
 
     return ctx.escalate(attempt, start_bits, lambda: f"point order at n={n}")
 
@@ -300,7 +280,7 @@ def _bounds(exp: CFExpansion, n: int, d: Decomposition, ctx: PrecisionContext) -
             hi = (x2, y2) if x2 * y1 <= c1 * y2 else (c1, y1)
             if lo[0] > 0:
                 return (ends, lo, hi), None
-            return None, Fraction(x2 * y1 - x1 * y2, y1 * y2)  # the bracket width
+            return None, (x2 * y1 - x1 * y2, y1 * y2)  # the bracket width
 
         (x1, y1, x2, y2), (p_lo, q_lo), (p_hi, q_hi) = ctx.escalate(
             attempt, ctx.bits, lambda: f"bound denominator sign (n={n})")
@@ -347,13 +327,10 @@ def _structural(exp: CFExpansion, gs: GapStructure, ctx: PrecisionContext) -> QU
         return _surd_structural(exp, gs)
     n = gs.n
     last_form, present = _gap_roles(gs)
-    rungs = _first_rung(exp, last_form, present, ctx.bits)
-    if rungs is None:  # the ladders below read the same first rung, then climb
-        ordered = _order_forms(exp, present, ctx)
-        rungs = [_form_rung(exp, form, ctx, True)
-                 for form in (ordered[-1], last_form.scale(2), ordered[0])]
-        B = max(bits for _, _, bits in rungs)  # shift each to the finest rung
-        rungs = [(lo << (B - bits), hi << (B - bits), B) for lo, hi, bits in rungs]
+    ordered = _order_forms(exp, present, ctx)
+    rungs = [_form_rung(exp, form, ctx) for form in (ordered[-1], last_form.scale(2), ordered[0])]
+    B = max(bits for _, _, bits in rungs)  # shift each to the finest rung
+    rungs = [(lo << (B - bits), hi << (B - bits), B) for lo, hi, bits in rungs]
     (maxlo, maxhi, B), (lastlo, lasthi, _), (S_lo, S_hi, _) = rungs
     F_lo, F_hi = max(maxlo, lastlo), max(maxhi, lasthi)
     quarter, den = 1 << (B + 2), 2 * S_lo * S_hi
@@ -397,23 +374,6 @@ def _surd_cells(a: int, c: int, D: int, t: int, h: int, last: int, present: Tupl
     return big, small, _qtriple(rho, D)
 
 
-def _first_rung(exp: CFExpansion, last_form: LinearForm, present: List[LinearForm],
-                bits: int) -> Optional[List[Tuple[int, int, int]]]:
-    """The rungs (lo, hi, bits) of the largest present form, twice the gap
-    touching 1 and the smallest present form, all read off one
-    alpha0_scaled(bits), when that rung decides what _order_forms and the
-    three _form_rung ladders would: the present forms' enclosures pairwise
-    disjoint and the three signed.  None otherwise."""
-    A, U = exp.alpha0_scaled(bits)
-    ends = sorted([form.at(A, U, bits) for form in present])
-    lo, hi = last_form.at(A, U, bits)
-    rungs = [(*ends[-1], bits), (2 * lo, 2 * hi, bits), (*ends[0], bits)]
-    if (all(a[1] < b[0] for a, b in zip(ends, ends[1:]))
-            and all(lo > 0 or hi < 0 for lo, hi, _ in rungs)):
-        return rungs
-    return None
-
-
 def _order_forms(exp, forms, ctx) -> List[LinearForm]:
     """The distinct forms sorted by true value, escalating precision until
     they separate."""
@@ -422,7 +382,7 @@ def _order_forms(exp, forms, ctx) -> List[LinearForm]:
         ordered = sorted(units, key=lambda form: units[form][0])
         if all(units[a][1] < units[b][0] for a, b in zip(ordered, ordered[1:])):
             return ordered, None
-        return None, Fraction(max(hi - lo for lo, hi in units.values()), 1 << bits)
+        return None, (max(hi - lo for lo, hi in units.values()), 1 << bits)
 
     return ctx.escalate(attempt, ctx.bits, "gap-length ordering")
 
@@ -537,32 +497,6 @@ SWEEP_COLUMNS = (
     "n,h_n,q_n,rho_n,upper_bound_lo,upper_bound_hi,"
     "lower_bound_lo,lower_bound_hi,global_upper"
 )
-
-
-def _formatter(digits: int):
-    """fmt(value, mode): a record value at `digits`, once per distinct
-    (value, mode), as the rows of a sweep repeat few distinct values: a
-    ratio by decimal_renderer, a surd triple by surd_digits and surd_text.
-    Mode "interval" gives the floor and ceiling of a triple, or of bracket
-    ends (x1, y1, x2, y2) the ends rounded outward."""
-    render, done = decimal_renderer(digits), {}
-
-    def fmt(value, mode: str = "nearest"):
-        key = (value, mode)
-        text = done.get(key)
-        if text is None:
-            if len(value) == 4:
-                text = (render(*value[:2], "floor"), render(*value[2:], "ceil"))
-            elif len(value) == 2:
-                text = render(*value, mode)
-            else:
-                F = surd_digits(*value, digits)
-                text = (surd_text(*F, digits, "floor"), surd_text(*F, digits, "ceil")) if (
-                    mode == "interval") else surd_text(*F, digits, mode)
-            done[key] = text
-        return text
-
-    return fmt
 
 
 def _rho_str(qm: QUMetrics, fmt) -> str:

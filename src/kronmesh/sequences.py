@@ -163,19 +163,18 @@ def kronecker(
         except PrecisionUnresolvedError:
             # the per-point error U / 2**bits: a digit prefix bounds alpha
             # only to its bracket, so there it stops halving
-            return None, Fraction(exp.alpha0_scaled(bits)[1], 1 << bits)
+            return None, (exp.alpha0_scaled(bits)[1], 1 << bits)
 
     start = scale_bits if scale_bits is not None else working_scale_bits(ctx, n)
     xs, M, U = ctx.escalate(attempt, start,
                             lambda: f"integer straddles of the first {n} points")
     bits = M.bit_length() - 1
     err_units = max(n - 1, 1) * U
-    err = Fraction(err_units, M)
-    if err <= Fraction(1, 1 << ctx.bits):
+    if err_units << ctx.bits <= M:  # err_units / M <= 2**-ctx.bits
         prec = ctx.bits
     else:
-        # widest honest tag: 2**-prec still bounds err from above
-        prec = max(1, (err.denominator // err.numerator).bit_length() - 1)
+        # widest honest tag: 2**-prec still bounds err_units / M from above
+        prec = max(1, (M // err_units).bit_length() - 1)
     return PointSet.lattice(
         tuple(xs), M, err_units, prec, "kronecker", _KroneckerRun(exp, ctx, bits)
     )

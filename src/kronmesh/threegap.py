@@ -20,13 +20,12 @@ and ceiling; a digit prefix's is an enclosure from the precision ladder.
 from __future__ import annotations
 
 import bisect
-from fractions import Fraction
 from typing import NamedTuple, Tuple
 
 from .contfrac import _Q, CFExpansion, DEFAULT_CONTEXT, PrecisionContext, _qtriple
 from .errors import KronmeshError, OutOfRangeError
 from .errors import PrecisionUnresolvedError, UnsupportedAlphaError
-from .intervals import decimal_renderer, surd_digits, surd_text
+from .intervals import _formatter
 
 
 class LinearForm(NamedTuple):
@@ -48,16 +47,12 @@ class LinearForm(NamedTuple):
         """(lo, hi), the form in [lo, hi] / 2**bits: u*A + v*2**bits and that
         plus u*U for alpha0 * 2**bits in [A, A + U] (always valid; callers
         needing a width promise check it themselves)."""
-        return self.at(*exp.alpha0_scaled(bits), bits)
-
-    def at(self, A: int, U: int, bits: int) -> Tuple[int, int]:
-        """units for alpha0 * 2**bits in [A, A + U]."""
+        A, U = exp.alpha0_scaled(bits)
         lo = self.u * A + (self.v << bits)
         return (lo + self.u * U, lo) if self.u < 0 else (lo, lo + self.u * U)
 
 
 ONE = LinearForm(0, 1)
-ZERO = LinearForm(0, 0)
 
 
 def eta(exp: CFExpansion, m: int) -> LinearForm:
@@ -82,17 +77,13 @@ def _etas(exp: CFExpansion, m: int) -> Tuple[int, int, int, int]:
     return q, a0 * q - p, -ql, pl - a0 * ql
 
 
-def _form_rung(exp: CFExpansion, form: LinearForm, ctx: PrecisionContext,
-               require_positive: bool) -> Tuple[int, int, int]:
-    """The form's enclosure [lo, hi] / 2**bits as (lo, hi, bits), at ctx.bits,
-    or, when require_positive, at the first rung where it is strictly signed."""
-    if not require_positive or form == ZERO:
-        return (*form.units(exp, ctx.bits), ctx.bits)
-
+def _form_rung(exp: CFExpansion, form: LinearForm, ctx: PrecisionContext) -> Tuple[int, int, int]:
+    """The form's enclosure [lo, hi] / 2**bits as (lo, hi, bits), at the
+    first rung from ctx.bits where it is strictly signed."""
     def attempt(bits):
         lo, hi = form.units(exp, bits)
         signed = lo > 0 or hi < 0
-        return ((lo, hi, bits), None) if signed else (None, Fraction(hi - lo, 1 << bits))
+        return ((lo, hi, bits), None) if signed else (None, (hi - lo, 1 << bits))
 
     return ctx.escalate(attempt, ctx.bits, lambda: f"sign of {form.u}*alpha+{form.v}")
 
@@ -198,17 +189,17 @@ def gap_structure_json(
     """JSON-ready dict with decimal interval strings for each length: for a
     surd alpha the floor and ceiling of its exact value at `digits`, one
     unit in the last place apart; else its enclosure rounded outward."""
-    render, surd, entries = decimal_renderer(digits), exp._alpha0_surd, []
+    fmt, surd, entries = _formatter(digits), exp._alpha0_surd, []
     for form, count in gs.entries:
         if surd is None:
-            lo, hi, bits = _form_rung(exp, form, ctx, True)
-            interval = [render(lo, 1 << bits, "floor"), render(hi, 1 << bits, "ceil")]
+            lo, hi, bits = _form_rung(exp, form, ctx)
+            value = (lo, 1 << bits, hi, 1 << bits)
         elif not form.u:  # the integer v, which a ladder rung renders as itself
-            interval = [render(form.v, 1, "floor"), render(form.v, 1, "ceil")]
+            value = (form.v, 1, form.v, 1)
         else:
             P, D, Q = surd
-            F = surd_digits(*_qtriple((form.u * P + form.v * Q, form.u, Q), D), digits)
-            interval = [surd_text(*F, digits, "floor"), surd_text(*F, digits, "ceil")]
-        entries.append({"u": form.u, "v": form.v, "multiplicity": count, "interval": interval})
+            value = _qtriple((form.u * P + form.v * Q, form.u, Q), D)
+        entries.append({"u": form.u, "v": form.v, "multiplicity": count,
+                        "interval": list(fmt(value, "interval"))})
     d = gs.decomposition
     return {"n": gs.n, "m": d.m, "h": d.h, "k": d.k, "entries": entries}

@@ -8,9 +8,11 @@ defining recurrence of the three-gap lengths eta_m, backward-recurrence
 tail enclosures, and big-float continued-fraction machinery via mpmath.
 The structure path the package once ran is kept as well: tail brackets by
 a loop over the digit window, and gap-form enclosures, their order, the
-structure-exact mesh ratio and the closed-form bounds by Interval
-arithmetic (the package reads the brackets off its convergents and
-evaluates the forms and bounds on integers; Interval does no arithmetic).
+structure-exact mesh ratio and the closed-form bounds by arithmetic on
+the Interval type defined here (the package reads the brackets off its
+convergents, evaluates the forms and bounds on integers and has no
+interval type).  rho_interval, a record's certified mesh-ratio enclosure,
+is here as well, because only the tests read it.
 The sorted-point Kronecker metrics reuse the package's point generator
 and precision ladder; they differ from the package in reading the metrics
 off sorted points instead of the three-gap forms.  The point generator is
@@ -35,6 +37,58 @@ from itertools import count, takewhile
 from typing import NamedTuple
 
 import mpmath
+
+
+# -- closed intervals with Fraction ends ----------------------------------------
+
+class Interval(NamedTuple("Interval", [("lo", Fraction), ("hi", Fraction)])):
+    """A closed interval [lo, hi] with Fraction ends: the container the
+    oracles' interval arithmetic works in.  It equals the plain pair (lo,
+    hi), which is how the package's records hand out bracket ends."""
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def __new__(cls, lo, hi):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi))
+
+    @property
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    @property
+    def mid(self) -> Fraction:
+        return (self.lo + self.hi) / 2
+
+
+def nd(x) -> tuple:
+    """A rational as the (num, den) error PrecisionContext.escalate takes."""
+    x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def rho_interval(qm):
+    """Certified enclosure of a QUMetrics' true mesh ratio, None when
+    infinite: from fill and separation widened by the error bound, and an
+    exact surd's between multiples of 2**-128."""
+    from kronmesh.errors import PrecisionUnresolvedError
+
+    if qm.is_infinite:
+        return None
+    if len(qm.rho_nd) == 3:
+        rho = qm.mesh_ratio
+        if isinstance(rho, Fraction):  # exactly 1 or 2
+            return Interval(rho, rho)
+        lo = Fraction(rho.floor_scaled(128), 1 << 128)
+        return Interval(lo, lo + Fraction(1, 1 << 128))
+    fill, sep, e = qm.fill, qm.separation, qm.error_bound
+    lo_num = max(fill - e, Fraction(0))
+    den_lo = sep - e
+    if den_lo <= 0:
+        raise PrecisionUnresolvedError(f"separation {sep} not resolved beyond error {e}")
+    return Interval(lo_num / (sep + e), (fill + e) / den_lo)
 
 
 # -- exact quadratic-surd sign ----------------------------------------------
@@ -168,14 +222,14 @@ def mp_value(spec: str, prec: int = 400) -> mpmath.mpf:
 
 
 def enclose(x, bits: int = 256):
-    """An Interval holding a record's value x: an Interval as it is, a
-    rational as a point, and a QuadraticSurd (P + sqrt(D)) / Q between
+    """An Interval holding a record's value x: a pair of ends (an upper or
+    lower bound) as the Interval, a rational as a point, and a QuadraticSurd (P + sqrt(D)) / Q between
     consecutive multiples of 2**-bits, from an mpmath floor at a precision
     past the cancellation of P and sqrt(D)."""
-    from kronmesh import Interval, QuadraticSurd
+    from kronmesh import QuadraticSurd
 
-    if isinstance(x, Interval):
-        return x
+    if isinstance(x, tuple) and len(x) == 2:
+        return Interval(*x)
     if not isinstance(x, QuadraticSurd):
         return Interval(x, x)
     P, D, Q = x
@@ -257,11 +311,14 @@ def ratio(x):
 
 
 def interval_ends(iv):
-    """An Interval as the ends (x1, y1, x2, y2) the records store; an exact
-    QuadraticSurd as its triple."""
+    """An Interval or a pair of ends as the ends (x1, y1, x2, y2) the
+    records store; an exact QuadraticSurd as its triple."""
     from kronmesh import QuadraticSurd
 
-    return tuple(iv) if isinstance(iv, QuadraticSurd) else (*ratio(iv.lo), *ratio(iv.hi))
+    if isinstance(iv, QuadraticSurd):
+        return tuple(iv)
+    lo, hi = iv
+    return (*ratio(lo), *ratio(hi))
 
 
 def qumetrics(n, fill, sep, rho, provenance, err=0):
@@ -321,8 +378,6 @@ def tail_brackets(digits):
     by the forward convergent loop: the value (p + x p') / (q + x q') runs
     from the convergent p/q to the mediant (p + p') / (q + q'), the ends the
     backward recurrence x -> 1/(d_j + x) gives from the seeds 0 and 1."""
-    from kronmesh.intervals import Interval
-
     p_prev, p, q_prev, q = 1, 0, 0, 1
     for a in digits:
         p_prev, p = p, a * p + p_prev
@@ -364,8 +419,6 @@ def _best_window(spec, m: int, bits: int):
     from kronmesh import CFExpansion
     from kronmesh.contfrac import GUARD
     from kronmesh.errors import OutOfRangeError, PrecisionUnresolvedError
-    from kronmesh.intervals import Interval
-
     exp = CFExpansion(spec)
     if m < 0:
         raise OutOfRangeError("alpha_m defined for m >= 0")
@@ -438,29 +491,21 @@ def check_nm_stepwise(exp, m_hi: int) -> None:
 
 def iv_scale(iv, c):
     """c * [lo, hi] for a rational c."""
-    from kronmesh.intervals import Interval
-
     return Interval(iv.lo * c, iv.hi * c) if c >= 0 else Interval(iv.hi * c, iv.lo * c)
 
 
 def iv_shift(iv, c):
     """[lo, hi] + c for a rational c."""
-    from kronmesh.intervals import Interval
-
     return Interval(iv.lo + c, iv.hi + c)
 
 
 def iv_min(a, b):
     """The enclosure of min(x, y) for x in a and y in b."""
-    from kronmesh.intervals import Interval
-
     return Interval(min(a.lo, b.lo), min(a.hi, b.hi))
 
 
 def iv_reciprocal(iv):
     """1 / [lo, hi] for an interval bounded away from zero."""
-    from kronmesh.intervals import Interval
-
     if iv.lo <= 0 <= iv.hi:
         raise ZeroDivisionError(f"reciprocal of interval containing 0: [{iv.lo}, {iv.hi}]")
     return Interval(1 / iv.hi, 1 / iv.lo)
@@ -469,8 +514,6 @@ def iv_reciprocal(iv):
 def iv_divide(a, b):
     """a / b for b bounded away from zero: the extremes of the four end
     products with 1 / b."""
-    from kronmesh.intervals import Interval
-
     r = iv_reciprocal(b)
     cands = (a.lo * r.lo, a.lo * r.hi, a.hi * r.lo, a.hi * r.hi)
     return Interval(min(cands), max(cands))
@@ -479,8 +522,6 @@ def iv_divide(a, b):
 def form_enclosure_interval(exp, form, bits: int):
     """The form u*alpha0 + v by Interval arithmetic: the enclosure of alpha0
     at 2**-bits, scaled by u and shifted by v."""
-    from kronmesh.intervals import Interval
-
     A, U = alpha0_scaled_window(exp, bits)
     unit = Fraction(1, 1 << bits)
     return iv_shift(iv_scale(Interval(A * unit, (A + U) * unit), form.u), form.v)
@@ -493,17 +534,20 @@ def form_interval_interval(exp, form, ctx, require_positive: bool = False):
 
     def attempt(bits):
         iv = form_enclosure_interval(exp, form, bits)
-        return (iv, None) if iv.lo > 0 or iv.hi < 0 else (None, iv.width)
+        return (iv, None) if iv.lo > 0 or iv.hi < 0 else (None, nd(iv.width))
 
     return ctx.escalate(attempt, ctx.bits, f"sign of {form.u}*alpha+{form.v}")
 
 
 def form_rung_interval(exp, form, ctx, require_positive: bool = False):
-    """The package's enclosure of a form (threegap._form_rung) as an Interval."""
-    from kronmesh.intervals import Interval
+    """The package's enclosure of a form as an Interval: its rung from
+    threegap._form_rung when require_positive, else form.units at ctx.bits."""
     from kronmesh.threegap import _form_rung
 
-    *ends, bits = _form_rung(exp, form, ctx, require_positive)
+    if require_positive:
+        *ends, bits = _form_rung(exp, form, ctx)
+    else:
+        ends, bits = form.units(exp, ctx.bits), ctx.bits
     return Interval(*(Fraction(x, 1 << bits) for x in ends))
 
 
@@ -534,7 +578,6 @@ def mesh_ratio_structural_interval(exp, n: int, ctx):
     touching 1) / 2, separation = smallest interior / 2 and rho = fill /
     separation as intervals, each reported by its midpoint, with half the
     largest width as the error."""
-    from kronmesh.intervals import Interval
     from kronmesh.metrics import _gap_roles
     from kronmesh.threegap import gap_structure
 
@@ -547,7 +590,7 @@ def mesh_ratio_structural_interval(exp, n: int, ctx):
         ordered = sorted(ivs, key=lambda form: ivs[form].lo)
         if all(ivs[a].hi < ivs[b].lo for a, b in zip(ordered, ordered[1:])):
             return ordered, None
-        return None, max(iv.width for iv in ivs.values())
+        return None, nd(max(iv.width for iv in ivs.values()))
 
     ordered = ctx.escalate(order, ctx.bits, "gap-length ordering")
     big = form_interval_interval(exp, ordered[-1], ctx, True)
@@ -579,7 +622,7 @@ def kronecker_bounds_interval(exp, n: int, ctx=None):
         # bracket of every known digit
         am = alpha_tail_best_window(exp, d.m, ctx._replace(bits=bits))
         den = iv_min(am, iv_shift(iv_scale(am, -(d.h + 1)), 1))
-        return ((am, den), None) if den.lo > 0 else (None, am.width)
+        return ((am, den), None) if den.lo > 0 else (None, nd(am.width))
 
     am, den = ctx.escalate(attempt, ctx.bits, f"bound denominator sign (n={n})")
     num = iv_scale(iv_shift(iv_scale(am, -d.h), 1), 2)
@@ -791,7 +834,7 @@ def kronecker_point_lattice(exp, n: int, ctx, start_bits=None):
             try:
                 return kronecker_scaled(exp, n, b), None
             except PrecisionUnresolvedError:
-                return None, Fraction(exp.alpha0_scaled(b)[1], 1 << b)
+                return None, (exp.alpha0_scaled(b)[1], 1 << b)
 
         return ctx.escalate(attempt, bits, f"integer straddles of the first {n} points")
 
@@ -803,7 +846,7 @@ def kronecker_point_lattice(exp, n: int, ctx, start_bits=None):
         try:
             scaled_prefix_metrics(xs, M, U)
         except ArithmeticError:
-            return None, Fraction((n - 1) * U, M)
+            return None, ((n - 1) * U, M)
         return (xs, M, U), None
 
     return ctx.escalate(attempt, first_bits, f"point order at n={n}")
@@ -1012,7 +1055,8 @@ def _row_cells(row, digits: int):
     def iv(x):
         if isinstance(x, QuadraticSurd):
             return [text(x, "floor"), text(x, "ceil")]
-        return [fraction_text(x.lo, digits, "floor"), fraction_text(x.hi, digits, "ceil")]
+        lo, hi = x
+        return [fraction_text(lo, digits, "floor"), fraction_text(hi, digits, "ceil")]
 
     qm, br = row.metrics, row.bounds
     cells = [text(qm.fill_nd), text(qm.separation_nd)]

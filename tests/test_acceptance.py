@@ -150,8 +150,8 @@ def test_criterion_4_unbounded_digit_divergence(capsys):
         assert (br.m, br.h, br.k) == (m, 0, 0), (m, n)
         # digits a_j = j, so the digit form is a_(m+1) + 1/(a_(m+2) + 1)
         assert br.lower_digit_form == Fraction(m + 1) + Fraction(1, m + 3), m
-        assert br.lower_digit_form <= br.lower_at_nm.lo, m
-        assert rho >= br.lower_at_nm.lo - err, (m, float(rho))
+        assert br.lower_digit_form <= br.lower_at_nm[0], m
+        assert rho >= br.lower_at_nm[0] - err, (m, float(rho))
         assert rho >= br.lower_digit_form, (m, float(rho))
     even_ok = all(rho >= stated[m] - eps for m, _, rho, _, _ in rows if m % 2 == 0)
     odd_below = [m for m, _, rho, _, _ in rows if m % 2 == 1 and rho < stated[m]]
@@ -193,7 +193,7 @@ def test_criterion_5_bound_sandwich_random_alphas(capsys):
         ns = {rng.randint(2, 2500) for _ in range(200)}
         for n in sorted(ns):
             qm = by_n[n]
-            riv = qm.rho_interval()
+            riv = oracles.rho_interval(qm)
             br = km.kronecker_bounds(exp, n, CTX)
             upper = oracles.enclose(br.upper)  # exact for a periodic alpha
             assert riv.lo <= upper.hi, (spec, n, float(riv.lo), float(upper.hi))
@@ -202,7 +202,7 @@ def test_criterion_5_bound_sandwich_random_alphas(capsys):
         while exp.ensure(m) and exp.n_at(m) <= 2500:
             n = exp.n_at(m)
             qm = by_n[n]
-            riv = qm.rho_interval()
+            riv = oracles.rho_interval(qm)
             br = km.kronecker_bounds(exp, n, CTX)
             assert br.lower_at_nm is not None, (spec, n)
             lower = oracles.enclose(br.lower_at_nm)

@@ -1098,9 +1098,57 @@ def test_every_module_function_and_class_is_referenced_or_exported():
     assert found == []
 
 
+# the views that hand a value to a library user as a Fraction, by module
+# and owner (a module-level def, or "Class.member" in a class body)
+FRACTION_VIEWS = {("metrics.py", "_value"), ("metrics.py", "_bound_pair"),
+                  ("metrics.py", "QUMetrics.error_bound"),
+                  ("metrics.py", "BoundReport.lower_digit_form"),
+                  ("sequences.py", "PointSet.__new__"), ("sequences.py", "PointSet.points"),
+                  ("sequences.py", "PointSet.error_bound")}
+
+
+def _owned_nodes(tree):
+    """(owner, node) for every node below a module's top-level statements:
+    the def, class or assignment target that holds it, "Class.member" for
+    a member of a class body."""
+    def label(stmt):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            return stmt.name
+        targets = getattr(stmt, "targets", None) or [getattr(stmt, "target", None)]
+        return ",".join(t.id for t in targets if isinstance(t, ast.Name)) or type(stmt).__name__
+
+    for top in tree.body:
+        if not isinstance(top, ast.ClassDef):
+            yield from ((label(top), node) for node in ast.walk(top))
+            continue
+        for part in top.bases + top.keywords + top.decorator_list:
+            yield from ((top.name, node) for node in ast.walk(part))
+        for member in top.body:
+            yield from ((f"{top.name}.{label(member)}", node) for node in ast.walk(member))
+
+
+def test_decisions_build_no_fraction_and_no_module_names_interval():
+    # every comparison the package decides is integer arithmetic; a
+    # Fraction is built only by a view, and Interval is gone
+    found = []
+    for name, tree in _package_trees().items():
+        for owner, node in _owned_nodes(tree):
+            ident = (getattr(node, "id", None) or getattr(node, "attr", None)
+                     or getattr(node, "name", None))
+            if ident == "Interval" or getattr(node, "asname", None) == "Interval":
+                found.append(f"{name}:{node.lineno} names Interval")
+            if (ident == "Fraction" and not isinstance(node, ast.alias)
+                    and (name, owner) not in FRACTION_VIEWS):
+                found.append(f"{name}:{node.lineno} {owner} names Fraction")
+    assert found == []
+    assert {name for name, tree in _package_trees().items()
+            if any(isinstance(node, ast.ImportFrom) and node.module == "fractions"
+                   for node in ast.walk(tree))} == {"metrics.py", "sequences.py"}
+
+
 # names the package no longer defines; tests/oracles.py holds their stand-ins
 REMOVED_NAMES = {"sweep", "SweepRow", "fraction_to_decimal", "interval_to_decimal",
-                 "form_interval"}
+                 "form_interval", "Interval", "rho_interval"}
 
 
 def test_benchmark_oracle_calls_are_defined_in_tests_oracles():

@@ -232,7 +232,7 @@ def test_escalate_doubles_to_the_ceiling_and_stops_on_a_stall():
             return str(exc), tried
 
     def halving(bits):
-        return Fraction(1, 1 << bits)
+        return 1, 1 << bits
 
     assert ladder(192, 768, halving) == ("done", [192, 384, 768])
     assert ladder(192, 4000, halving) == (
@@ -242,9 +242,35 @@ def test_escalate_doubles_to_the_ceiling_and_stops_on_a_stall():
         "test unresolved at the ceiling of 2000 bits", [2000])
     # an error that does not halve stops the ladder at its second rung,
     # even where a later rung would have decided
-    msg, tried = ladder(192, 768, lambda bits: Fraction(1, 3))
+    msg, tried = ladder(192, 768, lambda bits: (1, 3))
     assert tried == [192, 384]
     assert "384 bits; doubling the precision cannot reduce the error" in msg
+
+
+def test_escalate_compares_unreduced_errors_by_value():
+    # an error is the ratio num / den, not reduced: (2, 8) after (1, 2) is
+    # exactly half of it and the ladder climbs on, although its numerator
+    # grew; (3, 8) and (5, 10) after (1, 2) fail to halve and stop it
+    ctx = PrecisionContext(192, 1000)
+
+    def ladder(errors, decide_at=768):
+        tried = []
+
+        def attempt(bits):
+            tried.append(bits)
+            return ("done" if bits >= decide_at else None), errors[len(tried) - 1]
+
+        try:
+            return ctx.escalate(attempt, 192, "test"), tried
+        except PrecisionUnresolvedError as exc:
+            return str(exc), tried
+
+    assert ladder([(1, 2), (2, 8), (4, 32)]) == ("done", [192, 384, 768])
+    for stalled in ((3, 8), (5, 10)):
+        msg, tried = ladder([(1, 2), stalled, (0, 1)])
+        assert tried == [192, 384], stalled
+        assert msg == ("test unresolved at 384 bits; doubling the precision cannot "
+                       "reduce the error (digit prefix exhausted?)")
 
 
 def test_tail_ends_sandwich():

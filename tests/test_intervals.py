@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kronmesh.intervals import decimal_context, decimal_renderer
-from kronmesh.metrics import _formatter
+from kronmesh.intervals import _formatter
 
 MODES = ("nearest", "floor", "ceil")
 

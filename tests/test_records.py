@@ -17,7 +17,6 @@ from kronmesh import (
     ExplicitCF,
     GapStructure,
     GreedyGen,
-    Interval,
     KroneckerGen,
     LinearForm,
     PointSet,
@@ -41,7 +40,7 @@ _QUM = ("QUMetrics(n=5, fill_nd=(1, 4), separation_nd=(1, 16), rho_nd=(4, 1), "
         "provenance='oracle-exact', error_nd=(0, 1))")
 _CHECK = "IdentityCheck(name='tiles', passed=True, detail='(0,1)')"
 
-# one fixed example of each of the 18 records, with its repr as a frozen
+# one fixed example of each of the 17 records, with its repr as a frozen
 # dataclass printed it (PointSet no longer prints its config); Segment, the
 # one sweep record, takes the place of the per-n row it replaced
 RECORDS = [
@@ -53,8 +52,6 @@ RECORDS = [
      "ExplicitCF(preperiod=(0, 1, 2), period=(3,))"),
     (lambda: Classification(verdict="yes", digit_sup=1, certainty="exact", c_bound=4),
      "Classification(verdict='yes', digit_sup=1, certainty='exact', c_bound=4)"),
-    (lambda: Interval(lo=Fraction(1, 3), hi=1),
-     "Interval(lo=Fraction(1, 3), hi=Fraction(1, 1))"),
     (_qumetrics, _QUM),
     (lambda: BoundReport(n=10, m=4, h=0, k=2, upper_ends=(5, 1, 6, 1), lower_ends=None,
                          digit_form_nd=(3, 2), global_upper=4),
@@ -114,7 +111,7 @@ def test_record_defaults():
     (lambda: ExplicitCF((0,), (2, 0)), AlphaSpecError,
      "period digits must be integers >= 1, got 0"),
     (lambda: QuadraticSurd(0, 4, 0), AlphaSpecError, "QuadraticSurd.Q must be nonzero"),
-    (lambda: Interval(1, Fraction(1, 2)), ValueError, "interval endpoints out of order: [1, 1/2]"),
+    (lambda: QuadraticSurd(0, 0, 1), AlphaSpecError, "QuadraticSurd.D must be positive"),
     (lambda: VdcGen(1), ValueError, "van der Corput base must be an integer >= 2, got 1"),
     (lambda: GreedyGen("middle"), ValueError,
      "tie_break must be leftmost or rightmost, got 'middle'"),
@@ -141,8 +138,10 @@ def test_metric_records_build_fractions_on_access():
     repeat = QUMetrics(4, (1, 3), (0, 1), None, "oracle-exact")
     assert repeat.is_infinite and repeat.mesh_ratio == math.inf and repeat.separation == 0
     br = BoundReport(53, 4, 0, 0, (10, 2, 12, 2), (3, 2, 9, 4), (4, 3), None)
-    assert br.upper == Interval(5, 6) and type(br.upper.lo) is Fraction
-    assert br.lower_at_nm == Interval(Fraction(3, 2), Fraction(9, 4))
+    # bracket ends come out as a plain pair of Fractions
+    assert br.upper == (5, 6) and type(br.upper) is tuple
+    assert all(type(end) is Fraction for end in br.upper)
+    assert br.lower_at_nm == (Fraction(3, 2), Fraction(9, 4))
     assert br.lower_digit_form == Fraction(4, 3)
     bare = br._replace(lower_ends=None, digit_form_nd=None)
     assert bare.lower_at_nm is None and bare.lower_digit_form is None
@@ -154,7 +153,6 @@ def test_replace_keeps_the_normal_form():
     s = QuadraticSurd(-1, 5, 2)._replace(Q=3)
     assert type(s) is QuadraticSurd and s == (-3, 45, 9)
     assert ExplicitCF((0, 1))._replace(period=[2]).period == (2,)
-    assert Interval(0, 1)._replace(hi=2).hi == Fraction(2)
 
 
 def test_point_sets_compare_without_their_config():

@@ -15,12 +15,11 @@ import kronmesh as km
 from kronmesh import CFExpansion, PrecisionContext
 from kronmesh.cli import main
 from kronmesh.contfrac import GUARD, _tail_ends, _window_bracket
-from kronmesh.intervals import Interval
-from kronmesh.metrics import _first_rung, _gap_roles, _structural
+from kronmesh.metrics import _gap_roles, _structural
 from kronmesh.threegap import Decomposition, _gap_structure, decompose
 from conftest import ALPHA_SPECS, PREFIX_60_DIGITS, PREFIX_SPEC
 import oracles
-from oracles import record_values as V
+from oracles import Interval, record_values as V
 
 SURDS = ("golden", "sqrt:2", "sqrt:13", "quad:3,7,2", "sqrt:94")
 PERIODIC = ("cf:0;(1,2)", "cf:1;9,3(9)", "cf:0;5,1(2,7,1,1)", "cf:2;(50)")
@@ -287,10 +286,10 @@ def _first_rung_leaves(exp, gs, bits):
 
 
 @pytest.mark.parametrize("bits", [64, 128, 192])
-def test_structural_first_rung_equals_interval_path(bits):
-    # every n_m row, m <= 200, as the --n-at nm loop builds it: the rows one
-    # rung decides and the rows it hands to the ladders, whose order or a
-    # sign it left open, give the same values or the same error
+def test_structural_nm_rows_equal_interval_path(bits):
+    # every n_m row, m <= 200, as the --n-at nm loop builds it: the rows the
+    # first rung decides and the rows whose order or a sign it leaves open,
+    # for the ladders to climb, give the same values or the same error
     ctx, leaves = PrecisionContext(bits), set()
     for spec in SURDS + PERIODIC + PREFIXES[:3]:
         exp = expansion(spec, 0)
@@ -301,7 +300,6 @@ def test_structural_first_rung_equals_interval_path(bits):
             gs = _gap_structure(exp, n, Decomposition(m, 0, 0))
             left = _first_rung_leaves(exp, gs, bits)
             leaves.add(left)
-            assert (_first_rung(exp, *_gap_roles(gs), bits) is None) == (left != "decided")
             new = outcome(lambda: _structural(exp, gs, ctx))
             old = outcome(lambda: oracles.mesh_ratio_structural_interval(exp, n, ctx))
             if exp._alpha0_surd is None:
