@@ -222,10 +222,10 @@ def mp_value(spec: str, prec: int = 400) -> mpmath.mpf:
 
 
 def enclose(x, bits: int = 256):
-    """An Interval holding a record's value x: a pair of ends (an upper or
-    lower bound) as the Interval, a rational as a point, and a QuadraticSurd (P + sqrt(D)) / Q between
-    consecutive multiples of 2**-bits, from an mpmath floor at a precision
-    past the cancellation of P and sqrt(D)."""
+    """An Interval holding a record's value x: a pair of ends (a bound) as
+    that Interval, a rational as a point, and a QuadraticSurd (P + sqrt(D))
+    / Q between consecutive multiples of 2**-bits, from an mpmath floor at
+    a precision past the cancellation of P and sqrt(D)."""
     from kronmesh import QuadraticSurd
 
     if isinstance(x, tuple) and len(x) == 2:
@@ -419,6 +419,7 @@ def _best_window(spec, m: int, bits: int):
     from kronmesh import CFExpansion
     from kronmesh.contfrac import GUARD
     from kronmesh.errors import OutOfRangeError, PrecisionUnresolvedError
+
     exp = CFExpansion(spec)
     if m < 0:
         raise OutOfRangeError("alpha_m defined for m >= 0")

@@ -1130,8 +1130,8 @@ def _owned_nodes(tree):
 def test_decisions_build_no_fraction_and_no_module_names_interval():
     # every comparison the package decides is integer arithmetic; a
     # Fraction is built only by a view, and Interval is gone
-    found = []
-    for name, tree in _package_trees().items():
+    found, trees = [], _package_trees()
+    for name, tree in trees.items():
         for owner, node in _owned_nodes(tree):
             ident = (getattr(node, "id", None) or getattr(node, "attr", None)
                      or getattr(node, "name", None))
@@ -1141,7 +1141,7 @@ def test_decisions_build_no_fraction_and_no_module_names_interval():
                     and (name, owner) not in FRACTION_VIEWS):
                 found.append(f"{name}:{node.lineno} {owner} names Fraction")
     assert found == []
-    assert {name for name, tree in _package_trees().items()
+    assert {name for name, tree in trees.items()
             if any(isinstance(node, ast.ImportFrom) and node.module == "fractions"
                    for node in ast.walk(tree))} == {"metrics.py", "sequences.py"}
 
