@@ -113,9 +113,9 @@ _GENERATOR = (
          help="greedy packing tie rule"),
 )
 _PRECISION = (
-    _Opt("--bits", 192, int, help="working precision in bits (default 192) of the point "
-                                  "lattice and of digit-prefix enclosures; a quadratic "
-                                  "surd's n_m rows, bounds and gaps are exact"),
+    _Opt("--bits", 192, int, help="working precision in bits (default 192) of digit-prefix "
+                                  "enclosures and point lattices; a quadratic surd's "
+                                  "metrics, bounds and gaps are exact"),
     _Opt("--max-bits", MAX_BITS, int,
          help=f"escalation ceiling in bits (default and cap {MAX_BITS}) of the same"),
 )

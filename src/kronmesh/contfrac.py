@@ -153,6 +153,9 @@ class QuadraticSurd(NamedTuple("QuadraticSurd", [("P", int), ("D", int), ("Q", i
             P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
         return tuple.__new__(cls, (P, D, Q))
 
+    # the tuple order of (P, D, Q) is not the order of the values: refuse it
+    __lt__ = __le__ = __gt__ = __ge__ = lambda self, other: NotImplemented
+
     def floor_scaled(self, bits: int) -> int:
         """Exact floor(value * 2**bits)."""
         return _floor_surd(self.P << bits, math.isqrt(self.D << (2 * bits)), self.Q)

@@ -9,11 +9,11 @@ For a prefix x_0..x_{n-1} in [0, 1] sorted ascending,
 h_n here is the sup over the whole closed domain of the distance to the
 nearest point, so boundary distances enter unhalved.  Sweeps and analyses
 build no points.  A Kronecker prefix reads its gaps off the three-gap forms
-u*alpha0 + v: at alpha0 ~ A / 2**B for an irrational alpha (exactly the
-gaps of the sorted lattice points i*A mod 2**B), and exactly at (p mod q)/q
-for alpha = p/q and n <= q (past q a point repeats).  van der Corput and
-greedy prefixes have closed-form gaps.  Only a stored PointSet that is not
-a Kronecker run is sorted, once.
+u*alpha0 + v: exactly for a quadratic surd (below) and at (p mod q)/q for
+alpha = p/q, n <= q (past q a point repeats), and at alpha0 ~ A / 2**B for
+a digit prefix and a stored Kronecker run (the gaps of the sorted lattice
+points i*A mod 2**B).  van der Corput and greedy prefixes have closed-form
+gaps.  Only a stored PointSet that is not a Kronecker run is sorted, once.
 For Kronecker prefixes the module also evaluates the closed-form bounds
 
     upper:  2 (1 - h alpha_m) / min(alpha_m, 1 - (h+1) alpha_m)
@@ -21,9 +21,9 @@ For Kronecker prefixes the module also evaluates the closed-form bounds
             a_{m+1} + 1/(a_{m+2} + 1) <= 1 / alpha_m   (digit form)
 
 and rho_n at huge n = n_m from the gap forms (provenance
-"structure-exact"): exact for a quadratic surd, whose forms are eta_m *
-{1, x - h, x - h - 1} with x = x_{m+1} = 1 / alpha_m, and certified
-intervals for a digit prefix.
+"structure-exact"), certified intervals for a digit prefix.  A quadratic
+surd's forms are eta_m * {1, x - h, x - h - 1} at every n, x = x_{m+1} =
+1 / alpha_m, so every path evaluates its metrics exactly (_surd_structural).
 
 Every value is born as integers (lattice units over 2 M, rung ends over
 2**B, bracket ends, surds), and the records keep it so, as unreduced
@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 from .contfrac import (
     CFExpansion,
@@ -69,11 +69,11 @@ INF = math.inf
 
 
 Ratio = Tuple[int, int]  # the value num / den, den > 0, not reduced
-Value = Tuple[int, ...]  # a Ratio, or (P, N, Q) for (P + sqrt(N)) / Q (N = 0: P / Q)
+Value = Tuple[int, ...]  # a Ratio, or (P, N, Q) for the irrational (P + sqrt(N)) / Q
 
 
 def _value(v: Value) -> Union[Fraction, QuadraticSurd]:
-    return QuadraticSurd(*v) if len(v) == 3 and v[1] else Fraction(v[0], v[-1])
+    return QuadraticSurd(*v) if len(v) == 3 else Fraction(*v)
 
 
 class QUMetrics(NamedTuple):
@@ -210,11 +210,11 @@ def _kronecker_lattice(exp: CFExpansion, n: int, ctx: PrecisionContext,
     return ctx.escalate(attempt, start_bits, lambda: f"point order at n={n}")
 
 
-def _kronecker_metrics(gs: GapStructure, A: int, U: int, M: int) -> QUMetrics:
-    """Metrics of the first n = gs.n points on a lattice from
+def _kronecker_metrics(lattice: Tuple[int, int, int], gs: GapStructure) -> QUMetrics:
+    """Metrics of the first n = gs.n points on a lattice (A, U, M) from
     _kronecker_lattice (or p mod q, 0, q for alpha = p/q); each point is
     within (n - 1)*U / M of the true one."""
-    n = gs.n
+    (A, U, M), n = lattice, gs.n
     maxg, ming, last, _ = _lattice_gaps(gs, A, M)
     return _lattice_metrics(n, max(2 * last, maxg), ming, M, ((n - 1) * U, M))
 
@@ -228,8 +228,7 @@ def mesh_ratio(ps: PointSet) -> QUMetrics:
     cfg = ps.config
     if isinstance(cfg, _KroneckerRun):
         lattice = _kronecker_lattice(cfg.exp, ps.n, cfg.ctx, cfg.scale_bits)
-        gs = _gap_structure(cfg.exp, ps.n, decompose(cfg.exp, ps.n))
-        return _kronecker_metrics(gs, *lattice)
+        return _kronecker_metrics(lattice, _gap_structure(cfg.exp, ps.n, decompose(cfg.exp, ps.n)))
     return _lattice_metrics(len(ps.xs), *_stored_units(ps), ps.modulus,
                             (ps.error_units, ps.modulus))
 
@@ -341,7 +340,8 @@ def _structural(exp: CFExpansion, gs: GapStructure, ctx: PrecisionContext) -> QU
                      (F_lo * S_lo + F_hi * S_hi, den), "structure-exact", err)
 
 
-def _surd_structural(exp: CFExpansion, gs: GapStructure) -> QUMetrics:
+def _surd_structural(exp: CFExpansion, gs: GapStructure,
+                     provenance: str = "structure-exact") -> QUMetrics:
     """The exact metrics of a surd alpha's first gs.n points: fill eta_m *
     F / 2, separation eta_m * S / 2 and rho F / S (_surd_cells)."""
     (P, D, Q), (m, h, _) = exp._alpha0_surd, gs.decomposition
@@ -351,15 +351,16 @@ def _surd_structural(exp: CFExpansion, gs: GapStructure) -> QUMetrics:
     u, v = gs.entries[0][0]  # eta_m = u alpha0 + v, halved
     half = (u * P + v * Q, u, 2 * Q) if Q > 0 else (-u * P - v * Q, -u, -2 * Q)
     return QUMetrics(gs.n, _qtriple(_qmul(half, fill, D), D), _qtriple(_qmul(half, small, D), D),
-                     rho, "structure-exact")
+                     rho, provenance)
 
 
 @lru_cache(maxsize=4096)
 def _surd_cells(a: int, c: int, D: int, t: int, h: int, last: int, present: Tuple[int, ...]):
-    """F, S and the triple of F / S for gap forms eta_m * c, c = 1, x - h and
-    x - h - 1, x = (a + sqrt(D)) / c in (h + t, h + t + 1): ranks order the
-    c, S is the smallest present one and F the larger of the largest and
-    twice the gap touching 1 (index last).  Memoized per phase, in effect."""
+    """F, S and F / S for gap forms eta_m * c, c = 1, x - h and x - h - 1,
+    x = (a + sqrt(D)) / c in (h + t, h + t + 1): ranks order the c, S is the
+    smallest present one and F the larger of the largest and twice the gap
+    touching 1 (index last).  F / S is a triple, or the ratio (r, 1) when F
+    and S are one form (r = 1 or 2).  Memoized per phase, in effect."""
     a, b, c = (a - h * c, 1, c) if c > 0 else (h * c - a, -1, -c)
     cs, rank = ((1, 0, 1), (a, b, c), (a - c, b, c)), (2, 2 * t + 1, 2 * t - 1).__getitem__
     big, small = max(present, key=rank), cs[min(present, key=rank)]
@@ -370,8 +371,8 @@ def _surd_cells(a: int, c: int, D: int, t: int, h: int, last: int, present: Tupl
     else:
         big = cs[big]
     (a, b, c), (x, y, z) = big, small  # F / S through the conjugate of S
-    rho = (z * (a * x - b * y * D), z * (b * x - a * y), c * (x * x - y * y * D))
-    return big, small, _qtriple(rho, D)
+    rho = _qtriple((z * (a * x - b * y * D), z * (b * x - a * y), c * (x * x - y * y * D)), D)
+    return big, small, rho if rho[1] else (rho[0] // rho[2], 1)
 
 
 def _order_forms(exp, forms, ctx) -> List[LinearForm]:
@@ -399,10 +400,11 @@ Segment = NamedTuple("Segment", [("n_lo", int), ("n_hi", int), ("metrics", QUMet
 def sweep_segments(gen: GeneratorSpec, n_lo: int, n_hi: int, ctx: PrecisionContext = DEFAULT_CONTEXT,
                    with_bounds: bool = True) -> List[Segment]:
     """[n_lo, n_hi] as runs of n that print the same cells; no point is built.
-    An irrational Kronecker alpha's forms, on the lattice of n_hi, depend on
-    n only through (m, h, min(k, 2)) but for the unprinted drift, and its
-    bound report (with_bounds) through (m, h, k == 0): a segment is k = 0, 1
-    or 2..s_m - 1 of one (m, h).  p/q, vdc and greedy runs have no bounds."""
+    An irrational Kronecker alpha's metrics (exact for a surd, on the lattice
+    of n_hi for a digit prefix but for the unprinted drift) depend on n only
+    through (m, h, min(k, 2)), and its bound report (with_bounds) through
+    (m, h, k == 0): a segment is k = 0, 1 or 2..s_m - 1 of one (m, h).  p/q,
+    vdc and greedy runs have no bounds."""
     if n_lo < 2:
         raise ValueError("sweep needs n_lo >= 2 (mesh ratio undefined at n = 1)")
     if n_hi < n_lo:
@@ -414,25 +416,32 @@ def sweep_segments(gen: GeneratorSpec, n_lo: int, n_hi: int, ctx: PrecisionConte
     if not isinstance(gen, KroneckerGen):
         raise ValueError(f"unknown generator spec {gen!r}")
     exp = _as_expansion(gen.alpha)
+    if exp._alpha0_surd is not None:
+        evaluate = partial(_surd_structural, exp, provenance="oracle-exact")
+        return _form_segments(exp, n_lo, n_hi, evaluate, ctx, with_bounds)
     if not exp.finite:
         lattice = _kronecker_lattice(exp, n_hi, ctx, working_scale_bits(ctx, n_hi))
-        return _form_segments(exp, n_lo, n_hi, *lattice, ctx, with_bounds)
+        return _form_segments(exp, n_lo, n_hi, partial(_kronecker_metrics, lattice), ctx,
+                              with_bounds)
     # alpha = p/q: the forms are exact at (p mod q)/q while n <= q; past q
     # every multiple of 1/q is a point and one repeats
     q = exp.spec.den
-    segs = _form_segments(exp, n_lo, min(n_hi, q), exp.spec.num % q, 0, q, ctx, False)
+    evaluate = partial(_kronecker_metrics, (exp.spec.num % q, 0, q))
+    segs = _form_segments(exp, n_lo, min(n_hi, q), evaluate, ctx, False)
     repeat = partial(QUMetrics, fill_nd=(1, q), separation_nd=(0, 1), rho_nd=None,
                      provenance="oracle-exact")
     return segs + _run_segments(lambda n: (n_hi, repeat(n)), max(n_lo, q + 1), n_hi)
 
 
-def _form_segments(exp: CFExpansion, n_lo: int, n_hi: int, A: int, U: int, M: int,
+def _form_segments(exp: CFExpansion, n_lo: int, n_hi: int,
+                   evaluate: Callable[[GapStructure], QUMetrics],
                    ctx: PrecisionContext, with_bounds: bool) -> List[Segment]:
-    """Kronecker segments on the lattice (A, U, M); bounds once per key."""
+    """Kronecker segments, each evaluated once from its gap structure;
+    bounds once per key."""
     segs, key, n = [], None, n_lo
     while n <= n_hi:
         d = decompose(exp, n)
-        qm, br = _kronecker_metrics(_gap_structure(exp, n, d), A, U, M), None
+        qm, br = evaluate(_gap_structure(exp, n, d)), None
         if with_bounds:
             if key != (d.m, d.h, d.k == 0):
                 key, b = (d.m, d.h, d.k == 0), _bounds(exp, n, d, ctx)

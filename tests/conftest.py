@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import mpmath
@@ -91,10 +90,3 @@ def mpf_to_fraction(x, bits: int = 220) -> Fraction:
     # floor rounds at the ambient precision, so pin it above the shift
     with mpmath.workprec(bits + 80):
         return Fraction(int(mpmath.floor(x * (1 << bits))), 1 << bits)
-
-
-def assert_rho_close(a, b, tol=Fraction(1, 10 ** 12)):
-    if a == math.inf or b == math.inf:
-        assert a == b
-    else:
-        assert abs(Fraction(a) - Fraction(b)) <= tol, (float(a), float(b))

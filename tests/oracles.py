@@ -23,7 +23,9 @@ Corput, greedy and rational points one insert at a time, where the package
 reads closed forms.  The per-row sweep (sweep_rows, its CSV and JSON
 writers and the sweep command) builds and prints one row per n, where the
 package evaluates and formats each run of n once; segment_rows expands the
-package's segments to those rows.
+package's segments to those rows.  A surd alpha's rows come from
+surd_gap_metrics, which orders the exact gap values by sign tests
+(value_sign) where the package ranks the forms by the digit a_{m+1}.
 """
 import bisect
 import functools
@@ -77,13 +79,13 @@ def rho_interval(qm):
 
     if qm.is_infinite:
         return None
-    if len(qm.rho_nd) == 3:
-        rho = qm.mesh_ratio
-        if isinstance(rho, Fraction):  # exactly 1 or 2
-            return Interval(rho, rho)
+    rho, e = qm.mesh_ratio, qm.error_bound
+    if not isinstance(rho, Fraction):
         lo = Fraction(rho.floor_scaled(128), 1 << 128)
         return Interval(lo, lo + Fraction(1, 1 << 128))
-    fill, sep, e = qm.fill, qm.separation, qm.error_bound
+    if not e:  # exact, as a surd's rho of exactly 1 or 2 is
+        return Interval(rho, rho)
+    fill, sep = qm.fill, qm.separation
     lo_num = max(fill - e, Fraction(0))
     den_lo = sep - e
     if den_lo <= 0:
@@ -113,10 +115,10 @@ def surd_sign(a: int, b: int, d: int) -> int:
 
 def exact_in(stored, lo, hi) -> bool:
     """lo <= x <= hi for a record's exact value x, stored as a triple (P, N,
-    Q) of (P + sqrt(N)) / Q (N = 0 for the rational P / Q) or a
-    QuadraticSurd, decided by surd_sign on x - r = (P b - a Q + b sqrt(N)) /
-    (Q b) for r = a / b."""
-    P, N, Q = stored
+    Q) of (P + sqrt(N)) / Q (N = 0 for the rational P / Q), a QuadraticSurd
+    or a ratio (num, den), decided by surd_sign on x - r = (P b - a Q + b
+    sqrt(N)) / (Q b) for r = a / b."""
+    P, N, Q = stored if len(stored) == 3 else (stored[0], 0, stored[1])
     if not N:
         return lo <= Fraction(P, Q) <= hi
 
@@ -126,6 +128,54 @@ def exact_in(stored, lo, hi) -> bool:
         return surd_sign(P * b - a * Q, b, N) * (1 if Q > 0 else -1)
 
     return sign_above(lo) >= 0 >= sign_above(hi)
+
+
+def value_sign(x, y) -> int:
+    """The sign of x - y for two stored values of one quadratic field, each
+    a ratio (num, den) or a triple (P, N, Q) of (P + sqrt(N)) / Q.  With
+    K = sqrt(N1 N2), an integer in one field, sqrt(N2) = K sqrt(N1) / N1, so
+    N1 (x - y) Q1 Q2 = (P1 Q2 - P2 Q1) N1 + (Q2 N1 - Q1 K) sqrt(N1)."""
+    (a, n1, c), (e, n2, g) = [v if len(v) == 3 else (v[0], 0, v[1]) for v in (x, y)]
+    if not n1:
+        if not n2:
+            return surd_sign(a * g - e * c, 0, 1) * (1 if c * g > 0 else -1)
+        return -value_sign(y, x)
+    K = math.isqrt(n1 * n2)
+    if K * K != n1 * n2:
+        raise ValueError(f"sqrt({n1}) and sqrt({n2}) lie in different fields")
+    return surd_sign((a * g - e * c) * n1, g * n1 - c * K, n1) * (1 if c * g > 0 else -1)
+
+
+def surd_gap_metrics(exp, gs, provenance: str = "oracle-exact"):
+    """The exact QUMetrics of the first gs.n points of a surd alpha, from
+    the values of their gap forms u alpha0 + v = (u P + v Q + u sqrt(D)) / Q:
+    the largest and smallest interior gap found by exact sign tests, fill
+    the larger of half the largest and the gap touching 1, separation half
+    the smallest and rho F / S through the conjugate of S.  A rho without
+    a root part is stored as a ratio."""
+    from kronmesh import QUMetrics
+    from kronmesh.metrics import _role_indices
+
+    P, D, Q = exp._alpha0_surd
+    last, present = _role_indices(gs)
+    forms = [(f.u * P + f.v * Q, f.u, Q) for f, _ in gs.entries]  # (a + b sqrt(D)) / c
+
+    def stored(a, b, c):
+        return (a, b * b * D, c) if b >= 0 else (-a, b * b * D, -c)
+
+    def below(x, y):
+        return value_sign(stored(*x), stored(*y)) < 0
+
+    big = small = forms[present[0]]
+    for i in present[1:]:
+        big = forms[i] if below(big, forms[i]) else big
+        small = forms[i] if below(forms[i], small) else small
+    a, b, c = forms[last]
+    F = (2 * a, 2 * b, c) if below(big, (2 * a, 2 * b, c)) else big
+    (a, b, c), (x, y, z) = F, small
+    num, root, den = z * (a * x - b * y * D), z * (b * x - a * y), c * (x * x - y * y * D)
+    rho = stored(num, root, den) if root else ((num, den) if den > 0 else (-num, -den))
+    return QUMetrics(gs.n, stored(a, b, 2 * c), stored(x, y, 2 * z), rho, provenance)
 
 
 # -- continued fractions, the long way --------------------------------------
@@ -954,8 +1004,8 @@ class Row(NamedTuple):
 
 
 def segment_rows(gen, n_lo: int, n_hi: int, ctx=None, with_bounds: bool = True):
-    """sweep_segments as one Row per n, with its own n, bounds k and drift
-    error (n - 1) * U / M."""
+    """sweep_segments as one Row per n, with its own n, bounds k and error:
+    a lattice's drift (n - 1) * U / M, or 0 where the segment is exact."""
     from kronmesh import QUMetrics, sweep_segments
     from kronmesh.contfrac import DEFAULT_CONTEXT
 
@@ -975,7 +1025,8 @@ def sweep_rows(gen, n_lo: int, n_hi: int, ctx=None, with_bounds: bool = True):
     from functools import partial
     from kronmesh import GreedyGen, KroneckerGen, VdcGen
     from kronmesh.contfrac import DEFAULT_CONTEXT
-    from kronmesh.metrics import _as_expansion, _greedy_run, _kronecker_lattice, _vdc_run
+    from kronmesh.metrics import (_as_expansion, _greedy_run, _kronecker_lattice,
+                                  _kronecker_metrics, _vdc_run)
     from kronmesh.sequences import working_scale_bits
 
     ctx = ctx or DEFAULT_CONTEXT
@@ -990,31 +1041,28 @@ def sweep_rows(gen, n_lo: int, n_hi: int, ctx=None, with_bounds: bool = True):
     if not isinstance(gen, KroneckerGen):
         raise ValueError(f"unknown generator spec {gen!r}")
     exp = _as_expansion(gen.alpha)
+    if exp._alpha0_surd is not None:
+        return form_rows(exp, n_lo, n_hi, partial(surd_gap_metrics, exp), ctx, with_bounds)
     if not exp.finite:
         lattice = _kronecker_lattice(exp, n_hi, ctx, working_scale_bits(ctx, n_hi))
-        return form_rows(exp, n_lo, n_hi, *lattice, ctx, with_bounds)
+        return form_rows(exp, n_lo, n_hi, partial(_kronecker_metrics, lattice), ctx, with_bounds)
     q = exp.spec.den
-    rows = form_rows(exp, n_lo, min(n_hi, q), exp.spec.num % q, 0, q, ctx, False)
+    lattice = (exp.spec.num % q, 0, q)
+    rows = form_rows(exp, n_lo, min(n_hi, q), partial(_kronecker_metrics, lattice), ctx, False)
     repeat = qumetrics(q + 1, Fraction(1, q), Fraction(0), math.inf, "oracle-exact")
     return rows + run_rows(lambda n: (n_hi, repeat), max(n_lo, q + 1), n_hi)
 
 
-def form_rows(exp, n_lo: int, n_hi: int, A: int, U: int, M: int, ctx, with_bounds: bool):
-    """Rows of a Kronecker sweep on the lattice (A, U, M), one evaluation of
-    the forms per key (m, h, min(k, 2)) and of the bounds per (m, h, k == 0)."""
+def form_rows(exp, n_lo: int, n_hi: int, evaluate, ctx, with_bounds: bool):
+    """Rows of a Kronecker sweep, the metrics evaluate(gap structure) of
+    each n and the bounds once per (m, h, k == 0)."""
     from kronmesh import decompose, kronecker_bounds
-    from kronmesh.metrics import _kronecker_metrics
     from kronmesh.threegap import _gap_structure
 
-    rows, memo, bounds_memo = [], {}, {}
+    rows, bounds_memo = [], {}
     for n in range(n_lo, n_hi + 1):
         d = decompose(exp, n)
-        key = (d.m, d.h, min(d.k, 2))
-        if key not in memo:
-            memo[key] = _kronecker_metrics(_gap_structure(exp, n, d), A, U, M)
-        qm = memo[key]
-        qm = qumetrics(n, qm.fill, qm.separation, qm.mesh_ratio, qm.provenance,
-                       Fraction((n - 1) * U, M))
+        qm = evaluate(_gap_structure(exp, n, d))
         br = None
         if with_bounds:
             key = (d.m, d.h, d.k == 0)
@@ -1043,8 +1091,8 @@ def run_rows(run, n_lo: int, n_hi: int):
 def _row_cells(row, digits: int):
     """(fill, separation, rho, bounds or None) of a row as printed, each
     value rounded from scratch: nearest, and intervals outward; an exact
-    surd value (a stored triple, the structure path's exact rho 1 or 2 too)
-    by the package's surd renderer."""
+    surd value (a stored triple) by the package's surd renderer, a ratio
+    (a surd's exact rho 1 or 2 too) by decimal division."""
     from kronmesh import QuadraticSurd
     from kronmesh.intervals import surd_digits, surd_text
 

@@ -101,14 +101,17 @@ def test_criterion_3_bounded_digit_sweeps(capsys):
     for spec, cap in (("golden", 4), ("quad:-1,2,1", 6)):
         rows = oracles.segment_rows(KroneckerGen(km.parse_alpha(spec)), 2, 10 ** 5,
                         CTX, with_bounds=False)
-        rhos = [row.metrics.mesh_ratio for row in rows]
         assert all(row.metrics.provenance == "oracle-exact" for row in rows)
-        results.append((spec, cap, max(rhos), min(rhos)))
+        # each distinct exact rho is decided against 1 and the cap exactly
+        distinct = {row.metrics.rho_nd: row.metrics for row in rows}.values()
+        within = all(oracles.exact_in(qm.rho_nd, 1, cap) for qm in distinct)
+        ivs = [oracles.rho_interval(qm) for qm in distinct]
+        results.append((spec, cap, within, max(iv.hi for iv in ivs), min(iv.lo for iv in ivs)))
     dt = time.time() - t0
-    ok = all(mx <= cap and mn >= 1 for _, cap, mx, mn in results)
+    ok = all(within for _, _, within, _, _ in results)
     detail = "; ".join(
         f"{spec}: max rho {float(mx):.4f} <= {cap}, min {float(mn):.4f}"
-        for spec, cap, mx, mn in results
+        for spec, cap, _, mx, mn in results
     )
     with capsys.disabled():
         print(_report(3, ok, f"{detail} over n in [2, 1e5] ({dt:.1f}s)"))

@@ -695,11 +695,11 @@ def test_points_json_is_json_dumps(capsys, argv, gen):
 # declared
 _HELP_SHA256 = {
     (): "3e7915fb5c367de4d032621f1feed31968a2767515ef51180a4b0e3e6925382c",
-    ("gaps",): "e5740c360bdf3d1a47de6fff5edb6a5b41f90431a9f9a7fd1d298fd53c92a773",
-    ("analyze",): "2757d40d4f39c9f85c0d993811211a036d55b5a8bc8edf18973b3ca760c053e5",
-    ("sweep",): "33fea48d071dec7d83efe04a13f642aa3cb755a53f08de448d50bbf33d2f50b8",
+    ("gaps",): "19846e7f0679479332948abe41bd27ccb1a913d8e9d32ddadc791b33b9955141",
+    ("analyze",): "11a1601fa416760b0c2b28784443c1d8e0f647884b888912dd85f7adf39a5f7f",
+    ("sweep",): "c80f7c57a185004a0db351692c1782a8b8bc5da1df4a8bf0a4df37f43b7f69b8",
     ("classify",): "cd4a7658c1f67cb6eaabd4ba984287b0c1b1f49da062b0971fe58f891feb7b63",
-    ("points",): "6b5c59fd1deda38d9cc8b8071429fec18c1b68ce7844b1112659d76072c5e088",
+    ("points",): "2ba7a7a5fbefc808d733d29710149dc3da0cb7e72660893f01cb98881151f099",
 }
 
 

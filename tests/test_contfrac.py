@@ -1,6 +1,7 @@
 import gc
 import importlib
 import math
+import operator
 import random
 import sys
 import threading
@@ -684,6 +685,24 @@ def test_digit_list_source_matches_spec():
         assert len(exp.digits) == (71 if period else len(want)), spec
         assert exp.digits[:60] == want, spec
         assert exp.convergents == oracles.convergents_from_digits(exp.digits), spec
+
+
+def test_quadratic_surd_values_do_not_order():
+    # the tuple order of (P, D, Q) is not the order of the values: 3 +
+    # sqrt(2) = 4.414 < sqrt(50) = 7.071 although (3, 2, 1) > (0, 50, 1), so
+    # <, <=, > and >= raise TypeError, as they do against a Fraction or int
+    a, b = QuadraticSurd(3, 2, 1), QuadraticSurd(0, 50, 1)
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        for x, y in ((a, b), (b, a), (a, a), (a, Fraction(1)), (Fraction(1), a), (a, 1), (1, a)):
+            with pytest.raises(TypeError):
+                op(x, y)
+    for pick in (max, min, sorted):
+        with pytest.raises(TypeError):
+            pick([a, b])
+    # equality and hashing stay those of the tuple
+    assert a == QuadraticSurd(3, 2, 1) == (3, 2, 1) and a != b and len({a, b, a}) == 2
+    # floors at a common scale compare the values exactly (README, Library)
+    assert a.floor_scaled(8) < b.floor_scaled(8)
 
 
 def test_quadratic_surd_value_semantics():

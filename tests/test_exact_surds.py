@@ -1,7 +1,7 @@
-"""Exact surd output against mpmath: every digit that `sweep --n-at nm` and
-`gaps` print for a quadratic surd alpha (golden, sqrt:, quad:, periodic
-cf:) at the default --bits, and the count of precision ladders those paths
-climb, which is none."""
+"""Exact surd output against mpmath: every digit that `sweep --n-at nm`,
+contiguous sweeps, `analyze` and `gaps` print for a quadratic surd alpha
+(golden, sqrt:, quad:, periodic cf:) at the default --bits, and the count
+of precision ladders those paths climb, which is none."""
 import contextlib
 import importlib
 import io
@@ -15,6 +15,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import kronmesh as km
 from kronmesh.cli import main
+from kronmesh.metrics import _role_indices
+from kronmesh.threegap import _gap_structure
 import oracles
 
 
@@ -69,6 +71,16 @@ def _text(v: mpmath.mpf, digits: int, mode: str) -> str:
     if N == 10 ** digits:
         N, k = N // 10, k - 1
     return str(Decimal(f"{N}E{-k}"))
+
+
+def _cell(v: mpmath.mpf, digits: int) -> str:
+    """A printed metric cell of value v: to nearest at `digits` digits, but
+    a rho of exactly 1 or 2 (v within the working precision's square root
+    of it) by decimal division, as "1" or "2"."""
+    r = mpmath.nint(v)
+    if r in (1, 2) and abs(v - r) < mpmath.mpf(2) ** (-mpmath.mp.prec // 2):
+        return str(int(r))
+    return _text(v, digits, "nearest")
 
 
 def _nm_truth(spec: str, m: int, prec: int):
@@ -143,13 +155,64 @@ def test_nm_rows_print_every_digit_right(spec, m_hi, span, digits, fmt):
         prec = 8 * q_m.bit_length() + 8 * digits + 400  # past eta_m's cancellation
         fill, sep, rho, up, inv = _nm_truth(spec, m, prec)
         with mpmath.workprec(prec):
-            want = [_text(v, digits, "nearest") for v in (fill, sep, rho)]
+            want = [_cell(v, digits) for v in (fill, sep, rho)]
             assert list(cells) == want, (spec, m, digits)
             assert list(upper) == [_text(up, digits, mode) for mode in ("floor", "ceil")]
             if m >= 3:
                 assert list(lower) == [_text(inv, digits, mode) for mode in ("floor", "ceil")]
             else:
                 assert lower is None
+
+
+def _truth(spec: str, n: int, prec: int):
+    """fill, separation and rho of the first n points from the three gap
+    forms u alpha0 + v of _gap_structure, evaluated at alpha in mpmath: half
+    the largest interior gap or the gap touching 1, whichever is larger,
+    half the smallest interior gap, and their ratio."""
+    exp = km.CFExpansion(km.parse_alpha(spec))
+    gs = _gap_structure(exp, n, km.decompose(exp, n))
+    last, present = _role_indices(gs)
+    with mpmath.workprec(prec):
+        alpha0 = mpmath.frac(_value(spec, prec))
+        gaps = [form.u * alpha0 + form.v for form, _ in gs.entries]
+        fill = max(max(gaps[i] for i in present) / 2, gaps[last])
+        sep = min(gaps[i] for i in present) / 2
+        return fill, sep, fill / sep
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(surds(), st.integers(2, 10 ** 60), st.integers(0, 3), st.integers(1, 120),
+       st.sampled_from(["analyze", "csv", "json"]), st.booleans())
+@example("golden", 10 ** 30 + 7, 0, 40, "analyze", True)  # a lattice drifted here
+@example("golden", 1000, 0, 120, "analyze", True)         # a lattice's 61st digit
+@example("golden", 2, 3, 40, "csv", True)                 # rho = 1 and 2 print "1", "2"
+@example("sqrt:213", 10 ** 60 - 2, 3, 120, "json", False)
+@example("cf:0;20000(1)", 19998, 3, 90, "csv", False)
+@example("quad:-3,11,-4", 10 ** 40 + 7, 2, 7, "json", True)
+def test_contiguous_rows_print_every_digit_right(spec, n, span, digits, how, bounds):
+    # analyze, and contiguous sweeps with and without bounds, print fill,
+    # separation and rho of every n exactly, to nearest
+    if how == "analyze":
+        code, out = _run("analyze", "--alpha", spec, "--n", str(n), "--digits", str(digits))
+        payload = json.loads(out)
+        rows = [(n, (payload["fill"], payload["separation"], payload["mesh_ratio"]))]
+    else:
+        code, out = _run("sweep", "--alpha", spec, "--n", f"{n}..{n + span}",
+                         "--digits", str(digits), "--format", how,
+                         *(() if bounds else ("--no-bounds",)))
+        if how == "csv":
+            rows = [(int(r[0]), tuple(r[1:4])) for r in
+                    (line.split(",") for line in out.splitlines()[1:])]
+        else:
+            rows = [(r["n"], (r["fill"], r["separation"], r["mesh_ratio"]))
+                    for r in json.loads(out)["rows"]]
+    assert code == 0
+    assert [i for i, _ in rows] == list(range(n, n + (span if how != "analyze" else 0) + 1))
+    for i, cells in rows:
+        prec = 3 * i.bit_length() + 8 * digits + 400  # past the forms' cancellation
+        with mpmath.workprec(prec):
+            assert list(cells) == [_cell(v, digits) for v in _truth(spec, i, prec)], (
+                spec, i, digits)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -177,23 +240,28 @@ def test_gaps_ends_are_floor_and_ceil(spec, n, digits):
     ("gaps", "--alpha", "golden", "--n", str(10 ** 35 + 7)),
     ("gaps", "--alpha", "quad:2,31,7", "--n", "123456789012345678901234567890"),
     ("analyze", "--alpha", "cf:0;9(9)", "--n", "1000"),
+    ("analyze", "--alpha", "golden", "--n", str(10 ** 30 + 7), "--bits", "64",
+     "--max-bits", "128"),
     ("sweep", "--alpha", "sqrt:213", "--n", "2..3000"),
     ("sweep", "--alpha", "golden", "--n", "2..3000", "--no-bounds"),
+    ("sweep", "--alpha", "quad:2,31,7", "--n", f"{10 ** 50}..{10 ** 50 + 900}", "--bits", "64"),
 ])
-def test_surd_paths_climb_no_ladder_but_the_lattice(monkeypatch, argv):
-    # n_m rows, bound columns and gaps of a surd run no precision ladder; a
-    # contiguous sweep (and analyze) still finds its lattice of points on
-    # one, once per command, with bounds or without
+def test_surd_paths_climb_no_ladder(monkeypatch, argv):
+    # n_m rows, bound columns, gaps, analyze and contiguous sweeps (with
+    # bounds or without) of a surd run no precision ladder and build no
+    # lattice of points
     contfrac = importlib.import_module("kronmesh.contfrac")
+    metrics = importlib.import_module("kronmesh.metrics")
     original, ladders = contfrac.PrecisionContext.escalate, []
 
     def counting(self, attempt, start_bits, what):
         ladders.append(contfrac._text(what))
         return original(self, attempt, start_bits, what)
 
+    def no_lattice(*args):
+        raise AssertionError("a surd built a lattice of points")
+
     monkeypatch.setattr(contfrac.PrecisionContext, "escalate", counting)
+    monkeypatch.setattr(metrics, "_kronecker_lattice", no_lattice)
     assert _run(*argv)[0] == 0
-    if argv[0] == "gaps" or "--n-at" in argv:
-        assert ladders == []
-    else:
-        assert len(ladders) == 1 and ladders[0].startswith("point order at n="), ladders
+    assert ladders == []

@@ -19,7 +19,7 @@ from kronmesh import (
 from kronmesh import metrics
 from kronmesh.metrics import SWEEP_COLUMNS, Segment
 from kronmesh.sequences import kronecker_scaled, working_scale_bits
-from conftest import ALPHA_SPECS, PREFIX_60_DIGITS, assert_rho_close
+from conftest import ALPHA_SPECS, PREFIX_60_DIGITS
 import oracles
 from oracles import record_values as V
 
@@ -162,11 +162,11 @@ def test_sweep_matches_oneshot_exact_generators():
 
 
 def test_sweep_matches_oneshot_kronecker(golden):
+    # the sweep's exact rho lies in the enclosure of the one-shot lattice's
     rows = oracles.segment_rows(KroneckerGen(golden), 2, 60, with_bounds=False)
     for row in rows:
         qm = km.mesh_ratio(km.kronecker(golden, row.metrics.n))
-        assert_rho_close(row.metrics.mesh_ratio, qm.mesh_ratio,
-                         Fraction(1, 10 ** 12))
+        assert oracles.exact_in(row.metrics.rho_nd, *oracles.rho_interval(qm)), row.metrics.n
 
 
 def test_fill_sep_monotone_rho_at_least_one():
@@ -177,10 +177,10 @@ def test_fill_sep_monotone_rho_at_least_one():
         for row in rows:
             m = row.metrics
             if not m.is_infinite:
-                assert m.mesh_ratio >= 1, (gen, m.n)
+                assert oracles.value_sign(m.rho_nd, (1, 1)) >= 0, (gen, m.n)
             if prev is not None:
-                assert m.fill <= prev.fill, (gen, m.n)
-                assert m.separation <= prev.separation, (gen, m.n)
+                assert oracles.value_sign(m.fill_nd, prev.fill_nd) <= 0, (gen, m.n)
+                assert oracles.value_sign(m.separation_nd, prev.separation_nd) <= 0, (gen, m.n)
             prev = m
 
 
@@ -269,10 +269,21 @@ def _as_tuple(qm):
     return qm.fill, qm.separation, qm.mesh_ratio, qm.error_bound
 
 
+def _assert_encloses(exact, fill, sep, e, where):
+    """A surd's exact QUMetrics lies in a lattice's enclosures: fill and
+    separation within its error e of the lattice's, and rho in [(fill - e) /
+    (sep + e), (fill + e) / (sep - e)]."""
+    assert exact.error_bound == 0, where
+    assert oracles.exact_in(exact.fill_nd, fill - e, fill + e), where
+    assert oracles.exact_in(exact.separation_nd, sep - e, sep + e), where
+    assert oracles.exact_in(exact.rho_nd, (fill - e) / (sep + e), (fill + e) / (sep - e)), where
+
+
 @pytest.mark.parametrize("spec", KERNEL_SPECS)
 def test_kronecker_kernel_matches_scaled_oracle(spec):
-    # every sweep row, and a one-shot mesh_ratio on the same lattice, equal
-    # the independent sort-and-scan oracle exactly, error bound included
+    # a one-shot mesh_ratio on the lattice equals the independent
+    # sort-and-scan oracle exactly, error bound included, and every exact
+    # sweep row lies in that oracle's enclosure
     exp = km.CFExpansion(km.parse_alpha(spec))
     ctx = PrecisionContext(96)
     n_hi = 400
@@ -283,9 +294,9 @@ def test_kronecker_kernel_matches_scaled_oracle(spec):
     for row in rows:
         n = row.metrics.n
         want = _scaled_oracle_row(xs, M, U, n)
-        assert _as_tuple(row.metrics) == want, (spec, n)
+        _assert_encloses(row.metrics, *want[:2], want[3], (spec, n))
         oneshot = km.mesh_ratio(km.kronecker(exp, n, ctx, scale_bits=bits))
-        assert V(oneshot) == V(row.metrics), (spec, n)
+        assert _as_tuple(oneshot) == want, (spec, n)
     # the one-shot default scale gives the oracle on its own lattice too
     ps = km.kronecker(exp, n_hi, ctx)
     unit = ps.error_units // (n_hi - 1)
@@ -305,10 +316,11 @@ def test_sweep_edges_match_full_sweep(spec):
         assert [row.metrics.n for row in rows] == list(range(n_lo, n_hi + 1))
         for row in rows:
             assert V(row) == V(full[row.metrics.n]), (spec, n_lo, row.metrics.n)
-    # a one-row sweep works at the scale a one-shot analysis of n_m uses
+    # a one-row sweep of n_m gives the structure path's exact values
     one = oracles.segment_rows(gen, nm, nm)
     assert len(one) == 1
-    assert V(one[0].metrics) == V(km.mesh_ratio(km.kronecker(exp, nm)))
+    structural = km.mesh_ratio_structural(exp, nm)._replace(provenance="oracle-exact")
+    assert V(one[0].metrics) == V(structural)
     assert one[0].bounds == km.kronecker_bounds(exp, nm)
     assert one[0].bounds.lower_at_nm is not None
 
@@ -423,9 +435,11 @@ def _block_edges(exp, n_max):
 
 @pytest.mark.parametrize("spec", DIFF_SPECS)
 def test_kronecker_forms_match_sorted_points(spec):
-    # the three-gap forms on the lattice give what sorting the points gave:
-    # the same QUMetrics, error bound included, or the same error class
-    # (digit prefixes run out of digits or of certified order part way)
+    # the three-gap forms of a digit prefix, on its lattice, give what
+    # sorting the points gave: the same QUMetrics, error bound included, or
+    # the same error class (prefixes run out of digits or of certified order
+    # part way); a surd's exact values lie in every enclosure the sorted
+    # points certify, at any --bits
     exp = km.CFExpansion(km.parse_alpha(spec))
     gen = KroneckerGen(exp)
     ns = sorted(set(range(2, 401)) | set(_block_edges(exp, 4000)))
@@ -434,7 +448,11 @@ def test_kronecker_forms_match_sorted_points(spec):
         for n in ns:
             want = _outcome(lambda: oracles.kronecker_point_metrics(exp, n, ctx))
             got = _outcome(lambda: oracles.segment_rows(gen, n, n, ctx, False)[0].metrics)
-            assert V(got) == V(want), (spec, bits, n)
+            if exp._alpha0_surd is None:
+                assert V(got) == V(want), (spec, bits, n)
+            elif not isinstance(want, type):
+                _assert_encloses(got, want.fill, want.separation, want.error_bound,
+                                 (spec, bits, n))
     # a coarse start climbs the ladder on both paths
     ctx = PrecisionContext(64)
     for n in range(2, 121):
@@ -446,25 +464,37 @@ def test_kronecker_forms_match_sorted_points(spec):
 @pytest.mark.parametrize("spec", DIFF_SPECS)
 def test_sweep_rows_across_memo_keys_match_oneshot(spec):
     # windows over block edges change the (m, h, min(k, 2)) key between
-    # rows; every row equals the sorted-point row on the sweep's lattice
+    # rows; every row of a digit prefix equals the sorted-point row on the
+    # sweep's lattice, and every row of a surd equals its one-shot structure
+    # evaluation and lies in the sorted points' enclosure
     exp = km.CFExpansion(km.parse_alpha(spec))
     gen = KroneckerGen(exp)
     ctx = PrecisionContext(64)
+    surd = exp._alpha0_surd is not None
     for edge in _block_edges(exp, 3000):
         lo, hi = max(2, edge - 2), edge + 3
         rows = _outcome(lambda: oracles.segment_rows(gen, lo, hi, ctx))
         lattice = _outcome(lambda: oracles.kronecker_point_lattice(exp, hi, ctx))
-        if isinstance(lattice, type):
+        if isinstance(lattice, type) and not surd:
             assert rows == lattice, (spec, lo, hi)
             continue
-        xs, M, U = lattice
         assert [row.metrics.n for row in rows] == list(range(lo, hi + 1))
         for row in rows:
             n = row.metrics.n
-            assert _as_tuple(row.metrics) == _scaled_oracle_row(xs, M, U, n), (spec, n)
-            oneshot = km.mesh_ratio(km.kronecker(exp, n, ctx, scale_bits=M.bit_length() - 1))
-            assert V(oneshot) == V(row.metrics), (spec, n)
             assert V(row.bounds) == V(km.kronecker_bounds(exp, n, ctx)), (spec, n)
+            if surd:
+                structural = km.mesh_ratio_structural(exp, n, ctx)
+                assert V(row.metrics) == V(structural._replace(provenance="oracle-exact"))
+                if isinstance(lattice, type):
+                    continue
+            xs, M, U = lattice
+            want = _scaled_oracle_row(xs, M, U, n)
+            oneshot = km.mesh_ratio(km.kronecker(exp, n, ctx, scale_bits=M.bit_length() - 1))
+            assert _as_tuple(oneshot) == want, (spec, n)
+            if surd:
+                _assert_encloses(row.metrics, *want[:2], want[3], (spec, n))
+            else:
+                assert V(oneshot) == V(row.metrics), (spec, n)
 
 
 @pytest.mark.parametrize("spec, bits, n", [

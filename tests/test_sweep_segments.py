@@ -173,25 +173,28 @@ def test_segments_cover_the_range_once():
 
 def test_golden_sweep_evaluates_each_segment_once(monkeypatch):
     # three segments per (m, h) at most: k = 0, k = 1 and k = 2..s_m - 1.
-    # decompose runs once for the lattice of n_hi and once per segment, and
-    # the bounds once per key (m, h, k == 0)
+    # decompose and the exact evaluation run once per segment, no lattice
+    # is built, and the bounds run once per key (m, h, k == 0)
     metrics = km.metrics
-    calls = {"decompose": [], "_kronecker_metrics": [], "_bounds": []}
+    calls = {"decompose": [], "_surd_structural": [], "_bounds": [],
+             "_kronecker_lattice": [], "_kronecker_metrics": []}
 
     def counting(name, n_of):
         original = getattr(metrics, name)
 
-        def call(*args):
+        def call(*args, **kw):
             calls[name].append(n_of(*args))
-            return original(*args)
+            return original(*args, **kw)
         monkeypatch.setattr(metrics, name, call)
 
     counting("decompose", lambda exp, n: n)
-    counting("_kronecker_metrics", lambda gs, *lattice: gs.n)
+    counting("_surd_structural", lambda exp, gs: gs.n)
     counting("_bounds", lambda exp, n, d, ctx: n)
+    counting("_kronecker_lattice", lambda exp, n, *rest: n)
+    counting("_kronecker_metrics", lambda lattice, gs: gs.n)
     segs = km.sweep_segments(km.KroneckerGen(km.parse_alpha("golden")), 2, 20000)
-    assert calls["decompose"] == [20000] + [s.n_lo for s in segs]
-    assert calls["_kronecker_metrics"] == [s.n_lo for s in segs]
+    assert calls["decompose"] == calls["_surd_structural"] == [s.n_lo for s in segs]
+    assert calls["_kronecker_lattice"] == calls["_kronecker_metrics"] == []
     keys = [None] + [(s.bounds.m, s.bounds.h, s.bounds.k == 0) for s in segs]
     assert calls["_bounds"] == [s.n_lo for s, prev, key in zip(segs, keys, keys[1:])
                                 if key != prev]
