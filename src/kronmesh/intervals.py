@@ -1,10 +1,10 @@
 """Decimal rendering of the values the package prints.
 
 Every printed value is an integer ratio num / den rendered by one decimal
-division (decimal_renderer), or an irrational surd (P + sqrt(N)) / Q
-rendered from one integer floor (surd_digits, surd_text).  An enclosure is printed
-as its two ends rounded outward, so the printed interval still contains
-the value.  _formatter is the one cell formatter over all of them.
+division (decimal_renderer), or an irrational surd (P + sqrt(N)) / Q from
+one integer floor (surd_digits, surd_text).  An enclosure is printed as
+its two ends rounded outward, so the printed interval still contains the
+value.  _formatter is the one cell formatter over all of them.
 """
 from __future__ import annotations
 

@@ -192,12 +192,13 @@ def _truth(spec: str, n: int, prec: int):
 def test_contiguous_rows_print_every_digit_right(spec, n, span, digits, how, bounds):
     # analyze, and contiguous sweeps with and without bounds, print fill,
     # separation and rho of every n exactly, to nearest
+    last = n if how == "analyze" else n + span
     if how == "analyze":
         code, out = _run("analyze", "--alpha", spec, "--n", str(n), "--digits", str(digits))
         payload = json.loads(out)
         rows = [(n, (payload["fill"], payload["separation"], payload["mesh_ratio"]))]
     else:
-        code, out = _run("sweep", "--alpha", spec, "--n", f"{n}..{n + span}",
+        code, out = _run("sweep", "--alpha", spec, "--n", f"{n}..{last}",
                          "--digits", str(digits), "--format", how,
                          *(() if bounds else ("--no-bounds",)))
         if how == "csv":
@@ -207,7 +208,7 @@ def test_contiguous_rows_print_every_digit_right(spec, n, span, digits, how, bou
             rows = [(r["n"], (r["fill"], r["separation"], r["mesh_ratio"]))
                     for r in json.loads(out)["rows"]]
     assert code == 0
-    assert [i for i, _ in rows] == list(range(n, n + (span if how != "analyze" else 0) + 1))
+    assert [i for i, _ in rows] == list(range(n, last + 1))
     for i, cells in rows:
         prec = 3 * i.bit_length() + 8 * digits + 400  # past the forms' cancellation
         with mpmath.workprec(prec):
